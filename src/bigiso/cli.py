@@ -62,18 +62,28 @@ def _load_document(args) -> tuple[StructureDocument, str]:
         return parse_document(fh.read()), label
 
 
-def _grid_for(doc: StructureDocument, chart_dim: int, args):
-    if args.grid:
-        lo_hi, _, cap_text = args.grid.partition(":")
+def _parse_grid_flag(text: str) -> tuple:
+    """The --grid value 'lo..hi[:cap]': integers with lo <= hi and cap >= 1."""
+    lo_hi, _, cap_text = text.partition(":")
+    try:
         lo, hi = (int(t) for t in lo_hi.split(".."))
         cap = int(cap_text) if cap_text else 24
-        values = tuple(Fraction(v) for v in range(lo, hi + 1))
-        return default_grid(chart_dim, cap=cap, values=values)
-    if doc.grid_range:
+    except ValueError:
+        raise ParseError(f"--grid needs integers lo..hi[:cap], got {text!r}", 0, 0)
+    if lo > hi or cap < 1:
+        raise ParseError(f"--grid {text!r} gives an empty grid: needs lo <= hi and cap >= 1", 0, 0)
+    return lo, hi, cap
+
+
+def _grid_for(doc: StructureDocument, chart_dim: int, args):
+    if args.grid is not None:
+        lo, hi, cap = _parse_grid_flag(args.grid)
+    elif doc.grid_range:
         lo, hi, cap = doc.grid_range
-        values = tuple(Fraction(v) for v in range(lo, hi + 1))
-        return default_grid(chart_dim, cap=cap, values=values)
-    return None
+    else:
+        return None
+    values = tuple(Fraction(v) for v in range(lo, hi + 1))
+    return default_grid(chart_dim, cap=cap, values=values)
 
 
 def _build_structure(doc: StructureDocument, grid) -> BigIsotropicStructure:
@@ -199,7 +209,11 @@ def _run_transversal(doc, report, args):
         verdict = check_integrability(tr)
         timer.done(verdict.ok, verdict_certificate(verdict))
     with report.start("leaf presymplectic form") as timer:
-        mat = leaf_pullback(cf)
+        try:
+            mat = leaf_pullback(cf)
+        except NormalizationError as exc:
+            timer.done(False, {"failures": [{"message": str(exc), "detail": None}]})
+            return
         cert = {"matrix": [[str(mat[i, j]) for j in range(mat.cols)] for i in range(mat.rows)]}
         timer.done(True, cert)
 

@@ -248,10 +248,6 @@ class Matrix:
         return "\n".join("[" + ", ".join(str(e) for e in row) + "]" for row in self.entries)
 
 
-def rref(m: Matrix):
-    return m.rref()
-
-
 def kernel(m: Matrix) -> "Subspace":
     return Subspace(m.cols, m.kernel_rows())
 
@@ -366,18 +362,6 @@ class Subspace:
 
     def __repr__(self):
         return f"Subspace(dim={self.dim} of Q^{self.ambient_dim})"
-
-
-def subspace_sum(a: Subspace, b: Subspace) -> Subspace:
-    return a.sum(b)
-
-
-def subspace_intersection(a: Subspace, b: Subspace) -> Subspace:
-    return a.intersect(b)
-
-
-def subspace_contains(a: Subspace, vector) -> bool:
-    return a.contains(vector)
 
 
 def complement_in(inner: Subspace, outer: Subspace) -> Subspace:

@@ -1,20 +1,27 @@
 """Exact membership of a polynomial row in the pointwise span of a frame.
 
-A section lies in the pointwise span of a rank-r polynomial frame everywhere
-(on the locus where the frame keeps rank r) iff all (r+1)-minors of the
-stacked matrix are zero polynomials.  Before enumerating minors we peel off
-pivots that are nonzero constants: adding polynomial multiples of rows and
-deleting a constant-pivot row/column preserves the rank at every point, and
-on structured frames this usually reduces the bracket row to zero outright.
+A row b lies in the span of a k-row frame F wherever F has rank k iff every
+(k+1)-minor of [F; b] is the zero polynomial.  ``span_test`` fixes, once per
+frame, k columns J with D = det F_J != 0 and the adjugate adj(F_J).  The
+residual r = D b - (b_J adj(F_J)) F vanishes on J, and for j outside J the
+entry r_j is the (k+1)-minor of [F; b] on the columns J and j (Schur
+complement).  So r = 0 means b = (b_J adj(F_J) / D) F on the dense set
+D != 0, and every (k+1)-minor vanishes; otherwise the first nonzero r_j is
+the certificate.  J is the pivot set of F at the first of a fixed sequence
+of small points where F has rank k, or of F over Q(x) when F drops rank at
+all of them; a frame that never has rank k admits every candidate.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations
-from typing import Sequence
+from fractions import Fraction
+from typing import Callable, Sequence
 
-from .scalars import Polynomial
+from .linalg import Matrix
+from .scalars import Polynomial, RationalFunction
+
+PROBE_POINTS = 16
 
 
 def poly_det(rows: Sequence[Sequence[Polynomial]]) -> Polynomial:
@@ -56,46 +63,6 @@ def poly_det(rows: Sequence[Sequence[Polynomial]]) -> Polynomial:
     return rec(tuple(range(n)), tuple(range(n)))
 
 
-def _constant_pivot_reduce(rows: list) -> list:
-    """Unimodular reduction: repeatedly eliminate with nonzero-constant pivots.
-
-    Returns the surviving rows (pivot rows and columns removed).  The rank at
-    EVERY point drops by exactly the number of pivots removed, so span
-    conditions transfer verbatim to the reduced matrix.
-    """
-    rows = [list(r) for r in rows]
-    if not rows:
-        return rows
-    ncols = len(rows[0])
-    active_cols = list(range(ncols))
-    while True:
-        pivot = None
-        for ri, row in enumerate(rows):
-            for cpos, c in enumerate(active_cols):
-                e = row[c]
-                if not e.is_zero() and e.is_constant():
-                    pivot = (ri, cpos)
-                    break
-            if pivot:
-                break
-        if pivot is None:
-            break
-        ri, cpos = pivot
-        c = active_cols[cpos]
-        pc = rows[ri][c].constant_value()
-        for rj in range(len(rows)):
-            if rj == ri:
-                continue
-            f = rows[rj][c]
-            if f.is_zero():
-                continue
-            factor = f * (1 / pc)
-            rows[rj] = [a - factor * b for a, b in zip(rows[rj], rows[ri])]
-        del rows[ri]
-        del active_cols[cpos]
-    return [[row[c] for c in active_cols] for row in rows]
-
-
 @dataclass(frozen=True)
 class SpanWitness:
     """Certificate for a failed membership test: a nonzero minor."""
@@ -107,58 +74,75 @@ class SpanWitness:
         return f"nonzero minor on columns {self.columns}: {self.minor}"
 
 
-def in_span(frame_rows: Sequence[Sequence[Polynomial]], candidate: Sequence[Polynomial]):
-    """Whether candidate(x) lies in span{frame_rows(x)} for every point x
-    where the frame has full rank.
+def probe_points(m: int):
+    """The origin, then points of {-2, ..., 2}^m from a fixed congruential
+    sweep; the sequence depends on m only."""
+    yield (Fraction(0),) * m
+    state = 1234567
+    for _ in range(PROBE_POINTS - 1):
+        coords = []
+        for _ in range(m):
+            state = (1103515245 * state + 12345) % (2**31)
+            coords.append(Fraction((state >> 16) % 5 - 2))
+        yield tuple(coords)
 
-    Returns (True, None) or (False, SpanWitness).
-    """
-    frame_rows = [tuple(r) for r in frame_rows]
-    stacked = frame_rows + [tuple(candidate)]
-    k = len(frame_rows)
-    ncols = len(candidate)
-    if k == 0:
-        for j, e in enumerate(candidate):
-            if not e.is_zero():
-                return False, SpanWitness(e, (j,))
-        return True, None
 
-    reduced = _constant_pivot_reduce(stacked)
-    size = len(reduced)
-    if size == 0:
-        # every row was eliminated by constant pivots: pointwise rank k+1
-        witness = _some_nonzero_minor(stacked, k + 1)
-        return False, witness
-    if any(all(e.is_zero() for e in row) for row in reduced):
-        return True, None
-    width = len(reduced[0])
-    if width < size:
-        return True, None  # rank can never reach the row count
-    for cols in combinations(range(width), size):
-        minor = poly_det([[row[c] for c in cols] for row in reduced])
-        if not minor.is_zero():
-            # report a certificate computed on the original matrix
-            witness = _some_nonzero_minor(stacked, k + 1)
-            if witness is None:
-                witness = SpanWitness(minor, cols)
-            return False, witness
+def _pivot_columns(frame: list):
+    k = len(frame)
+    for point in probe_points(len(frame[0][0].vars)):
+        _, pivots, rank = Matrix([[e.eval(point) for e in row] for row in frame]).rref()
+        if rank == k:
+            return pivots
+    generic = Matrix([[RationalFunction.from_poly(e) for e in row] for row in frame])
+    _, pivots, rank = generic.rref()
+    return pivots if rank == k else None
+
+
+def _cofactor(square: list, i: int, l: int) -> Polynomial:
+    if len(square) == 1:
+        return Polynomial.one(square[0][0].vars)
+    minor = poly_det([r[:l] + r[l + 1 :] for i2, r in enumerate(square) if i2 != i])
+    return -minor if (i + l) % 2 else minor
+
+
+def _first_nonzero_entry(candidate):
+    for j, e in enumerate(candidate):
+        if not e.is_zero():
+            return False, SpanWitness(e, (j,))
     return True, None
 
 
-def _some_nonzero_minor(rows, size):
-    width = len(rows[0])
-    if size > len(rows) or size > width:
-        return None
-    row_sets = combinations(range(len(rows)), size) if len(rows) != size else [tuple(range(size))]
-    for rset in row_sets:
-        for cols in combinations(range(width), size):
-            minor = poly_det([[rows[r][c] for c in cols] for r in rset])
-            if not minor.is_zero():
-                return SpanWitness(minor, cols)
-    return None
+def span_test(frame_rows: Sequence[Sequence[Polynomial]]) -> Callable:
+    """Membership test for one frame: returns contains(candidate), which
+    gives (True, None) when candidate(x) lies in span{frame_rows(x)} at every
+    point x where the frame has full rank, and (False, SpanWitness) else."""
+    frame = [tuple(r) for r in frame_rows]
+    k = len(frame)
+    if k == 0:
+        return _first_nonzero_entry
+    J = _pivot_columns(frame) if k <= len(frame[0]) else None
+    if J is None:
+        return lambda candidate: (True, None)
+    FJ = [[row[c] for c in J] for row in frame]
+    adj = [[_cofactor(FJ, i, l) for i in range(k)] for l in range(k)]
+    D = sum(FJ[0][l] * adj[l][0] for l in range(k))
+    # r_j is the minor on the columns (J, j); sorting them moves column j
+    # past every pivot column greater than j
+    rest = [(j, sum(c > j for c in J) % 2) for j in range(len(frame[0])) if j not in J]
+
+    def contains(candidate):
+        b = tuple(candidate)
+        coeffs = [sum(b[c] * adj[l][i] for l, c in enumerate(J)) for i in range(k)]
+        for j, odd in rest:
+            r = D * b[j] - sum(c * row[j] for c, row in zip(coeffs, frame))
+            if not r.is_zero():
+                return False, SpanWitness(-r if odd else r, tuple(sorted(J + (j,))))
+        return True, None
+
+    return contains
 
 
-def pointwise_rank(rows: Sequence[Sequence[Polynomial]], point) -> int:
-    from .linalg import Matrix
-
-    return Matrix([[e.eval(point) for e in row] for row in rows]).rank()
+def in_span(frame_rows: Sequence[Sequence[Polynomial]], candidate: Sequence[Polynomial]):
+    """One-shot span_test(frame_rows)(candidate).  Returns (True, None) or
+    (False, SpanWitness)."""
+    return span_test(frame_rows)(candidate)

@@ -371,7 +371,9 @@ def _parse_grid_spec(text: str, line_no: int):
     if len(parts) >= 2:
         if parts[1] != "cap" or len(parts) < 3:
             raise ParseError("grid cap must be written as 'cap N'", line_no, 1)
-        cap = int(parts[2])
+        cap = int(parts[2]) if parts[2].isdecimal() else 0
+    if cap < 1:
+        raise ParseError("grid cap must be a positive integer", line_no, 1)
     return (lo, hi, cap)
 
 

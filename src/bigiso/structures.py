@@ -36,7 +36,7 @@ from .calculus import (
     sharp,
 )
 from .linalg import Matrix, Subspace
-from .membership import in_span
+from .membership import in_span, span_test
 from .pointwise import IsotropicData, orthogonal_g
 from .scalars import Polynomial, as_fraction
 
@@ -204,14 +204,16 @@ def check_integrability(s: BigIsotropicStructure) -> Verdict:
     """Closure of the E frame under Courant brackets, by minor certificates.
 
     The bracket of every frame pair must lie in the pointwise span of the
-    frame; validity of the certificate needs the frame to keep rank k, which
-    the structure's grid validation already probed.
+    frame wherever the frame has rank k, which the structure's grid
+    validation probed.  One membership test is built for the frame and
+    reused for every pair; a failure carries a nonzero (k+1)-minor of the
+    frame stacked on the bracket.
     """
-    rows = s.frame_rows()
+    in_E = span_test(s.frame_rows())
     failures = []
     for i, j in itertools.combinations(range(s.k), 2):
         br = courant_bracket(s.e_frame[i], s.e_frame[j])
-        ok, witness = in_span(rows, br.as_poly_row())
+        ok, witness = in_E(br.as_poly_row())
         if not ok:
             failures.append((f"bracket of frame sections {i},{j} leaves E", witness))
     return Verdict("integrability", not failures, tuple(failures), note="rank certified on sampled locus")
@@ -219,12 +221,12 @@ def check_integrability(s: BigIsotropicStructure) -> Verdict:
 
 def check_module_property(s: BigIsotropicStructure) -> Verdict:
     """Brackets of E sections with E' sections must stay in E'."""
-    rows = s.prime_frame_rows()
+    in_E_prime = span_test(s.prime_frame_rows())
     failures = []
     for i in range(s.k):
         for j in range(len(s.e_prime_frame)):
             br = courant_bracket(s.e_frame[i], s.e_prime_frame[j])
-            ok, witness = in_span(rows, br.as_poly_row())
+            ok, witness = in_E_prime(br.as_poly_row())
             if not ok:
                 failures.append((f"bracket of E section {i} with E' section {j} leaves E'", witness))
     return Verdict("module property", not failures, tuple(failures))
@@ -309,11 +311,11 @@ def check_theta_condition(
 ) -> Verdict:
     """S involutive and d(theta)(S, S, anything) = 0."""
     chart = theta.chart
-    tangent_rows = [X.comps for X in s_frame]
+    in_S = span_test([X.comps for X in s_frame])
     failures = []
     for i, j in itertools.combinations(range(len(s_frame)), 2):
         br = lie_bracket(s_frame[i], s_frame[j])
-        ok, witness = in_span(tangent_rows, br.comps)
+        ok, witness = in_S(br.comps)
         if not ok:
             failures.append((f"[S_{i}, S_{j}] leaves S", witness))
     dtheta = d_twoform(theta)
@@ -351,11 +353,11 @@ def graph_P(
 def check_P_conditions(sstar_frame: Sequence[PolyOneForm], P: PolyBivector) -> Verdict:
     """S* closed under the bivector bracket, and [P,P](S*, S*, anything) = 0."""
     chart = P.chart
-    rows = [sigma.comps for sigma in sstar_frame]
+    in_S_star = span_test([sigma.comps for sigma in sstar_frame])
     failures = []
     for i, j in itertools.combinations(range(len(sstar_frame)), 2):
         br = p_bracket_oneforms(P, sstar_frame[i], sstar_frame[j])
-        ok, witness = in_span(rows, br.comps)
+        ok, witness = in_S_star(br.comps)
         if not ok:
             failures.append((f"{{S*_{i}, S*_{j}}} leaves S*", witness))
     T = schouten_squared(P)
@@ -377,8 +379,9 @@ def foliation_pair(
 ) -> BigIsotropicStructure:
     """E = F (+) ann F' for nested tangent distributions F inside F'."""
     rows_fp = [X.comps for X in fprime_frame]
+    in_F_prime = span_test(rows_fp)
     for X in f_frame:
-        ok, _ = in_span(rows_fp, X.comps)
+        ok, _ = in_F_prime(X.comps)
         if not ok:
             raise StructureError("F is not contained in F'")
     if ann_fprime is None:
@@ -526,17 +529,17 @@ def regular_integrability_criterion(s: BigIsotropicStructure) -> Verdict:
     """For regular structures: tangent projections involutive and invariant,
     plus vanishing truncated differential with third slot in E'."""
     failures = []
-    cal_e_rows = [sec.vf.comps for sec in s.e_frame]
-    cal_ep_rows = [sec.vf.comps for sec in s.e_prime_frame]
+    in_cal_e = span_test([sec.vf.comps for sec in s.e_frame])
+    in_cal_ep = span_test([sec.vf.comps for sec in s.e_prime_frame])
     for i, j in itertools.combinations(range(s.k), 2):
         br = lie_bracket(s.e_frame[i].vf, s.e_frame[j].vf)
-        ok, witness = in_span(cal_e_rows, br.comps)
+        ok, witness = in_cal_e(br.comps)
         if not ok:
             failures.append((f"tangent projection not involutive at pair ({i},{j})", witness))
     for i in range(s.k):
         for j in range(len(s.e_prime_frame)):
             br = lie_bracket(s.e_frame[i].vf, s.e_prime_frame[j].vf)
-            ok, witness = in_span(cal_ep_rows, br.comps)
+            ok, witness = in_cal_ep(br.comps)
             if not ok:
                 failures.append((f"characteristic module not invariant at ({i},{j})", witness))
     for i, j in itertools.combinations(range(s.k), 2):

@@ -1,0 +1,220 @@
+"""Exact membership: certificates are genuine minors, the pivot-search
+fallback is exact, and verdicts agree with minor enumeration and with
+pointwise ranks at random rational points."""
+
+import random
+from fractions import Fraction
+from itertools import combinations
+
+import pytest
+
+from bigiso.calculus import Chart, courant_bracket
+from bigiso.linalg import Matrix
+from bigiso.membership import SpanWitness, in_span, poly_det, probe_points, span_test
+from bigiso.scalars import Polynomial
+from bigiso.structures import check_integrability, check_module_property, structure_from_components
+
+
+def minor(rows, columns):
+    return poly_det([[row[c] for c in columns] for row in rows])
+
+
+def all_minors_vanish(rows):
+    """Reference oracle: every maximal-row minor of a polynomial matrix is zero."""
+    size = len(rows)
+    return all(minor(rows, cols).is_zero() for cols in combinations(range(len(rows[0])), size))
+
+
+def rank_at(rows, point):
+    return Matrix([[e.eval(point) for e in row] for row in rows]).rank()
+
+
+# ---- a non-integrable graph(P) frame with no constant entry ---------------
+
+DENSE = Chart(("x0", "x1", "x2", "x3"))
+# row operations (target, source, variable, coefficient): R_t += c * x_v * R_s
+OPS_E = [(1, 0, 2, 1), (0, 1, 3, 1), (1, 0, 0, -1), (3, 2, 0, 1), (2, 3, 1, 2), (3, 2, 3, -1)]
+OPS_EP = [(0, 1, 3, 1), (1, 0, 2, -1), (0, 1, 1, 1), (2, 3, 1, 1), (3, 2, 0, 1), (2, 3, 2, -2)]
+
+
+def dense_graph_structure(p):
+    """graph(P) for P = p d0^d1 + d2^d3, both frames mixed by unimodular
+    polynomial row operations; integrable iff P is Poisson (p constant)."""
+    o, z = DENSE.one(), DENSE.zero()
+    graph = [
+        [z, p, z, z, o, z, z, z],
+        [-p, z, z, z, z, o, z, z],
+        [z, z, z, o, z, z, o, z],
+        [z, z, -o, z, z, z, z, o],
+    ]
+
+    def mixed(ops):
+        rows = [list(r) for r in graph]
+        for t, s, v, c in ops:
+            rows[t] = [a + DENSE.coordinate(v) * c * b for a, b in zip(rows[t], rows[s])]
+        return rows
+
+    return structure_from_components(DENSE, mixed(OPS_E), mixed(OPS_EP))
+
+
+def certified_failures(frame_rows, candidates):
+    contains = span_test(frame_rows)
+    witnesses = []
+    for cand in candidates:
+        ok, witness = contains(cand)
+        if not ok:
+            assert witness.minor == minor(list(frame_rows) + [cand], witness.columns)
+            assert not witness.minor.is_zero()
+            witnesses.append(witness)
+    return witnesses
+
+
+class TestCertificates:
+    def test_dense_frames_have_no_constant_entry(self):
+        s = dense_graph_structure(DENSE.coordinate("x2"))
+        for row in s.frame_rows() + s.prime_frame_rows():
+            assert not any(not e.is_zero() and e.is_constant() for e in row)
+
+    def test_failing_certificates_are_minors(self):
+        s = dense_graph_structure(DENSE.coordinate("x2"))
+        brackets = [
+            courant_bracket(s.e_frame[i], s.e_frame[j]).as_poly_row()
+            for i, j in combinations(range(s.k), 2)
+        ]
+        witnesses = certified_failures(s.frame_rows(), brackets)
+        assert witnesses
+        verdict = check_integrability(s)
+        assert not verdict.ok
+        assert [w for _, w in verdict.failures] == witnesses
+
+        mixed = [
+            courant_bracket(a, b).as_poly_row() for a in s.e_frame for b in s.e_prime_frame
+        ]
+        witnesses = certified_failures(s.prime_frame_rows(), mixed)
+        assert witnesses
+        assert [w for _, w in check_module_property(s).failures] == witnesses
+
+    def test_poisson_dense_frame_passes(self):
+        s = dense_graph_structure(DENSE.constant(3))
+        assert check_integrability(s).ok
+        assert check_module_property(s).ok
+
+    def test_certificate_sign_follows_sorted_columns(self):
+        chart = Chart(("x", "y"))
+        x, y, o, z = chart.coordinate("x"), chart.coordinate("y"), chart.one(), chart.zero()
+        # pivot columns at the origin are (0, 2); the witness column 1 sits
+        # before one of them, so the residual changes sign
+        rows = [(o, x, z), (z, y, o)]
+        cand = (z, o, z)
+        ok, witness = in_span(rows, cand)
+        assert not ok
+        assert witness == SpanWitness(-o, (0, 1, 2))
+        assert witness.minor == minor(rows + [cand], (0, 1, 2))
+
+
+class TestDegenerateFrames:
+    def test_rank_drop_at_every_probe_point_reaches_the_exact_fallback(self):
+        chart = Chart(("x", "y"))
+        x, y, o, z = chart.coordinate("x"), chart.coordinate("y"), chart.one(), chart.zero()
+        p = x * (x * x - 1) * (x * x - 4)
+        rows = [(z, p, z, z), (y, x * y, z, o)]
+        assert all(rank_at(rows, pt) < 2 for pt in probe_points(2))
+        combination = tuple(x * a + y * b for a, b in zip(*rows))
+        assert in_span(rows, combination) == (True, None)
+        assert in_span(rows, rows[0]) == (True, None)
+        ok, witness = in_span(rows, (o, z, z, z))
+        assert not ok and witness.columns == (0, 1, 3)
+        assert witness.minor == minor(rows + [(o, z, z, z)], (0, 1, 3))
+        ok, witness = in_span(rows, (z, z, o, z))
+        assert not ok and witness.minor == minor(rows + [(z, z, o, z)], witness.columns)
+
+    def test_rank_below_k_everywhere_passes(self):
+        chart = Chart(("x", "y"))
+        x, y, o = chart.coordinate("x"), chart.coordinate("y"), chart.one()
+        rows = [(x, y, o), (x * x, x * y, x)]
+        for cand in [(o, chart.zero(), chart.zero()), (y, x, o)]:
+            assert in_span(rows, cand) == (True, None)
+        # more rows than columns: rank k is impossible
+        assert in_span([(x,), (y,)], (o,)) == (True, None)
+
+    def test_empty_frame(self):
+        chart = Chart(("x",))
+        x, z = chart.coordinate("x"), chart.zero()
+        assert in_span([], (z, z)) == (True, None)
+        assert in_span([], (z, x, 1 + x)) == (False, SpanWitness(x, (1,)))
+
+    def test_one_row_frame(self):
+        chart = Chart(("x",))
+        x, o = chart.coordinate("x"), chart.one()
+        assert in_span([(x, o)], (x * x, x)) == (True, None)
+        ok, witness = in_span([(x, o)], (o, o))
+        assert not ok and witness == SpanWitness(x - 1, (0, 1))
+
+
+# ---- randomized agreement with independent oracles ------------------------
+
+RANDOM_CHART = Chart(("x", "y"))
+
+
+def random_poly(rng, degree=2):
+    terms = {}
+    for _ in range(rng.randint(0, 3)):
+        i = rng.randint(0, degree)
+        j = rng.randint(0, degree - i)
+        terms[(i, j)] = Fraction(rng.randint(-3, 3))
+    return Polynomial(RANDOM_CHART.names, terms)
+
+
+def random_instance(rng):
+    """A small frame (sometimes rank deficient) and a candidate row that is
+    sometimes a polynomial combination of the frame rows."""
+    ncols = rng.randint(1, 4)
+    k = rng.randint(1, ncols)
+    rows = [tuple(random_poly(rng) for _ in range(ncols)) for _ in range(k)]
+    if k >= 2 and rng.random() < 0.25:
+        f = random_poly(rng, 1)
+        rows[-1] = tuple(f * e for e in rows[0])
+    zero = RANDOM_CHART.zero()
+    if rng.random() < 0.5:
+        cand = [zero] * ncols
+        for row in rows:
+            f = random_poly(rng, 1)
+            cand = [a + f * e for a, e in zip(cand, row)]
+    else:
+        cand = [random_poly(rng) for _ in range(ncols)]
+    return rows, tuple(cand)
+
+
+def check_against_oracles(rng):
+    rows, cand = random_instance(rng)
+    k = len(rows)
+    ok, witness = in_span(rows, cand)
+    assert ok == all_minors_vanish(rows + [cand])
+    if not ok:
+        assert witness.minor == minor(rows + [cand], witness.columns)
+    for _ in range(4):
+        point = tuple(Fraction(rng.randint(-9, 9), rng.randint(1, 4)) for _ in range(2))
+        if rank_at(rows, point) != k:
+            continue
+        stacked_rank = rank_at(rows + [cand], point)
+        if ok:
+            assert stacked_rank == k
+        elif witness.minor.eval(point) != 0:
+            assert stacked_rank == k + 1
+
+
+def test_seeded_random_frames_agree_with_oracles():
+    for seed in range(60):
+        check_against_oracles(random.Random(seed))
+
+
+def test_random_frames_agree_with_oracles_hypothesis():
+    pytest.importorskip("hypothesis")
+    from hypothesis import given, settings, strategies as st
+
+    @settings(max_examples=80, deadline=None, derandomize=True)
+    @given(st.integers(min_value=0, max_value=2**32 - 1))
+    def check(seed):
+        check_against_oracles(random.Random(seed))
+
+    check()

@@ -95,6 +95,16 @@ class TestDocumentParser:
             parse_document("chart x\nnonsense here\n")
 
 
+    @pytest.mark.parametrize("spec", ["-1..1 cap 0", "-1..1 cap x", "2..1", "a..b"])
+    def test_bad_grid_line(self, spec):
+        with pytest.raises(ParseError):
+            parse_document(fixtures.fixture_text("example_r3") + f"grid: {spec}\n")
+
+    def test_grid_line(self):
+        doc = parse_document(fixtures.fixture_text("example_r3") + "grid: -1..1 cap 5\n")
+        assert doc.grid_range == (-1, 1, 5)
+
+
 class TestCli:
     def run(self, *argv, tmp_path=None):
         import io
@@ -200,3 +210,33 @@ class TestCli:
     def test_grid_flag(self):
         code, _ = self.run("integrability", "--fixture", "example_r3", "--grid=-1..1:8")
         assert code == 0
+
+    @pytest.mark.parametrize(
+        "grid", ["abc", "3..1:24", "1..1:0", "-1..1:-4", "1..2..3", "-1..1:x", "..2", ""]
+    )
+    def test_grid_flag_input_errors(self, grid):
+        code, out = self.run("integrability", "--fixture", "example_r3", f"--grid={grid}")
+        assert code == 2
+        payload = json.loads(out)
+        assert payload["checks"] == []
+        assert len(payload["errors"]) == 1 and "--grid" in payload["errors"][0]
+
+    def test_grid_flag_single_point(self):
+        code, _ = self.run("integrability", "--fixture", "example_r3", "--grid=0..0:1")
+        assert code == 0
+
+    def test_leaf_pullback_error_is_a_failed_check(self, monkeypatch):
+        import bigiso.cli
+        from bigiso.canonical import NormalizationError
+
+        def blow_up(cf):
+            raise NormalizationError("canonical coefficients blow up on the leaf")
+
+        monkeypatch.setattr(bigiso.cli, "leaf_pullback", blow_up)
+        code, out = self.run("transversal", "--fixture", "example_r5")
+        assert code == 1
+        payload = json.loads(out)
+        assert payload["errors"] == []
+        leaf = [c for c in payload["checks"] if c["name"] == "leaf presymplectic form"]
+        assert leaf[0]["verdict"] == "fail"
+        assert "blow up" in leaf[0]["certificate"]["failures"][0]["message"]
