@@ -450,10 +450,6 @@ def interior_wedge_threeform(X: PolyVectorField, Y: PolyVectorField, lam: PolyTh
     return PolyOneForm(chart, comps)
 
 
-def lie_derivative_function(X: PolyVectorField, f: Polynomial) -> Polynomial:
-    return X.apply(f)
-
-
 def lie_derivative_oneform(X: PolyVectorField, alpha: PolyOneForm) -> PolyOneForm:
     """Cartan formula i(X)d(alpha) + d(alpha(X))."""
     _check_chart(X, alpha)
@@ -473,12 +469,6 @@ def pairing_sections(s1: BigSection, s2: BigSection) -> Polynomial:
     _check_chart(s1.vf, s2.vf)
     half = Fraction(1, 2)
     return (s1.of.pair(s2.vf) + s2.of.pair(s1.vf)) * half
-
-
-def omega_sections(s1: BigSection, s2: BigSection) -> Polynomial:
-    _check_chart(s1.vf, s2.vf)
-    half = Fraction(1, 2)
-    return (s1.of.pair(s2.vf) - s2.of.pair(s1.vf)) * half
 
 
 def courant_bracket(s1: BigSection, s2: BigSection) -> BigSection:

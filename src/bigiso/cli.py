@@ -2,19 +2,24 @@
 
 Subcommands run exact pipelines over a structure document and emit a JSON
 report.  Exit codes: 0 when every check passes, 1 when a check fails (the
-report carries the certificate), 2 on input errors.
+report carries the certificate), 2 on input errors.  Every subcommand
+validates the structure once, then runs the stages ``_COMMANDS`` lists for
+it; the stages share the structure, the grid and the canonical frame.
 """
 
 from __future__ import annotations
 
 import argparse
 import sys
+from dataclasses import dataclass
 from fractions import Fraction
+from itertools import combinations
 
 from . import fixtures as fixture_store
 from .calculus import BigSection, PolyVectorField
 from .canonical import (
     AdaptedChart,
+    CanonicalFrame,
     NormalizationError,
     check_orthogonality_relations,
     coupling_equivalences,
@@ -55,7 +60,7 @@ def _load_document(args) -> tuple[StructureDocument, str]:
         label = f"fixture:{args.fixture}"
     else:
         if not args.document:
-            raise ParseError("no document given (positional path or --fixture NAME)", 0, 0)
+            raise ParseError("no document given (positional path or --fixture NAME)")
         path = args.document
         label = args.document
     with open(path, "r", encoding="utf-8") as fh:
@@ -69,13 +74,13 @@ def _parse_grid_flag(text: str) -> tuple:
         lo, hi = (int(t) for t in lo_hi.split(".."))
         cap = int(cap_text) if cap_text else 24
     except ValueError:
-        raise ParseError(f"--grid needs integers lo..hi[:cap], got {text!r}", 0, 0)
+        raise ParseError(f"--grid needs integers lo..hi[:cap], got {text!r}")
     if lo > hi or cap < 1:
-        raise ParseError(f"--grid {text!r} gives an empty grid: needs lo <= hi and cap >= 1", 0, 0)
+        raise ParseError(f"--grid {text!r} gives an empty grid: needs lo <= hi and cap >= 1")
     return lo, hi, cap
 
 
-def _grid_for(doc: StructureDocument, chart_dim: int, args):
+def _grid_for(doc: StructureDocument, args):
     if args.grid is not None:
         lo, hi, cap = _parse_grid_flag(args.grid)
     elif doc.grid_range:
@@ -83,23 +88,47 @@ def _grid_for(doc: StructureDocument, chart_dim: int, args):
     else:
         return None
     values = tuple(Fraction(v) for v in range(lo, hi + 1))
-    return default_grid(chart_dim, cap=cap, values=values)
+    return default_grid(doc.chart.dim, cap=cap, values=values)
 
 
-def _build_structure(doc: StructureDocument, grid) -> BigIsotropicStructure:
-    return BigIsotropicStructure.build(
-        doc.chart, doc.e_sections, doc.e_prime_sections, grid=grid
-    )
+def _failure(exc: Exception) -> dict:
+    return {"failures": [{"message": str(exc), "detail": None}]}
 
 
-def _run_validate(doc, report, args):
-    grid = _grid_for(doc, doc.chart.dim, args)
+def _row_strings(row):
+    return [str(entry) for entry in row]
+
+
+def _section_strings(sec: BigSection):
+    return [str(c) for c in sec.as_poly_row()]
+
+
+@dataclass
+class _Run:
+    """What the stages of one document share; each is computed once."""
+
+    doc: StructureDocument
+    report: Report
+    grid: tuple | None
+    structure: BigIsotropicStructure
+    frame: CanonicalFrame | None = None  # set by the normalization stage
+
+    def check(self, name: str, verdict_of, *args, **kwargs):
+        """Record the verdict of verdict_of(*args, **kwargs) under name."""
+        with self.report.start(name) as timer:
+            verdict = verdict_of(*args, **kwargs)
+            timer.done(verdict.ok, verdict_certificate(verdict))
+
+
+def _validate(doc: StructureDocument, report: Report, grid) -> BigIsotropicStructure | None:
     with report.start("structure invariants") as timer:
         try:
-            s = _build_structure(doc, grid)
+            s = BigIsotropicStructure.build(
+                doc.chart, doc.e_sections, doc.e_prime_sections, grid=grid
+            )
             timer.done(True)
         except StructureError as exc:
-            timer.done(False, {"failures": [{"message": str(exc), "detail": None}]})
+            timer.done(False, _failure(exc))
             return None
     for pair in doc.hamiltonian_pairs:
         field = PolyVectorField(doc.chart, pair.field_comps)
@@ -113,22 +142,17 @@ def _run_validate(doc, report, args):
     return s
 
 
-def _run_integrability(doc, report, args, s=None):
-    s = s if s is not None else _run_validate(doc, report, args)
-    if s is None:
-        return None
-    with report.start("integrability") as timer:
-        verdict = check_integrability(s)
-        timer.done(verdict.ok, verdict_certificate(verdict))
-    with report.start("module property of the orthogonal frame") as timer:
-        verdict = check_module_property(s)
-        timer.done(verdict.ok, verdict_certificate(verdict))
-    return s
+def _integrability(run: _Run):
+    run.check("integrability", check_integrability, run.structure)
+    run.check("module property of the orthogonal frame", check_module_property, run.structure)
+
+
+def _axioms(run: _Run):
+    run.check("enlargement axioms", verify_modular_enlargement, run.structure)
+    run.check("co-anchor conditions", verify_coanchor, run.structure)
 
 
 def _adapted_from(doc: StructureDocument) -> AdaptedChart:
-    if not doc.adapted_split:
-        raise ParseError("document has no adapted block", 0, 0)
     leaf, middle, transverse = doc.adapted_split
     idx = {name: i for i, name in enumerate(doc.chart.names)}
     try:
@@ -139,25 +163,22 @@ def _adapted_from(doc: StructureDocument) -> AdaptedChart:
             transverse=tuple(idx[n] for n in transverse),
         )
     except KeyError as exc:
-        raise ParseError(f"adapted block names unknown coordinate {exc}", 0, 0)
+        raise ParseError(f"adapted block names unknown coordinate {exc}")
 
 
-def _run_canonical(doc, report, args, want_frame=True):
-    s = _run_validate(doc, report, args)
-    if s is None:
-        return None, None
-    adapted = _adapted_from(doc)
-    with report.start("canonical normalization") as timer:
+def _normalize(run: _Run, frame_in_certificate: bool = False):
+    adapted = _adapted_from(run.doc)
+    with run.report.start("canonical normalization") as timer:
         try:
-            cf = normalize_frame(s, adapted)
+            cf = normalize_frame(run.structure, adapted)
         except NormalizationError as exc:
-            timer.done(False, {"failures": [{"message": str(exc), "detail": None}]})
-            return s, None
+            timer.done(False, _failure(exc))
+            return
         cert = {
             "validity_locus": f"({cf.det_e}) * ({cf.det_eprime}) != 0",
             "leaf_conditions": cf.leaf_conditions_ok,
         }
-        if want_frame:
+        if frame_in_certificate:
             cert["frame"] = {
                 "X": [_row_strings(row) for row in cf.x_rows],
                 "Xi": [_row_strings(row) for row in cf.xi_rows],
@@ -165,74 +186,56 @@ def _run_canonical(doc, report, args, want_frame=True):
                 "Theta": [_row_strings(row) for row in cf.theta_rows],
             }
         timer.done(cf.leaf_conditions_ok, cert)
-    with report.start("canonical orthogonality relations") as timer:
-        verdict = check_orthogonality_relations(cf)
-        timer.done(verdict.ok, verdict_certificate(verdict))
-    return s, cf
+    run.check("canonical orthogonality relations", check_orthogonality_relations, cf)
+    run.frame = cf
 
 
-def _row_strings(row):
-    return [str(entry) for entry in row]
+def _canonical_frame(run: _Run):
+    _normalize(run, frame_in_certificate=True)
 
 
-def _run_decomposable(doc, report, args):
-    s, cf = _run_canonical(doc, report, args, want_frame=False)
+def _decomposable(run: _Run):
+    cf = run.frame
     if cf is None:
         return
-    grid = _grid_for(doc, doc.chart.dim, args)
-    decomposable = is_locally_decomposable(cf)
-    alpha_cert = {
-        "alpha_prime": [_row_strings(row) for row in cf.alpha_prime],
-    }
-    report.add("local decomposability", decomposable, alpha_cert)
-    with report.start("coupling equivalences") as timer:
-        verdict = coupling_equivalences(cf, grid=grid)
-        timer.done(verdict.ok, verdict_certificate(verdict))
+    alpha_cert = {"alpha_prime": [_row_strings(row) for row in cf.alpha_prime]}
+    run.report.add("local decomposability", is_locally_decomposable(cf), alpha_cert)
+    run.check("coupling equivalences", coupling_equivalences, cf, grid=run.grid)
 
 
-def _run_transversal(doc, report, args):
-    s, cf = _run_canonical(doc, report, args, want_frame=False)
+def _transversal(run: _Run):
+    cf, report = run.frame, run.report
     if cf is None:
         return
     with report.start("transversal structure") as timer:
         try:
-            tr = transversal_structure(s, cf)
+            tr = transversal_structure(run.structure, cf)
         except (NormalizationError, StructureError) as exc:
-            timer.done(False, {"failures": [{"message": str(exc), "detail": None}]})
+            timer.done(False, _failure(exc))
             return
         cert = {
             "chart": list(tr.chart.names),
             "frame_E": [_section_strings(sec) for sec in tr.e_frame],
         }
         timer.done(True, cert)
-    with report.start("transversal integrability") as timer:
-        verdict = check_integrability(tr)
-        timer.done(verdict.ok, verdict_certificate(verdict))
+    run.check("transversal integrability", check_integrability, tr)
     with report.start("leaf presymplectic form") as timer:
         try:
             mat = leaf_pullback(cf)
         except NormalizationError as exc:
-            timer.done(False, {"failures": [{"message": str(exc), "detail": None}]})
+            timer.done(False, _failure(exc))
             return
         cert = {"matrix": [[str(mat[i, j]) for j in range(mat.cols)] for i in range(mat.rows)]}
         timer.done(True, cert)
 
 
-def _section_strings(sec: BigSection):
-    return [str(c) for c in sec.as_poly_row()]
-
-
-def _run_reduce(doc, report, args):
-    s = _run_validate(doc, report, args)
-    if s is None:
-        return
-    if doc.submanifold_equations is None or doc.foliation_names is None:
-        raise ParseError("reduce needs submanifold and foliation blocks", 0, 0)
+def _reduce(run: _Run):
+    doc = run.doc
     N = SubmanifoldData.from_equations(doc.chart, list(doc.submanifold_equations))
     try:
         fibre = tuple(N.sub.index(name) for name in doc.foliation_names)
     except ValueError as exc:
-        raise ParseError(f"foliation names must be submanifold coordinates: {exc}", 0, 0)
+        raise ParseError(f"foliation names must be submanifold coordinates: {exc}")
     F = FoliationData(N.sub, fibre)
     restricted_frame = (
         doc.sections_for(N.sub, doc.restricted_e_lines) if doc.restricted_e_lines else None
@@ -242,13 +245,13 @@ def _run_reduce(doc, report, args):
         if doc.restricted_e_prime_lines
         else None
     )
-    with report.start("reduction pipeline") as timer:
+    with run.report.start("reduction pipeline") as timer:
         try:
             result = reduce_structure(
-                s, N, F, restricted_frame=restricted_frame, restricted_prime_frame=restricted_prime
+                run.structure, N, F, restricted_frame, restricted_prime_frame=restricted_prime
             )
         except (ReductionError, StructureError) as exc:
-            timer.done(False, {"failures": [{"message": str(exc), "detail": None}]})
+            timer.done(False, _failure(exc))
             return
         cert = {
             "quotient_chart": list(result.quotient.chart.names),
@@ -256,59 +259,59 @@ def _run_reduce(doc, report, args):
             "poisson_condition": result.poisson_condition,
         }
         timer.done(True, cert)
-    with report.start("reduced integrability") as timer:
-        verdict = check_integrability(result.quotient)
-        timer.done(verdict.ok, verdict_certificate(verdict))
+    run.check("reduced integrability", check_integrability, result.quotient)
 
 
-def _run_report_all(doc, report, args):
-    s = _run_integrability(doc, report, args)
+def _poisson(run: _Run):
+    chart, s = run.doc.chart, run.structure
+    for a, b in combinations(run.doc.hamiltonian_pairs, 2):
+        name = f"poisson bracket skewness ({a.name},{b.name})"
+        try:
+            fa = PolyVectorField(chart, a.field_comps)
+            fb = PolyVectorField(chart, b.field_comps)
+            ab = poisson_bracket(s, a.f, fa, b.f, fb)
+            ba = poisson_bracket(s, b.f, fb, a.f, fa)
+            run.report.add(name, (ab + ba).is_zero(), {"bracket": str(ab)})
+        except StructureError as exc:
+            run.report.add(name, False, _failure(exc))
+
+
+# subcommand -> its stages after validation, in report order; the stages
+# after _normalize use its frame and do nothing when there is none
+_COMMANDS = {
+    "validate": (),
+    "integrability": (_integrability,),
+    "canonical": (_canonical_frame,),
+    "decomposable": (_normalize, _decomposable),
+    "transversal": (_normalize, _transversal),
+    "reduce": (_reduce,),
+    "report-all": (
+        _integrability, _axioms, _normalize, _decomposable, _transversal, _reduce, _poisson
+    ),
+}
+
+
+def _missing_block(doc: StructureDocument, stage) -> str | None:
+    """The input error for a stage whose document block is missing."""
+    if stage in (_normalize, _canonical_frame) and not doc.adapted_split:
+        return "document has no adapted block"
+    if stage is _reduce and (doc.submanifold_equations is None or doc.foliation_names is None):
+        return "reduce needs submanifold and foliation blocks"
+    return None
+
+
+def _run_command(command: str, doc: StructureDocument, report: Report, grid) -> None:
+    """Validate doc once, then run the stages of command into report."""
+    s = _validate(doc, report, grid)
     if s is None:
         return
-    with report.start("enlargement axioms") as timer:
-        verdict = verify_modular_enlargement(s)
-        timer.done(verdict.ok, verdict_certificate(verdict))
-    with report.start("co-anchor conditions") as timer:
-        verdict = verify_coanchor(s)
-        timer.done(verdict.ok, verdict_certificate(verdict))
-    if doc.adapted_split:
-        _run_decomposable(doc, report, args)
-        _run_transversal(doc, report, args)
-    if doc.submanifold_equations is not None and doc.foliation_names is not None:
-        _run_reduce(doc, report, args)
-    if len(doc.hamiltonian_pairs) >= 2:
-        chart = doc.chart
-        pairs = list(doc.hamiltonian_pairs)
-        for i in range(len(pairs)):
-            for j in range(i + 1, len(pairs)):
-                a, b = pairs[i], pairs[j]
-                try:
-                    fa = PolyVectorField(chart, a.field_comps)
-                    fb = PolyVectorField(chart, b.field_comps)
-                    ab = poisson_bracket(s, a.f, fa, b.f, fb)
-                    ba = poisson_bracket(s, b.f, fb, a.f, fa)
-                    report.add(
-                        f"poisson bracket skewness ({a.name},{b.name})",
-                        (ab + ba).is_zero(),
-                        {"bracket": str(ab)},
-                    )
-                except StructureError as exc:
-                    report.add(
-                        f"poisson bracket skewness ({a.name},{b.name})",
-                        False,
-                        {"failures": [{"message": str(exc), "detail": None}]},
-                    )
-
-
-_COMMANDS = {
-    "validate": _run_validate,
-    "integrability": _run_integrability,
-    "canonical": _run_canonical,
-    "decomposable": _run_decomposable,
-    "transversal": _run_transversal,
-    "reduce": _run_reduce,
-    "report-all": _run_report_all,
-}
+    run = _Run(doc, report, grid, s)
+    for stage in _COMMANDS[command]:
+        missing = _missing_block(doc, stage)
+        if missing is None:
+            stage(run)
+        elif command != "report-all":  # report-all runs what the document allows
+            raise ParseError(missing)
 
 
 def build_arg_parser() -> argparse.ArgumentParser:
@@ -343,11 +346,7 @@ def main(argv=None) -> int:
     try:
         doc, label = _load_document(args)
         report.document = label
-        runner = _COMMANDS[args.command]
-        if args.command == "canonical":
-            runner(doc, report, args, want_frame=True)
-        else:
-            runner(doc, report, args)
+        _run_command(args.command, doc, report, _grid_for(doc, args))
         exit_code = EXIT_OK if report.ok else EXIT_CHECK_FAILED
     except (ParseError, OSError) as exc:
         report.add_error(str(exc))

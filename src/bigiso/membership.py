@@ -7,17 +7,19 @@ residual r = D b - (b_J adj(F_J)) F vanishes on J, and for j outside J the
 entry r_j is the (k+1)-minor of [F; b] on the columns J and j (Schur
 complement).  So r = 0 means b = (b_J adj(F_J) / D) F on the dense set
 D != 0, and every (k+1)-minor vanishes; otherwise the first nonzero r_j is
-the certificate.  J is the pivot set of F at the first of a fixed sequence
-of small points where F has rank k, or of F over Q(x) when F drops rank at
-all of them; a frame that never has rank k admits every candidate.
+the certificate.  J is the pivot set of F at the first of the
+PROBE_POINTS points of ``default_grid`` (the origin, then shell by shell
+in L1 norm; a document's grid override does not change them) where F has
+rank k, or of F over Q(x) when F drops rank at all of them; a frame that
+never has rank k admits every candidate.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Callable, Sequence
 
+from .grid import default_grid
 from .linalg import Matrix
 from .scalars import Polynomial, RationalFunction
 
@@ -74,22 +76,9 @@ class SpanWitness:
         return f"nonzero minor on columns {self.columns}: {self.minor}"
 
 
-def probe_points(m: int):
-    """The origin, then points of {-2, ..., 2}^m from a fixed congruential
-    sweep; the sequence depends on m only."""
-    yield (Fraction(0),) * m
-    state = 1234567
-    for _ in range(PROBE_POINTS - 1):
-        coords = []
-        for _ in range(m):
-            state = (1103515245 * state + 12345) % (2**31)
-            coords.append(Fraction((state >> 16) % 5 - 2))
-        yield tuple(coords)
-
-
 def _pivot_columns(frame: list):
     k = len(frame)
-    for point in probe_points(len(frame[0][0].vars)):
+    for point in default_grid(len(frame[0][0].vars), cap=PROBE_POINTS):
         _, pivots, rank = Matrix([[e.eval(point) for e in row] for row in frame]).rref()
         if rank == k:
             return pivots

@@ -32,8 +32,11 @@ from .scalars import Polynomial
 
 
 class ParseError(ValueError):
-    def __init__(self, message: str, line: int, col: int):
-        super().__init__(f"line {line}, column {col}: {message}")
+    """Bad input; line and col locate it in a document, and are None for
+    input that has no position (a command-line value, a missing block)."""
+
+    def __init__(self, message: str, line: int | None = None, col: int | None = None):
+        super().__init__(message if line is None else f"line {line}, column {col}: {message}")
         self.line = line
         self.col = col
 
@@ -160,11 +163,6 @@ class ExpressionParser:
 
 def parse_expression(chart: Chart, text: str, line_no: int = 1, col_offset: int = 0) -> Polynomial:
     return ExpressionParser(chart, text, line_no, col_offset).parse()
-
-
-def print_polynomial(p: Polynomial) -> str:
-    """Canonical string form; parse_expression inverts it."""
-    return str(p)
 
 
 # --------------------------------------------------------------------------

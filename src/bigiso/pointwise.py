@@ -95,26 +95,10 @@ def tangent_projection(space: Subspace) -> Subspace:
     return Subspace(m, [row[:m] for row in space.basis])
 
 
-def cotangent_part(space: Subspace) -> Subspace:
-    """Intersection with 0 (+) (Q^m)*, reported inside (Q^m)*."""
-    m = space.ambient_dim // 2
-    rows = []
-    for row in space.intersect(_cotangent_summand(m)).basis:
-        rows.append(row[m:])
-    return Subspace(m, rows)
-
-
 def _tangent_summand(m: int) -> Subspace:
     rows = [[Fraction(0)] * (2 * m) for _ in range(m)]
     for i in range(m):
         rows[i][i] = Fraction(1)
-    return Subspace(2 * m, rows)
-
-
-def _cotangent_summand(m: int) -> Subspace:
-    rows = [[Fraction(0)] * (2 * m) for _ in range(m)]
-    for i in range(m):
-        rows[i][m + i] = Fraction(1)
     return Subspace(2 * m, rows)
 
 

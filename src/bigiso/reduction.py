@@ -28,7 +28,6 @@ from .calculus import (
     sharp,
 )
 from .linalg import Matrix, Subspace
-from .membership import span_test
 from .scalars import Polynomial, as_fraction
 from .structures import BigIsotropicStructure, Verdict, default_grid
 from .transport import LinearMap, pullback_subspace, pushforward_subspace, space_S
@@ -264,17 +263,16 @@ def check_projectable(s: BigIsotropicStructure, F: FoliationData) -> Verdict:
     """
     if F.chart != s.chart:
         raise ReductionError("foliation must live on the structure chart")
-    in_E = span_test(s.frame_rows())
     failures = []
     zero_of = PolyOneForm.zero(s.chart)
     for Y in F.fibre_fields():
-        ok, witness = in_E(BigSection(Y, zero_of).as_poly_row())
+        ok, witness = s.in_E(BigSection(Y, zero_of).as_poly_row())
         if not ok:
             failures.append(("condition a: fibre field not in E", witness))
     for Y in F.fibre_fields():
         for i, sec in enumerate(s.e_frame):
             moved = BigSection(lie_bracket(Y, sec.vf), lie_derivative_oneform(Y, sec.of))
-            ok, witness = in_E(moved.as_poly_row())
+            ok, witness = s.in_E(moved.as_poly_row())
             if not ok:
                 failures.append((f"condition b': fibre flow moves frame section {i} out of E", witness))
     return Verdict("projectability", not failures, tuple(failures))

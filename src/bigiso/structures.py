@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from fractions import Fraction
+from functools import cached_property
 from typing import Sequence
 
 from .calculus import (
@@ -35,42 +35,15 @@ from .calculus import (
     schouten_squared,
     sharp,
 )
+from .grid import default_grid
 from .linalg import Matrix, Subspace
-from .membership import in_span, span_test
+from .membership import in_span, span_test  # noqa: F401  (bench/tracing.py wraps in_span here)
 from .pointwise import IsotropicData, orthogonal_g
 from .scalars import Polynomial, as_fraction
 
 
 class StructureError(ValueError):
     pass
-
-
-GRID_VALUES = tuple(Fraction(v) for v in (-2, -1, 0, 1, 2))
-
-
-def default_grid(m: int, cap: int = 24, values=GRID_VALUES) -> tuple:
-    """Deterministic sample grid: points ordered by total absolute size.
-
-    Every grid contains the origin; small-coordinate points come first so
-    failure witnesses stay readable.
-    """
-    if len(values) ** m <= 200000:
-        pts = sorted(
-            itertools.product(values, repeat=m),
-            key=lambda p: (sum(abs(c) for c in p), tuple(c < 0 for c in p), p),
-        )
-        return tuple(pts[:cap])
-    # huge charts: a fixed linear-congruential sweep keeps this deterministic
-    pts = [tuple(Fraction(0) for _ in range(m))]
-    state = 1234567
-    while len(pts) < cap:
-        coords = []
-        for _ in range(m):
-            state = (1103515245 * state + 12345) % (2**31)
-            coords.append(values[state % len(values)])
-        if tuple(coords) not in pts:
-            pts.append(tuple(coords))
-    return tuple(pts)
 
 
 @dataclass(frozen=True)
@@ -177,11 +150,21 @@ class BigIsotropicStructure:
     def prime_frame_rows(self) -> list:
         return [sec.as_poly_row() for sec in self.e_prime_frame]
 
+    @cached_property
+    def in_E(self):
+        """The membership test of the E frame, built once per structure."""
+        return span_test(self.frame_rows())
+
+    @cached_property
+    def in_E_prime(self):
+        """The membership test of the E' frame, built once per structure."""
+        return span_test(self.prime_frame_rows())
+
     def section_in_E(self, sec: BigSection):
-        return in_span(self.frame_rows(), sec.as_poly_row())
+        return self.in_E(sec.as_poly_row())
 
     def section_in_E_prime(self, sec: BigSection):
-        return in_span(self.prime_frame_rows(), sec.as_poly_row())
+        return self.in_E_prime(sec.as_poly_row())
 
 
 def structure_from_components(chart: Chart, e_rows, ep_rows, grid=None, validate=True):
@@ -205,15 +188,14 @@ def check_integrability(s: BigIsotropicStructure) -> Verdict:
 
     The bracket of every frame pair must lie in the pointwise span of the
     frame wherever the frame has rank k, which the structure's grid
-    validation probed.  One membership test is built for the frame and
-    reused for every pair; a failure carries a nonzero (k+1)-minor of the
-    frame stacked on the bracket.
+    validation probed.  The structure's membership test of the frame serves
+    every pair; a failure carries a nonzero (k+1)-minor of the frame stacked
+    on the bracket.
     """
-    in_E = span_test(s.frame_rows())
     failures = []
     for i, j in itertools.combinations(range(s.k), 2):
         br = courant_bracket(s.e_frame[i], s.e_frame[j])
-        ok, witness = in_E(br.as_poly_row())
+        ok, witness = s.in_E(br.as_poly_row())
         if not ok:
             failures.append((f"bracket of frame sections {i},{j} leaves E", witness))
     return Verdict("integrability", not failures, tuple(failures), note="rank certified on sampled locus")
@@ -221,12 +203,11 @@ def check_integrability(s: BigIsotropicStructure) -> Verdict:
 
 def check_module_property(s: BigIsotropicStructure) -> Verdict:
     """Brackets of E sections with E' sections must stay in E'."""
-    in_E_prime = span_test(s.prime_frame_rows())
     failures = []
     for i in range(s.k):
         for j in range(len(s.e_prime_frame)):
             br = courant_bracket(s.e_frame[i], s.e_prime_frame[j])
-            ok, witness = in_E_prime(br.as_poly_row())
+            ok, witness = s.in_E_prime(br.as_poly_row())
             if not ok:
                 failures.append((f"bracket of E section {i} with E' section {j} leaves E'", witness))
     return Verdict("module property", not failures, tuple(failures))

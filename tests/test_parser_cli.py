@@ -178,15 +178,26 @@ class TestCli:
         _, out2 = self.run("report-all", "--fixture", "example_r3", "--seed", "7")
         assert out1 == out2
 
-    def test_report_all_every_fixture(self):
+    def test_report_all_every_fixture(self, monkeypatch):
+        import bigiso.cli
+
+        calls = []
+        normalize = bigiso.cli.normalize_frame
+        monkeypatch.setattr(
+            bigiso.cli, "normalize_frame", lambda *a: calls.append(a) or normalize(*a)
+        )
         expectations = {
             "example_theta_nonintegrable": 1,  # integrability fails
             "example_r5": 1,  # decomposability fails in these coordinates
         }
         for name in fixtures.list_fixtures():
+            calls.clear()
             code, out = self.run("report-all", "--fixture", name)
             expected = expectations.get(name, 0)
             assert code == expected, f"{name}: exit {code}, expected {expected}\n{out}"
+            # each stage runs once: no check repeats, one normalization at most
+            names = [c["name"] for c in json.loads(out)["checks"]]
+            assert len(names) == len(set(names)) and len(calls) <= 1, name
             # determinism across runs
             _, out2 = self.run("report-all", "--fixture", name)
             assert out == out2, name
@@ -219,7 +230,21 @@ class TestCli:
         assert code == 2
         payload = json.loads(out)
         assert payload["checks"] == []
-        assert len(payload["errors"]) == 1 and "--grid" in payload["errors"][0]
+        assert len(payload["errors"]) == 1 and payload["errors"][0].startswith("--grid")
+
+    @pytest.mark.parametrize(
+        "command, error",
+        [
+            ("canonical", "document has no adapted block"),
+            ("reduce", "reduce needs submanifold and foliation blocks"),
+        ],
+    )
+    def test_missing_block_is_an_input_error(self, command, error):
+        code, out = self.run(command, "--fixture", "example_symplectic")
+        assert code == 2
+        payload = json.loads(out)
+        assert payload["errors"] == [error]
+        assert [c["name"] for c in payload["checks"]][0] == "structure invariants"
 
     def test_grid_flag_single_point(self):
         code, _ = self.run("integrability", "--fixture", "example_r3", "--grid=0..0:1")

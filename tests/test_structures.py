@@ -1,6 +1,6 @@
 import random
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, product
 
 import pytest
 
@@ -14,6 +14,7 @@ from bigiso.calculus import (
     d_function,
     sharp,
 )
+from bigiso.grid import default_grid
 from bigiso.linalg import Subspace
 from bigiso.membership import in_span
 from bigiso.scalars import Polynomial
@@ -109,6 +110,38 @@ class TestValidation:
         d = r5_structure.evaluate_at((0, 0, 0, 0, 0))
         assert d.E.dim == 3
         assert d.E_prime.dim == 7
+
+
+def sorted_grid(m, values):
+    """Reference oracle: every point of values^m, sorted by the grid key."""
+    return sorted(
+        product(values, repeat=m),
+        key=lambda p: (sum(abs(c) for c in p), tuple(c < 0 for c in p), p),
+    )
+
+
+class TestDefaultGrid:
+    @pytest.mark.parametrize(
+        "values", [range(-2, 3), range(-1, 4), range(0, 5), range(-3, 4), [0], range(2, 5)]
+    )
+    def test_matches_sorting_every_point(self, values):
+        fractions = tuple(Fraction(v) for v in values)
+        for m in range(1, 8):
+            if len(fractions) ** m > 200000:
+                continue
+            # int coordinates sort like the Fractions and keep the oracle fast
+            every = sorted_grid(m, tuple(values))
+            for cap in (1, 12, 16, 24, 100):
+                assert default_grid(m, cap, fractions) == tuple(every[:cap]), (m, cap)
+
+    @pytest.mark.parametrize("m", [8, 10, 12])
+    def test_large_charts_list_the_smallest_points(self, m):
+        for cap in (1, 24, 100):
+            grid = default_grid(m, cap)
+            norms = [sum(abs(c) for c in p) for p in grid]
+            assert len(grid) == cap and len(set(grid)) == cap
+            assert grid[0] == (0,) * m
+            assert norms == sorted(norms)
 
 
 class TestIntegrability:
@@ -358,6 +391,24 @@ class TestHamiltonian:
         assert poisson_bracket(s, f, X_f, f, X_f).is_zero()
         const = chart.constant(5)
         assert poisson_bracket(s, const, PolyVectorField.zero(chart), f, X_f).is_zero()
+
+    def test_one_membership_test_per_frame(self, monkeypatch):
+        import bigiso.structures
+
+        built = []
+        span_test = bigiso.structures.span_test
+        monkeypatch.setattr(
+            bigiso.structures, "span_test", lambda rows: built.append(rows) or span_test(rows)
+        )
+        chart = Chart(("x1", "x2"))
+        P = PolyBivector(chart, {(0, 1): chart.one()})
+        s = graph_P([PolyOneForm.coordinate(chart, i) for i in range(2)], P)
+        f, h = chart.coordinate("x1"), chart.coordinate("x2")
+        X_f, X_h = sharp(P, d_function(f, chart)), sharp(P, d_function(h, chart))
+        for _ in range(3):
+            poisson_bracket(s, f, X_f, h, X_h)
+        assert check_integrability(s).ok and check_module_property(s).ok
+        assert built == [s.frame_rows(), s.prime_frame_rows()]
 
     def test_membership_verification(self, symplectic_structure):
         chart = symplectic_structure.chart
