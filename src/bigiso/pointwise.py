@@ -65,9 +65,10 @@ def form_omega(u: BigVector, v: BigVector) -> Fraction:
 
 
 def _pairing_row(row_u: Sequence, row_v: Sequence) -> Fraction:
+    """g on two rows of length 2m; products with a zero factor are skipped."""
     m = len(row_u) // 2
-    a_y = sum(row_u[m + i] * row_v[i] for i in range(m))
-    b_x = sum(row_v[m + i] * row_u[i] for i in range(m))
+    a_y = sum(a * y for a, y in zip(row_u[m:], row_v) if a and y)
+    b_x = sum(b * x for b, x in zip(row_v[m:], row_u) if b and x)
     return Fraction(a_y + b_x, 2)
 
 
@@ -104,7 +105,12 @@ def _tangent_summand(m: int) -> Subspace:
 
 @dataclass(frozen=True)
 class IsotropicData:
-    """An isotropic subspace E together with its g-orthogonal E'."""
+    """An isotropic subspace E together with its g-orthogonal E'.
+
+    The constructor checks the ambient dimensions, dim E + dim E' = 2m,
+    E in E' and g(E, E') = 0.  ``_unchecked`` skips those checks; its one
+    caller, ``BigIsotropicStructure.evaluate_at``, has established them.
+    """
 
     m: int
     E: Subspace
@@ -121,6 +127,14 @@ class IsotropicData:
             for r2 in self.E_prime.basis:
                 if _pairing_row(r1, r2) != 0:
                     raise GeometryError("g does not vanish on E x E'")
+
+    @classmethod
+    def _unchecked(cls, m: int, E: Subspace, E_prime: Subspace) -> "IsotropicData":
+        data = object.__new__(cls)
+        object.__setattr__(data, "m", m)
+        object.__setattr__(data, "E", E)
+        object.__setattr__(data, "E_prime", E_prime)
+        return data
 
     @classmethod
     def from_E(cls, E: Subspace) -> "IsotropicData":

@@ -57,6 +57,17 @@ class Polynomial:
         object.__setattr__(self, "terms", clean)
         object.__setattr__(self, "_hash", None)
 
+    @classmethod
+    def _canonical(cls, vars: tuple, terms: dict) -> "Polynomial":
+        """A polynomial on terms that are canonical already (int exponent
+        tuples of length len(vars), nonzero Fraction coefficients), without
+        __init__'s checks: the ring operations build only such terms."""
+        p = object.__new__(cls)
+        object.__setattr__(p, "vars", vars)
+        object.__setattr__(p, "terms", terms)
+        object.__setattr__(p, "_hash", None)
+        return p
+
     def __setattr__(self, *_):
         raise AttributeError("Polynomial is immutable")
 
@@ -120,12 +131,12 @@ class Polynomial:
                 terms.pop(exps, None)
             else:
                 terms[exps] = new
-        return Polynomial(self.vars, terms)
+        return Polynomial._canonical(self.vars, terms)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return Polynomial(self.vars, {e: -c for e, c in self.terms.items()})
+        return Polynomial._canonical(self.vars, {e: -c for e, c in self.terms.items()})
 
     def __sub__(self, other):
         if isinstance(other, RationalFunction):
@@ -148,7 +159,7 @@ class Polynomial:
                     terms.pop(exps, None)
                 else:
                     terms[exps] = new
-        return Polynomial(self.vars, terms)
+        return Polynomial._canonical(self.vars, terms)
 
     __rmul__ = __mul__
 
@@ -185,7 +196,7 @@ class Polynomial:
             new = list(exps)
             new[idx] = k - 1
             terms[tuple(new)] = coeff * k
-        return Polynomial(self.vars, terms)
+        return Polynomial._canonical(self.vars, terms)
 
     # ---- evaluation / substitution --------------------------------------
     def eval(self, point: Sequence[Fraction]) -> Fraction:

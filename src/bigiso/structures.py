@@ -38,7 +38,7 @@ from .calculus import (
 from .grid import default_grid
 from .linalg import Matrix, Subspace
 from .membership import in_span, span_test  # noqa: F401  (bench/tracing.py wraps in_span here)
-from .pointwise import IsotropicData, orthogonal_g
+from .pointwise import GeometryError, IsotropicData, is_isotropic, orthogonal_g
 from .scalars import Polynomial, as_fraction
 
 
@@ -129,7 +129,12 @@ class BigIsotropicStructure:
             self.evaluate_at(pt)
 
     def evaluate_at(self, point) -> IsotropicData:
-        """Evaluate both frames at a chart point; errors on rank drops."""
+        """Evaluate both frames at a chart point; errors on rank drops.
+
+        Ranks k and 2m - k and E' = orth(E) give every condition of
+        IsotropicData except E in E', which then holds exactly when E is
+        isotropic at the point; so the data is built without re-checking.
+        """
         point = tuple(as_fraction(c) for c in point)
         m, k = self.m, self.k
         e_rows = [sec.eval(point) for sec in self.e_frame]
@@ -142,7 +147,9 @@ class BigIsotropicStructure:
             )
         if orthogonal_g(E) != Ep:
             raise StructureError(f"E' frame does not span the g-orthogonal of E at {point}")
-        return IsotropicData(m, E, Ep)
+        if not is_isotropic(E):
+            raise GeometryError("E must be contained in E' (non-isotropic input?)")
+        return IsotropicData._unchecked(m, E, Ep)
 
     def frame_rows(self) -> list:
         return [sec.as_poly_row() for sec in self.e_frame]
@@ -461,9 +468,10 @@ def verify_modular_enlargement(s: BigIsotropicStructure) -> Verdict:
     """
     failures = []
     f, h = _axiom_test_functions(s.chart)
+    mixed = {}  # (i, j) -> [e_i, e'_j]
     for i, a in enumerate(s.e_frame):
         for j, b in enumerate(s.e_prime_frame):
-            br = courant_bracket(a, b)
+            br = mixed[i, j] = courant_bracket(a, b)
             anchored = lie_bracket(a.vf, b.vf)
             if not (br.vf - anchored).is_zero():
                 failures.append((f"axiom 1 fails on ({i},{j})", br.vf - anchored))
@@ -471,13 +479,19 @@ def verify_modular_enlargement(s: BigIsotropicStructure) -> Verdict:
             rhs = br.scale(f * h) + b.scale(f * a.vf.apply(h)) - a.scale(h * b.vf.apply(f))
             if not (lhs - rhs).is_zero():
                 failures.append((f"axiom 2 fails on ({i},{j})", lhs - rhs))
+    # (i1, i2, j) -> [e_i1, [e_i2, e'_j]], axiom 3's left side at (i1, i2, j)
+    # and a term of its right side at (i2, i1, j)
+    nested = {
+        (i1, i2, j): courant_bracket(a1, br)
+        for i1, a1 in enumerate(s.e_frame)
+        for (i2, j), br in mixed.items()
+    }
     for i1, a1 in enumerate(s.e_frame):
         for i2, a2 in enumerate(s.e_frame):
+            inner = courant_bracket(a1, a2)
             for j, b in enumerate(s.e_prime_frame):
-                lhs = courant_bracket(a1, courant_bracket(a2, b))
-                rhs = courant_bracket(courant_bracket(a1, a2), b) + courant_bracket(
-                    a2, courant_bracket(a1, b)
-                )
+                lhs = nested[i1, i2, j]
+                rhs = courant_bracket(inner, b) + nested[i2, i1, j]
                 if not (lhs - rhs).is_zero():
                     failures.append((f"axiom 3 fails on ({i1},{i2},{j})", lhs - rhs))
     return Verdict("modular enlargement axioms", not failures, tuple(failures))

@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction
 
 import pytest
@@ -84,6 +85,73 @@ def test_variable_mismatch_rejected():
     other = Polynomial.variable(("a",), "a")
     with pytest.raises(ValueError):
         _ = x() + other
+
+
+def test_constructor_validates_outside_input():
+    with pytest.raises(ValueError):
+        P({(1,): Fraction(1)})
+    with pytest.raises(ValueError):
+        P({(-1, 0): Fraction(1)})
+    with pytest.raises(TypeError):
+        P({(1, 0): 0.5})
+    p = P({(True, 0): 2})
+    assert type(p.terms[(1, 0)]) is Fraction and all(type(e) is int for e in next(iter(p.terms)))
+
+
+W = ("x", "y", "z")
+
+
+def random_polynomial(rng):
+    terms = {}
+    for _ in range(rng.randint(0, 4)):
+        exps = tuple(rng.randint(0, 2) for _ in W)
+        terms[exps] = Fraction(rng.randint(-4, 4), rng.randint(1, 3))
+    return Polynomial(W, terms)
+
+
+def assert_canonical(p):
+    """p is what the checked constructor makes of its own terms."""
+    assert p == Polynomial(p.vars, p.terms) and p.vars == W
+    for exps, coeff in p.terms.items():
+        assert type(coeff) is Fraction and coeff != 0
+        assert type(exps) is tuple and len(exps) == len(W)
+        assert all(type(e) is int and e >= 0 for e in exps)
+
+
+def check_ring_operations(rng):
+    p, q, r = (random_polynomial(rng) for _ in range(3))
+    c = rng.choice([0, 1, -2, Fraction(3, 4)])
+    zero, one = Polynomial.zero(W), Polynomial.one(W)
+    results = [p + q, p - q, -p, p * q, p**2, p ** rng.randint(0, 3), p + c, c + p, p - c, c - p]
+    results += [p * c, c * p, p - p, p + -p] + [p.derivative(i) for i in range(len(W))]
+    for result in results:
+        assert_canonical(result)
+    assert p + q == q + p and p * q == q * p
+    assert (p + q) + r == p + (q + r) and (p * q) * r == p * (q * r)
+    assert p * (q + r) == p * q + p * r
+    assert p + zero == p and p * one == p and (p - p).is_zero() and (p * zero).is_zero()
+    assert p - q == p + (-q) and -(-p) == p
+    assert (p * q).derivative(0) == p.derivative(0) * q + p * q.derivative(0)
+    assert p**3 == p * p * p
+    if not q.is_zero():
+        assert (p * q).exact_div(q) == p
+
+
+def test_ring_operations_seeded():
+    for seed in range(120):
+        check_ring_operations(random.Random(seed))
+
+
+def test_ring_operations_hypothesis():
+    pytest.importorskip("hypothesis")
+    from hypothesis import given, settings, strategies as st
+
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    @given(st.integers(min_value=0, max_value=2**32 - 1))
+    def check(seed):
+        check_ring_operations(random.Random(seed))
+
+    check()
 
 
 class TestRationalFunction:

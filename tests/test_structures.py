@@ -14,9 +14,12 @@ from bigiso.calculus import (
     d_function,
     sharp,
 )
+from bigiso import fixtures
 from bigiso.grid import default_grid
 from bigiso.linalg import Subspace
 from bigiso.membership import in_span
+from bigiso.parser import parse_document
+from bigiso.pointwise import GeometryError, IsotropicData
 from bigiso.scalars import Polynomial
 from bigiso.structures import (
     BigIsotropicStructure,
@@ -112,6 +115,53 @@ class TestValidation:
         assert d.E_prime.dim == 7
 
 
+class TestEvaluateAtTrustedPath:
+    """evaluate_at builds IsotropicData without re-running its checks."""
+
+    @pytest.mark.parametrize("name", fixtures.list_fixtures())
+    def test_equals_the_checked_constructor_on_every_grid_point(self, name, monkeypatch):
+        doc = parse_document(fixtures.fixture_text(name))
+        s = BigIsotropicStructure.build(doc.chart, doc.e_sections, doc.e_prime_sections)
+        checks = []
+        post_init = IsotropicData.__post_init__
+        monkeypatch.setattr(
+            IsotropicData, "__post_init__", lambda d: checks.append(d) or post_init(d)
+        )
+        for pt in default_grid(s.m):
+            data = s.evaluate_at(pt)
+            assert not checks, (name, pt)
+            assert data == IsotropicData(data.m, data.E, data.E_prime), (name, pt)
+            assert data == IsotropicData.from_E(data.E), (name, pt)
+            assert len(checks) == 2
+            checks.clear()
+
+    def test_rank_drop_raises_without_validation(self):
+        chart = Chart(("x", "y"))
+        x = chart.coordinate("x")
+        s = structure_from_components(
+            chart, [(x, 0, 0, 0)], [(x, 0, 0, 0), (0, 1, 0, 0), (0, 0, 0, 1)], validate=False
+        )
+        assert s.evaluate_at((1, 0)).E.dim == 1
+        with pytest.raises(StructureError, match="frame ranks 0/2"):
+            s.evaluate_at((0, 0))
+
+    def test_prime_frame_not_orthogonal_raises_without_validation(self):
+        # E = span(d_x); its g-orthogonal is E itself, not span(dx)
+        s = structure_from_components(Chart(("x",)), [(1, 0)], [(0, 1)], validate=False)
+        with pytest.raises(StructureError, match="g-orthogonal"):
+            s.evaluate_at((0,))
+
+    def test_pointwise_non_isotropic_raises_without_validation(self):
+        # E = span(d_x + x dx), E' = span(d_x - x dx) = orth(E); g(E, E) = x
+        chart = Chart(("x",))
+        x = chart.coordinate("x")
+        s = structure_from_components(chart, [(1, x)], [(1, -x)], validate=False)
+        assert s.evaluate_at((0,)).E.dim == 1
+        with pytest.raises(GeometryError) as err:
+            s.evaluate_at((1,))
+        assert str(err.value) == "E must be contained in E' (non-isotropic input?)"
+
+
 def sorted_grid(m, values):
     """Reference oracle: every point of values^m, sorted by the grid key."""
     return sorted(
@@ -133,6 +183,13 @@ class TestDefaultGrid:
             every = sorted_grid(m, tuple(values))
             for cap in (1, 12, 16, 24, 100):
                 assert default_grid(m, cap, fractions) == tuple(every[:cap]), (m, cap)
+
+    def test_memoized_per_arguments(self):
+        values = tuple(Fraction(v) for v in range(-2, 3))
+        for m in range(1, 6):
+            grid = default_grid(m, 24, values)
+            assert default_grid(m, 24, values) is grid
+            assert grid == tuple(sorted_grid(m, tuple(range(-2, 3)))[:24])
 
     @pytest.mark.parametrize("m", [8, 10, 12])
     def test_large_charts_list_the_smallest_points(self, m):
@@ -430,6 +487,55 @@ class TestAxioms:
     def test_symplectic_passes(self, symplectic_structure):
         assert verify_modular_enlargement(symplectic_structure).ok
         assert verify_coanchor(symplectic_structure).ok
+
+    def test_enlargement_computes_each_bracket_once(self, monkeypatch):
+        """Same verdict, failures and order as the bracket-per-term loop,
+        with 2kn + k^2 + 2k^2 n brackets (n = 2m - k) instead of 2kn + 5k^2 n."""
+        import bigiso.structures
+        from bigiso.calculus import courant_bracket, lie_bracket
+
+        def reference(s):
+            failures = []
+            f, h = bigiso.structures._axiom_test_functions(s.chart)
+            for i, a in enumerate(s.e_frame):
+                for j, b in enumerate(s.e_prime_frame):
+                    br = courant_bracket(a, b)
+                    anchored = lie_bracket(a.vf, b.vf)
+                    if not (br.vf - anchored).is_zero():
+                        failures.append((f"axiom 1 fails on ({i},{j})", br.vf - anchored))
+                    lhs = courant_bracket(a.scale(f), b.scale(h))
+                    rhs = br.scale(f * h) + b.scale(f * a.vf.apply(h)) - a.scale(h * b.vf.apply(f))
+                    if not (lhs - rhs).is_zero():
+                        failures.append((f"axiom 2 fails on ({i},{j})", lhs - rhs))
+            for i1, a1 in enumerate(s.e_frame):
+                for i2, a2 in enumerate(s.e_frame):
+                    for j, b in enumerate(s.e_prime_frame):
+                        lhs = courant_bracket(a1, courant_bracket(a2, b))
+                        rhs = courant_bracket(courant_bracket(a1, a2), b) + courant_bracket(
+                            a2, courant_bracket(a1, b)
+                        )
+                        if not (lhs - rhs).is_zero():
+                            failures.append((f"axiom 3 fails on ({i1},{i2},{j})", lhs - rhs))
+            return [(message, str(payload)) for message, payload in failures]
+
+        # graph of a non-Poisson P with one frame row mixed: axiom 3 fails twice
+        chart = Chart(("x1", "x2", "x3", "x4"))
+        x = [chart.coordinate(i) for i in range(4)]
+        P = PolyBivector(chart, {(0, 1): x[2], (2, 3): chart.one()})
+        e = list(graph_P([PolyOneForm.coordinate(chart, i) for i in range(4)], P).e_frame)
+        mixed = BigIsotropicStructure.build(chart, [e[0] + e[1].scale(x[3])] + e[1:], e)
+        calls = []
+        monkeypatch.setattr(
+            bigiso.structures, "courant_bracket", lambda *a: calls.append(a) or courant_bracket(*a)
+        )
+        verdict = verify_modular_enlargement(mixed)
+        assert [(m, str(p)) for m, p in verdict.failures] == reference(mixed)
+        assert [m for m, _ in verdict.failures] == [
+            "axiom 3 fails on (0,3,0)",
+            "axiom 3 fails on (3,0,0)",
+        ]
+        k, n = 4, 4
+        assert len(calls) == 2 * k * n + k * k + 2 * k * k * n
 
 
 class TestRegularCriterion:
