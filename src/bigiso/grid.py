@@ -5,14 +5,11 @@ each shell by sign pattern (left to right, a nonnegative coordinate before a
 negative one) and then lexicographically, and stops at ``cap`` points.  Only
 the shells it keeps are enumerated, so one order serves every chart size.
 Structure validation samples the grid; membership tests probe it for pivots.
-The grid is memoized per ``(m, cap, values)``: repeat calls return the same
-tuple, so ``values`` must be hashable (a tuple).
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import lru_cache
 
 GRID_VALUES = tuple(Fraction(v) for v in (-2, -1, 0, 1, 2))
 
@@ -28,7 +25,6 @@ def _shell(values, reach, j: int, total):
                 yield (v,) + tail
 
 
-@lru_cache
 def default_grid(m: int, cap: int = 24, values=GRID_VALUES) -> tuple:
     """The first cap points of values^m by (L1 norm, sign pattern, point)."""
     sizes = {abs(v) for v in values}

@@ -105,12 +105,7 @@ def _tangent_summand(m: int) -> Subspace:
 
 @dataclass(frozen=True)
 class IsotropicData:
-    """An isotropic subspace E together with its g-orthogonal E'.
-
-    The constructor checks the ambient dimensions, dim E + dim E' = 2m,
-    E in E' and g(E, E') = 0.  ``_unchecked`` skips those checks; its one
-    caller, ``BigIsotropicStructure.evaluate_at``, has established them.
-    """
+    """An isotropic subspace E together with its g-orthogonal E'."""
 
     m: int
     E: Subspace
@@ -121,20 +116,14 @@ class IsotropicData:
             raise GeometryError("ambient dimension must be 2m")
         if self.E.dim + self.E_prime.dim != 2 * self.m:
             raise GeometryError("dim E + dim E' must equal 2m")
-        if not self.E_prime.contains_subspace(self.E):
+        # g is nondegenerate, so with these dimensions g(E, E') = 0 forces
+        # E' = orth(E), and then E lies in E' exactly when E is isotropic
+        if any(_pairing_row(r1, r2) != 0 for r1 in self.E.basis for r2 in self.E_prime.basis):
+            if not self.E_prime.contains_subspace(self.E):
+                raise GeometryError("E must be contained in E' (non-isotropic input?)")
+            raise GeometryError("g does not vanish on E x E'")
+        if not is_isotropic(self.E):
             raise GeometryError("E must be contained in E' (non-isotropic input?)")
-        for r1 in self.E.basis:
-            for r2 in self.E_prime.basis:
-                if _pairing_row(r1, r2) != 0:
-                    raise GeometryError("g does not vanish on E x E'")
-
-    @classmethod
-    def _unchecked(cls, m: int, E: Subspace, E_prime: Subspace) -> "IsotropicData":
-        data = object.__new__(cls)
-        object.__setattr__(data, "m", m)
-        object.__setattr__(data, "E", E)
-        object.__setattr__(data, "E_prime", E_prime)
-        return data
 
     @classmethod
     def from_E(cls, E: Subspace) -> "IsotropicData":

@@ -39,13 +39,10 @@ class Report:
         return _Timer(self, name)
 
     def add(self, name: str, ok: bool, certificate: dict | None = None, elapsed: float | None = None):
-        self._record(name, "pass" if ok else "fail", certificate, elapsed)
-
-    def _record(self, name: str, verdict: str, certificate: dict | None, elapsed: float | None):
         self.checks.append(
             CheckRecord(
                 name,
-                verdict,
+                "pass" if ok else "fail",
                 certificate,
                 round(elapsed * 1000, 3) if (self.with_timings and elapsed is not None) else None,
             )
@@ -78,13 +75,9 @@ class Report:
 
 
 class _Timer:
-    """Times one check; a body that raises before done() records an "error"
-    check naming the exception, which then propagates."""
-
     def __init__(self, report: Report, name: str):
         self.report = report
         self.name = name
-        self.recorded = False
 
     def __enter__(self):
         self.t0 = time.perf_counter()
@@ -92,12 +85,8 @@ class _Timer:
 
     def done(self, ok: bool, certificate: dict | None = None):
         self.report.add(self.name, ok, certificate, time.perf_counter() - self.t0)
-        self.recorded = True
 
     def __exit__(self, exc_type, exc, tb):
-        if exc_type is not None and not self.recorded:
-            certificate = {"exception": f"{exc_type.__name__}: {exc}"}
-            self.report._record(self.name, "error", certificate, time.perf_counter() - self.t0)
         return False
 
 

@@ -38,7 +38,7 @@ from .calculus import (
 from .grid import default_grid
 from .linalg import Matrix, Subspace
 from .membership import in_span, span_test  # noqa: F401  (bench/tracing.py wraps in_span here)
-from .pointwise import GeometryError, IsotropicData, is_isotropic, orthogonal_g
+from .pointwise import IsotropicData, orthogonal_g
 from .scalars import Polynomial, as_fraction
 
 
@@ -129,12 +129,7 @@ class BigIsotropicStructure:
             self.evaluate_at(pt)
 
     def evaluate_at(self, point) -> IsotropicData:
-        """Evaluate both frames at a chart point; errors on rank drops.
-
-        Ranks k and 2m - k and E' = orth(E) give every condition of
-        IsotropicData except E in E', which then holds exactly when E is
-        isotropic at the point; so the data is built without re-checking.
-        """
+        """Evaluate both frames at a chart point; errors on rank drops."""
         point = tuple(as_fraction(c) for c in point)
         m, k = self.m, self.k
         e_rows = [sec.eval(point) for sec in self.e_frame]
@@ -147,9 +142,7 @@ class BigIsotropicStructure:
             )
         if orthogonal_g(E) != Ep:
             raise StructureError(f"E' frame does not span the g-orthogonal of E at {point}")
-        if not is_isotropic(E):
-            raise GeometryError("E must be contained in E' (non-isotropic input?)")
-        return IsotropicData._unchecked(m, E, Ep)
+        return IsotropicData(m, E, Ep)
 
     def frame_rows(self) -> list:
         return [sec.as_poly_row() for sec in self.e_frame]

@@ -95,6 +95,49 @@ class TestIsotropy:
         with pytest.raises(GeometryError):
             IsotropicData(1, e, orthogonal_g(e))
 
+    def test_isotropic_data_rejects_what_the_direct_checks_reject(self):
+        """Same verdict and message as testing E in E' row by row, then g(E, E') = 0."""
+
+        def direct(m, E, Ep):
+            if E.dim + Ep.dim != 2 * m:
+                return "dim E + dim E' must equal 2m"
+            if not Ep.contains_subspace(E):
+                return "E must be contained in E' (non-isotropic input?)"
+            for r1 in E.basis:
+                for r2 in Ep.basis:
+                    if pairing_g(bv(m, r1[:m], r1[m:]), bv(m, r2[:m], r2[m:])) != 0:
+                        return "g does not vanish on E x E'"
+            return None
+
+        def rows(rng, m, count):
+            return [[Fraction(rng.randint(-1, 1)) for _ in range(2 * m)] for _ in range(count)]
+
+        rng = random.Random(11)
+        seen = set()
+        for _ in range(400):
+            m = rng.randint(1, 3)
+            kind = rng.randrange(4)
+            if kind == 0:  # any E with its g-orthogonal
+                E = Subspace(2 * m, rows(rng, m, rng.randint(0, 2 * m)))
+                Ep = orthogonal_g(E)
+            elif kind == 1:  # any pair of subspaces
+                E = Subspace(2 * m, rows(rng, m, rng.randint(0, 2 * m)))
+                Ep = Subspace(2 * m, rows(rng, m, rng.randint(0, 2 * m)))
+            else:  # an isotropic E inside an E' that may be larger than orth(E)
+                E = random_isotropic(rng, m).E
+                Ep = E.sum(Subspace(2 * m, rows(rng, m, 2 * m - 2 * E.dim)))
+                if kind == 2:
+                    Ep = orthogonal_g(E)
+            expected = direct(m, E, Ep)
+            seen.add(expected)
+            if expected is None:
+                assert IsotropicData(m, E, Ep).E_prime == orthogonal_g(E)
+            else:
+                with pytest.raises(GeometryError) as err:
+                    IsotropicData(m, E, Ep)
+                assert str(err.value) == expected
+        assert len(seen) == 4
+
 
 class TestCharacteristicTriple:
     def test_graph_example(self):
