@@ -164,6 +164,8 @@ def _adapted_from(doc: StructureDocument) -> AdaptedChart:
         )
     except KeyError as exc:
         raise ParseError(f"adapted block names unknown coordinate {exc}")
+    except NormalizationError as exc:
+        raise ParseError(f"adapted block: {exc}")
 
 
 def _normalize(run: _Run, frame_in_certificate: bool = False):
@@ -231,12 +233,18 @@ def _transversal(run: _Run):
 
 def _reduce(run: _Run):
     doc = run.doc
-    N = SubmanifoldData.from_equations(doc.chart, list(doc.submanifold_equations))
+    try:
+        N = SubmanifoldData.from_equations(doc.chart, list(doc.submanifold_equations))
+    except ReductionError as exc:
+        raise ParseError(f"submanifold equations: {exc}")
     try:
         fibre = tuple(N.sub.index(name) for name in doc.foliation_names)
     except ValueError as exc:
         raise ParseError(f"foliation names must be submanifold coordinates: {exc}")
-    F = FoliationData(N.sub, fibre)
+    try:
+        F = FoliationData(N.sub, fibre)
+    except ReductionError as exc:
+        raise ParseError(f"foliation: {exc}")
     restricted_frame = (
         doc.sections_for(N.sub, doc.restricted_e_lines) if doc.restricted_e_lines else None
     )

@@ -3,12 +3,14 @@
 Everything is deterministic: reduced row echelon form gives each subspace a
 unique representative, so subspace equality is plain tuple equality.  Matrix
 entries may be Fractions or RationalFunctions; both support +, -, *, / and
-compare equal to 0 exactly.
+compare equal to 0 exactly.  Rank and pivot columns of a rational matrix are
+found by fraction-free elimination over the integers.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from math import lcm
 from typing import Iterable, Sequence
 
 from .scalars import Polynomial, RationalFunction, as_fraction
@@ -180,8 +182,57 @@ class Matrix:
             r += 1
         return Matrix(m), tuple(pivots), r
 
+    def pivot_columns(self) -> tuple:
+        """The pivot columns of rref(), without its divisions over Q.
+
+        A matrix of Fractions and ints has each row scaled to integers by the
+        lcm of its denominators, which changes no pivot column, and is then
+        brought to echelon form by fraction-free (Bareiss) elimination: every
+        entry stays an integer minor, and each division by the previous pivot
+        is exact.  Pivot columns do not depend on the row operations used, so
+        they are those of the RREF.  Other entries (RationalFunction,
+        Polynomial) go through rref().
+        """
+        if not all(isinstance(e, (Fraction, int)) for row in self.entries for e in row):
+            return self.rref()[1]
+        rows = []
+        for row in self.entries:
+            d = lcm(*(e.denominator for e in row))
+            rows.append([e.numerator * (d // e.denominator) for e in row])
+        pivots = []
+        prev = 1
+        for c in range(self.cols):
+            r = len(pivots)
+            if r == self.rows:
+                break
+            i = next((i for i in range(r, self.rows) if rows[i][c]), None)
+            if i is None:
+                continue
+            rows[r], rows[i] = rows[i], rows[r]
+            top = rows[r]
+            p = top[c]
+            for i2 in range(r + 1, self.rows):
+                f = rows[i2][c]
+                rows[i2] = [(p * a - f * b) // prev for a, b in zip(rows[i2], top)]
+            prev = p
+            pivots.append(c)
+        return tuple(pivots)
+
     def rank(self) -> int:
-        return self.rref()[2]
+        return len(self.pivot_columns())
+
+    def solve(self, rhs: Sequence):
+        """The solution x of self * x = rhs whose non-pivot unknowns are 0,
+        or None when there is none; one RREF of the augmented matrix."""
+        if len(rhs) != self.rows:
+            raise ValueError("right-hand side length does not match the rows")
+        red, pivots, _ = Matrix([list(row) + [b] for row, b in zip(self.entries, rhs)]).rref()
+        if pivots and pivots[-1] == self.cols:
+            return None
+        x = [Fraction(0)] * self.cols
+        for r_i, p in enumerate(pivots):
+            x[p] = red.entries[r_i][self.cols]
+        return tuple(x)
 
     def kernel_rows(self):
         """Basis rows of the right null space {x : M x = 0} (RREF-canonical)."""

@@ -21,7 +21,7 @@ from typing import Callable, Sequence
 
 from .grid import default_grid
 from .linalg import Matrix
-from .scalars import Polynomial, RationalFunction
+from .scalars import Polynomial, RationalFunction, ScaledPoint
 
 PROBE_POINTS = 16
 
@@ -79,8 +79,9 @@ class SpanWitness:
 def _pivot_columns(frame: list):
     k = len(frame)
     for point in default_grid(len(frame[0][0].vars), cap=PROBE_POINTS):
-        _, pivots, rank = Matrix([[e.eval(point) for e in row] for row in frame]).rref()
-        if rank == k:
+        point = ScaledPoint(point)
+        pivots = Matrix([[e.eval(point) for e in row] for row in frame]).pivot_columns()
+        if len(pivots) == k:
             return pivots
     generic = Matrix([[RationalFunction.from_poly(e) for e in row] for row in frame])
     _, pivots, rank = generic.rref()

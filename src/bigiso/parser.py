@@ -27,7 +27,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
-from .calculus import BigSection, Chart, PolyOneForm, PolyVectorField
+from .calculus import BigSection, Chart, ChartError, PolyOneForm, PolyVectorField
 from .scalars import Polynomial
 
 
@@ -268,7 +268,10 @@ def parse_document(text: str) -> StructureDocument:
                 raise ParseError("chart needs at least one coordinate name", ln, 1)
             if chart is not None:
                 raise ParseError("duplicate chart declaration", ln, 1)
-            chart = Chart(tuple(names))
+            try:
+                chart = Chart(tuple(names))
+            except ChartError as exc:
+                raise ParseError(str(exc), ln, 1)
             current_block = None
             continue
         matched_block = None

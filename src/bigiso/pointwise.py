@@ -174,26 +174,22 @@ class CharacteristicTriple:
         return total
 
 
+def _coordinates(basis_rows, width: int, vectors, message: str) -> list:
+    """Coefficients of each vector in the span of the basis rows, read on
+    their first width coordinates (free coefficients 0)."""
+    basis_t = Matrix([[row[i] for row in basis_rows] for i in range(width)])
+    out = []
+    for v in vectors:
+        coords = basis_t.solve(v)
+        if coords is None:
+            raise GeometryError(message)
+        out.append(coords)
+    return out
+
+
 def _coordinates_in(space: Subspace, vectors) -> list:
     """Coordinates of each vector in the RREF basis of ``space``."""
-    out = []
-    if space.dim == 0:
-        for v in vectors:
-            if any(x != 0 for x in v):
-                raise GeometryError("vector not in subspace")
-            out.append(())
-        return out
-    basis_t = Matrix(space.basis).transpose()
-    for v in vectors:
-        aug = Matrix([list(row) + [val] for row, val in zip(basis_t.entries, v)])
-        red, pivots, rank = aug.rref()
-        if any(p == space.dim for p in pivots):
-            raise GeometryError("vector not in subspace")
-        coords = [Fraction(0)] * space.dim
-        for r_i, p in enumerate(pivots):
-            coords[p] = red[r_i, space.dim]
-        out.append(tuple(coords))
-    return out
+    return _coordinates(space.basis, space.ambient_dim, vectors, "vector not in subspace")
 
 
 def characteristic_triple(data: IsotropicData) -> CharacteristicTriple:
@@ -225,14 +221,7 @@ def covector_lift(space: Subspace, x_vec) -> tuple:
     """A covector alpha with (x_vec, alpha) in space (deterministic choice)."""
     m = space.ambient_dim // 2
     basis = space.basis
-    aug_rows = [list(row) + [val] for row, val in zip(Matrix(basis).transpose().entries[:m], x_vec)]
-    red, pivots, rank = Matrix(aug_rows).rref()
-    k = len(basis)
-    if any(p == k for p in pivots):
-        raise GeometryError("vector has no lift in the subspace")
-    coeffs = [Fraction(0)] * k
-    for r_i, p in enumerate(pivots):
-        coeffs[p] = red[r_i, k]
+    coeffs = _coordinates(basis, m, [x_vec], "vector has no lift in the subspace")[0]
     alpha = [Fraction(0)] * m
     for c, row in zip(coeffs, basis):
         for i in range(m):
@@ -339,7 +328,7 @@ def random_isotropic(rng, m: int) -> IsotropicData:
     mixed_basis = list(cal_E.basis) + list(comp.basis)
     w = []
     if r:
-        coords = _solve_coordinates(mixed_basis, list(cal_Ep.basis))
+        coords = _coordinates(mixed_basis, m, cal_Ep.basis, "vector not in span")
         for i in range(r):
             row = []
             for j in range(rp):
@@ -352,23 +341,3 @@ def random_isotropic(rng, m: int) -> IsotropicData:
             w.append(row)
     varpi = Matrix(w) if w else Matrix.zeros(0, rp)
     return reconstruct(CharacteristicTriple(m, cal_E, cal_Ep, varpi))
-
-
-def _solve_coordinates(basis_rows, vectors):
-    """Coordinates of each vector in the given (not necessarily RREF) basis."""
-    k = len(basis_rows)
-    out = []
-    basis_t = Matrix(basis_rows).transpose() if k else None
-    for v in vectors:
-        if k == 0:
-            out.append(())
-            continue
-        aug = Matrix([list(row) + [val] for row, val in zip(basis_t.entries, v)])
-        red, pivots, rank = aug.rref()
-        if any(p == k for p in pivots):
-            raise GeometryError("vector not in span")
-        coords = [Fraction(0)] * k
-        for r_i, p in enumerate(pivots):
-            coords[p] = red[r_i, k]
-        out.append(tuple(coords))
-    return out

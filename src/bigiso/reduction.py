@@ -80,14 +80,11 @@ class SubmanifoldData:
             rhs.append(-const)
         if not rows:
             return cls.identity(ambient)
-        aug = Matrix([r + [b] for r, b in zip(rows, rhs)])
-        red, pivots, rank = aug.rref()
-        if any(p == m for p in pivots):
+        system = Matrix(rows)
+        offset = system.solve(rhs)
+        if offset is None:
             raise ReductionError("equations are inconsistent")
-        offset = [Fraction(0)] * m
-        for r_i, p_i in enumerate(pivots):
-            offset[p_i] = red[r_i, m]
-        basis = Matrix(rows).kernel_rows()
+        basis = system.kernel_rows()
         n = len(basis)
         if n == 0:
             raise ReductionError("submanifold is a single point")

@@ -12,6 +12,7 @@ performed to keep expressions small).
 from __future__ import annotations
 
 from fractions import Fraction
+from math import lcm
 from typing import Mapping, Sequence
 
 Exponents = tuple
@@ -23,6 +24,27 @@ def as_fraction(value) -> Fraction:
     if isinstance(value, int):
         return Fraction(value)
     raise TypeError(f"expected an exact rational, got {type(value).__name__}")
+
+
+class ScaledPoint:
+    """A rational point as integer numerators over one common denominator.
+
+    Polynomial.eval converts a plain point to one; a caller that evaluates
+    many polynomials at the same point converts it once and passes it.
+    """
+
+    __slots__ = ("nums", "den")
+
+    def __init__(self, point: Sequence):
+        point = [as_fraction(c) for c in point]
+        self.den = lcm(*(c.denominator for c in point))
+        self.nums = tuple(c.numerator * (self.den // c.denominator) for c in point)
+
+    def __len__(self):
+        return len(self.nums)
+
+
+_ZERO = Fraction(0)
 
 
 def _grlex_key(exps):
@@ -199,18 +221,39 @@ class Polynomial:
         return Polynomial._canonical(self.vars, terms)
 
     # ---- evaluation / substitution --------------------------------------
-    def eval(self, point: Sequence[Fraction]) -> Fraction:
+    def eval(self, point) -> Fraction:
+        """The value at a point (Fractions and ints, or a ScaledPoint).
+
+        With the point as integers a_i / d, a term c x^e is
+        c.numerator * a^e / (c.denominator * d^|e|): the terms are summed
+        as integers grouped by that denominator, and one Fraction is built
+        at the end.
+        """
         if len(point) != len(self.vars):
             raise ValueError("point length does not match variables")
-        point = [as_fraction(p) for p in point]
-        total = Fraction(0)
-        for exps, coeff in self.terms.items():
-            value = coeff
-            for p, e in zip(point, exps):
+        terms = self.terms
+        if not terms or (len(terms) == 1 and not any(next(iter(terms)))):
+            if not isinstance(point, ScaledPoint):
+                for c in point:
+                    as_fraction(c)  # rejects an inexact point as the general case does
+            return next(iter(terms.values()), _ZERO)
+        if not isinstance(point, ScaledPoint):
+            point = ScaledPoint(point)
+        nums, den = point.nums, point.den
+        sums: dict = {}
+        for exps, coeff in terms.items():
+            value, deg = coeff.numerator, 0
+            for a, e in zip(nums, exps):
                 if e:
-                    value *= p**e
-            total += value
-        return total
+                    value *= a**e
+                    deg += e
+            key = coeff.denominator if den == 1 else coeff.denominator * den**deg
+            sums[key] = sums.get(key, 0) + value
+        if len(sums) == 1:
+            (key, total), = sums.items()
+            return Fraction(total, key)
+        common = lcm(*sums)
+        return Fraction(sum(total * (common // key) for key, total in sums.items()), common)
 
     def substitute(self, images: Sequence["Polynomial"]) -> "Polynomial":
         """Full composition: replace variable i by ``images[i]`` (all over a

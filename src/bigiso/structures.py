@@ -39,7 +39,7 @@ from .grid import default_grid
 from .linalg import Matrix, Subspace
 from .membership import in_span, span_test  # noqa: F401  (bench/tracing.py wraps in_span here)
 from .pointwise import IsotropicData, orthogonal_g
-from .scalars import Polynomial, as_fraction
+from .scalars import Polynomial, ScaledPoint, as_fraction
 
 
 class StructureError(ValueError):
@@ -106,6 +106,13 @@ class BigIsotropicStructure:
         return s
 
     def validate(self, grid=None):
+        """Check that the frames define a big-isotropic structure.
+
+        The pairings g(E, E) and g(E, E') must vanish identically, and at
+        every point of the grid (default_grid(m) when None) the frames must
+        have ranks k and 2m - k; the ranks are decided over the integers.
+        Raises StructureError on the first failure.
+        """
         m, k = self.m, self.k
         if len(self.e_prime_frame) != 2 * m - k:
             raise StructureError(
@@ -124,25 +131,35 @@ class BigIsotropicStructure:
                     raise StructureError(
                         f"E frame not orthogonal to E' frame: g = {pairing_sections(a, b)}"
                     )
-        # pointwise ranks and the orthogonal cross-check on the sample grid
+        # Pointwise only the ranks are left.  g is nondegenerate, so where
+        # E(x) has rank k its g-orthogonal has dimension 2m - k; it contains
+        # E'(x) by the pairings above, so rank E'(x) = 2m - k makes E'(x)
+        # that orthogonal, and the isotropic E(x) lies in it.
         for pt in grid if grid is not None else default_grid(m):
-            self.evaluate_at(pt)
+            self._rows_at(pt)
+
+    def _rows_at(self, point) -> tuple:
+        """(point, E rows, E' rows) at a chart point; errors on rank drops."""
+        point = tuple(as_fraction(c) for c in point)
+        scaled = ScaledPoint(point)
+        e_rows = [sec.eval(scaled) for sec in self.e_frame]
+        ep_rows = [sec.eval(scaled) for sec in self.e_prime_frame]
+        e_rank, ep_rank = Matrix(e_rows).rank(), Matrix(ep_rows).rank()
+        m, k = self.m, self.k
+        if e_rank != k or ep_rank != 2 * m - k:
+            raise StructureError(
+                f"degenerate point {point}: frame ranks {e_rank}/{ep_rank}, expected {k}/{2 * m - k}"
+            )
+        return point, e_rows, ep_rows
 
     def evaluate_at(self, point) -> IsotropicData:
         """Evaluate both frames at a chart point; errors on rank drops."""
-        point = tuple(as_fraction(c) for c in point)
-        m, k = self.m, self.k
-        e_rows = [sec.eval(point) for sec in self.e_frame]
-        ep_rows = [sec.eval(point) for sec in self.e_prime_frame]
-        E = Subspace(2 * m, e_rows)
-        Ep = Subspace(2 * m, ep_rows)
-        if E.dim != k or Ep.dim != 2 * m - k:
-            raise StructureError(
-                f"degenerate point {point}: frame ranks {E.dim}/{Ep.dim}, expected {k}/{2 * m - k}"
-            )
+        point, e_rows, ep_rows = self._rows_at(point)
+        E = Subspace(2 * self.m, e_rows)
+        Ep = Subspace(2 * self.m, ep_rows)
         if orthogonal_g(E) != Ep:
             raise StructureError(f"E' frame does not span the g-orthogonal of E at {point}")
-        return IsotropicData(m, E, Ep)
+        return IsotropicData(self.m, E, Ep)
 
     def frame_rows(self) -> list:
         return [sec.as_poly_row() for sec in self.e_frame]

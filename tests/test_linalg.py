@@ -166,3 +166,101 @@ class TestSubspace:
         assert ann.dim == 2
         for w in ann.basis:
             assert sum(wi * vi for wi, vi in zip(w, a.basis[0])) == 0
+
+
+def random_fraction(rng, den=4):
+    return Fraction(rng.randint(-3, 3), rng.randint(1, den))
+
+
+def random_q_matrix(rng):
+    """A rational matrix of at most 6 x 7, often rank-deficient, sometimes
+    with zero rows or columns, with int and Fraction entries mixed."""
+    rows, cols = rng.randint(0, 6), rng.randint(0, 7)
+    inner = rng.randint(0, min(rows, cols) + 1)
+    left = [[random_fraction(rng) for _ in range(inner)] for _ in range(rows)]
+    right = [[random_fraction(rng) for _ in range(cols)] for _ in range(inner)]
+    entries = [
+        [sum((row[t] * right[t][j] for t in range(inner)), Fraction(0)) for j in range(cols)]
+        for row in left
+    ]
+    for row in entries:
+        if rng.random() < 0.2:
+            row[:] = [Fraction(0)] * cols
+        elif rng.random() < 0.2:
+            row[:] = [int(e) if e.denominator == 1 else e for e in row]
+    return Matrix(entries) if rows else Matrix(())
+
+
+def random_invertible(rng, n):
+    while True:
+        c = Matrix([[random_fraction(rng, 3) for _ in range(n)] for _ in range(n)])
+        if c.det() != 0:
+            return c
+
+
+def check_pivots_and_canonicity(rng):
+    a = random_q_matrix(rng)
+    red, pivots, rank = a.rref()
+    assert a.pivot_columns() == pivots and a.rank() == rank == len(pivots)
+    assert rank == fraction_free_rank(Matrix([[Fraction(e) for e in r] for r in a.entries]))
+    if a.rows:
+        mixed = random_invertible(rng, a.rows) * a
+        assert mixed.rref() == (red, pivots, rank)
+        assert mixed.pivot_columns() == pivots
+
+
+class TestPivotColumns:
+    def test_match_rref_on_random_rational_matrices(self):
+        for seed in range(300):
+            check_pivots_and_canonicity(random.Random(seed))
+
+    def test_match_rref_hypothesis(self):
+        pytest.importorskip("hypothesis")
+        from hypothesis import given, settings, strategies as st
+
+        @settings(max_examples=100, deadline=None, derandomize=True)
+        @given(st.integers(min_value=0, max_value=2**32 - 1))
+        def check(seed):
+            check_pivots_and_canonicity(random.Random(seed))
+
+        check()
+
+    def test_degenerate_shapes(self):
+        assert Matrix(()).pivot_columns() == () and Matrix(()).rank() == 0
+        assert Matrix([(), ()]).pivot_columns() == ()
+        assert Matrix.zeros(3, 4).pivot_columns() == ()
+        assert Matrix([[0, 0, Fraction(1, 3)], [0, 2, 5]]).pivot_columns() == (1, 2)
+        assert Matrix([[Fraction(1, 2), Fraction(1, 3)], [3, 2]]).pivot_columns() == (0,)
+
+    def test_rational_function_entries_use_rref(self):
+        vs = ("t",)
+        t = RationalFunction.from_poly(Polynomial.variable(vs, "t"))
+        one, zero = RationalFunction.one(vs), RationalFunction.zero(vs)
+        m = Matrix([[t, one, zero], [t * t, t, zero], [one, zero, t]])
+        assert m.pivot_columns() == m.rref()[1] == (0, 1)
+        assert m.rank() == 2
+
+
+class TestSolve:
+    def test_solution_and_inconsistency(self):
+        rng = random.Random(13)
+        for _ in range(100):
+            a = random_q_matrix(rng)
+            if not a.rows:
+                continue
+            x = [Fraction(rng.randint(-3, 3)) for _ in range(a.cols)]
+            b = a.apply(x) if a.cols else (Fraction(0),) * a.rows
+            sol = a.solve(b)
+            assert sol is not None and a.apply(sol) == tuple(b) if a.cols else sol == ()
+            red, pivots, _ = a.rref()
+            assert all(sol[c] == 0 for c in range(a.cols) if c not in pivots)
+            off = [e + rng.randint(-1, 1) for e in b]
+            rank = a.rank()
+            consistent = Matrix([list(r) + [e] for r, e in zip(a.entries, off)]).rank() == rank
+            assert (a.solve(off) is not None) == consistent
+
+    def test_no_unknowns(self):
+        assert Matrix([(), ()]).solve([0, 0]) == ()
+        assert Matrix([(), ()]).solve([0, 1]) is None
+        with pytest.raises(ValueError):
+            Matrix([(), ()]).solve([0])

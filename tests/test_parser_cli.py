@@ -90,6 +90,12 @@ class TestDocumentParser:
             parse_document(text)
         assert "components" in str(err.value)
 
+    def test_duplicate_coordinate_names(self):
+        with pytest.raises(ParseError) as err:
+            parse_document("# two names alike\n\nchart x y x\nE:\n  (1, 0, 0 | 0, 0, 0)\n")
+        assert str(err.value) == "line 3, column 1: coordinate names must be distinct"
+        assert err.value.line == 3
+
     def test_unknown_line(self):
         with pytest.raises(ParseError):
             parse_document("chart x\nnonsense here\n")
@@ -245,6 +251,76 @@ class TestCli:
         payload = json.loads(out)
         assert payload["errors"] == [error]
         assert [c["name"] for c in payload["checks"]][0] == "structure invariants"
+
+    def test_duplicate_chart_names_are_an_input_error(self, tmp_path):
+        bad = tmp_path / "dup.bis"
+        bad.write_text("chart x x\nE:\n  (1, 0 | 0, 0)\nE_prime:\n  (1, 0 | 0, 0)\n")
+        code, out = self.run("validate", str(bad))
+        assert code == 2
+        payload = json.loads(out)
+        assert payload["errors"] == ["line 1, column 1: coordinate names must be distinct"]
+
+    @pytest.mark.parametrize(
+        "equations, error",
+        [
+            ("x1*x4 = 0", "equation is not affine: x1*x4"),
+            ("x4 = 0; x4 = 1", "equations are inconsistent"),
+            ("x1 = 0; x2 = 0; x3 = 0; x4 = 0", "submanifold is a single point"),
+        ],
+    )
+    @pytest.mark.parametrize("command", ["reduce", "report-all"])
+    def test_bad_submanifold_is_an_input_error(self, tmp_path, command, equations, error):
+        text = fixtures.fixture_text("example_reduction").replace("x4 = 0", equations)
+        bad = tmp_path / "sub.bis"
+        bad.write_text(text)
+        code, out = self.run(command, str(bad))
+        assert code == 2
+        payload = json.loads(out)
+        assert payload["errors"] == [f"submanifold equations: {error}"]
+
+    @pytest.mark.parametrize("command", ["single", "report-all"])
+    @pytest.mark.parametrize(
+        "fixture, old, new, single, error",
+        [
+            ("example_r3", "adapted: x | y | z", "adapted: x | x | z", "canonical",
+             "adapted block: leaf/middle/transverse must partition the chart"),
+            ("example_reduction", "foliation: x3", "foliation: x3 x3", "reduce",
+             "foliation: fibre indices must be distinct chart indices"),
+        ],
+    )
+    def test_repeated_block_names_are_an_input_error(
+        self, tmp_path, command, fixture, old, new, single, error
+    ):
+        text = fixtures.fixture_text(fixture)
+        assert old in text
+        bad = tmp_path / "repeat.bis"
+        bad.write_text(text.replace(old, new))
+        code, out = self.run(single if command == "single" else command, str(bad))
+        assert code == 2
+        assert json.loads(out)["errors"] == [error]
+
+    @pytest.mark.parametrize(
+        "grid, message",
+        [
+            ("1..2:3", None),
+            ("-1..1:5", "(Fraction(0, 1), Fraction(0, 1)): frame ranks 0/2, expected 1/3"),
+            ("-2..-1:4", None),
+        ],
+    )
+    def test_rank_drop_under_the_grid_flag(self, tmp_path, grid, message):
+        doc = tmp_path / "drop.bis"
+        doc.write_text(
+            "chart x y\nE:\n  (x, 0 | 0, 0)\n"
+            "E_prime:\n  (x, 0 | 0, 0)\n  (0, 1 | 0, 0)\n  (0, 0 | 0, 1)\n"
+        )
+        code, out = self.run("validate", str(doc), f"--grid={grid}")
+        check = json.loads(out)["checks"][0]
+        if message is None:
+            assert code == 0 and check["verdict"] == "pass"
+        else:
+            assert code == 1 and check["verdict"] == "fail"
+            failure = check["certificate"]["failures"][0]["message"]
+            assert failure == "degenerate point " + message
 
     def test_grid_flag_single_point(self):
         code, _ = self.run("integrability", "--fixture", "example_r3", "--grid=0..0:1")

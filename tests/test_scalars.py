@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from bigiso.scalars import Polynomial, RationalFunction
+from bigiso.scalars import Polynomial, RationalFunction, ScaledPoint
 
 V = ("x", "y")
 
@@ -152,6 +152,44 @@ def test_ring_operations_hypothesis():
         check_ring_operations(random.Random(seed))
 
     check()
+
+
+def term_by_term_eval(p, point):
+    """Reference: the value summed term by term in Fractions."""
+    point = [Fraction(c) for c in point]
+    total = Fraction(0)
+    for exps, coeff in p.terms.items():
+        value = coeff
+        for c, e in zip(point, exps):
+            if e:
+                value *= c**e
+        total += value
+    return total
+
+
+def test_eval_matches_term_by_term_formula():
+    rng = random.Random(17)
+    specials = [Polynomial.zero(W), Polynomial.one(W), Polynomial.constant(W, Fraction(-5, 3))]
+    for trial in range(400):
+        p = specials[trial % 3] if trial % 4 == 0 else random_polynomial(rng)
+        if trial % 2:
+            point = [rng.randint(-3, 3) for _ in W]
+        else:
+            point = [Fraction(rng.randint(-4, 4), rng.randint(1, 5)) for _ in W]
+        expected = term_by_term_eval(p, point)
+        values = [p.eval(point), p.eval(tuple(map(Fraction, point))), p.eval(ScaledPoint(point))]
+        for value in values:
+            assert type(value) is Fraction and value == expected, (p, point)
+
+
+def test_eval_rejects_bad_points():
+    for p in (Polynomial.zero(V), Polynomial.one(V), x() * y() + 1):
+        with pytest.raises(TypeError):
+            p.eval([0.5, 1])
+        with pytest.raises(ValueError):
+            p.eval([1, 2, 3])
+        with pytest.raises(ValueError):
+            p.eval(ScaledPoint([1]))
 
 
 class TestRationalFunction:

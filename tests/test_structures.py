@@ -151,6 +151,73 @@ class TestEvaluateAt:
         assert str(err.value) == "E must be contained in E' (non-isotropic input?)"
 
 
+def rank_drop_structure(chart, p, q, grid=None, validate=True):
+    """E = span(p d_x), E' = span(p d_x, q d_y, dy): the pairings vanish
+    identically, and the ranks drop where p or q vanishes."""
+    return structure_from_components(
+        chart, [(p, 0, 0, 0)], [(p, 0, 0, 0), (0, q, 0, 0), (0, 0, 0, 1)], grid, validate
+    )
+
+
+def message_of(check):
+    try:
+        check()
+    except StructureError as exc:
+        return str(exc)
+    return None
+
+
+class TestValidateRanks:
+    @pytest.mark.parametrize(
+        "grid, message",
+        [
+            (None, "(Fraction(0, 1), Fraction(0, 1)): frame ranks 0/2, expected 1/3"),
+            (
+                [(1, 1), (Fraction(1, 2), 3), (0, 2)],
+                "(Fraction(0, 1), Fraction(2, 1)): frame ranks 0/2, expected 1/3",
+            ),
+        ],
+    )
+    def test_rank_drop_message(self, grid, message):
+        chart = Chart(("x", "y"))
+        with pytest.raises(StructureError) as err:
+            rank_drop_structure(chart, chart.coordinate("x"), chart.one(), grid)
+        assert str(err.value) == "degenerate point " + message
+
+    def test_prime_rank_drop_message(self):
+        chart = Chart(("x", "y"))
+        with pytest.raises(StructureError) as err:
+            rank_drop_structure(chart, chart.one(), chart.coordinate("y"))
+        assert str(err.value) == (
+            "degenerate point (Fraction(0, 1), Fraction(0, 1)): frame ranks 1/2, expected 1/3"
+        )
+
+    def test_verdict_is_that_of_evaluate_at_on_every_point(self):
+        # once the pairings vanish identically, the ranks decide what
+        # evaluate_at's subspace checks decide, with the same message
+        rng = random.Random(23)
+        chart = Chart(("x", "y"))
+        x, y = chart.coordinate("x"), chart.coordinate("y")
+        docs = [parse_document(fixtures.fixture_text(n)) for n in fixtures.list_fixtures()]
+        structures = [
+            BigIsotropicStructure.build(d.chart, d.e_sections, d.e_prime_sections, validate=False)
+            for d in docs
+        ]
+        for _ in range(12):
+            p, q = (rng.randint(-2, 2) * x + rng.randint(-1, 1) * y + rng.randint(-1, 1) for _ in "ab")
+            structures.append(rank_drop_structure(chart, p, q, validate=False))
+        outcomes = set()
+        for s in structures:
+            values = [[Fraction(rng.randint(-3, 3), rng.randint(1, 2)) for _ in "abc"] for _ in "ab"]
+            grids = [None] + [default_grid(s.m, rng.randint(1, 30), v) for v in values]
+            for grid in grids:
+                points = default_grid(s.m) if grid is None else grid
+                expected = message_of(lambda: [s.evaluate_at(pt) for pt in points])
+                assert message_of(lambda: s.validate(grid)) == expected
+                outcomes.add(expected is None)
+        assert outcomes == {True, False}
+
+
 def sorted_grid(m, values):
     """Reference oracle: every point of values^m, sorted by the grid key."""
     return sorted(
@@ -172,6 +239,26 @@ class TestDefaultGrid:
             every = sorted_grid(m, tuple(values))
             for cap in (1, 12, 16, 24, 100):
                 assert default_grid(m, cap, fractions) == tuple(every[:cap]), (m, cap)
+
+    @pytest.mark.parametrize(
+        "values",
+        [
+            (Fraction(-1, 2), 0, Fraction(1, 2), Fraction(3, 2)),
+            (Fraction(5, 2), Fraction(-1, 6), Fraction(1, 4), Fraction(-2, 3)),
+            (Fraction(1, 3), Fraction(2, 3), 1),
+        ],
+    )
+    def test_matches_sorting_non_integer_values(self, values):
+        fractions = tuple(Fraction(v) for v in values)
+        for m in range(1, 6):
+            every = sorted_grid(m, fractions)
+            for cap in (1, 12, 24, 100):
+                assert default_grid(m, cap, fractions) == tuple(every[:cap]), (m, cap)
+
+    def test_points_keep_the_callers_values(self):
+        grid = default_grid(2, 9, (0, 1, -1))
+        assert grid == tuple(sorted_grid(2, (0, 1, -1)))
+        assert all(type(c) is int for p in grid for c in p)
 
     @pytest.mark.parametrize("m", [8, 10, 12])
     def test_large_charts_list_the_smallest_points(self, m):
