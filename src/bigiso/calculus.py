@@ -1,11 +1,12 @@
 """Symbolic Cartan calculus with polynomial coefficients in a fixed chart.
 
-Vector fields, 1-forms, 2-forms/bivectors and 3-forms/trivectors over the
-polynomial ring of a chart, with the operators needed for Courant-bracket
-computations: Lie bracket and derivative, exterior derivative, interior
-products, musical maps of a 2-form / bivector, the bracket that a bivector
-induces on 1-forms, the self Schouten bracket of a bivector, and the
-complete/vertical lifts to the tangent chart.
+Vector fields and 1-forms share one component-tuple base (``_Components``);
+2-forms/bivectors and 3-forms/trivectors share one skew table
+(``_SkewTable``), whose ``contract`` fills leading slots.  Evaluation,
+interior products and the musical maps of a 2-form / bivector are all that
+one contraction.  On top: Lie bracket and derivative, exterior derivative,
+the Courant bracket, the bracket that a bivector induces on 1-forms, the
+self Schouten bracket of a bivector, and the complete/vertical lifts.
 
 Sign conventions are pinned by two anchors and enforced in the test suite:
 for P = d1^d2 the contraction P(dx1, dx2) is 1, and (dx^dy)(dx-axis, dy-axis)
@@ -64,55 +65,76 @@ def _check_chart(a, b):
         raise ChartError(f"chart mismatch: {a.chart.names} vs {b.chart.names}")
 
 
-def _coerce_components(chart: Chart, comps) -> tuple:
-    out = []
-    for c in comps:
-        if isinstance(c, Polynomial):
-            if c.vars != chart.names:
-                raise ChartError("component over the wrong chart")
-            out.append(c)
-        else:
-            out.append(chart.constant(as_fraction(c)))
-    if len(out) != chart.dim:
-        raise ChartError("component count must match the chart dimension")
-    return tuple(out)
-
-
 @dataclass(frozen=True)
-class PolyVectorField:
+class _Components:
+    """A section of TM or T*M: one polynomial per chart coordinate.
+
+    Subclasses differ only in their own operation and their ``symbol``;
+    equality also compares the class, so a vector field never equals a 1-form.
+    """
+
     chart: Chart
     comps: tuple
+    symbol = ""
 
     def __post_init__(self):
-        object.__setattr__(self, "comps", _coerce_components(self.chart, self.comps))
+        out = []
+        for c in self.comps:
+            if isinstance(c, Polynomial):
+                if c.vars != self.chart.names:
+                    raise ChartError("component over the wrong chart")
+                out.append(c)
+            else:
+                out.append(self.chart.constant(as_fraction(c)))
+        if len(out) != self.chart.dim:
+            raise ChartError("component count must match the chart dimension")
+        object.__setattr__(self, "comps", tuple(out))
 
     @classmethod
-    def zero(cls, chart: Chart) -> "PolyVectorField":
+    def zero(cls, chart: Chart):
         return cls(chart, (chart.zero(),) * chart.dim)
 
     @classmethod
-    def coordinate(cls, chart: Chart, which) -> "PolyVectorField":
-        i = which if isinstance(which, int) else chart.index(which)
+    def coordinate(cls, chart: Chart, which):
+        if which in chart.names:
+            which = chart.index(which)
+        if not isinstance(which, int) or not 0 <= which < chart.dim:
+            raise ChartError(f"no coordinate {which!r} in chart {chart.names}")
         comps = [chart.zero()] * chart.dim
-        comps[i] = chart.one()
+        comps[which] = chart.one()
         return cls(chart, comps)
 
-    def __add__(self, other):
+    def _binop(self, other, op):
+        if not isinstance(other, type(self)):
+            raise ChartError("operand mismatch")
         _check_chart(self, other)
-        return PolyVectorField(self.chart, tuple(a + b for a, b in zip(self.comps, other.comps)))
+        return type(self)(self.chart, tuple(op(a, b) for a, b in zip(self.comps, other.comps)))
+
+    def __add__(self, other):
+        return self._binop(other, lambda a, b: a + b)
 
     def __sub__(self, other):
-        _check_chart(self, other)
-        return PolyVectorField(self.chart, tuple(a - b for a, b in zip(self.comps, other.comps)))
+        return self._binop(other, lambda a, b: a - b)
 
     def __neg__(self):
-        return PolyVectorField(self.chart, tuple(-a for a in self.comps))
+        return type(self)(self.chart, tuple(-a for a in self.comps))
 
-    def scale(self, f) -> "PolyVectorField":
-        return PolyVectorField(self.chart, tuple(a * f for a in self.comps))
+    def scale(self, f):
+        return type(self)(self.chart, tuple(a * f for a in self.comps))
 
     def is_zero(self) -> bool:
         return all(c.is_zero() for c in self.comps)
+
+    def eval(self, point) -> tuple:
+        return tuple(c.eval(point) for c in self.comps)
+
+    def __str__(self):
+        parts = [f"({c})*{self.symbol}{n}" for c, n in zip(self.comps, self.chart.names) if not c.is_zero()]
+        return " + ".join(parts) if parts else "0"
+
+
+class PolyVectorField(_Components):
+    symbol = "d_"
 
     def apply(self, f: Polynomial) -> Polynomial:
         """Directional derivative of a function."""
@@ -121,49 +143,9 @@ class PolyVectorField:
             total = total + c * f.derivative(i)
         return total
 
-    def eval(self, point) -> tuple:
-        return tuple(c.eval(point) for c in self.comps)
 
-    def __str__(self):
-        parts = [f"({c})*d_{n}" for c, n in zip(self.comps, self.chart.names) if not c.is_zero()]
-        return " + ".join(parts) if parts else "0"
-
-
-@dataclass(frozen=True)
-class PolyOneForm:
-    chart: Chart
-    comps: tuple
-
-    def __post_init__(self):
-        object.__setattr__(self, "comps", _coerce_components(self.chart, self.comps))
-
-    @classmethod
-    def zero(cls, chart: Chart) -> "PolyOneForm":
-        return cls(chart, (chart.zero(),) * chart.dim)
-
-    @classmethod
-    def coordinate(cls, chart: Chart, which) -> "PolyOneForm":
-        i = which if isinstance(which, int) else chart.index(which)
-        comps = [chart.zero()] * chart.dim
-        comps[i] = chart.one()
-        return cls(chart, comps)
-
-    def __add__(self, other):
-        _check_chart(self, other)
-        return PolyOneForm(self.chart, tuple(a + b for a, b in zip(self.comps, other.comps)))
-
-    def __sub__(self, other):
-        _check_chart(self, other)
-        return PolyOneForm(self.chart, tuple(a - b for a, b in zip(self.comps, other.comps)))
-
-    def __neg__(self):
-        return PolyOneForm(self.chart, tuple(-a for a in self.comps))
-
-    def scale(self, f) -> "PolyOneForm":
-        return PolyOneForm(self.chart, tuple(a * f for a in self.comps))
-
-    def is_zero(self) -> bool:
-        return all(c.is_zero() for c in self.comps)
+class PolyOneForm(_Components):
+    symbol = "d"
 
     def pair(self, X: PolyVectorField) -> Polynomial:
         _check_chart(self, X)
@@ -172,26 +154,26 @@ class PolyOneForm:
             total = total + a * x
         return total
 
-    def eval(self, point) -> tuple:
-        return tuple(c.eval(point) for c in self.comps)
-
-    def __str__(self):
-        parts = [f"({c})*d{n}" for c, n in zip(self.comps, self.chart.names) if not c.is_zero()]
-        return " + ".join(parts) if parts else "0"
-
 
 class _SkewTable:
-    """Strictly increasing index tuples -> polynomial components."""
+    """Strictly increasing index tuples -> polynomial components.
 
-    __slots__ = ("chart", "table", "degree")
+    Subclasses set ``degree`` and the ``symbol`` that joins index names.
+    """
 
-    def __init__(self, chart: Chart, degree: int, table: Mapping[tuple, Polynomial]):
+    __slots__ = ("chart", "table")
+    degree = 0
+    symbol = ""
+
+    def __init__(self, chart: Chart, table: Mapping[tuple, Polynomial]):
         clean = {}
         for idx, p in table.items():
             idx = tuple(idx)
-            if len(idx) != degree or list(idx) != sorted(set(idx)):
+            if not all(isinstance(i, int) for i in idx):
+                raise ChartError("indices must be integers")
+            if len(idx) != self.degree or list(idx) != sorted(set(idx)):
                 raise ChartError("indices must be strictly increasing tuples")
-            if max(idx, default=-1) >= chart.dim:
+            if not 0 <= idx[0] <= idx[-1] < chart.dim:
                 raise ChartError("index out of range")
             if not isinstance(p, Polynomial):
                 p = chart.constant(as_fraction(p))
@@ -199,7 +181,6 @@ class _SkewTable:
                 clean[idx] = p
         object.__setattr__(self, "chart", chart)
         object.__setattr__(self, "table", clean)
-        object.__setattr__(self, "degree", degree)
 
     def __setattr__(self, *_):
         raise AttributeError("immutable")
@@ -212,6 +193,37 @@ class _SkewTable:
         sign = _perm_sign(idx, order)
         p = self.table.get(order, self.chart.zero())
         return p if sign == 1 else -p
+
+    def contract(self, *args) -> dict:
+        """Put ``args`` into the leading slots, one at a time.
+
+        Returns the remaining components keyed by increasing index tuples:
+        for r arguments, key J holds the sum of
+        args[0]_{i_1} ... args[r-1]_{i_r} T_{i_1 ... i_r J}.  Each step walks
+        only the stored entries: the argument enters the slot of index
+        idx[s], which moves to the front with the permutation sign (-1)^s.
+        """
+        if len(args) > self.degree:
+            raise ChartError(f"{type(self).__name__} takes at most {self.degree} arguments")
+        zero = self.chart.zero()
+        table = dict(self.table)
+        for a in args:
+            _check_chart(self, a)
+            out = {}
+            for idx, p in table.items():
+                for s, i in enumerate(idx):
+                    rest = idx[:s] + idx[s + 1:]
+                    term = a.comps[i] * p
+                    acc = out.get(rest, zero)
+                    out[rest] = acc - term if s % 2 else acc + term
+            table = out
+        return table
+
+    def __call__(self, *args) -> Polynomial:
+        """The full contraction T(args[0], ..., args[degree - 1])."""
+        if len(args) != self.degree:
+            raise ChartError(f"{type(self).__name__} takes exactly {self.degree} arguments")
+        return self.contract(*args).get((), self.chart.zero())
 
     def is_zero(self) -> bool:
         return not self.table
@@ -243,11 +255,10 @@ class _SkewTable:
     def __str__(self):
         if not self.table:
             return "0"
-        sym = self._symbol()
         parts = []
         for idx in sorted(self.table):
             names = [self.chart.names[i] for i in idx]
-            parts.append(f"({self.table[idx]})*{sym.join(names)}")
+            parts.append(f"({self.table[idx]})*{self.symbol.join(names)}")
         return " + ".join(parts)
 
 
@@ -263,69 +274,23 @@ def _perm_sign(seq, target):
 
 
 class PolyTwoForm(_SkewTable):
-    def __init__(self, chart, table):
-        super().__init__(chart, 2, table)
-
-    def _symbol(self):
-        return "^d"
-
-    def __call__(self, X: PolyVectorField, Y: PolyVectorField) -> Polynomial:
-        total = self.chart.zero()
-        for (i, j), p in self.table.items():
-            total = total + p * (X.comps[i] * Y.comps[j] - X.comps[j] * Y.comps[i])
-        return total
+    degree = 2
+    symbol = "^d"
 
 
 class PolyThreeForm(_SkewTable):
-    def __init__(self, chart, table):
-        super().__init__(chart, 3, table)
-
-    def _symbol(self):
-        return "^d"
-
-    def __call__(self, X, Y, Z) -> Polynomial:
-        total = self.chart.zero()
-        for (i, j, k), p in self.table.items():
-            det = (
-                X.comps[i] * (Y.comps[j] * Z.comps[k] - Y.comps[k] * Z.comps[j])
-                - X.comps[j] * (Y.comps[i] * Z.comps[k] - Y.comps[k] * Z.comps[i])
-                + X.comps[k] * (Y.comps[i] * Z.comps[j] - Y.comps[j] * Z.comps[i])
-            )
-            total = total + p * det
-        return total
+    degree = 3
+    symbol = "^d"
 
 
 class PolyBivector(_SkewTable):
-    def __init__(self, chart, table):
-        super().__init__(chart, 2, table)
-
-    def _symbol(self):
-        return "^"
-
-    def __call__(self, alpha: PolyOneForm, beta: PolyOneForm) -> Polynomial:
-        total = self.chart.zero()
-        for (i, j), p in self.table.items():
-            total = total + p * (alpha.comps[i] * beta.comps[j] - alpha.comps[j] * beta.comps[i])
-        return total
+    degree = 2
+    symbol = "^"
 
 
 class PolyTrivector(_SkewTable):
-    def __init__(self, chart, table):
-        super().__init__(chart, 3, table)
-
-    def _symbol(self):
-        return "^"
-
-    def __call__(self, a: PolyOneForm, b: PolyOneForm, c: PolyOneForm) -> Polynomial:
-        total = self.chart.zero()
-        for (i, j, k), p in self.table.items():
-            det = (
-                a.comps[i] * (b.comps[j] * c.comps[k] - b.comps[k] * c.comps[j])
-                - a.comps[j] * (b.comps[i] * c.comps[k] - b.comps[k] * c.comps[i])
-                + a.comps[k] * (b.comps[i] * c.comps[j] - b.comps[j] * c.comps[i])
-            )
-            total = total + p * det
-        return total
+    degree = 3
+    symbol = "^"
 
 
 @dataclass(frozen=True)
@@ -411,43 +376,23 @@ def lie_bracket(X: PolyVectorField, Y: PolyVectorField) -> PolyVectorField:
     return PolyVectorField(chart, comps)
 
 
+def _contract_to(cls, T: _SkewTable, *args):
+    """T with all but its last slot filled by args, as a section of kind cls."""
+    out = T.contract(*args)
+    return cls(T.chart, [out.get((j,), T.chart.zero()) for j in range(T.chart.dim)])
+
+
 def interior_twoform(X: PolyVectorField, theta: PolyTwoForm) -> PolyOneForm:
-    if theta.chart != X.chart:
-        raise ChartError("chart mismatch")
-    chart = X.chart
-    comps = []
-    for j in range(chart.dim):
-        acc = chart.zero()
-        for i in range(chart.dim):
-            acc = acc + X.comps[i] * theta.component(i, j)
-        comps.append(acc)
-    return PolyOneForm(chart, comps)
+    return _contract_to(PolyOneForm, theta, X)
 
 
 def interior_threeform(X: PolyVectorField, lam: PolyThreeForm) -> PolyTwoForm:
-    chart = X.chart
-    table = {}
-    for j, k in combinations(range(chart.dim), 2):
-        acc = chart.zero()
-        for i in range(chart.dim):
-            acc = acc + X.comps[i] * lam.component(i, j, k)
-        table[(j, k)] = acc
-    return PolyTwoForm(chart, table)
+    return PolyTwoForm(lam.chart, lam.contract(X))
 
 
 def interior_wedge_threeform(X: PolyVectorField, Y: PolyVectorField, lam: PolyThreeForm) -> PolyOneForm:
     """The 1-form Z -> lam(X, Y, Z)."""
-    chart = X.chart
-    comps = []
-    for k in range(chart.dim):
-        acc = chart.zero()
-        for i in range(chart.dim):
-            for j in range(chart.dim):
-                if i == j:
-                    continue
-                acc = acc + X.comps[i] * Y.comps[j] * lam.component(i, j, k)
-        comps.append(acc)
-    return PolyOneForm(chart, comps)
+    return _contract_to(PolyOneForm, lam, X, Y)
 
 
 def lie_derivative_oneform(X: PolyVectorField, alpha: PolyOneForm) -> PolyOneForm:
@@ -520,14 +465,7 @@ def leibniz_defect(s1: BigSection, s2: BigSection, f: Polynomial) -> BigSection:
 
 def sharp(P: PolyBivector, alpha: PolyOneForm) -> PolyVectorField:
     """Contraction on the first slot: the vector with <beta, sharp(alpha)> = P(alpha, beta)."""
-    chart = alpha.chart
-    comps = []
-    for j in range(chart.dim):
-        acc = chart.zero()
-        for i in range(chart.dim):
-            acc = acc + alpha.comps[i] * P.component(i, j)
-        comps.append(acc)
-    return PolyVectorField(chart, comps)
+    return _contract_to(PolyVectorField, P, alpha)
 
 
 def flat(theta: PolyTwoForm, X: PolyVectorField) -> PolyOneForm:
@@ -566,9 +504,7 @@ def schouten_squared(P: PolyBivector) -> PolyTrivector:
 
 def trivector_contract_two(T: PolyTrivector, a: PolyOneForm, b: PolyOneForm) -> PolyVectorField:
     """The vector V with <c, V> = T(a, b, c) for every 1-form c."""
-    chart = a.chart
-    comps = [T(a, b, PolyOneForm.coordinate(chart, k)) for k in range(chart.dim)]
-    return PolyVectorField(chart, comps)
+    return _contract_to(PolyVectorField, T, a, b)
 
 
 def wedge_vectors(X: PolyVectorField, Y: PolyVectorField) -> PolyBivector:
@@ -603,17 +539,22 @@ def vertical_lift(X: PolyVectorField, tangent: Chart) -> PolyVectorField:
     return PolyVectorField(tangent, comps)
 
 
-def complete_lift(X: PolyVectorField, tangent: Chart) -> PolyVectorField:
-    """X^C = X^i d_i + xdot^j (dX^i/dx^j) d_{xdot^i}."""
-    m = X.chart.dim
-    comps = [_lift_poly(c, tangent) for c in X.comps]
-    fibre = []
-    for i in range(m):
+def _fibre_derivatives(comps, tangent: Chart) -> list:
+    """xdot^j (dc/dx^j) on the tangent chart, for each base component c."""
+    m = len(comps)
+    out = []
+    for c in comps:
         acc = tangent.zero()
         for j in range(m):
-            acc = acc + tangent.coordinate(m + j) * _lift_poly(X.comps[i].derivative(j), tangent)
-        fibre.append(acc)
-    return PolyVectorField(tangent, comps + fibre)
+            acc = acc + tangent.coordinate(m + j) * _lift_poly(c.derivative(j), tangent)
+        out.append(acc)
+    return out
+
+
+def complete_lift(X: PolyVectorField, tangent: Chart) -> PolyVectorField:
+    """X^C = X^i d_i + xdot^j (dX^i/dx^j) d_{xdot^i}."""
+    comps = [_lift_poly(c, tangent) for c in X.comps]
+    return PolyVectorField(tangent, comps + _fibre_derivatives(X.comps, tangent))
 
 
 def vertical_lift_form(alpha: PolyOneForm, tangent: Chart) -> PolyOneForm:
@@ -624,15 +565,8 @@ def vertical_lift_form(alpha: PolyOneForm, tangent: Chart) -> PolyOneForm:
 
 def complete_lift_form(alpha: PolyOneForm, tangent: Chart) -> PolyOneForm:
     """alpha^C = xdot^j (d alpha_i / dx^j) dx^i + alpha_i dxdot^i."""
-    m = alpha.chart.dim
-    base = []
-    for i in range(m):
-        acc = tangent.zero()
-        for j in range(m):
-            acc = acc + tangent.coordinate(m + j) * _lift_poly(alpha.comps[i].derivative(j), tangent)
-        base.append(acc)
     fibre = [_lift_poly(c, tangent) for c in alpha.comps]
-    return PolyOneForm(tangent, base + fibre)
+    return PolyOneForm(tangent, _fibre_derivatives(alpha.comps, tangent) + fibre)
 
 
 def lift_section(s: BigSection, tangent: Chart, kind: str) -> BigSection:

@@ -27,6 +27,7 @@ from .calculus import (
     d_oneform,
     d_twoform,
     flat,
+    interior_wedge_threeform,
     lie_bracket,
     lie_derivative_oneform,
     lift_section,
@@ -34,6 +35,7 @@ from .calculus import (
     pairing_sections,
     schouten_squared,
     sharp,
+    trivector_contract_two,
 )
 from .grid import default_grid
 from .linalg import Matrix, Subspace
@@ -247,37 +249,19 @@ def is_infinitesimal_automorphism(s: BigIsotropicStructure, sec: BigSection) -> 
 # constructors
 # --------------------------------------------------------------------------
 
-def _coordinate_sections(chart: Chart):
-    return [PolyVectorField.coordinate(chart, i) for i in range(chart.dim)]
-
-
-def _constant_annihilator_fields(chart: Chart, covector_rows) -> list:
-    """Constant vector fields annihilated by all given constant covectors."""
+def _constant_annihilator(cls, chart: Chart, rows) -> list:
+    """Constant sections of kind cls annihilated by all given constant rows of the other kind."""
     const_rows = []
-    for row in covector_rows:
+    for row in rows:
         if any(not c.is_constant() for c in row):
             raise StructureError(
                 "annihilator frame must be supplied for non-constant coefficient frames"
             )
         const_rows.append([c.constant_value() for c in row])
     if not const_rows:
-        return _coordinate_sections(chart)
+        return [cls.coordinate(chart, i) for i in range(chart.dim)]
     ker = Matrix(const_rows).kernel_rows()
-    return [PolyVectorField(chart, [chart.constant(c) for c in v]) for v in ker]
-
-
-def _constant_annihilator_forms(chart: Chart, vector_rows) -> list:
-    const_rows = []
-    for row in vector_rows:
-        if any(not c.is_constant() for c in row):
-            raise StructureError(
-                "annihilator frame must be supplied for non-constant coefficient frames"
-            )
-        const_rows.append([c.constant_value() for c in row])
-    if not const_rows:
-        return [PolyOneForm.coordinate(chart, i) for i in range(chart.dim)]
-    ker = Matrix(const_rows).kernel_rows()
-    return [PolyOneForm(chart, [chart.constant(c) for c in v]) for v in ker]
+    return [cls(chart, [chart.constant(c) for c in v]) for v in ker]
 
 
 def graph_theta(
@@ -294,12 +278,13 @@ def graph_theta(
     chart = theta.chart
     e_frame = [BigSection(X, flat(theta, X)) for X in s_frame]
     if ann_s_frame is None:
-        ann_s_frame = _constant_annihilator_forms(chart, [X.comps for X in s_frame])
+        ann_s_frame = _constant_annihilator(PolyOneForm, chart, [X.comps for X in s_frame])
     for gamma in ann_s_frame:
         for X in s_frame:
             if not gamma.pair(X).is_zero():
                 raise StructureError("annihilator frame does not annihilate S")
-    ep_frame = [BigSection(Y, flat(theta, Y)) for Y in _coordinate_sections(chart)]
+    coords = [PolyVectorField.coordinate(chart, i) for i in range(chart.dim)]
+    ep_frame = [BigSection(Y, flat(theta, Y)) for Y in coords]
     ep_frame += [BigSection(PolyVectorField.zero(chart), gamma) for gamma in ann_s_frame]
     return BigIsotropicStructure.build(chart, e_frame, ep_frame, grid=grid)
 
@@ -318,8 +303,7 @@ def check_theta_condition(
             failures.append((f"[S_{i}, S_{j}] leaves S", witness))
     dtheta = d_twoform(theta)
     for i, j in itertools.combinations(range(len(s_frame)), 2):
-        for l in range(chart.dim):
-            val = dtheta(s_frame[i], s_frame[j], PolyVectorField.coordinate(chart, l))
+        for l, val in enumerate(interior_wedge_threeform(s_frame[i], s_frame[j], dtheta).comps):
             if not val.is_zero():
                 failures.append((f"d theta(S_{i}, S_{j}, d_{chart.names[l]}) != 0", val))
     return Verdict("graph(theta) integrability conditions", not failures, tuple(failures))
@@ -335,7 +319,8 @@ def graph_P(
     chart = P.chart
     e_frame = [BigSection(sharp(P, sigma), sigma) for sigma in sstar_frame]
     if ann_sstar_frame is None:
-        ann_sstar_frame = _constant_annihilator_fields(chart, [sigma.comps for sigma in sstar_frame])
+        rows = [sigma.comps for sigma in sstar_frame]
+        ann_sstar_frame = _constant_annihilator(PolyVectorField, chart, rows)
     for Y in ann_sstar_frame:
         for sigma in sstar_frame:
             if not sigma.pair(Y).is_zero():
@@ -360,8 +345,7 @@ def check_P_conditions(sstar_frame: Sequence[PolyOneForm], P: PolyBivector) -> V
             failures.append((f"{{S*_{i}, S*_{j}}} leaves S*", witness))
     T = schouten_squared(P)
     for i, j in itertools.combinations(range(len(sstar_frame)), 2):
-        for l in range(chart.dim):
-            val = T(sstar_frame[i], sstar_frame[j], PolyOneForm.coordinate(chart, l))
+        for l, val in enumerate(trivector_contract_two(T, sstar_frame[i], sstar_frame[j]).comps):
             if not val.is_zero():
                 failures.append((f"[P,P](S*_{i}, S*_{j}, d{chart.names[l]}) != 0", val))
     return Verdict("graph(P) integrability conditions", not failures, tuple(failures))
@@ -383,9 +367,9 @@ def foliation_pair(
         if not ok:
             raise StructureError("F is not contained in F'")
     if ann_fprime is None:
-        ann_fprime = _constant_annihilator_forms(chart, rows_fp)
+        ann_fprime = _constant_annihilator(PolyOneForm, chart, rows_fp)
     if ann_f is None:
-        ann_f = _constant_annihilator_forms(chart, [X.comps for X in f_frame])
+        ann_f = _constant_annihilator(PolyOneForm, chart, [X.comps for X in f_frame])
     zero_vf = PolyVectorField.zero(chart)
     zero_of = PolyOneForm.zero(chart)
     e_frame = [BigSection(X, zero_of) for X in f_frame]

@@ -1,6 +1,6 @@
 import random
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, product
 
 import pytest
 
@@ -10,6 +10,8 @@ from bigiso.calculus import (
     ChartError,
     PolyBivector,
     PolyOneForm,
+    PolyThreeForm,
+    PolyTrivector,
     PolyTwoForm,
     PolyVectorField,
     axiom_v_defect,
@@ -22,6 +24,7 @@ from bigiso.calculus import (
     flat,
     graph_section_theta,
     graph_section_P,
+    interior_threeform,
     interior_twoform,
     interior_wedge_threeform,
     leibniz_defect,
@@ -351,3 +354,232 @@ class TestLieDerivativeTwoForm:
                 - theta(Y, lie_bracket(X, Z))
             )
             assert lhs == rhs
+
+
+# --------------------------------------------------------------------------
+# one component-tuple base and one skew contraction
+# --------------------------------------------------------------------------
+
+def rand_skew(rng, cls, chart, degree):
+    """A sparse random skew table: about half the increasing tuples stored."""
+    table = {
+        idx: rand_poly(rng, chart, 1)
+        for idx in combinations(range(chart.dim), degree)
+        if rng.random() < 0.6
+    }
+    return cls(chart, table)
+
+
+def ref_call2(T, a, b):
+    """The hand-expanded 2-slot evaluation that PolyTwoForm/PolyBivector used."""
+    total = T.chart.zero()
+    for (i, j), p in T.table.items():
+        total = total + p * (a.comps[i] * b.comps[j] - a.comps[j] * b.comps[i])
+    return total
+
+
+def ref_call3(T, a, b, c):
+    """The hand-expanded 3-slot evaluation that PolyThreeForm/PolyTrivector used."""
+    total = T.chart.zero()
+    for (i, j, k), p in T.table.items():
+        det = (
+            a.comps[i] * (b.comps[j] * c.comps[k] - b.comps[k] * c.comps[j])
+            - a.comps[j] * (b.comps[i] * c.comps[k] - b.comps[k] * c.comps[i])
+            + a.comps[k] * (b.comps[i] * c.comps[j] - b.comps[j] * c.comps[i])
+        )
+        total = total + p * det
+    return total
+
+
+def ref_first_slot(cls, T, a):
+    """sum_i a_i T(i, j): the component() loop of the old sharp and interior_twoform."""
+    chart = a.chart
+    comps = []
+    for j in range(chart.dim):
+        acc = chart.zero()
+        for i in range(chart.dim):
+            acc = acc + a.comps[i] * T.component(i, j)
+        comps.append(acc)
+    return cls(chart, comps)
+
+
+def ref_interior_threeform(X, lam):
+    chart = X.chart
+    table = {}
+    for j, k in combinations(range(chart.dim), 2):
+        acc = chart.zero()
+        for i in range(chart.dim):
+            acc = acc + X.comps[i] * lam.component(i, j, k)
+        table[(j, k)] = acc
+    return PolyTwoForm(chart, table)
+
+
+def ref_first_two_slots(cls, T, a, b):
+    """sum_{i != j} a_i b_j T(i, j, k): the old interior_wedge_threeform loop."""
+    chart = a.chart
+    comps = []
+    for k in range(chart.dim):
+        acc = chart.zero()
+        for i in range(chart.dim):
+            for j in range(chart.dim):
+                if i != j:
+                    acc = acc + a.comps[i] * b.comps[j] * T.component(i, j, k)
+        comps.append(acc)
+    return cls(chart, comps)
+
+
+def ref_contract(T, args):
+    """sum over all index tuples I of prod args[n]_{I_n} * T.component(*I, *J)."""
+    chart = T.chart
+    out = {}
+    for J in combinations(range(chart.dim), T.degree - len(args)):
+        acc = chart.zero()
+        for I in product(range(chart.dim), repeat=len(args)):
+            term = T.component(*I, *J)
+            for a, i in zip(args, I):
+                term = term * a.comps[i]
+            acc = acc + term
+        if not acc.is_zero():
+            out[J] = acc
+    return out
+
+
+SKEW_KINDS = (
+    (PolyTwoForm, 2, rand_vf),
+    (PolyBivector, 2, rand_of),
+    (PolyThreeForm, 3, rand_vf),
+    (PolyTrivector, 3, rand_of),
+)
+
+
+class TestSkewContraction:
+    @pytest.mark.parametrize("m", [3, 4, 5])
+    def test_contract_matches_component_sums(self, m):
+        rng = random.Random(100 + m)
+        ch = Chart(tuple(f"x{i}" for i in range(m)))
+        for cls, degree, rand_arg in SKEW_KINDS:
+            for _ in range(3):
+                T = rand_skew(rng, cls, ch, degree)
+                for r in range(degree + 1):
+                    args = [rand_arg(rng, ch, 1) for _ in range(r)]
+                    got = {k: v for k, v in T.contract(*args).items() if not v.is_zero()}
+                    assert got == ref_contract(T, args), (cls.__name__, r)
+
+    @pytest.mark.parametrize("m", [3, 4, 5])
+    def test_calls_match_hand_expanded_bodies(self, m):
+        rng = random.Random(200 + m)
+        ch = Chart(tuple(f"x{i}" for i in range(m)))
+        for cls, degree, rand_arg in SKEW_KINDS:
+            ref = ref_call2 if degree == 2 else ref_call3
+            for _ in range(4):
+                T = rand_skew(rng, cls, ch, degree)
+                args = [rand_arg(rng, ch, 1) for _ in range(degree)]
+                assert T(*args) == ref(T, *args), cls.__name__
+
+    @pytest.mark.parametrize("m", [3, 4, 5])
+    def test_wrappers_match_component_loops(self, m):
+        rng = random.Random(300 + m)
+        ch = Chart(tuple(f"x{i}" for i in range(m)))
+        for _ in range(4):
+            X, Y = rand_vf(rng, ch, 1), rand_vf(rng, ch, 1)
+            a, b = rand_of(rng, ch, 1), rand_of(rng, ch, 1)
+            P = rand_skew(rng, PolyBivector, ch, 2)
+            theta = rand_skew(rng, PolyTwoForm, ch, 2)
+            lam = rand_skew(rng, PolyThreeForm, ch, 3)
+            T = rand_skew(rng, PolyTrivector, ch, 3)
+            assert sharp(P, a) == ref_first_slot(PolyVectorField, P, a)
+            assert interior_twoform(X, theta) == ref_first_slot(PolyOneForm, theta, X)
+            assert flat(theta, X) == ref_first_slot(PolyOneForm, theta, X)
+            assert interior_threeform(X, lam) == ref_interior_threeform(X, lam)
+            assert interior_wedge_threeform(X, Y, lam) == ref_first_two_slots(PolyOneForm, lam, X, Y)
+            assert trivector_contract_two(T, a, b) == ref_first_two_slots(PolyVectorField, T, a, b)
+            old_trivector = [ref_call3(T, a, b, PolyOneForm.coordinate(ch, k)) for k in range(m)]
+            assert trivector_contract_two(T, a, b) == PolyVectorField(ch, old_trivector)
+
+    def test_arity(self):
+        ch = chart3()
+        X = PolyVectorField.coordinate(ch, "x")
+        theta = PolyTwoForm(ch, {(0, 1): 1})
+        lam = PolyThreeForm(ch, {(0, 1, 2): 1})
+        with pytest.raises(ChartError):
+            theta(X)
+        with pytest.raises(ChartError):
+            lam(X, X, X, X)
+        with pytest.raises(ChartError):
+            theta.contract(X, X, X)
+        assert theta.contract() == theta.table
+        assert lam(X, X, X).is_zero()
+        assert all(v.is_zero() for v in lam.contract(X, X).values())
+
+    def test_contract_checks_the_chart(self):
+        theta = PolyTwoForm(chart3(), {(0, 1): 1})
+        with pytest.raises(ChartError):
+            theta.contract(PolyVectorField.coordinate(Chart(("u", "v", "w")), "u"))
+
+    def test_negative_indices_rejected(self):
+        ch = chart3()
+        with pytest.raises(ChartError):
+            PolyTwoForm(ch, {(-1, 0): 1})
+        with pytest.raises(ChartError):
+            PolyBivector(ch, {(-2, 1): 1})
+        with pytest.raises(ChartError):
+            PolyTrivector(ch, {(-3, -2, -1): 1})
+        with pytest.raises(ChartError):
+            PolyThreeForm(ch, {(0, 1, 3): 1})
+        with pytest.raises(ChartError):
+            PolyTwoForm(ch, {(0.0, 1.5): 1})
+        with pytest.raises(ChartError):
+            PolyBivector(ch, {("x", "y"): 1})
+
+
+class TestComponentTuples:
+    def test_str_of_all_six_classes(self):
+        ch = chart3()
+        x, y = ch.coordinate("x"), ch.coordinate("y")
+        assert str(PolyVectorField(ch, [1, x, 0])) == "(1)*d_x + (x)*d_y"
+        assert str(PolyOneForm(ch, [0, -y, 2])) == "(-y)*dy + (2)*dz"
+        two = {(0, 1): x * y - 1, (1, 2): 1}
+        assert str(PolyTwoForm(ch, two)) == "(x*y - 1)*x^dy + (1)*y^dz"
+        assert str(PolyBivector(ch, two)) == "(x*y - 1)*x^y + (1)*y^z"
+        three = {(0, 1, 2): x * 2}
+        assert str(PolyThreeForm(ch, three)) == "(2*x)*x^dy^dz"
+        assert str(PolyTrivector(ch, three)) == "(2*x)*x^y^z"
+        assert str(PolyVectorField.zero(ch)) == "0"
+        assert str(PolyOneForm.zero(ch)) == "0"
+        for cls in (PolyTwoForm, PolyBivector, PolyThreeForm, PolyTrivector):
+            assert str(cls(ch, {})) == "0"
+
+    def test_kinds_with_equal_components_differ(self):
+        ch = chart3()
+        comps = [1, ch.coordinate("x"), 0]
+        assert PolyVectorField(ch, comps) != PolyOneForm(ch, comps)
+        assert PolyVectorField(ch, comps) == PolyVectorField(ch, comps)
+        table = {(0, 1): ch.coordinate("z")}
+        assert PolyTwoForm(ch, table) != PolyBivector(ch, table)
+        assert PolyThreeForm(ch, {(0, 1, 2): 1}) != PolyTrivector(ch, {(0, 1, 2): 1})
+
+    def test_results_keep_their_kind(self):
+        ch = chart3()
+        for cls in (PolyVectorField, PolyOneForm):
+            a, b = cls.coordinate(ch, "x"), cls.coordinate(ch, 2)
+            for value in (a + b, a - b, -a, a.scale(ch.coordinate("y")), cls.zero(ch)):
+                assert type(value) is cls
+
+    def test_coordinate_bad_input(self):
+        ch = chart3()
+        for cls in (PolyVectorField, PolyOneForm):
+            assert cls.coordinate(ch, "z") == cls.coordinate(ch, 2)
+            for which in (-1, 3, 7, "w", 1.0, None):
+                with pytest.raises(ChartError):
+                    cls.coordinate(ch, which)
+
+    def test_mixing_kinds_rejected(self):
+        ch = chart3()
+        X, alpha = PolyVectorField.coordinate(ch, "x"), PolyOneForm.coordinate(ch, "x")
+        for a, b in ((X, alpha), (alpha, X)):
+            with pytest.raises(ChartError, match="operand mismatch"):
+                a + b
+            with pytest.raises(ChartError, match="operand mismatch"):
+                a - b
+        with pytest.raises(ChartError, match="chart mismatch"):
+            X + PolyVectorField.coordinate(Chart(("u", "v", "w")), "u")
