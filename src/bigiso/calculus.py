@@ -50,10 +50,15 @@ class Chart:
         return Polynomial.constant(self.names, c)
 
     def coordinate(self, which) -> Polynomial:
-        return Polynomial.variable(self.names, which)
+        return Polynomial.variable(self.names, self.index(which))
 
-    def index(self, name: str) -> int:
-        return self.names.index(name)
+    def index(self, which) -> int:
+        """Position of a coordinate given by name or by position."""
+        if which in self.names:
+            return self.names.index(which)
+        if not isinstance(which, int) or not 0 <= which < self.dim:
+            raise ChartError(f"no coordinate {which!r} in chart {self.names}")
+        return which
 
     def tangent_chart(self) -> "Chart":
         """Chart of the tangent manifold: base names plus dotted fibre names."""
@@ -96,12 +101,8 @@ class _Components:
 
     @classmethod
     def coordinate(cls, chart: Chart, which):
-        if which in chart.names:
-            which = chart.index(which)
-        if not isinstance(which, int) or not 0 <= which < chart.dim:
-            raise ChartError(f"no coordinate {which!r} in chart {chart.names}")
         comps = [chart.zero()] * chart.dim
-        comps[which] = chart.one()
+        comps[chart.index(which)] = chart.one()
         return cls(chart, comps)
 
     def _binop(self, other, op):

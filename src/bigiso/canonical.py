@@ -25,8 +25,8 @@ from fractions import Fraction
 from typing import Sequence
 
 from .calculus import BigSection, Chart, PolyOneForm, PolyVectorField
-from .linalg import Matrix, Subspace, complement_in
-from .pointwise import IsotropicData, characteristic_triple, covector_lift
+from .linalg import Matrix, Subspace, combine, complement_in
+from .pointwise import IsotropicData, characteristic_triple, covector_lift, is_graph_type, window
 from .scalars import Polynomial, RationalFunction, as_fraction
 from .structures import BigIsotropicStructure, Verdict, default_grid
 from .transport import LinearMap, pullback_subspace, space_S
@@ -237,11 +237,9 @@ class CanonicalFrame:
 
     def denominators_nonzero_at(self, point) -> bool:
         try:
-            self.det_e.eval(point)
-            self.det_eprime.eval(point)
+            return self.det_e.eval(point) != 0 and self.det_eprime.eval(point) != 0
         except ZeroDivisionError:
             return False
-        return self.det_e.eval(point) != 0 and self.det_eprime.eval(point) != 0
 
     def eval_rows(self, rows, point):
         return [tuple(entry.eval(point) for entry in row) for row in rows]
@@ -340,7 +338,6 @@ def _leaf_conditions_hold(adapted, x_rows, xi_rows, y_rows, theta_rows) -> bool:
     seed values (identity/zero pattern); fails when the chart split does not
     actually match the structure's characteristic distributions on the leaf."""
     r, mk, p = adapted.r, adapted.mk, adapted.p
-    m = adapted.chart.dim
     on_leaf = adapted.leaf_assignment()
     t_h = range(r, r + mk)
     t_s = range(r + mk, r + mk + p)
@@ -433,13 +430,7 @@ class SubbundleField:
         if not self.constraints:
             return Subspace(self.ambient_dim, gen_vals)
         cons = Matrix([[entry.eval(point) for entry in row] for row in self.constraints])
-        rows = []
-        for combo in cons.kernel_rows():
-            vec = [Fraction(0)] * self.ambient_dim
-            for c, g in zip(combo, gen_vals):
-                for i in range(self.ambient_dim):
-                    vec[i] += c * g[i]
-            rows.append(vec)
+        rows = [combine(combo, gen_vals, self.ambient_dim) for combo in cons.kernel_rows()]
         return Subspace(self.ambient_dim, rows)
 
 
@@ -539,19 +530,8 @@ def _splitting_holds(cf, pt, h_pt, t_fol, ann_fol) -> bool:
     data = cf.structure.evaluate_at(pt)
     x_vals = Subspace(2 * m, cf.eval_rows(cf.x_rows, pt)) if cf.x_rows else Subspace(2 * m)
     xi_vals = Subspace(2 * m, cf.eval_rows(cf.xi_rows, pt)) if cf.xi_rows else Subspace(2 * m)
-    ann_h = h_pt.annihilator()
-    window_fol = Subspace(
-        2 * m,
-        [tuple(v) + (Fraction(0),) * m for v in t_fol.basis]
-        + [(Fraction(0),) * m + tuple(w) for w in ann_h.basis],
-    )
-    window_h = Subspace(
-        2 * m,
-        [tuple(v) + (Fraction(0),) * m for v in h_pt.basis]
-        + [(Fraction(0),) * m + tuple(w) for w in ann_fol.basis],
-    )
-    piece_fol = data.E.intersect(window_fol)
-    piece_h = data.E.intersect(window_h)
+    piece_fol = data.E.intersect(window(m, t_fol.basis, h_pt.annihilator().basis))
+    piece_h = data.E.intersect(window(m, h_pt.basis, ann_fol.basis))
     return (
         piece_fol == xi_vals
         and piece_h == x_vals
@@ -635,7 +615,7 @@ def transversal_structure(
             comps.append(row[i].set_vars(freeze))
         for i in sub_idx:
             comps.append(row[m + i].set_vars(freeze))
-        return _clear_denominators(comps, sub)
+        return _clear_denominators(comps)
 
     e_frame = [restrict_row(row) for row in cf.xi_rows]
     ep_frame = e_frame + [restrict_row(row) for row in cf.y_rows]
@@ -658,10 +638,10 @@ def transversal_structure(
         data = s.evaluate_at(ambient_pt)
         incl = _inclusion_map(adapted)
         expected = pullback_subspace(incl, data.E)
-        got = structure.evaluate_at(pt).E
-        if expected != got:
+        got = structure.evaluate_at(pt)
+        if expected != got.E:
             raise NormalizationError(f"transversal frame disagrees with the pullback at {pt}")
-        if got.intersect(Subspace(2 * n, [[1 if j == i else 0 for j in range(2 * n)] for i in range(n)])).dim:
+        if not is_graph_type(got):
             raise NormalizationError(f"transversal structure is not of graph type at {pt}")
     return structure
 
@@ -695,7 +675,7 @@ def _embed_point(adapted: AdaptedChart, pt):
     return tuple(full)
 
 
-def _clear_denominators(comps, sub_chart):
+def _clear_denominators(comps):
     dens = []
     for c in comps:
         if not c.is_polynomial():

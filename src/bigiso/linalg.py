@@ -299,6 +299,11 @@ class Matrix:
         return "\n".join("[" + ", ".join(str(e) for e in row) + "]" for row in self.entries)
 
 
+def combine(coeffs: Sequence, rows: Sequence[Sequence], width: int) -> tuple:
+    """The linear combination sum_i coeffs[i] * rows[i] of length width."""
+    return tuple(sum((c * row[i] for c, row in zip(coeffs, rows)), Fraction(0)) for i in range(width))
+
+
 def kernel(m: Matrix) -> "Subspace":
     return Subspace(m.cols, m.kernel_rows())
 

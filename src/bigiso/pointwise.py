@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
-from .linalg import Matrix, Subspace, complement_in, kernel
+from .linalg import Matrix, Subspace, combine, complement_in, kernel
 from .scalars import as_fraction
 
 
@@ -72,13 +72,17 @@ def _pairing_row(row_u: Sequence, row_v: Sequence) -> Fraction:
     return Fraction(a_y + b_x, 2)
 
 
+def swap_halves(rows) -> list:
+    """Each row (X, a) of length 2m as (a, X); the swap preserves g."""
+    return [tuple(row[len(row) // 2 :]) + tuple(row[: len(row) // 2]) for row in rows]
+
+
 def orthogonal_g(space: Subspace) -> Subspace:
     """g-orthogonal complement inside Q^{2m}."""
     if space.ambient_dim % 2:
         raise GeometryError("ambient dimension must be even")
-    m = space.ambient_dim // 2
     # v orthogonal to basis row b  iff  (J b) . v = 0 with J swapping halves
-    eq_rows = [tuple(row[m:]) + tuple(row[:m]) for row in space.basis]
+    eq_rows = swap_halves(space.basis)
     if not eq_rows:
         return Subspace.full(space.ambient_dim)
     return kernel(Matrix(eq_rows))
@@ -96,10 +100,11 @@ def tangent_projection(space: Subspace) -> Subspace:
     return Subspace(m, [row[:m] for row in space.basis])
 
 
-def _tangent_summand(m: int) -> Subspace:
-    rows = [[Fraction(0)] * (2 * m) for _ in range(m)]
-    for i in range(m):
-        rows[i][i] = Fraction(1)
+def window(m: int, tangent_rows, cotangent_rows) -> Subspace:
+    """The subspace T (+) C of Q^m (+) (Q^m)* spanned by the rows (v, 0) for
+    v in tangent_rows and (0, w) for w in cotangent_rows."""
+    zeros = (Fraction(0),) * m
+    rows = [tuple(v) + zeros for v in tangent_rows] + [zeros + tuple(w) for w in cotangent_rows]
     return Subspace(2 * m, rows)
 
 
@@ -222,11 +227,17 @@ def covector_lift(space: Subspace, x_vec) -> tuple:
     m = space.ambient_dim // 2
     basis = space.basis
     coeffs = _coordinates(basis, m, [x_vec], "vector has no lift in the subspace")[0]
-    alpha = [Fraction(0)] * m
-    for c, row in zip(coeffs, basis):
-        for i in range(m):
-            alpha[i] += c * row[m + i]
-    return tuple(alpha)
+    return combine(coeffs, [row[m:] for row in basis], m)
+
+
+def _graph_over(m: int, base, partner, W) -> Subspace:
+    """{(sum_i c_i b_i, alpha) : alpha(p_j) = sum_i W[i][j] c_i for every j},
+    for base rows b_i and partner rows p_j of Q^m."""
+    r = len(base)
+    # unknowns (c_1..c_r, alpha_1..alpha_m), one equation per partner row
+    eq_rows = [[-W[i][j] for i in range(r)] + list(p) for j, p in enumerate(partner)]
+    sol = Matrix(eq_rows).kernel_rows() if eq_rows else Matrix.identity(r + m).entries
+    return Subspace(2 * m, [combine(v[:r], base, m) + tuple(v[r:]) for v in sol])
 
 
 def reconstruct(triple: CharacteristicTriple) -> IsotropicData:
@@ -234,63 +245,33 @@ def reconstruct(triple: CharacteristicTriple) -> IsotropicData:
 
     E collects the pairs (X, alpha) with X in cal_E and alpha matching
     varpi(X, .) on cal_E_prime; E' collects (Y, beta) with beta matching
-    -varpi(., Y) on cal_E.
+    -varpi(., Y) on cal_E.  Both are one graph construction, applied to
+    (cal_E, cal_E', varpi) and to (cal_E', cal_E, -varpi^T).
     """
-    m = triple.m
-    r, rp = triple.cal_E.dim, triple.cal_E_prime.dim
-
-    # E: unknowns (c_1..c_r, alpha_1..alpha_m); equations alpha(e'_j) = varpi_ij c_i
-    eq_rows = []
-    for j in range(rp):
-        row = [-triple.varpi[i, j] for i in range(r)]
-        row += list(triple.cal_E_prime.basis[j])
-        eq_rows.append(row)
-    sol = Matrix(eq_rows).kernel_rows() if eq_rows else Matrix.identity(r + m).entries
-    e_rows = []
-    for v in sol:
-        x = [Fraction(0)] * m
-        for c, b in zip(v[:r], triple.cal_E.basis):
-            for i in range(m):
-                x[i] += c * b[i]
-        e_rows.append(tuple(x) + tuple(v[r:]))
-    E = Subspace(2 * m, e_rows)
-
-    eq_rows = []
-    for i in range(r):
-        row = [triple.varpi[i, j] for j in range(rp)]
-        row += list(triple.cal_E.basis[i])
-        eq_rows.append(row)
-    sol = Matrix(eq_rows).kernel_rows() if eq_rows else Matrix.identity(rp + m).entries
-    ep_rows = []
-    for v in sol:
-        y = [Fraction(0)] * m
-        for c, b in zip(v[:rp], triple.cal_E_prime.basis):
-            for i in range(m):
-                y[i] += c * b[i]
-        ep_rows.append(tuple(y) + tuple(v[rp:]))
-    E_prime = Subspace(2 * m, ep_rows)
+    m, varpi = triple.m, triple.varpi
+    cal_E, cal_Ep = triple.cal_E.basis, triple.cal_E_prime.basis
+    minus_varpi_t = [[-varpi[i, j] for i in range(len(cal_E))] for j in range(len(cal_Ep))]
+    E = _graph_over(m, cal_E, cal_Ep, varpi.entries)
+    E_prime = _graph_over(m, cal_Ep, cal_E, minus_varpi_t)
     return IsotropicData(m, E, E_prime)
 
 
 def dirac_extension(data: IsotropicData) -> Subspace:
     """The canonical almost-Dirac space E + ann(cal_E), of dimension m."""
-    m = data.m
-    ann = tangent_projection(data.E).annihilator()
-    ann_rows = [tuple([Fraction(0)] * m) + tuple(w) for w in ann.basis]
-    result = data.E.sum(Subspace(2 * m, ann_rows))
-    return result
+    ann_rows = tangent_projection(data.E).equations().entries
+    return data.E.sum(window(data.m, (), ann_rows))
 
 
 def flat_varpi_kernel(data: IsotropicData) -> Subspace:
     """Kernel of X -> varpi(X, .), which is the tangent part of E n (TM (+) 0)."""
-    m = data.m
-    inter = data.E.intersect(_tangent_summand(m))
-    return Subspace(m, [row[:m] for row in inter.basis])
+    tangent = window(data.m, Matrix.identity(data.m).entries, ())
+    return tangent_projection(data.E.intersect(tangent))
 
 
 def is_graph_type(data: IsotropicData) -> bool:
     """True when E meets the tangent summand only in 0."""
-    return flat_varpi_kernel(data).dim == 0
+    tangent = window(data.m, Matrix.identity(data.m).entries, ())
+    return data.E.intersect(tangent).dim == 0
 
 
 def random_subspace(rng, d: int, dim_hint: int | None = None, span: int = 3) -> Subspace:
@@ -307,11 +288,7 @@ def random_isotropic(rng, m: int) -> IsotropicData:
     mix_rows = []
     for _ in range(n_mix):
         coeffs = [Fraction(rng.randint(-2, 2)) for _ in range(rp)]
-        vec = [Fraction(0)] * m
-        for c, b in zip(coeffs, cal_Ep.basis):
-            for i in range(m):
-                vec[i] += c * b[i]
-        mix_rows.append(vec)
+        mix_rows.append(combine(coeffs, cal_Ep.basis, m))
     cal_E = Subspace(m, mix_rows)
     r = cal_E.dim
 

@@ -28,6 +28,7 @@ from .calculus import (
     sharp,
 )
 from .linalg import Matrix, Subspace
+from .pointwise import is_graph_type, tangent_projection, window
 from .scalars import Polynomial, as_fraction
 from .structures import BigIsotropicStructure, Verdict, default_grid
 from .transport import LinearMap, pullback_subspace, pushforward_subspace, space_S
@@ -240,11 +241,8 @@ def check_reducibility(
                 failures.append((f"fibre direction {N.sub.names[i]} not in the pullback at {u}", None))
         # ambient-side formulation
         data = s.evaluate_at(N.embed_point(u))
-        window_rows = [tuple(v) + (Fraction(0),) * m for v in fibre_amb]
-        window_rows += [(Fraction(0),) * m + tuple(w) for w in ann_tn.entries]
-        window = Subspace(2 * m, window_rows)
-        inter = data.E.intersect(window)
-        projected = Subspace(m, [row[:m] for row in inter.basis])
+        inter = data.E.intersect(window(m, fibre_amb, ann_tn.entries))
+        projected = tangent_projection(inter)
         target = Subspace(m, fibre_amb)
         if not projected.contains_subspace(target):
             failures.append((f"ambient lift of the fibre tangents fails at {u}", None))
@@ -324,7 +322,6 @@ def _projectable_form(frame: Sequence[BigSection], F: FoliationData):
     frame and the caller must supply one.
     """
     chart = F.chart
-    fibre_set = set(F.fibre)
     survivors = []
     for sec in frame:
         v = list(sec.vf.comps)
@@ -423,7 +420,6 @@ def reduce_structure(
     reduced_frame = [_push_section(sec, F) for sec in _projectable_form(frame, F)]
     reduced_prime = [_push_section(sec, F) for sec in _projectable_form(prime, F)]
     quotient_chart = F.quotient_chart()
-    q = quotient_chart.dim
     base_grid = sorted({tuple(u[i] for i in F.base) for u in restricted.points})
     quotient = BigIsotropicStructure.build(quotient_chart, reduced_frame, reduced_prime, grid=base_grid)
 
@@ -438,13 +434,7 @@ def reduce_structure(
         if pushforward_subspace(proj, pulled) != delta:
             raise ReductionError(f"restriction does not push forward to the quotient at {u}")
 
-    poisson = all(
-        quotient.evaluate_at(pt).E.intersect(
-            Subspace(2 * q, [[1 if j == i else 0 for j in range(2 * q)] for i in range(q)])
-        ).dim
-        == 0
-        for pt in base_grid
-    )
+    poisson = all(is_graph_type(quotient.evaluate_at(pt)) for pt in base_grid)
     return ReductionResult(quotient, restricted, red_verdict, proj_verdict, poisson)
 
 

@@ -2,19 +2,21 @@
 
 For a linear map L: Q^n -> Q^m (the differential of a map of manifolds at a
 point), the pullback takes subspaces of Q^{2m} to subspaces of Q^{2n} and the
-pushforward goes the other way.  The dimension bookkeeping (the S / Sigma
-auxiliary spaces and the predicted dimensions) is exposed so tests can verify
-the counting identities independently of the solved subspaces.
+pushforward goes the other way.  They are one construction: the swap
+sigma(X, a) = (a, X) preserves g, and push_L = sigma o pull_{L^T} o sigma, so
+the pushforward runs the pullback kernel on L^T with the two halves of every
+row swapped.  The dimension bookkeeping (the S / Sigma auxiliary spaces and
+the predicted dimensions) is exposed so tests can verify the counting
+identities independently of the solved subspaces.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Sequence
 
 from .linalg import Matrix, Subspace, image, kernel
-from .pointwise import GeometryError, orthogonal_g
+from .pointwise import GeometryError, orthogonal_g, swap_halves, window
 from .scalars import as_fraction
 
 
@@ -72,122 +74,71 @@ def _check_ambient(space: Subspace, dim: int, what: str):
         raise GeometryError(f"{what}: expected ambient dimension {2 * dim}, got {space.ambient_dim}")
 
 
+def _pull(Mt: Matrix, m: int, eq_rows) -> list:
+    """Rows spanning {(X, Mt a) : (M X, a) is annihilated by eq_rows}, where
+    Mt is the n x m transpose of M: Q^n -> Q^m and eq_rows have length 2m
+    (m is passed because a matrix with no rows does not record its width)."""
+    n = Mt.rows
+    # unknowns (X, a) in Q^{n+m}: e . (M X, a) = (Mt e_tan) . X + e_cot . a
+    rows = [Mt.apply(e[:m]) + tuple(e[m:]) for e in eq_rows]
+    solutions = Matrix(rows).kernel_rows() if rows else Matrix.identity(n + m).entries
+    return [tuple(sol[:n]) + Mt.apply(sol[n:]) for sol in solutions]
+
+
 def pullback_subspace(L: LinearMap, E: Subspace) -> Subspace:
     """{(X, L^T a) : (L X, a) in E} as a subspace of Q^{2n}."""
     _check_ambient(E, L.m, "pullback")
-    n, m = L.n, L.m
-    eqs = E.equations()  # rows annihilating E
-    if eqs.rows:
-        # unknowns (X, a) in Q^{n+m}; constrain (L X, a) in E
-        rows = []
-        for er in eqs.entries:
-            row = list(L.matrix.transpose().apply(er[:m]))  # er_tan . (L X)
-            row += list(er[m:])
-            rows.append(row)
-        solutions = Matrix(rows).kernel_rows()
-    else:
-        solutions = Matrix.identity(n + m).entries
-    out = []
-    for sol in solutions:
-        x = sol[:n]
-        a = L.pull(sol[n:])
-        out.append(tuple(x) + tuple(a))
-    return Subspace(2 * n, out)
+    return Subspace(2 * L.n, _pull(L.matrix.transpose(), L.m, E.equations().entries))
 
 
 def pushforward_subspace(L: LinearMap, E: Subspace) -> Subspace:
-    """{(L X, a) : (X, L^T a) in E} as a subspace of Q^{2m}."""
+    """{(L X, a) : (X, L^T a) in E} as a subspace of Q^{2m}: the pullback
+    through L^T, conjugated by the swap."""
     _check_ambient(E, L.n, "pushforward")
-    n, m = L.n, L.m
-    eqs = E.equations()
-    if eqs.rows:
-        rows = []
-        for er in eqs.entries:
-            row = list(er[:n])
-            row += list(L.matrix.apply(er[n:]))  # er_cot . (L^T a)
-            rows.append(row)
-        solutions = Matrix(rows).kernel_rows()
-    else:
-        solutions = Matrix.identity(n + m).entries
-    out = []
-    for sol in solutions:
-        x = L.push(sol[:n])
-        a = sol[n:]
-        out.append(tuple(x) + tuple(a))
-    return Subspace(2 * m, out)
-
-
-def _embed_cotangent(space: Subspace, m: int) -> Subspace:
-    return Subspace(2 * m, [tuple([Fraction(0)] * m) + tuple(w) for w in space.basis])
-
-
-def _embed_tangent(space: Subspace, m: int) -> Subspace:
-    return Subspace(2 * m, [tuple(v) + tuple([Fraction(0)] * m) for v in space.basis])
+    pulled = _pull(L.matrix, L.n, swap_halves(E.equations().entries))
+    return Subspace(2 * L.m, swap_halves(pulled))
 
 
 def e_cap_ker_pull(L: LinearMap, E: Subspace) -> Subspace:
     """E n (0 (+) ker L^T) inside Q^{2m}."""
-    return E.intersect(_embed_cotangent(L.ker_pull(), L.m))
+    _check_ambient(E, L.m, "e_cap_ker_pull")
+    return E.intersect(window(L.m, (), L.ker_pull().basis))
 
 
 def e_cap_ker_push(L: LinearMap, E: Subspace) -> Subspace:
     """E n (ker L (+) 0) inside Q^{2n}."""
-    return E.intersect(_embed_tangent(L.ker_push(), L.n))
+    _check_ambient(E, L.n, "e_cap_ker_push")
+    return E.intersect(window(L.n, L.ker_push().basis, ()))
 
 
 def space_S(L: LinearMap, E: Subspace) -> Subspace:
     """E n (im L (+) target covectors): the pairs that see the source."""
     _check_ambient(E, L.m, "space_S")
-    m = L.m
-    img = L.image_tangent()
-    window = Subspace(
-        2 * m,
-        [tuple(v) + tuple([Fraction(0)] * m) for v in img.basis]
-        + [tuple([Fraction(0)] * m) + tuple(w) for w in Matrix.identity(m).entries],
-    )
-    return E.intersect(window)
+    return E.intersect(window(L.m, L.image_tangent().basis, Matrix.identity(L.m).entries))
 
 
 def space_sigma(L: LinearMap, E: Subspace) -> Subspace:
     """E n (source vectors (+) im L^T): the pairs that project to the target."""
     _check_ambient(E, L.n, "space_sigma")
-    n = L.n
-    img = L.image_cotangent()
-    window = Subspace(
-        2 * n,
-        [tuple(v) + tuple([Fraction(0)] * n) for v in Matrix.identity(n).entries]
-        + [tuple([Fraction(0)] * n) + tuple(w) for w in img.basis],
-    )
-    return E.intersect(window)
+    return E.intersect(window(L.n, Matrix.identity(L.n).entries, L.image_cotangent().basis))
+
+
+def _predict_dim(what: str, cap, L: LinearMap, E, E_prime, source: int, target: int) -> int:
+    """source - target + k corrected by the kernel overlaps cap(L, E') and cap(L, E)."""
+    _check_ambient(E, target, what)
+    if E_prime is None:
+        E_prime = orthogonal_g(E)
+    return source - target + E.dim + cap(L, E_prime).dim - cap(L, E).dim
 
 
 def predict_pullback_dim(L: LinearMap, E: Subspace, E_prime: Subspace | None = None) -> int:
     """n - m + k corrected by the kernel overlaps of E and E'."""
-    _check_ambient(E, L.m, "predict_pullback_dim")
-    if E_prime is None:
-        E_prime = orthogonal_g(E)
-    k = E.dim
-    return (
-        L.n
-        - L.m
-        + k
-        + e_cap_ker_pull(L, E_prime).dim
-        - e_cap_ker_pull(L, E).dim
-    )
+    return _predict_dim("predict_pullback_dim", e_cap_ker_pull, L, E, E_prime, L.n, L.m)
 
 
 def predict_pushforward_dim(L: LinearMap, E: Subspace, E_prime: Subspace | None = None) -> int:
-    _check_ambient(E, L.n, "predict_pushforward_dim")
-    if E_prime is None:
-        E_prime = orthogonal_g(E)
-    k = E.dim
-    return (
-        L.m
-        - L.n
-        + k
-        + e_cap_ker_push(L, E_prime).dim
-        - e_cap_ker_push(L, E).dim
-    )
+    """m - n + k corrected by the kernel overlaps of E and E'."""
+    return _predict_dim("predict_pushforward_dim", e_cap_ker_push, L, E, E_prime, L.m, L.n)
 
 
 def pushpull(L: LinearMap, E: Subspace) -> Subspace:

@@ -143,6 +143,21 @@ class TestExteriorCalculus:
         assert theta(dx, dy) == ch.one()
         assert flat(theta, dx) == PolyOneForm.coordinate(ch, "y")
 
+    def test_coordinate_lookup_rejects_what_is_not_in_the_chart(self):
+        ch = chart3()
+        for bad in (-1, 3, 7, "w", 1.0, None):
+            with pytest.raises(ChartError, match="no coordinate"):
+                ch.coordinate(bad)
+            with pytest.raises(ChartError, match="no coordinate"):
+                ch.index(bad)
+            with pytest.raises(ChartError, match="no coordinate"):
+                PolyVectorField.coordinate(ch, bad)
+            with pytest.raises(ChartError, match="no coordinate"):
+                PolyOneForm.coordinate(ch, bad)
+        for i, name in enumerate(ch.names):
+            assert ch.index(name) == ch.index(i) == i
+            assert ch.coordinate(name) == ch.coordinate(i) == Polynomial.variable(ch.names, i)
+
     def test_chart_mismatch(self):
         a = PolyVectorField.coordinate(chart3(), "x")
         b = PolyVectorField.coordinate(Chart(("u", "v")), "u")

@@ -1,3 +1,4 @@
+import dataclasses
 from fractions import Fraction
 
 import pytest
@@ -115,6 +116,28 @@ class TestNormalizeR3:
         d = tr.evaluate_at((0, 0))
         assert d.E == Subspace(4, [(0, 0, 0, 1)])
         assert check_integrability(tr).ok
+
+
+class TestDenominators:
+    def test_zero_or_pole_of_either_determinant_is_off_the_locus(self, r3_structure, r3_adapted):
+        cf = normalize_frame(r3_structure, r3_adapted)
+        names = r3_structure.chart.names
+        one = RationalFunction.one(names)
+        x = RationalFunction.from_poly(Polynomial.variable(names, 0))
+        y = RationalFunction.from_poly(Polynomial.variable(names, 1))
+        cases = [
+            (one, one, (0, 0, 0), True),
+            (x, one, (1, 0, 0), True),
+            (x, one, (0, 1, 0), False),  # det_e vanishes
+            (one, x, (0, 1, 0), False),  # det_e' vanishes
+            (one / x, one, (0, 1, 0), False),  # det_e has a pole
+            (one, one / y, (1, 0, 0), False),  # det_e' has a pole
+            (x, one / x, (0, 1, 0), False),  # both at once
+            (y / x, x / y, (1, 1, 0), True),
+        ]
+        for det_e, det_ep, point, expected in cases:
+            moved = dataclasses.replace(cf, det_e=det_e, det_eprime=det_ep)
+            assert moved.denominators_nonzero_at(point) is expected
 
 
 class TestNormalizeR5:

@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from bigiso.linalg import Matrix, Subspace, complement_in, image, kernel
+from bigiso.linalg import Matrix, Subspace, combine, complement_in, image, kernel
 from bigiso.scalars import Polynomial, RationalFunction
 
 
@@ -75,6 +75,19 @@ def test_kernel_rank_nullity():
         assert kernel(m).dim + m.rank() == m.cols
         for v in kernel(m).basis:
             assert all(e == 0 for e in m.apply(v))
+
+
+def test_combine():
+    rows = [F(1, 2, 3), F(0, 1, -1)]
+    assert combine(F(2, -3), rows, 3) == tuple(F(2, 1, 9))
+    assert combine(F(2, -3), rows, 2) == tuple(F(2, 1))
+    assert combine((), (), 3) == tuple(F(0, 0, 0))
+    rng = random.Random(40)
+    for _ in range(30):
+        mat = random_matrix(rng, rng.randint(0, 4), 3)
+        coeffs = [Fraction(rng.randint(-4, 4), rng.randint(1, 3)) for _ in range(mat.rows)]
+        expected = mat.transpose().apply(coeffs) if mat.rows else tuple(F(0, 0, 0))
+        assert combine(coeffs, mat.entries, 3) == expected
 
 
 def test_image():

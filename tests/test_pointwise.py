@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from bigiso.linalg import Matrix, Subspace
+from bigiso.linalg import Matrix, Subspace, combine, complement_in
 from bigiso.pointwise import (
     BigVector,
     CharacteristicTriple,
@@ -18,8 +18,10 @@ from bigiso.pointwise import (
     orthogonal_g,
     pairing_g,
     random_isotropic,
+    random_subspace,
     reconstruct,
     tangent_projection,
+    window,
 )
 
 
@@ -267,3 +269,152 @@ class TestFlatKernel:
             ann_Ep = t.cal_E_prime.annihilator()
             assert d.E.dim == t.cal_E.dim + ann_Ep.dim
             assert d.E_prime.dim == t.cal_E_prime.dim + ann_E.dim
+
+
+# ---------------------------------------------------------------------------
+# reference oracles: reconstruct and random_isotropic written out directly
+# ---------------------------------------------------------------------------
+
+
+def ref_reconstruct(triple):
+    m = triple.m
+    r, rp = triple.cal_E.dim, triple.cal_E_prime.dim
+    # E: unknowns (c_1..c_r, alpha); equations alpha(e'_j) = sum_i varpi_ij c_i
+    eq_rows = [
+        [-triple.varpi[i, j] for i in range(r)] + list(triple.cal_E_prime.basis[j]) for j in range(rp)
+    ]
+    sol = Matrix(eq_rows).kernel_rows() if eq_rows else Matrix.identity(r + m).entries
+    e_rows = []
+    for v in sol:
+        x = [Fraction(0)] * m
+        for c, b in zip(v[:r], triple.cal_E.basis):
+            for i in range(m):
+                x[i] += c * b[i]
+        e_rows.append(tuple(x) + tuple(v[r:]))
+    # E': unknowns (c_1..c_rp, beta); equations beta(e_i) = -sum_j varpi_ij c_j
+    eq_rows = [[triple.varpi[i, j] for j in range(rp)] + list(triple.cal_E.basis[i]) for i in range(r)]
+    sol = Matrix(eq_rows).kernel_rows() if eq_rows else Matrix.identity(rp + m).entries
+    ep_rows = []
+    for v in sol:
+        y = [Fraction(0)] * m
+        for c, b in zip(v[:rp], triple.cal_E_prime.basis):
+            for i in range(m):
+                y[i] += c * b[i]
+        ep_rows.append(tuple(y) + tuple(v[rp:]))
+    return Subspace(2 * m, e_rows), Subspace(2 * m, ep_rows)
+
+
+def ref_random_isotropic(rng, m):
+    cal_Ep = random_subspace(rng, m)
+    rp = cal_Ep.dim
+    mix_rows = []
+    for _ in range(rng.randint(0, rp)):
+        coeffs = [Fraction(rng.randint(-2, 2)) for _ in range(rp)]
+        vec = [Fraction(0)] * m
+        for c, b in zip(coeffs, cal_Ep.basis):
+            for i in range(m):
+                vec[i] += c * b[i]
+        mix_rows.append(vec)
+    cal_E = Subspace(m, mix_rows)
+    r = cal_E.dim
+    skew = [[Fraction(0)] * r for _ in range(r)]
+    for i in range(r):
+        for j in range(i + 1, r):
+            c = Fraction(rng.randint(-3, 3))
+            skew[i][j], skew[j][i] = c, -c
+    comp = complement_in(cal_E, cal_Ep)
+    free = [[Fraction(rng.randint(-3, 3)) for _ in range(comp.dim)] for _ in range(r)]
+    # varpi on the RREF basis of cal_E', via coordinates in (cal_E basis, complement basis)
+    mixed_t = Matrix(list(cal_E.basis) + list(comp.basis)).transpose()
+    w = []
+    for i in range(r):
+        row = []
+        for y in cal_Ep.basis:
+            coords = mixed_t.solve(y)
+            val = sum(coords[t] * skew[i][t] for t in range(r))
+            row.append(val + sum(coords[r + t] * free[i][t] for t in range(comp.dim)))
+        w.append(row)
+    varpi = Matrix(w) if w else Matrix.zeros(0, rp)
+    return ref_reconstruct(CharacteristicTriple(m, cal_E, cal_Ep, varpi))
+
+
+def random_triple(rng, m, zero_E=False, full_prime=False):
+    """A characteristic triple with varpi(X, Y) = X.A.Y + sum_t f_t(X) g_t(Y),
+    A skew and every g_t vanishing on cal_E, so varpi is skew on cal_E."""
+    cal_Ep = Subspace.full(m) if full_prime else random_subspace(rng, m)
+    rp = cal_Ep.dim
+    if zero_E:
+        cal_E = Subspace(m)
+    else:
+        cal_E = Subspace(m, [combine([rng.randint(-2, 2) for _ in range(rp)], cal_Ep.basis, m)
+                             for _ in range(rng.randint(0, rp))])
+    A = [[Fraction(0)] * m for _ in range(m)]
+    for i in range(m):
+        for j in range(i + 1, m):
+            A[i][j] = Fraction(rng.randint(-3, 3))
+            A[j][i] = -A[i][j]
+    gs = cal_E.annihilator().basis
+    fs = [[Fraction(rng.randint(-2, 2)) for _ in range(m)] for _ in gs]
+
+    def form(x, y):
+        total = sum(x[i] * A[i][j] * y[j] for i in range(m) for j in range(m))
+        for f, g in zip(fs, gs):
+            total += sum(a * b for a, b in zip(f, x)) * sum(a * b for a, b in zip(g, y))
+        return total
+
+    w = [[form(x, y) for y in cal_Ep.basis] for x in cal_E.basis]
+    return CharacteristicTriple(m, cal_E, cal_Ep, Matrix(w) if w else Matrix.zeros(0, rp))
+
+
+class TestReconstructAgainstReference:
+    def test_random_triples(self):
+        rng = random.Random(30)
+        for i in range(120):
+            t = random_triple(rng, rng.randint(1, 5), zero_E=i % 4 == 0, full_prime=i % 3 == 0)
+            d = reconstruct(t)
+            E, E_prime = ref_reconstruct(t)
+            assert d.E.basis == E.basis and d.E_prime.basis == E_prime.basis
+
+    def test_zero_rank_and_full_prime(self):
+        rng = random.Random(31)
+        for m in range(1, 5):
+            t = random_triple(rng, m, zero_E=True, full_prime=True)
+            d = reconstruct(t)
+            assert (d.E, d.E_prime) == ref_reconstruct(t)
+            # E = ann(cal_E') = 0 and E' = Q^m (+) ann(0) is everything
+            assert d.E == Subspace(2 * m)
+            assert d.E_prime == Subspace.full(2 * m)
+            # with cal_E' = 0 instead, E = 0 (+) (Q^m)* is Dirac
+            t = CharacteristicTriple(m, Subspace(m), Subspace(m), Matrix.zeros(0, 0))
+            dirac = reconstruct(t)
+            assert dirac.E == dirac.E_prime == window(m, (), Matrix.identity(m).entries)
+
+    def test_random_isotropic_keeps_its_stream(self):
+        for seed in range(60):
+            rng, ref_rng = random.Random(seed), random.Random(seed)
+            m = rng.randint(1, 5)
+            assert m == ref_rng.randint(1, 5)
+            d = random_isotropic(rng, m)
+            assert (d.E, d.E_prime) == ref_random_isotropic(ref_rng, m)
+            assert rng.random() == ref_rng.random()
+
+
+class TestWindow:
+    def test_rows_are_placed_in_their_summands(self):
+        assert window(2, [(1, 2)], [(3, 4)]) == span(2, (1, 2, 0, 0), (0, 0, 3, 4))
+        assert window(2, [(1, 2), (2, 4)], []) == span(2, (1, 2, 0, 0))
+        assert window(3, (), ()) == Subspace(6)
+        assert window(3, Matrix.identity(3).entries, Matrix.identity(3).entries) == Subspace.full(6)
+
+    def test_summands_random(self):
+        rng = random.Random(32)
+        for _ in range(40):
+            m = rng.randint(1, 5)
+            T, C = random_subspace(rng, m), random_subspace(rng, m)
+            w = window(m, T.basis, C.basis)
+            assert w.dim == T.dim + C.dim
+            assert tangent_projection(w) == T
+            cotangent = window(m, (), Matrix.identity(m).entries)
+            assert w.intersect(cotangent) == window(m, (), C.basis)
+            # rows need not be independent or reduced
+            assert window(m, list(T.basis) * 2, list(C.basis) + [[0] * m]) == w
