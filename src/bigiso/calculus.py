@@ -528,15 +528,9 @@ def graph_section_P(P: PolyBivector, sigma: PolyOneForm) -> BigSection:
 # tangent lifts
 # --------------------------------------------------------------------------
 
-def _lift_poly(f: Polynomial, tangent: Chart) -> Polynomial:
-    """Interpret a base-chart polynomial on the tangent chart."""
-    m = len(f.vars)
-    return Polynomial(tangent.names, {e + (0,) * m: c for e, c in f.terms.items()})
-
-
 def vertical_lift(X: PolyVectorField, tangent: Chart) -> PolyVectorField:
     m = X.chart.dim
-    comps = [tangent.zero()] * m + [_lift_poly(c, tangent) for c in X.comps]
+    comps = [tangent.zero()] * m + [c.recast(tangent.names) for c in X.comps]
     return PolyVectorField(tangent, comps)
 
 
@@ -547,26 +541,26 @@ def _fibre_derivatives(comps, tangent: Chart) -> list:
     for c in comps:
         acc = tangent.zero()
         for j in range(m):
-            acc = acc + tangent.coordinate(m + j) * _lift_poly(c.derivative(j), tangent)
+            acc = acc + tangent.coordinate(m + j) * c.derivative(j).recast(tangent.names)
         out.append(acc)
     return out
 
 
 def complete_lift(X: PolyVectorField, tangent: Chart) -> PolyVectorField:
     """X^C = X^i d_i + xdot^j (dX^i/dx^j) d_{xdot^i}."""
-    comps = [_lift_poly(c, tangent) for c in X.comps]
+    comps = [c.recast(tangent.names) for c in X.comps]
     return PolyVectorField(tangent, comps + _fibre_derivatives(X.comps, tangent))
 
 
 def vertical_lift_form(alpha: PolyOneForm, tangent: Chart) -> PolyOneForm:
     m = alpha.chart.dim
-    comps = [_lift_poly(c, tangent) for c in alpha.comps] + [tangent.zero()] * m
+    comps = [c.recast(tangent.names) for c in alpha.comps] + [tangent.zero()] * m
     return PolyOneForm(tangent, comps)
 
 
 def complete_lift_form(alpha: PolyOneForm, tangent: Chart) -> PolyOneForm:
     """alpha^C = xdot^j (d alpha_i / dx^j) dx^i + alpha_i dxdot^i."""
-    fibre = [_lift_poly(c, tangent) for c in alpha.comps]
+    fibre = [c.recast(tangent.names) for c in alpha.comps]
     return PolyOneForm(tangent, _fibre_derivatives(alpha.comps, tangent) + fibre)
 
 

@@ -549,7 +549,7 @@ def leaf_pullback(cf: CanonicalFrame) -> Matrix:
         ]
     except ZeroDivisionError as exc:
         raise NormalizationError(f"canonical coefficients blow up on the leaf: {exc}")
-    mat = Matrix(entries) if entries else Matrix(())
+    mat = Matrix(entries)
     for a in range(cf.r):
         for b in range(cf.r):
             if not (mat[a, b] + mat[b, a]).is_zero():
@@ -689,34 +689,18 @@ def _clear_denominators(comps):
     return [(c * scale) for c in comps]
 
 
-def _project_polynomial(p: Polynomial, sub_chart: Chart, index_map) -> Polynomial:
-    terms = {}
-    for exps, coeff in p.terms.items():
-        new = [0] * sub_chart.dim
-        for full_idx, e in enumerate(exps):
-            if e == 0:
-                continue
-            if full_idx not in index_map:
-                raise NormalizationError("restricted component still uses a leaf coordinate")
-            new[index_map[full_idx]] = e
-        terms[tuple(new)] = coeff
-    return Polynomial(sub_chart.names, terms)
-
-
 def _row_to_section(sub_chart: Chart, row) -> BigSection:
     n = sub_chart.dim
     # rows arrive as rational functions over the FULL chart but only using
     # slice coordinates; project them onto the slice polynomial ring
-    full_vars = row[0].vars
-    index_map = {}
-    for i, name in enumerate(full_vars):
-        if name in sub_chart.names:
-            index_map[i] = sub_chart.index(name)
     polys = []
     for entry in row:
         if not entry.is_polynomial():
             raise NormalizationError("transversal components must be polynomial after clearing denominators")
-        polys.append(_project_polynomial(entry.as_polynomial(), sub_chart, index_map))
+        try:
+            polys.append(entry.as_polynomial().recast(sub_chart.names))
+        except ValueError:
+            raise NormalizationError("restricted component still uses a leaf coordinate") from None
     return BigSection(
         PolyVectorField(sub_chart, polys[:n]), PolyOneForm(sub_chart, polys[n:])
     )

@@ -40,18 +40,19 @@ def _complexity(entry) -> int:
 
 
 class Matrix:
-    """Immutable dense matrix over an exact field."""
+    """Immutable dense matrix over an exact field.
+
+    The rows fix the width; ``cols`` gives the width of a matrix with no
+    rows (0 when omitted) and, when given, must match the rows.
+    """
 
     __slots__ = ("rows", "cols", "entries")
 
-    def __init__(self, entries: Sequence[Sequence]):
+    def __init__(self, entries: Sequence[Sequence], cols: int | None = None):
         entries = tuple(tuple(row) for row in entries)
-        if entries:
-            width = len(entries[0])
-            if any(len(r) != width for r in entries):
-                raise ValueError("ragged rows")
-        else:
-            width = 0
+        width = len(entries[0]) if entries else (cols or 0)
+        if any(len(r) != width for r in entries) or cols not in (None, width):
+            raise ValueError("ragged rows")
         object.__setattr__(self, "entries", entries)
         object.__setattr__(self, "rows", len(entries))
         object.__setattr__(self, "cols", width)
@@ -66,7 +67,7 @@ class Matrix:
 
     @classmethod
     def zeros(cls, rows: int, cols: int, zero=Fraction(0)) -> "Matrix":
-        return cls([[zero] * cols for _ in range(rows)])
+        return cls([[zero] * cols for _ in range(rows)], cols)
 
     def row(self, i) -> tuple:
         return self.entries[i]
@@ -75,17 +76,17 @@ class Matrix:
         return tuple(r[j] for r in self.entries)
 
     def transpose(self) -> "Matrix":
-        return Matrix([self.column(j) for j in range(self.cols)])
+        return Matrix([self.column(j) for j in range(self.cols)], self.rows)
 
     def __getitem__(self, ij):
         i, j = ij
         return self.entries[i][j]
 
     def __eq__(self, other):
-        return isinstance(other, Matrix) and self.entries == other.entries
+        return isinstance(other, Matrix) and (self.cols, self.entries) == (other.cols, other.entries)
 
     def __hash__(self):
-        return hash(self.entries)
+        return hash((self.cols, self.entries))
 
     def __mul__(self, other: "Matrix") -> "Matrix":
         if self.cols != other.rows:
@@ -100,7 +101,7 @@ class Matrix:
                     acc = term if acc is None else acc + term
                 row.append(acc if acc is not None else Fraction(0))
             out.append(row)
-        return Matrix(out)
+        return Matrix(out, other.cols)
 
     def __add__(self, other: "Matrix") -> "Matrix":
         if (self.rows, self.cols) != (other.rows, other.cols):
@@ -109,7 +110,8 @@ class Matrix:
             [
                 [a + b for a, b in zip(r1, r2)]
                 for r1, r2 in zip(self.entries, other.entries)
-            ]
+            ],
+            self.cols,
         )
 
     def __sub__(self, other: "Matrix") -> "Matrix":
@@ -119,11 +121,12 @@ class Matrix:
             [
                 [a - b for a, b in zip(r1, r2)]
                 for r1, r2 in zip(self.entries, other.entries)
-            ]
+            ],
+            self.cols,
         )
 
     def scale(self, c) -> "Matrix":
-        return Matrix([[e * c for e in row] for row in self.entries])
+        return Matrix([[e * c for e in row] for row in self.entries], self.cols)
 
     def apply(self, vector: Sequence) -> tuple:
         if len(vector) != self.cols:
@@ -137,13 +140,9 @@ class Matrix:
             out.append(acc if acc is not None else Fraction(0))
         return tuple(out)
 
-    def stack(self, other: "Matrix") -> "Matrix":
-        if other.rows and self.rows and other.cols != self.cols:
-            raise ValueError("column mismatch")
-        return Matrix(self.entries + other.entries)
-
     def submatrix(self, row_idx: Iterable[int], col_idx: Iterable[int]) -> "Matrix":
-        return Matrix([[self.entries[i][j] for j in col_idx] for i in row_idx])
+        col_idx = list(col_idx)
+        return Matrix([[self.entries[i][j] for j in col_idx] for i in row_idx], len(col_idx))
 
     def rref(self):
         """Reduced row echelon form.
@@ -327,13 +326,9 @@ class Subspace:
         for row in rows:
             if len(row) != ambient_dim:
                 raise ValueError("vector length does not match ambient dimension")
-        if rows:
-            red, _, rank = Matrix(rows).rref()
-            basis = tuple(red.entries[:rank])
-        else:
-            basis = ()
+        red, _, rank = Matrix(rows, ambient_dim).rref()
         object.__setattr__(self, "ambient_dim", ambient_dim)
-        object.__setattr__(self, "basis", basis)
+        object.__setattr__(self, "basis", tuple(red.entries[:rank]))
 
     def __setattr__(self, *_):
         raise AttributeError("Subspace is immutable")
@@ -347,12 +342,11 @@ class Subspace:
         return len(self.basis)
 
     def basis_matrix(self) -> Matrix:
-        return Matrix(self.basis) if self.basis else Matrix.zeros(0, self.ambient_dim)
+        return Matrix(self.basis, self.ambient_dim)
 
     def equations(self) -> Matrix:
         """Rows e with: v in self  iff  e . v = 0 for every row."""
-        rows = self.basis_matrix().kernel_rows() if self.basis else Matrix.identity(self.ambient_dim).entries
-        return Matrix(rows) if rows else Matrix.zeros(0, self.ambient_dim)
+        return Matrix(self.basis_matrix().kernel_rows(), self.ambient_dim)
 
     def contains(self, vector: Sequence) -> bool:
         vector = tuple(as_fraction(x) for x in vector)
@@ -378,9 +372,7 @@ class Subspace:
 
     def intersect(self, other: "Subspace") -> "Subspace":
         self._check_ambient(other)
-        eqs = Matrix(list(self.equations().entries) + list(other.equations().entries))
-        if eqs.rows == 0:
-            return Subspace.full(self.ambient_dim)
+        eqs = Matrix(self.equations().entries + other.equations().entries, self.ambient_dim)
         return Subspace(self.ambient_dim, eqs.kernel_rows())
 
     def complement_in(self, outer: "Subspace") -> "Subspace":
@@ -391,8 +383,7 @@ class Subspace:
         self._check_ambient(outer)
         if not outer.contains_subspace(self):
             raise ValueError("inner subspace is not contained in the outer one")
-        current = list(self.basis)
-        rank = Matrix(current).rank() if current else 0
+        current, rank = list(self.basis), self.dim
         chosen = []
         for row in outer.basis:
             trial = current + [row]

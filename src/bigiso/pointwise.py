@@ -219,7 +219,7 @@ def characteristic_triple(data: IsotropicData) -> CharacteristicTriple:
                 raise GeometryError("varpi is not well defined (input not isotropic?)")
             row.append(a_y)
         w.append(row)
-    return CharacteristicTriple(m, cal_E, cal_Ep, Matrix(w) if w else Matrix.zeros(0, cal_Ep.dim))
+    return CharacteristicTriple(m, cal_E, cal_Ep, Matrix(w, cal_Ep.dim))
 
 
 def covector_lift(space: Subspace, x_vec) -> tuple:
@@ -236,7 +236,7 @@ def _graph_over(m: int, base, partner, W) -> Subspace:
     r = len(base)
     # unknowns (c_1..c_r, alpha_1..alpha_m), one equation per partner row
     eq_rows = [[-W[i][j] for i in range(r)] + list(p) for j, p in enumerate(partner)]
-    sol = Matrix(eq_rows).kernel_rows() if eq_rows else Matrix.identity(r + m).entries
+    sol = Matrix(eq_rows, r + m).kernel_rows()
     return Subspace(2 * m, [combine(v[:r], base, m) + tuple(v[r:]) for v in sol])
 
 
@@ -316,5 +316,5 @@ def random_isotropic(rng, m: int) -> IsotropicData:
                     val += coords[j][r + t] * free[i][t]
                 row.append(val)
             w.append(row)
-    varpi = Matrix(w) if w else Matrix.zeros(0, rp)
+    varpi = Matrix(w, rp)
     return reconstruct(CharacteristicTriple(m, cal_E, cal_Ep, varpi))

@@ -101,8 +101,7 @@ class SubmanifoldData:
 
     def normal_equations(self) -> Matrix:
         """Rows annihilating the image of the differential (ann TN)."""
-        rows = self.differential.matrix.transpose().kernel_rows()
-        return Matrix(rows) if rows else Matrix(())
+        return Matrix(self.differential.matrix.transpose().kernel_rows(), self.ambient.dim)
 
 
 def _aligned_names(ambient: Chart, basis) -> tuple | None:
@@ -136,8 +135,8 @@ class FoliationData:
         return Chart(tuple(self.chart.names[i] for i in self.base))
 
     def projection(self) -> LinearMap:
-        rows = [[1 if j == i else 0 for j in range(self.chart.dim)] for i in self.base]
-        return LinearMap.from_rows(rows)
+        n = self.chart.dim
+        return LinearMap(n, len(self.base), Matrix.identity(n).submatrix(self.base, range(n)))
 
     def fibre_fields(self) -> list:
         return [PolyVectorField.coordinate(self.chart, i) for i in self.fibre]
@@ -348,19 +347,8 @@ def _projectable_form(frame: Sequence[BigSection], F: FoliationData):
 
 def _push_section(sec: BigSection, F: FoliationData) -> BigSection:
     quotient = F.quotient_chart()
-    images = {new_i: old_i for new_i, old_i in enumerate(F.base)}
-
-    def project(p: Polynomial) -> Polynomial:
-        terms = {}
-        for exps, coeff in p.terms.items():
-            new = [0] * quotient.dim
-            for new_i, old_i in images.items():
-                new[new_i] = exps[old_i]
-            terms[tuple(new)] = coeff
-        return Polynomial(quotient.names, terms)
-
-    v = [project(sec.vf.comps[i]) for i in F.base]
-    w = [project(sec.of.comps[i]) for i in F.base]
+    v = [sec.vf.comps[i].recast(quotient.names) for i in F.base]
+    w = [sec.of.comps[i].recast(quotient.names) for i in F.base]
     return BigSection(PolyVectorField(quotient, v), PolyOneForm(quotient, w))
 
 

@@ -292,6 +292,22 @@ class Polynomial:
                 terms[key] = acc
         return Polynomial(self.vars, terms)
 
+    def recast(self, vars: Sequence[str]) -> "Polynomial":
+        """The same polynomial over another variable tuple, matching
+        variables by name; raises ValueError if a variable that occurs is
+        missing from ``vars``, so no two terms can land on one monomial."""
+        vars = tuple(vars)
+        terms = {}
+        for exps, coeff in self.terms.items():
+            new = [0] * len(vars)
+            for name, e in zip(self.vars, exps):
+                if e:
+                    if name not in vars:
+                        raise ValueError(f"variable {name} of {self} is not among {vars}")
+                    new[vars.index(name)] = e
+            terms[tuple(new)] = coeff
+        return Polynomial._canonical(vars, terms)
+
     # ---- division ---------------------------------------------------------
     def leading(self):
         """Leading (exponents, coefficient) in graded-lex order."""

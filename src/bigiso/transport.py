@@ -74,28 +74,26 @@ def _check_ambient(space: Subspace, dim: int, what: str):
         raise GeometryError(f"{what}: expected ambient dimension {2 * dim}, got {space.ambient_dim}")
 
 
-def _pull(Mt: Matrix, m: int, eq_rows) -> list:
+def _pull(Mt: Matrix, eq_rows) -> list:
     """Rows spanning {(X, Mt a) : (M X, a) is annihilated by eq_rows}, where
-    Mt is the n x m transpose of M: Q^n -> Q^m and eq_rows have length 2m
-    (m is passed because a matrix with no rows does not record its width)."""
-    n = Mt.rows
+    Mt is the n x m transpose of M: Q^n -> Q^m and eq_rows have length 2m."""
+    n, m = Mt.rows, Mt.cols
     # unknowns (X, a) in Q^{n+m}: e . (M X, a) = (Mt e_tan) . X + e_cot . a
     rows = [Mt.apply(e[:m]) + tuple(e[m:]) for e in eq_rows]
-    solutions = Matrix(rows).kernel_rows() if rows else Matrix.identity(n + m).entries
-    return [tuple(sol[:n]) + Mt.apply(sol[n:]) for sol in solutions]
+    return [tuple(sol[:n]) + Mt.apply(sol[n:]) for sol in Matrix(rows, n + m).kernel_rows()]
 
 
 def pullback_subspace(L: LinearMap, E: Subspace) -> Subspace:
     """{(X, L^T a) : (L X, a) in E} as a subspace of Q^{2n}."""
     _check_ambient(E, L.m, "pullback")
-    return Subspace(2 * L.n, _pull(L.matrix.transpose(), L.m, E.equations().entries))
+    return Subspace(2 * L.n, _pull(L.matrix.transpose(), E.equations().entries))
 
 
 def pushforward_subspace(L: LinearMap, E: Subspace) -> Subspace:
     """{(L X, a) : (X, L^T a) in E} as a subspace of Q^{2m}: the pullback
     through L^T, conjugated by the swap."""
     _check_ambient(E, L.n, "pushforward")
-    pulled = _pull(L.matrix, L.n, swap_halves(E.equations().entries))
+    pulled = _pull(L.matrix, swap_halves(E.equations().entries))
     return Subspace(2 * L.m, swap_halves(pulled))
 
 

@@ -222,6 +222,32 @@ def check_pivots_and_canonicity(rng):
         assert mixed.pivot_columns() == pivots
 
 
+class TestShapeWithoutRows:
+    def test_width_is_kept(self):
+        assert (Matrix.zeros(0, 3).rows, Matrix.zeros(0, 3).cols) == (0, 3)
+        assert Matrix((), 3) == Matrix.zeros(0, 3) != Matrix(())
+        assert (Matrix([(), ()]).transpose().rows, Matrix([(), ()]).transpose().cols) == (0, 2)
+        assert Matrix.zeros(0, 3).transpose() == Matrix([(), (), ()])
+        assert (Matrix.zeros(2, 0) * Matrix.zeros(0, 3)) == Matrix.zeros(2, 3)
+        assert (Matrix.zeros(0, 2) * Matrix.zeros(2, 3)).cols == 3
+        assert Matrix.identity(3).submatrix([], range(3)) == Matrix.zeros(0, 3)
+
+    def test_given_width_must_match_the_rows(self):
+        assert Matrix([[1, 2]], 2).cols == 2
+        with pytest.raises(ValueError):
+            Matrix([[1, 2]], 3)
+
+    def test_kernel_of_no_equations_is_everything(self):
+        assert Matrix.zeros(0, 3).kernel_rows() == list(Matrix.identity(3).entries)
+        assert kernel(Matrix.zeros(0, 2)) == Subspace.full(2)
+
+    def test_equations_of_full_and_zero_spaces(self):
+        assert Subspace.full(3).equations() == Matrix.zeros(0, 3)
+        assert Subspace(3).equations() == Matrix.identity(3)
+        assert Subspace(3).basis_matrix() == Matrix.zeros(0, 3)
+        assert Subspace.full(3).intersect(Subspace.full(3)) == Subspace.full(3)
+
+
 class TestPivotColumns:
     def test_match_rref_on_random_rational_matrices(self):
         for seed in range(300):

@@ -167,6 +167,19 @@ class TestCli:
         assert red["certificate"]["quotient_chart"] == ["x1", "x2"]
         assert red["certificate"]["poisson_condition"] is True
 
+    def test_reduce_to_a_point(self, tmp_path):
+        # fibres along every coordinate: the quotient chart is empty
+        doc = tmp_path / "point.bis"
+        doc.write_text(
+            "chart x y\n\nE:\n  (1, 0 | 0, 0)\n  (0, 1 | 0, 0)\n\n"
+            "E_prime:\n  (1, 0 | 0, 0)\n  (0, 1 | 0, 0)\n\n"
+            "submanifold: x = x\nfoliation: x y\n"
+        )
+        code, out = self.run("reduce", str(doc))
+        assert code == 0
+        red = [c for c in json.loads(out)["checks"] if c["name"] == "reduction pipeline"][0]
+        assert red["verdict"] == "pass" and red["certificate"]["quotient_chart"] == []
+
     def test_input_error_exit_code(self, tmp_path):
         bad = tmp_path / "bad.bis"
         bad.write_text("chart x\nE:\n  (y | 0)\n")

@@ -236,6 +236,17 @@ class TestReduce:
         for pt in [(0, 0, 0), (1, 2, -1)]:
             assert pushforward_subspace(proj, s.evaluate_at(pt).E) == d.E
 
+    def test_quotient_is_a_point(self):
+        # fibres fill the chart: the projection is the map Q^2 -> Q^0
+        chart = Chart(("x", "y"))
+        s = structure_from_components(chart, [(1, 0, 0, 0), (0, 1, 0, 0)], [(1, 0, 0, 0), (0, 1, 0, 0)])
+        F = FoliationData(chart, fibre=(0, 1))
+        proj = F.projection()
+        assert (proj.n, proj.m, proj.matrix.rows, proj.matrix.cols) == (2, 0, 0, 2)
+        result = reduce_structure(s, SubmanifoldData.identity(chart), F)
+        assert result.quotient.chart.names == () and result.quotient.k == 0
+        assert result.reducibility.ok and result.projectability.ok and result.poisson_condition
+
     def test_reducibility_failure_raises(self, poisson_4d, hyperplane):
         F = FoliationData(hyperplane.sub, fibre=(0,))
         with pytest.raises(ReductionError):

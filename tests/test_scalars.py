@@ -192,6 +192,83 @@ def test_eval_rejects_bad_points():
             p.eval(ScaledPoint([1]))
 
 
+# The three exponent-remap helpers that Polynomial.recast replaced, kept as
+# oracles: the tangent-chart lift, the slice projection of canonical frames
+# and the quotient projection of reduction.
+def lift_poly_oracle(f, names):
+    m = len(f.vars)
+    return Polynomial(names, {e + (0,) * m: c for e, c in f.terms.items()})
+
+
+def project_polynomial_oracle(p, sub_names):
+    index_map = {i: sub_names.index(n) for i, n in enumerate(p.vars) if n in sub_names}
+    terms = {}
+    for exps, coeff in p.terms.items():
+        new = [0] * len(sub_names)
+        for full_idx, e in enumerate(exps):
+            if e == 0:
+                continue
+            if full_idx not in index_map:
+                raise LookupError("restricted component still uses a leaf coordinate")
+            new[index_map[full_idx]] = e
+        terms[tuple(new)] = coeff
+    return Polynomial(sub_names, terms)
+
+
+def push_project_oracle(p, base):
+    names = tuple(p.vars[i] for i in base)
+    terms = {}
+    for exps, coeff in p.terms.items():
+        terms[tuple(exps[i] for i in base)] = coeff
+    return Polynomial(names, terms)
+
+
+class TestRecast:
+    def test_matches_the_tangent_lift(self):
+        rng = random.Random(31)
+        names = W + tuple(f"{n}_dot" for n in W)
+        for _ in range(200):
+            p = random_polynomial(rng)
+            lifted = p.recast(names)
+            assert lifted == lift_poly_oracle(p, names)
+            assert lifted.recast(W) == p
+
+    def test_matches_the_slice_projection_or_raises_where_it_does(self):
+        rng = random.Random(32)
+        for _ in range(300):
+            p = random_polynomial(rng)
+            sub = rng.sample(W, rng.randint(0, 3))
+            try:
+                expected = project_polynomial_oracle(p, tuple(sub))
+            except LookupError:
+                with pytest.raises(ValueError, match="is not among"):
+                    p.recast(sub)
+            else:
+                assert p.recast(sub) == expected and p.recast(sub).vars == tuple(sub)
+
+    def test_matches_the_quotient_projection_off_the_fibres(self):
+        rng = random.Random(33)
+        for _ in range(300):
+            base = sorted(rng.sample(range(3), rng.randint(0, 3)))
+            fibre = {i: Fraction(0) for i in range(3) if i not in base}
+            p = random_polynomial(rng).set_vars(fibre)
+            names = tuple(W[i] for i in base)
+            assert p.recast(names) == push_project_oracle(p, base)
+
+    def test_raises_instead_of_merging_terms(self):
+        p = Polynomial(W, {(1, 0, 0): 1, (0, 0, 1): 2})
+        assert push_project_oracle(p, [1]) == Polynomial(("y",), {(0,): 2})
+        with pytest.raises(ValueError, match="variable x"):
+            p.recast(("y",))
+
+    def test_result_is_canonical(self):
+        rng = random.Random(34)
+        for _ in range(100):
+            p = random_polynomial(rng).recast(("z", "q", "y", "x"))
+            assert p == Polynomial(p.vars, p.terms)
+            assert all(type(c) is Fraction and c != 0 for c in p.terms.values())
+
+
 class TestRationalFunction:
     def test_product_with_inverse_is_one(self):
         p = x() ** 2 + y()

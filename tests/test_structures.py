@@ -11,18 +11,23 @@ from bigiso.calculus import (
     PolyOneForm,
     PolyTwoForm,
     PolyVectorField,
+    courant_bracket,
     d_function,
+    lie_bracket,
+    lie_derivative_oneform,
+    pairing_sections,
     sharp,
 )
 from bigiso import fixtures
 from bigiso.grid import default_grid
 from bigiso.linalg import Subspace
-from bigiso.membership import in_span
+from bigiso.membership import in_span, span_test
 from bigiso.parser import parse_document
 from bigiso.pointwise import GeometryError, IsotropicData
 from bigiso.scalars import Polynomial
 from bigiso.structures import (
     BigIsotropicStructure,
+    _axiom_test_functions,
     StructureError,
     check_P_conditions,
     check_integrability,
@@ -51,6 +56,98 @@ def rand_poly_deg1(rng, chart):
         e[i] = 1
         terms[tuple(e)] = Fraction(rng.randint(-2, 2))
     return Polynomial(chart.names, terms)
+
+
+def enlargement_reference(s):
+    """The enlargement axioms by their direct bracket forms: scaled brackets
+    for axiom 2 and nested brackets for axiom 3."""
+    failures = []
+    f, h = _axiom_test_functions(s.chart)
+    for i, a in enumerate(s.e_frame):
+        for j, b in enumerate(s.e_prime_frame):
+            br = courant_bracket(a, b)
+            anchored = lie_bracket(a.vf, b.vf)
+            if not (br.vf - anchored).is_zero():
+                failures.append((f"axiom 1 fails on ({i},{j})", br.vf - anchored))
+            lhs = courant_bracket(a.scale(f), b.scale(h))
+            rhs = br.scale(f * h) + b.scale(f * a.vf.apply(h)) - a.scale(h * b.vf.apply(f))
+            if not (lhs - rhs).is_zero():
+                failures.append((f"axiom 2 fails on ({i},{j})", lhs - rhs))
+    for i1, a1 in enumerate(s.e_frame):
+        for i2, a2 in enumerate(s.e_frame):
+            for j, b in enumerate(s.e_prime_frame):
+                lhs = courant_bracket(a1, courant_bracket(a2, b))
+                rhs = courant_bracket(courant_bracket(a1, a2), b) + courant_bracket(
+                    a2, courant_bracket(a1, b)
+                )
+                if not (lhs - rhs).is_zero():
+                    failures.append((f"axiom 3 fails on ({i1},{i2},{j})", lhs - rhs))
+    return [(message, str(payload)) for message, payload in failures]
+
+
+def coanchor_reference(s):
+    """The co-anchor conditions with condition ii compared against the
+    bracket [e_i, e'_j] itself."""
+    failures = []
+    for i, a in enumerate(s.e_frame):
+        for j, b in enumerate(s.e_prime_frame):
+            sym = a.of.pair(b.vf) + b.of.pair(a.vf)
+            if not sym.is_zero():
+                failures.append((f"condition i fails on ({i},{j})", sym))
+            br = courant_bracket(a, b)
+            expect = (
+                lie_derivative_oneform(a.vf, b.of)
+                - lie_derivative_oneform(b.vf, a.of)
+                + d_function(a.of.pair(b.vf), s.chart)
+            )
+            if not (br.of - expect).is_zero():
+                failures.append((f"condition ii fails on ({i},{j})", br.of - expect))
+    return [(message, str(payload)) for message, payload in failures]
+
+
+def regular_criterion_reference(s):
+    """The regular-case criterion with one bracket per (pair, E' section)."""
+    failures = []
+    in_cal_e = span_test([sec.vf.comps for sec in s.e_frame])
+    in_cal_ep = span_test([sec.vf.comps for sec in s.e_prime_frame])
+    for i, j in combinations(range(s.k), 2):
+        ok, witness = in_cal_e(lie_bracket(s.e_frame[i].vf, s.e_frame[j].vf).comps)
+        if not ok:
+            failures.append((f"tangent projection not involutive at pair ({i},{j})", witness))
+    for i in range(s.k):
+        for j in range(len(s.e_prime_frame)):
+            ok, witness = in_cal_ep(lie_bracket(s.e_frame[i].vf, s.e_prime_frame[j].vf).comps)
+            if not ok:
+                failures.append((f"characteristic module not invariant at ({i},{j})", witness))
+    for i, j in combinations(range(s.k), 2):
+        for l, c in enumerate(s.e_prime_frame):
+            val = pairing_sections(courant_bracket(s.e_frame[i], s.e_frame[j]), c) * 2
+            if not val.is_zero():
+                failures.append((f"truncated differential nonzero on ({i},{j};{l})", val))
+    return [(message, str(payload)) for message, payload in failures]
+
+
+def random_unchecked_structure(rng, m, k):
+    """Random degree-1 frames of sizes k and 2m - k, not isotropic, built
+    without validation."""
+    chart = Chart(tuple(f"x{i}" for i in range(m)))
+
+    def section():
+        vf = PolyVectorField(chart, [rand_poly_deg1(rng, chart) for _ in range(m)])
+        return BigSection(vf, PolyOneForm(chart, [rand_poly_deg1(rng, chart) for _ in range(m)]))
+
+    e = [section() for _ in range(k)]
+    return BigIsotropicStructure.build(chart, e, [section() for _ in range(2 * m - k)], validate=False)
+
+
+def counting_brackets(monkeypatch):
+    import bigiso.structures
+
+    calls = []
+    monkeypatch.setattr(
+        bigiso.structures, "courant_bracket", lambda *a: calls.append(a) or courant_bracket(*a)
+    )
+    return calls
 
 
 class TestMembership:
@@ -559,33 +656,8 @@ class TestAxioms:
 
     def test_enlargement_computes_each_bracket_once(self, monkeypatch):
         """Same verdict, failures and order as the bracket-per-term loop,
-        with 2kn + k^2 + 2k^2 n brackets (n = 2m - k) instead of 2kn + 5k^2 n."""
+        with kn + k^2 brackets (n = 2m - k) instead of 2kn + 5k^2 n."""
         import bigiso.structures
-        from bigiso.calculus import courant_bracket, lie_bracket
-
-        def reference(s):
-            failures = []
-            f, h = bigiso.structures._axiom_test_functions(s.chart)
-            for i, a in enumerate(s.e_frame):
-                for j, b in enumerate(s.e_prime_frame):
-                    br = courant_bracket(a, b)
-                    anchored = lie_bracket(a.vf, b.vf)
-                    if not (br.vf - anchored).is_zero():
-                        failures.append((f"axiom 1 fails on ({i},{j})", br.vf - anchored))
-                    lhs = courant_bracket(a.scale(f), b.scale(h))
-                    rhs = br.scale(f * h) + b.scale(f * a.vf.apply(h)) - a.scale(h * b.vf.apply(f))
-                    if not (lhs - rhs).is_zero():
-                        failures.append((f"axiom 2 fails on ({i},{j})", lhs - rhs))
-            for i1, a1 in enumerate(s.e_frame):
-                for i2, a2 in enumerate(s.e_frame):
-                    for j, b in enumerate(s.e_prime_frame):
-                        lhs = courant_bracket(a1, courant_bracket(a2, b))
-                        rhs = courant_bracket(courant_bracket(a1, a2), b) + courant_bracket(
-                            a2, courant_bracket(a1, b)
-                        )
-                        if not (lhs - rhs).is_zero():
-                            failures.append((f"axiom 3 fails on ({i1},{i2},{j})", lhs - rhs))
-            return [(message, str(payload)) for message, payload in failures]
 
         # graph of a non-Poisson P with one frame row mixed: axiom 3 fails twice
         chart = Chart(("x1", "x2", "x3", "x4"))
@@ -598,13 +670,58 @@ class TestAxioms:
             bigiso.structures, "courant_bracket", lambda *a: calls.append(a) or courant_bracket(*a)
         )
         verdict = verify_modular_enlargement(mixed)
-        assert [(m, str(p)) for m, p in verdict.failures] == reference(mixed)
+        assert [(m, str(p)) for m, p in verdict.failures] == enlargement_reference(mixed)
         assert [m for m, _ in verdict.failures] == [
             "axiom 3 fails on (0,3,0)",
             "axiom 3 fails on (3,0,0)",
         ]
         k, n = 4, 4
-        assert len(calls) == 2 * k * n + k * k + 2 * k * k * n
+        assert len(calls) == k * n + k * k
+
+    def test_enlargement_and_coanchor_match_the_bracket_forms_unvalidated(self, monkeypatch):
+        """Random frames that are neither isotropic nor orthogonal, built
+        with validate=False: verdicts and certificates equal the direct
+        bracket forms, with kn + k^2 brackets and none for the co-anchor."""
+        rng = random.Random(71)
+        labels = set()
+        for m, k in ((2, 1), (2, 2), (3, 1), (3, 3), (4, 1)):
+            s = random_unchecked_structure(rng, m, k)
+            n = 2 * m - k
+            calls = counting_brackets(monkeypatch)
+            enlargement, coanchor = verify_modular_enlargement(s), verify_coanchor(s)
+            assert len(calls) == k * n + k * k
+            monkeypatch.undo()
+            assert [(msg, str(p)) for msg, p in enlargement.failures] == enlargement_reference(s)
+            assert [(msg, str(p)) for msg, p in coanchor.failures] == coanchor_reference(s)
+            assert enlargement.ok == (not enlargement.failures) and coanchor.ok == (not coanchor.failures)
+            labels |= {msg.split(" fails")[0] for msg, _ in enlargement.failures + coanchor.failures}
+        assert labels == {"axiom 2", "axiom 3", "condition i", "condition ii"}
+
+    def test_constant_nonzero_pairing(self):
+        """g(a, b) = 1/2 everywhere: condition i fails and condition ii
+        passes; axiom 2 fails on that pair only and axiom 3 holds."""
+        chart = Chart(("x", "y"))
+        s = structure_from_components(
+            chart,
+            e_rows=[(1, 0, 0, 0)],
+            ep_rows=[(1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0)],
+            validate=False,
+        )
+        coanchor = verify_coanchor(s)
+        assert [msg for msg, _ in coanchor.failures] == ["condition i fails on (0,2)"]
+        assert [(msg, str(p)) for msg, p in coanchor.failures] == coanchor_reference(s)
+        enlargement = verify_modular_enlargement(s)
+        assert [msg for msg, _ in enlargement.failures] == ["axiom 2 fails on (0,2)"]
+        assert [(msg, str(p)) for msg, p in enlargement.failures] == enlargement_reference(s)
+
+    def test_regular_criterion_brackets_each_pair_once(self, monkeypatch, nonintegrable_theta_structure):
+        rng = random.Random(72)
+        for s in [nonintegrable_theta_structure] + [random_unchecked_structure(rng, m, 2) for m in (2, 3, 4)]:
+            calls = counting_brackets(monkeypatch)
+            verdict = regular_integrability_criterion(s)
+            assert len(calls) == s.k * (s.k - 1) // 2
+            monkeypatch.undo()
+            assert [(msg, str(p)) for msg, p in verdict.failures] == regular_criterion_reference(s)
 
 
 class TestRegularCriterion:

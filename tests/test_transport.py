@@ -57,6 +57,14 @@ class TestPullback:
             pullback_subspace(L, Subspace(2))
 
 
+    def test_map_from_a_point(self):
+        # L: Q^0 -> Q^2 has no columns; the pullback lands in V (+) V* of Q^0
+        L = LinearMap(0, 2, Matrix([[]] * 2))
+        assert pullback_subspace(L, span(2, (1, 0, 0, 0), (0, 1, 0, 0))) == Subspace(0)
+        assert pullback_subspace(L, Subspace.full(4)) == Subspace(0)
+        assert pushforward_subspace(L, Subspace(0)) == span(2, (0, 0, 1, 0), (0, 0, 0, 1))
+
+
 class TestPushforward:
     def test_projection_kills_vertical(self):
         L = LinearMap.from_rows([[1, 0]])  # (x, y) -> x
