@@ -3,17 +3,19 @@
 Everything is deterministic: reduced row echelon form gives each subspace a
 unique representative, so subspace equality is plain tuple equality.  Matrix
 entries may be Fractions or RationalFunctions; both support +, -, *, / and
-compare equal to 0 exactly.  Rank and pivot columns of a rational matrix are
-found by fraction-free elimination over the integers.
+compare equal to 0 exactly.  The RREF, rank and pivot columns of a rational
+matrix come from one fraction-free elimination over the integers.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import lcm
+from math import gcd, lcm
 from typing import Iterable, Sequence
 
 from .scalars import Polynomial, RationalFunction, as_fraction
+
+_ZERO = Fraction(0)
 
 
 def zero_like(entry):
@@ -35,7 +37,7 @@ def one_like(entry):
 def _complexity(entry) -> int:
     # pivot-selection heuristic: prefer structurally simple entries
     if isinstance(entry, RationalFunction):
-        return len(entry.num.terms) + len(entry.den.terms)
+        return len(entry.num.nums) + len(entry.den.nums)
     return 1
 
 
@@ -144,16 +146,74 @@ class Matrix:
         col_idx = list(col_idx)
         return Matrix([[self.entries[i][j] for j in col_idx] for i in row_idx], len(col_idx))
 
+    def _integer_rref(self):
+        """Fraction-free Gauss-Jordan elimination of a matrix of Fractions and
+        ints, or None when another kind of entry occurs.
+
+        Each row is scaled to integers by the lcm of its denominators, which
+        changes neither the row space nor the pivot columns.  For each pivot p
+        in column c (the first nonzero entry at or below the current row),
+        every other row with an entry f there becomes p * row - f * pivot row,
+        divided by its content so that the integers stay small; rows with no
+        entry in column c are untouched.  Returns (rows, pivots): dividing
+        each pivot row by its pivot gives the unique RREF.
+        """
+        kinds = {type(e) for row in self.entries for e in row}
+        if not all(issubclass(k, (Fraction, int)) for k in kinds):
+            return None
+        rows = []
+        for row in self.entries:
+            dens = [e.denominator for e in row]
+            d = lcm(*dens)
+            if d == 1:
+                rows.append([e.numerator for e in row])
+            else:
+                rows.append([e.numerator * (d // q) for e, q in zip(row, dens)])
+        n_rows = self.rows
+        pivots = []
+        for c in range(self.cols):
+            r = len(pivots)
+            if r == n_rows:
+                break
+            i = next((i for i in range(r, n_rows) if rows[i][c]), None)
+            if i is None:
+                continue
+            rows[r], rows[i] = rows[i], rows[r]
+            top = rows[r]
+            p = top[c]
+            for i2 in range(n_rows):
+                f = rows[i2][c]
+                if f and i2 != r:
+                    row = [p * a - f * b for a, b in zip(rows[i2], top)]
+                    g = gcd(*row)
+                    rows[i2] = [a // g for a in row] if g > 1 else row
+            pivots.append(c)
+        return rows, tuple(pivots)
+
     def rref(self):
         """Reduced row echelon form.
 
-        Returns (rref_matrix, pivot_columns, rank).  Pivot selection inside a
-        column prefers structurally simple entries (keeps rational-function
-        intermediates small) with the row index as tie break, so the result
-        is deterministic.
+        Returns (rref_matrix, pivot_columns, rank).  A matrix of Fractions and
+        ints is eliminated over the integers (_integer_rref), and each entry
+        is divided by its row's pivot once at the end.  Other entries
+        (RationalFunction, Polynomial) are eliminated over their field, where
+        pivot selection inside a column prefers structurally simple entries
+        (keeps rational-function intermediates small) with the row index as
+        tie break, so the result is deterministic.
         """
         if self.rows == 0 or self.cols == 0:
             return self, (), 0
+        eliminated = self._integer_rref()
+        if eliminated is not None:
+            rows, pivots = eliminated
+            out = []
+            for row, c in zip(rows, pivots):
+                p = row[c]
+                if p < 0:
+                    row, p = [-a for a in row], -p
+                out.append([Fraction(a, p) if a else _ZERO for a in row])
+            out += [[_ZERO] * self.cols for _ in range(self.rows - len(pivots))]
+            return Matrix(out), pivots, len(pivots)
         m = [list(row) for row in self.entries]
         n_rows, n_cols = self.rows, self.cols
         pivots = []
@@ -182,40 +242,10 @@ class Matrix:
         return Matrix(m), tuple(pivots), r
 
     def pivot_columns(self) -> tuple:
-        """The pivot columns of rref(), without its divisions over Q.
-
-        A matrix of Fractions and ints has each row scaled to integers by the
-        lcm of its denominators, which changes no pivot column, and is then
-        brought to echelon form by fraction-free (Bareiss) elimination: every
-        entry stays an integer minor, and each division by the previous pivot
-        is exact.  Pivot columns do not depend on the row operations used, so
-        they are those of the RREF.  Other entries (RationalFunction,
-        Polynomial) go through rref().
-        """
-        if not all(isinstance(e, (Fraction, int)) for row in self.entries for e in row):
-            return self.rref()[1]
-        rows = []
-        for row in self.entries:
-            d = lcm(*(e.denominator for e in row))
-            rows.append([e.numerator * (d // e.denominator) for e in row])
-        pivots = []
-        prev = 1
-        for c in range(self.cols):
-            r = len(pivots)
-            if r == self.rows:
-                break
-            i = next((i for i in range(r, self.rows) if rows[i][c]), None)
-            if i is None:
-                continue
-            rows[r], rows[i] = rows[i], rows[r]
-            top = rows[r]
-            p = top[c]
-            for i2 in range(r + 1, self.rows):
-                f = rows[i2][c]
-                rows[i2] = [(p * a - f * b) // prev for a, b in zip(rows[i2], top)]
-            prev = p
-            pivots.append(c)
-        return tuple(pivots)
+        """The pivot columns of rref(), from its elimination without the
+        final divisions when the entries are Fractions and ints."""
+        eliminated = self._integer_rref()
+        return eliminated[1] if eliminated is not None else self.rref()[1]
 
     def rank(self) -> int:
         return len(self.pivot_columns())

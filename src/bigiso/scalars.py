@@ -1,18 +1,24 @@
 """Exact scalar arithmetic: multivariate polynomials over Q and their fractions.
 
 Rationals are plain ``fractions.Fraction`` (already reduced, positive
-denominator).  Polynomials are sparse dictionaries from exponent tuples to
-nonzero Fraction coefficients, with a fixed graded-lexicographic term order
-used for canonical printing and hashing.  Rational functions are stored as
-numerator/denominator pairs; equality is decided by cross-multiplication, so
-no multivariate gcd machinery is needed (only cheap cancellations are
+denominator).  A polynomial is stored as content times primitive part: one
+positive integer denominator ``den`` over a sparse dictionary ``nums`` from
+exponent tuples to nonzero integer numerators, with ``den`` and the
+numerators coprime (the zero polynomial has den 1).  That form is unique, so
+equality and hashing compare it directly, and the ring operations,
+evaluation and exact division all run on Python integers; ``terms`` is a
+Fraction view built on demand.  A fixed graded-lexicographic term order
+gives the printed order and the leading term.  Rational functions are stored
+as numerator/denominator pairs; equality is decided by cross-multiplication,
+so no multivariate gcd machinery is needed (only cheap cancellations are
 performed to keep expressions small).
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import lcm
+from math import gcd, lcm
+from operator import add
 from typing import Mapping, Sequence
 
 Exponents = tuple
@@ -45,6 +51,7 @@ class ScaledPoint:
 
 
 _ZERO = Fraction(0)
+_set = object.__setattr__
 
 
 def _grlex_key(exps):
@@ -53,14 +60,17 @@ def _grlex_key(exps):
 
 
 class Polynomial:
-    """Sparse multivariate polynomial with Fraction coefficients.
+    """Sparse multivariate polynomial over Q, as integer numerators over one
+    denominator.
 
-    ``vars`` is the ordered tuple of coordinate names; ``terms`` maps
-    exponent tuples (one entry per variable) to nonzero coefficients.
-    Instances are immutable; all operations return new polynomials.
+    ``vars`` is the ordered tuple of coordinate names; ``nums`` maps
+    exponent tuples (one entry per variable) to nonzero integers and ``den``
+    is a positive integer coprime to all of them, so the coefficient of
+    x^e is nums[e] / den.  Instances are immutable; all operations return
+    new polynomials.
     """
 
-    __slots__ = ("vars", "terms", "_hash")
+    __slots__ = ("vars", "nums", "den", "_hash")
 
     def __init__(self, vars: Sequence[str], terms: Mapping[Exponents, Fraction]):
         vars = tuple(vars)
@@ -75,33 +85,50 @@ class Polynomial:
             if any(e < 0 for e in exps):
                 raise ValueError("negative exponent")
             clean[exps] = coeff
-        object.__setattr__(self, "vars", vars)
-        object.__setattr__(self, "terms", clean)
-        object.__setattr__(self, "_hash", None)
+        # over the lcm of reduced denominators the numerators are coprime to it
+        den = lcm(*(c.denominator for c in clean.values()))
+        _set(self, "vars", vars)
+        _set(self, "nums", {e: c.numerator * (den // c.denominator) for e, c in clean.items()})
+        _set(self, "den", den)
 
     @classmethod
-    def _canonical(cls, vars: tuple, terms: dict) -> "Polynomial":
-        """A polynomial on terms that are canonical already (int exponent
-        tuples of length len(vars), nonzero Fraction coefficients), without
-        __init__'s checks: the ring operations build only such terms."""
+    def _canonical(cls, vars: tuple, nums: dict, den: int = 1) -> "Polynomial":
+        """A polynomial on int exponent tuples of length len(vars) and nonzero
+        int numerators over den > 0, without __init__'s checks (the ring
+        operations build only such forms); the common factor of den and the
+        numerators is divided out."""
+        if den != 1:
+            g = gcd(den, *nums.values())
+            if g != 1:
+                den //= g
+                nums = {e: c // g for e, c in nums.items()}
         p = object.__new__(cls)
-        object.__setattr__(p, "vars", vars)
-        object.__setattr__(p, "terms", terms)
-        object.__setattr__(p, "_hash", None)
+        _set(p, "vars", vars)
+        _set(p, "nums", nums)
+        _set(p, "den", den)
         return p
 
     def __setattr__(self, *_):
         raise AttributeError("Polynomial is immutable")
 
+    @property
+    def terms(self) -> dict:
+        """The coefficients as a fresh {exponents: Fraction} dictionary."""
+        den = self.den
+        return {e: Fraction(c, den) for e, c in self.nums.items()}
+
     # ---- constructors -------------------------------------------------
     @classmethod
     def zero(cls, vars) -> "Polynomial":
-        return cls(vars, {})
+        return cls._canonical(tuple(vars), {})
 
     @classmethod
     def constant(cls, vars, value) -> "Polynomial":
         vars = tuple(vars)
-        return cls(vars, {(0,) * len(vars): as_fraction(value)})
+        value = as_fraction(value)
+        if not value:
+            return cls._canonical(vars, {})
+        return cls._canonical(vars, {(0,) * len(vars): value.numerator}, value.denominator)
 
     @classmethod
     def one(cls, vars) -> "Polynomial":
@@ -117,22 +144,22 @@ class Polynomial:
 
     # ---- predicates ----------------------------------------------------
     def is_zero(self) -> bool:
-        return not self.terms
+        return not self.nums
 
     def is_constant(self) -> bool:
-        return all(sum(e) == 0 for e in self.terms)
+        return all(sum(e) == 0 for e in self.nums)
 
     def constant_value(self) -> Fraction:
-        if not self.terms:
-            return Fraction(0)
+        if not self.nums:
+            return _ZERO
         if not self.is_constant():
             raise ValueError("polynomial is not constant")
-        return next(iter(self.terms.values()))
+        return Fraction(next(iter(self.nums.values())), self.den)
 
     def total_degree(self) -> int:
-        if not self.terms:
+        if not self.nums:
             return -1
-        return max(sum(e) for e in self.terms)
+        return max(sum(e) for e in self.nums)
 
     # ---- ring operations -------------------------------------------------
     def _coerce(self, other) -> "Polynomial":
@@ -142,46 +169,62 @@ class Polynomial:
             return other
         return Polynomial.constant(self.vars, other)
 
+    def _scale(self, n: int, d: int = 1) -> "Polynomial":
+        """self * n / d for integers n and d != 0."""
+        if not n or not self.nums:
+            return Polynomial._canonical(self.vars, {})
+        if d < 0:
+            n, d = -n, -d
+        return Polynomial._canonical(self.vars, {e: c * n for e, c in self.nums.items()}, self.den * d)
+
+    def _add(self, other: "Polynomial", sign: int) -> "Polynomial":
+        """self + sign * other over the lcm of the two denominators."""
+        den = lcm(self.den, other.den)
+        fa, fb = den // self.den, sign * (den // other.den)
+        nums = dict(self.nums) if fa == 1 else {e: c * fa for e, c in self.nums.items()}
+        for e, c in other.nums.items():
+            v = nums.get(e, 0) + c * fb
+            if v:
+                nums[e] = v
+            else:
+                del nums[e]
+        return Polynomial._canonical(self.vars, nums, den)
+
     def __add__(self, other):
         if isinstance(other, RationalFunction):
             return NotImplemented
-        other = self._coerce(other)
-        terms = dict(self.terms)
-        for exps, coeff in other.terms.items():
-            new = terms.get(exps, Fraction(0)) + coeff
-            if new == 0:
-                terms.pop(exps, None)
-            else:
-                terms[exps] = new
-        return Polynomial._canonical(self.vars, terms)
+        return self._add(self._coerce(other), 1)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return Polynomial._canonical(self.vars, {e: -c for e, c in self.terms.items()})
+        return Polynomial._canonical(self.vars, {e: -c for e, c in self.nums.items()}, self.den)
 
     def __sub__(self, other):
         if isinstance(other, RationalFunction):
             return NotImplemented
-        return self + (-self._coerce(other))
+        return self._add(self._coerce(other), -1)
 
     def __rsub__(self, other):
-        return self._coerce(other) + (-self)
+        return self._coerce(other)._add(self, -1)
 
     def __mul__(self, other):
-        if isinstance(other, RationalFunction):
-            return NotImplemented
+        if not isinstance(other, Polynomial):
+            if isinstance(other, RationalFunction):
+                return NotImplemented
+            c = as_fraction(other)
+            return self._scale(c.numerator, c.denominator)
         other = self._coerce(other)
-        terms: dict = {}
-        for e1, c1 in self.terms.items():
-            for e2, c2 in other.terms.items():
-                exps = tuple(a + b for a, b in zip(e1, e2))
-                new = terms.get(exps, Fraction(0)) + c1 * c2
-                if new == 0:
-                    terms.pop(exps, None)
+        nums: dict = {}
+        for e1, c1 in self.nums.items():
+            for e2, c2 in other.nums.items():
+                exps = tuple(map(add, e1, e2))
+                v = nums.get(exps, 0) + c1 * c2
+                if v:
+                    nums[exps] = v
                 else:
-                    terms[exps] = new
-        return Polynomial._canonical(self.vars, terms)
+                    del nums[exps]
+        return Polynomial._canonical(self.vars, nums, self.den * other.den)
 
     __rmul__ = __mul__
 
@@ -202,7 +245,7 @@ class Polynomial:
             c = as_fraction(other)
             if c == 0:
                 raise ZeroDivisionError("division by zero")
-            return self * (1 / c)
+            return self._scale(c.denominator, c.numerator)
         if isinstance(other, Polynomial):
             return RationalFunction(self, other)
         return NotImplemented
@@ -210,50 +253,53 @@ class Polynomial:
     # ---- calculus ------------------------------------------------------
     def derivative(self, which) -> "Polynomial":
         idx = which if isinstance(which, int) else self.vars.index(which)
-        terms = {}
-        for exps, coeff in self.terms.items():
+        nums = {}
+        for exps, c in self.nums.items():
             k = exps[idx]
             if k == 0:
                 continue
             new = list(exps)
             new[idx] = k - 1
-            terms[tuple(new)] = coeff * k
-        return Polynomial._canonical(self.vars, terms)
+            nums[tuple(new)] = c * k
+        return Polynomial._canonical(self.vars, nums, self.den)
 
     # ---- evaluation / substitution --------------------------------------
     def eval(self, point) -> Fraction:
         """The value at a point (Fractions and ints, or a ScaledPoint).
 
-        With the point as integers a_i / d, a term c x^e is
-        c.numerator * a^e / (c.denominator * d^|e|): the terms are summed
-        as integers grouped by that denominator, and one Fraction is built
-        at the end.
+        With the point as integers a_i / d and the coefficients as c_e / den,
+        the value is sum_e c_e a^e d^(top - |e|) / (den d^top), top being
+        the total degree: one integer sum and one Fraction.
         """
         if len(point) != len(self.vars):
             raise ValueError("point length does not match variables")
-        terms = self.terms
-        if not terms or (len(terms) == 1 and not any(next(iter(terms)))):
+        nums = self.nums
+        if not nums or (len(nums) == 1 and not any(next(iter(nums)))):
             if not isinstance(point, ScaledPoint):
                 for c in point:
                     as_fraction(c)  # rejects an inexact point as the general case does
-            return next(iter(terms.values()), _ZERO)
+            return Fraction(next(iter(nums.values())), self.den) if nums else _ZERO
         if not isinstance(point, ScaledPoint):
             point = ScaledPoint(point)
-        nums, den = point.nums, point.den
-        sums: dict = {}
-        for exps, coeff in terms.items():
-            value, deg = coeff.numerator, 0
-            for a, e in zip(nums, exps):
+        coords, d = point.nums, point.den
+        total = 0
+        if d == 1:
+            for exps, value in nums.items():
+                for a, e in zip(coords, exps):
+                    if e:
+                        value *= a**e
+                total += value
+            return Fraction(total, self.den)
+        top = self.total_degree()
+        powers = [d**k for k in range(top + 1)]
+        for exps, value in nums.items():
+            deg = 0
+            for a, e in zip(coords, exps):
                 if e:
                     value *= a**e
                     deg += e
-            key = coeff.denominator if den == 1 else coeff.denominator * den**deg
-            sums[key] = sums.get(key, 0) + value
-        if len(sums) == 1:
-            (key, total), = sums.items()
-            return Fraction(total, key)
-        common = lcm(*sums)
-        return Fraction(sum(total * (common // key) for key, total in sums.items()), common)
+            total += value * powers[top - deg]
+        return Fraction(total, self.den * powers[top])
 
     def substitute(self, images: Sequence["Polynomial"]) -> "Polynomial":
         """Full composition: replace variable i by ``images[i]`` (all over a
@@ -262,102 +308,110 @@ class Polynomial:
             raise ValueError("need one image per variable")
         new_vars = images[0].vars if images else self.vars
         result = Polynomial.zero(new_vars)
-        for exps, coeff in self.terms.items():
-            term = Polynomial.constant(new_vars, coeff)
+        for exps, c in self.nums.items():
+            term = Polynomial.constant(new_vars, c)
             for img, e in zip(images, exps):
                 for _ in range(e):
                     term = term * img
             result = result + term
-        return result
+        return result._scale(1, self.den)
 
     def set_vars(self, assignment: Mapping[int, Fraction]) -> "Polynomial":
         """Partial evaluation: freeze some variables to rational constants,
-        keeping the same variable set."""
-        terms: dict = {}
-        for exps, coeff in self.terms.items():
-            value = coeff
-            new = list(exps)
-            for idx, c in assignment.items():
+        keeping the same variable set.  With the constants as integers a_i / d,
+        each term is brought to the denominator den * d^top, top being the
+        largest degree in the frozen variables."""
+        frozen = list(assignment)
+        point = ScaledPoint([assignment[i] for i in frozen])
+        d = point.den
+        top = max((sum(exps[i] for i in frozen) for exps in self.nums), default=0)
+        nums: dict = {}
+        for exps, value in self.nums.items():
+            new, deg = list(exps), 0
+            for idx, a in zip(frozen, point.nums):
                 e = exps[idx]
                 if e:
-                    value *= as_fraction(c) ** e
+                    value *= a**e
+                    deg += e
                 new[idx] = 0
             if value == 0:
                 continue
             key = tuple(new)
-            acc = terms.get(key, Fraction(0)) + value
-            if acc == 0:
-                terms.pop(key, None)
+            acc = nums.get(key, 0) + value * d ** (top - deg)
+            if acc:
+                nums[key] = acc
             else:
-                terms[key] = acc
-        return Polynomial(self.vars, terms)
+                del nums[key]
+        return Polynomial._canonical(self.vars, nums, self.den * d**top)
 
     def recast(self, vars: Sequence[str]) -> "Polynomial":
         """The same polynomial over another variable tuple, matching
         variables by name; raises ValueError if a variable that occurs is
         missing from ``vars``, so no two terms can land on one monomial."""
         vars = tuple(vars)
-        terms = {}
-        for exps, coeff in self.terms.items():
+        nums = {}
+        for exps, c in self.nums.items():
             new = [0] * len(vars)
             for name, e in zip(self.vars, exps):
                 if e:
                     if name not in vars:
                         raise ValueError(f"variable {name} of {self} is not among {vars}")
                     new[vars.index(name)] = e
-            terms[tuple(new)] = coeff
-        return Polynomial._canonical(vars, terms)
+            nums[tuple(new)] = c
+        return Polynomial._canonical(vars, nums, self.den)
 
     # ---- division ---------------------------------------------------------
     def leading(self):
-        """Leading (exponents, coefficient) in graded-lex order."""
-        if not self.terms:
+        """Leading (exponents, numerator) in graded-lex order; the leading
+        coefficient is numerator / den."""
+        if not self.nums:
             raise ValueError("zero polynomial has no leading term")
-        exps = max(self.terms, key=_grlex_key)
-        return exps, self.terms[exps]
+        exps = max(self.nums, key=_grlex_key)
+        return exps, self.nums[exps]
 
     def exact_div(self, divisor: "Polynomial"):
         """Exact quotient self/divisor, or None if it does not divide."""
         divisor = self._coerce(divisor)
         if divisor.is_zero():
             raise ZeroDivisionError("division by the zero polynomial")
-        if self.is_zero():
-            return Polynomial.zero(self.vars)
-        d_exps, d_coeff = divisor.leading()
+        d_exps, lead = divisor.leading()
+        if not any(d_exps):  # a constant divides everything
+            return self._scale(divisor.den, lead)
         quotient = Polynomial.zero(self.vars)
         rem = self
         while not rem.is_zero():
-            r_exps, r_coeff = rem.leading()
+            r_exps, r = rem.leading()
             diff = tuple(a - b for a, b in zip(r_exps, d_exps))
             if any(e < 0 for e in diff):
                 return None
-            mono = Polynomial(self.vars, {diff: r_coeff / d_coeff})
+            # (r / rem.den) / (lead / divisor.den) x^diff
+            mono = Polynomial._canonical(self.vars, {diff: 1})._scale(r * divisor.den, rem.den * lead)
             quotient = quotient + mono
             rem = rem - mono * divisor
         return quotient
 
     # ---- canonical form -------------------------------------------------
-    def sorted_terms(self):
-        return sorted(self.terms.items(), key=lambda kv: _grlex_key(kv[0]), reverse=True)
-
     def __eq__(self, other):
-        if isinstance(other, (int, Fraction)):
-            other = Polynomial.constant(self.vars, other)
         if not isinstance(other, Polynomial):
-            return NotImplemented
-        return self.vars == other.vars and self.terms == other.terms
+            if not isinstance(other, (int, Fraction)):
+                return NotImplemented
+            other = Polynomial.constant(self.vars, other)
+        return self.vars == other.vars and self.den == other.den and self.nums == other.nums
 
     def __hash__(self):
-        if self._hash is None:
-            h = hash((self.vars, tuple(self.sorted_terms())))
-            object.__setattr__(self, "_hash", h)
-        return self._hash
+        try:
+            return self._hash
+        except AttributeError:
+            h = hash((self.vars, self.den, frozenset(self.nums.items())))
+            _set(self, "_hash", h)
+            return h
 
     def __str__(self):
-        if not self.terms:
+        if not self.nums:
             return "0"
+        den = self.den
         parts = []
-        for exps, coeff in self.sorted_terms():
+        for exps, c in sorted(self.nums.items(), key=lambda kv: _grlex_key(kv[0]), reverse=True):
             factors = []
             for name, e in zip(self.vars, exps):
                 if e == 1:
@@ -365,11 +419,13 @@ class Polynomial:
                 elif e > 1:
                     factors.append(f"{name}^{e}")
             mono = "*".join(factors)
+            g = gcd(c, den)
+            coeff = str(c // g) if g == den else f"{c // g}/{den // g}"
             if not mono:
-                text = str(coeff)
-            elif coeff == 1:
+                text = coeff
+            elif c == den:
                 text = mono
-            elif coeff == -1:
+            elif c == -den:
                 text = f"-{mono}"
             else:
                 text = f"{coeff}*{mono}"
@@ -387,7 +443,7 @@ def _monomial_content(*polys: Polynomial):
     """Componentwise-min exponent vector over all terms of all polynomials."""
     mins = None
     for p in polys:
-        for exps in p.terms:
+        for exps in p.nums:
             if mins is None:
                 mins = list(exps)
             else:
@@ -396,13 +452,15 @@ def _monomial_content(*polys: Polynomial):
 
 
 def _divide_monomial(p: Polynomial, mono: Exponents) -> Polynomial:
-    return Polynomial(p.vars, {tuple(a - b for a, b in zip(e, mono)): c for e, c in p.terms.items()})
+    nums = {tuple(a - b for a, b in zip(e, mono)): c for e, c in p.nums.items()}
+    return Polynomial._canonical(p.vars, nums, p.den)
 
 
 class RationalFunction:
     """Fraction of two polynomials, normalized only by cheap cancellations.
 
-    The denominator is kept nonzero with leading coefficient 1.  Equality is
+    The denominator is kept nonzero with leading coefficient 1, and it is
+    the polynomial 1 whenever it is constant.  Equality is
     cross-multiplication, so distinct representatives of the same fraction
     compare equal.
     """
@@ -426,12 +484,12 @@ class RationalFunction:
             quotient = num.exact_div(den)
             if quotient is not None:
                 num, den = quotient, Polynomial.one(num.vars)
-        if not den.is_constant() or den.constant_value() != 1:
-            lead = den.leading()[1] if not den.is_zero() else Fraction(1)
-            num = num * (1 / lead)
-            den = den * (1 / lead)
-        object.__setattr__(self, "num", num)
-        object.__setattr__(self, "den", den)
+        if not den.is_constant():
+            _, lead = den.leading()
+            num = num._scale(den.den, lead)
+            den = den._scale(den.den, lead)
+        _set(self, "num", num)
+        _set(self, "den", den)
 
     def __setattr__(self, *_):
         raise AttributeError("RationalFunction is immutable")
@@ -461,7 +519,7 @@ class RationalFunction:
     def as_polynomial(self) -> Polynomial:
         if not self.is_polynomial():
             raise ValueError(f"not a polynomial: {self}")
-        return self.num * (1 / self.den.constant_value())
+        return self.num
 
     def _coerce(self, other) -> "RationalFunction":
         if isinstance(other, RationalFunction):

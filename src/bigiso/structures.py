@@ -466,6 +466,11 @@ def verify_modular_enlargement(s: BigIsotropicStructure) -> Verdict:
        skew symmetry give the defect g(a, b) (0, h df - f dh).
     3. [a1, [a2, b]] = [[a1, a2], b] + [a2, [a1, b]] fails by the exact
        Jacobiator (0, -dT/3), T = g([a1,a2], b) + g([a2,b], a1) - g([a1,b], a2).
+       The bracket is skew for all sections, isotropic or not, so
+       [a2, a1] = -[a1, a2] and [a, a] = 0; hence T(a2, a1, b) = -T(a1, a2, b)
+       and T(a, a, b) = 0.  T is formed for i1 < i2 only, from one bracket
+       [e_i1, e_i2]; each pairing g([e_i, e'_j], e_l), i != l, enters exactly
+       one such T, and the triples (i2, i1, j) and (i, i, j) take -T and 0.
 
     The pairings are computed, never assumed zero, so validate=False
     structures get the verdicts of the direct bracket forms.
@@ -482,18 +487,22 @@ def verify_modular_enlargement(s: BigIsotropicStructure) -> Verdict:
             defect = BigSection(zero, twist.scale(pairing_sections(a, b)))
             if not defect.is_zero():
                 failures.append((f"axiom 2 fails on ({i},{j})", defect))
-    for i1, a1 in enumerate(s.e_frame):
-        for i2, a2 in enumerate(s.e_frame):
-            inner = courant_bracket(a1, a2)
-            for j, b in enumerate(s.e_prime_frame):
-                T = (
-                    pairing_sections(inner, b)
-                    + pairing_sections(mixed[i2, j], a1)
-                    - pairing_sections(mixed[i1, j], a2)
-                )
-                defect = BigSection(zero, d_function(T, chart).scale(Fraction(-1, 3)))
-                if not defect.is_zero():
-                    failures.append((f"axiom 3 fails on ({i1},{i2},{j})", defect))
+    T = {}  # (i1, i2, j) with i1 < i2 -> T(e_i1, e_i2, e'_j)
+    for i1, i2 in itertools.combinations(range(s.k), 2):
+        a1, a2 = s.e_frame[i1], s.e_frame[i2]
+        inner = courant_bracket(a1, a2)
+        for j, b in enumerate(s.e_prime_frame):
+            T[i1, i2, j] = (
+                pairing_sections(inner, b)
+                + pairing_sections(mixed[i2, j], a1)
+                - pairing_sections(mixed[i1, j], a2)
+            )
+    for i1, i2 in itertools.permutations(range(s.k), 2):
+        for j in range(len(s.e_prime_frame)):
+            t = T[i1, i2, j] if i1 < i2 else -T[i2, i1, j]
+            defect = BigSection(zero, d_function(t, chart).scale(Fraction(-1, 3)))
+            if not defect.is_zero():
+                failures.append((f"axiom 3 fails on ({i1},{i2},{j})", defect))
     return Verdict("modular enlargement axioms", not failures, tuple(failures))
 
 

@@ -303,3 +303,71 @@ class TestSolve:
         assert Matrix([(), ()]).solve([0, 1]) is None
         with pytest.raises(ValueError):
             Matrix([(), ()]).solve([0])
+
+
+def fraction_gauss_jordan(m: Matrix):
+    """Oracle: the Gauss-Jordan elimination over Fractions that rref() ran
+    before it eliminated over the integers (first nonzero pivot in each
+    column, pivot row scaled to 1, the column cleared above and below)."""
+    if m.rows == 0 or m.cols == 0:
+        return m, (), 0
+    a = [[Fraction(e) for e in row] for row in m.entries]
+    pivots = []
+    for c in range(m.cols):
+        r = len(pivots)
+        if r == m.rows:
+            break
+        i = next((i for i in range(r, m.rows) if a[i][c] != 0), None)
+        if i is None:
+            continue
+        a[r], a[i] = a[i], a[r]
+        inv = 1 / a[r][c]
+        a[r] = [e * inv for e in a[r]]
+        for i2 in range(m.rows):
+            if i2 != r and a[i2][c] != 0:
+                f = a[i2][c]
+                a[i2] = [x - f * y for x, y in zip(a[i2], a[r])]
+        pivots.append(c)
+    return Matrix(a), tuple(pivots), len(pivots)
+
+
+def with_zero_columns(rng, m: Matrix) -> Matrix:
+    if not m.rows or not m.cols:
+        return m
+    zero = {c for c in range(m.cols) if rng.random() < 0.25}
+    return Matrix([[0 if c in zero else e for c, e in enumerate(row)] for row in m.entries])
+
+
+class TestIntegerRref:
+    def test_equals_the_fraction_oracle_on_random_matrices(self):
+        for seed in range(400):
+            rng = random.Random(seed)
+            a = random_q_matrix(rng)
+            for m in (a, with_zero_columns(rng, a)):
+                red, pivots, rank = m.rref()
+                assert (red, pivots, rank) == fraction_gauss_jordan(m)
+                assert all(type(e) is Fraction for row in red.entries for e in row)
+                assert m.pivot_columns() == pivots and m.rank() == rank
+
+    def test_large_entries_and_full_rank(self):
+        rng = random.Random(5)
+        for n in range(1, 7):
+            m = Matrix([[Fraction(rng.randint(-10**6, 10**6), rng.randint(1, 10**4)) for _ in range(n + 1)] for _ in range(n)])
+            assert m.rref() == fraction_gauss_jordan(m)
+
+    def test_degenerate_shapes(self):
+        for m in (Matrix(()), Matrix((), 4), Matrix([(), ()]), Matrix.zeros(3, 4), Matrix([[0, 0, 5]])):
+            assert m.rref() == fraction_gauss_jordan(m)
+        red, pivots, rank = Matrix([[0, 2, 4], [0, 1, 2], [0, 0, 0]]).rref()
+        assert (pivots, rank) == ((1,), 1)
+        assert red.entries == ((0, 1, 2), (0, 0, 0), (0, 0, 0))
+
+    def test_kernel_solve_and_subspace_follow_the_oracle(self):
+        for seed in range(150):
+            a = random_q_matrix(random.Random(1000 + seed))
+            red, pivots, rank = fraction_gauss_jordan(a)
+            assert Subspace(a.cols, a.entries).basis == tuple(red.entries[:rank])
+            free = [c for c in range(a.cols) if c not in pivots]
+            assert len(a.kernel_rows()) == len(free)
+            for x in a.kernel_rows():
+                assert all(v == 0 for v in a.apply(x))

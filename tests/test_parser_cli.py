@@ -1,4 +1,6 @@
 import json
+import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -61,6 +63,73 @@ class TestExpressionParser:
                 terms[exps] = Fraction(rng.randint(-9, 9), rng.randint(1, 9))
             p = Polynomial(("x1", "x2"), terms)
             assert parse_expression(self.chart, str(p)) == p
+
+
+ROUND_TRIP_CHART = Chart(("x", "y1", "z_2"))
+
+
+def random_printed_polynomial(rng):
+    """Up to six terms of degree <= 4 with rational, negative, integer and
+    zero coefficients; repeated monomials overwrite each other."""
+    terms = {}
+    for _ in range(rng.randint(0, 6)):
+        exps = tuple(rng.randint(0, 2) for _ in ROUND_TRIP_CHART.names)
+        terms[exps] = Fraction(rng.randint(-12, 12), rng.choice([1, 1, 2, 3, 7, 10]))
+    return Polynomial(ROUND_TRIP_CHART.names, terms)
+
+
+def check_round_trip(rng):
+    p = random_printed_polynomial(rng)
+    text = str(p)
+    q = parse_expression(ROUND_TRIP_CHART, text)
+    assert q == p and str(q) == text and hash(q) == hash(p), text
+
+
+# Short strings over the expression alphabet plus a few foreign characters.
+FUZZ_PIECES = ("x", "y1", "z_2", "w", "0", "1", "2", "3", "+", "-", "*", "/", "^", "(", ")", " ", ".", "@", "_")
+HUGE_EXPONENT = re.compile(r"\^\s*\d\d")  # a nested power like ((x+y)^99)^99 is not a parsing question
+
+
+def check_fuzzed(text):
+    if HUGE_EXPONENT.search(text):
+        return
+    try:
+        parse_expression(ROUND_TRIP_CHART, text)
+    except ParseError:
+        pass
+
+
+class TestRoundTripAndFuzz:
+    def test_print_parse_round_trip_seeded(self):
+        for seed in range(2000):
+            check_round_trip(random.Random(seed))
+
+    def test_print_parse_round_trip_hypothesis(self):
+        pytest.importorskip("hypothesis")
+        from hypothesis import given, settings, strategies as st
+
+        @settings(max_examples=200, deadline=None, derandomize=True)
+        @given(st.integers(min_value=0, max_value=2**32 - 1))
+        def check(seed):
+            check_round_trip(random.Random(seed))
+
+        check()
+
+    def test_malformed_expressions_raise_only_parse_errors_seeded(self):
+        rng = random.Random(23)
+        for _ in range(5000):
+            check_fuzzed("".join(rng.choice(FUZZ_PIECES) for _ in range(rng.randint(0, 12))))
+
+    def test_malformed_expressions_raise_only_parse_errors_hypothesis(self):
+        pytest.importorskip("hypothesis")
+        from hypothesis import given, settings, strategies as st
+
+        @settings(max_examples=300, deadline=None, derandomize=True)
+        @given(st.lists(st.sampled_from(FUZZ_PIECES), max_size=12).map("".join))
+        def check(text):
+            check_fuzzed(text)
+
+        check()
 
 
 class TestDocumentParser:

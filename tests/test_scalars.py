@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from math import gcd
 
 import pytest
 
@@ -312,3 +313,98 @@ class TestRationalFunction:
         f = RationalFunction(x() ** 2 * y(), x())
         assert f.is_polynomial()
         assert f.as_polynomial() == x() * y()
+
+
+# ---- the stored form: integer numerators over one denominator ------------
+
+def assert_stored_form(p):
+    """den > 0, coprime to the numerators, no zero numerator, den 1 for 0."""
+    assert type(p.den) is int and p.den > 0
+    assert all(type(c) is int and c != 0 for c in p.nums.values())
+    assert gcd(p.den, *p.nums.values()) == 1
+    if not p.nums:
+        assert p.den == 1
+    assert p.terms == {e: Fraction(c, p.den) for e, c in p.nums.items()}
+
+
+def test_stored_form_is_canonical_after_every_operation():
+    rng = random.Random(41)
+    specials = [Polynomial.zero(W), Polynomial.one(W), Polynomial.constant(W, Fraction(-7, 6))]
+    for trial in range(200):
+        p, q = random_polynomial(rng), random_polynomial(rng)
+        c = rng.choice([0, 3, -1, Fraction(5, 6), Fraction(-2, 9)])
+        results = [p, q, p + q, p - q, -p, p * q, p**2, p * c, c - p, p.derivative(trial % 3)]
+        results += [p.recast(("z", "y", "x")), p.set_vars({0: Fraction(1, 2)}), p.set_vars({1: c})]
+        results += [p.substitute([q, p, Polynomial.variable(W, "x")])]
+        if c:
+            results.append(p / c)
+        if not q.is_zero():
+            results.append((p * q).exact_div(q))
+        for result in results + specials:
+            assert_stored_form(result)
+
+
+def test_cancelling_denominators_reduce_to_integers():
+    half = Polynomial(V, {(1, 0): Fraction(1, 2), (0, 1): Fraction(-3, 2)})
+    assert (half.nums, half.den) == ({(1, 0): 1, (0, 1): -3}, 2)
+    whole = half * 2
+    assert (whole.nums, whole.den) == ({(1, 0): 1, (0, 1): -3}, 1)
+    assert ((half + half).nums, (half + half).den) == (whole.nums, 1)
+    assert ((half - half).nums, (half - half).den) == ({}, 1)
+    assert (Polynomial(V, {(1, 0): Fraction(2, 4)}).nums, Polynomial(V, {(1, 0): Fraction(2, 4)}).den) == ({(1, 0): 1}, 2)
+
+
+def test_init_and_ring_operations_agree_on_equality_and_hash():
+    rng = random.Random(42)
+    for _ in range(300):
+        p, q = random_polynomial(rng), random_polynomial(rng)
+        for built in (p + q, p * q, p - q, -p, p.derivative(1)):
+            direct = Polynomial(W, built.terms)
+            assert built == direct and hash(built) == hash(direct)
+            assert str(built) == str(direct) and (built.nums, built.den) == (direct.nums, direct.den)
+        assert (p == q) == (p.terms == q.terms)
+        assert (p - q == 0) == (p == q)
+
+
+def test_constants_compare_with_rationals():
+    c = Polynomial.constant(W, Fraction(-4, 6))
+    assert c == Fraction(-2, 3) and c != Fraction(2, 3) and c.constant_value() == Fraction(-2, 3)
+    assert Polynomial.zero(W) == 0 and Polynomial.one(W) == 1 and Polynomial.one(W) != 0
+    assert str(c) == "-2/3" and str(c * Polynomial.variable(W, "y")) == "-2/3*y"
+
+
+def fraction_exact_div(p, divisor):
+    """Reference: leading-term division with Fraction coefficients."""
+    key = lambda e: (sum(e), e)  # noqa: E731
+    rem, quotient = p.terms, {}
+    d_terms = divisor.terms
+    d_exps = max(d_terms, key=key)
+    while rem:
+        r_exps = max(rem, key=key)
+        diff = tuple(a - b for a, b in zip(r_exps, d_exps))
+        if any(e < 0 for e in diff):
+            return None
+        c = rem[r_exps] / d_terms[d_exps]
+        quotient[diff] = c
+        for e, dc in d_terms.items():
+            e = tuple(a + b for a, b in zip(diff, e))
+            rem[e] = rem.get(e, Fraction(0)) - c * dc
+            if rem[e] == 0:
+                del rem[e]
+    return Polynomial(p.vars, quotient)
+
+
+def test_exact_division_matches_the_fraction_reference():
+    rng = random.Random(43)
+    divided = 0
+    for trial in range(400):
+        q = random_polynomial(rng)
+        if q.is_zero():
+            continue
+        p = random_polynomial(rng) * q
+        if trial % 3 == 0:
+            p = p + random_polynomial(rng)
+        expected = fraction_exact_div(p, q)
+        assert p.exact_div(q) == expected, (p, q)
+        divided += expected is not None
+    assert 100 < divided < 400

@@ -656,7 +656,7 @@ class TestAxioms:
 
     def test_enlargement_computes_each_bracket_once(self, monkeypatch):
         """Same verdict, failures and order as the bracket-per-term loop,
-        with kn + k^2 brackets (n = 2m - k) instead of 2kn + 5k^2 n."""
+        with kn + k(k-1)/2 brackets (n = 2m - k) instead of 2kn + 5k^2 n."""
         import bigiso.structures
 
         # graph of a non-Poisson P with one frame row mixed: axiom 3 fails twice
@@ -676,12 +676,12 @@ class TestAxioms:
             "axiom 3 fails on (3,0,0)",
         ]
         k, n = 4, 4
-        assert len(calls) == k * n + k * k
+        assert len(calls) == k * n + k * (k - 1) // 2
 
     def test_enlargement_and_coanchor_match_the_bracket_forms_unvalidated(self, monkeypatch):
         """Random frames that are neither isotropic nor orthogonal, built
         with validate=False: verdicts and certificates equal the direct
-        bracket forms, with kn + k^2 brackets and none for the co-anchor."""
+        bracket forms, with kn + k(k-1)/2 brackets and none for the co-anchor."""
         rng = random.Random(71)
         labels = set()
         for m, k in ((2, 1), (2, 2), (3, 1), (3, 3), (4, 1)):
@@ -689,13 +689,34 @@ class TestAxioms:
             n = 2 * m - k
             calls = counting_brackets(monkeypatch)
             enlargement, coanchor = verify_modular_enlargement(s), verify_coanchor(s)
-            assert len(calls) == k * n + k * k
+            assert len(calls) == k * n + k * (k - 1) // 2
             monkeypatch.undo()
             assert [(msg, str(p)) for msg, p in enlargement.failures] == enlargement_reference(s)
             assert [(msg, str(p)) for msg, p in coanchor.failures] == coanchor_reference(s)
             assert enlargement.ok == (not enlargement.failures) and coanchor.ok == (not coanchor.failures)
             labels |= {msg.split(" fails")[0] for msg, _ in enlargement.failures + coanchor.failures}
         assert labels == {"axiom 2", "axiom 3", "condition i", "condition ii"}
+
+    def test_enlargement_computes_each_pairing_once(self, monkeypatch):
+        """kn pairings g(e_i, e'_j) for axiom 2 and three per T(i1 < i2, j),
+        none of them repeated, on frames that are not isotropic."""
+        import bigiso.structures
+
+        rng = random.Random(73)
+        for m, k in ((2, 2), (3, 3), (4, 3)):
+            s = random_unchecked_structure(rng, m, k)
+            n = 2 * m - k
+            pairs = []
+            monkeypatch.setattr(
+                bigiso.structures,
+                "pairing_sections",
+                lambda a, b: pairs.append((a, b)) or pairing_sections(a, b),
+            )
+            verdict = verify_modular_enlargement(s)
+            monkeypatch.undo()
+            assert len(pairs) == k * n + 3 * n * k * (k - 1) // 2
+            assert len({(id(a), id(b)) for a, b in pairs}) == len(pairs)
+            assert [(msg, str(p)) for msg, p in verdict.failures] == enlargement_reference(s)
 
     def test_constant_nonzero_pairing(self):
         """g(a, b) = 1/2 everywhere: condition i fails and condition ii

@@ -1,9 +1,13 @@
-"""An independent check of the Courant identities behind the axiom verdicts.
+"""An independent check of the Courant identities behind the axiom verdicts,
+and of the determinants behind membership.
 
 The Courant bracket on three coordinates is written out again over sympy's
 polynomials (``sympy.Poly`` over QQ), from its coordinate formula, and the enlargement and co-anchor certificates that
 bigiso derives from the pairings are compared with the direct bracket forms
-computed here.  Skipped when sympy is not installed.
+computed here.  ``poly_det``, the cofactors of the adjugate and the span-test
+residual D b - (b_J adj F_J) F are compared with sympy's ``det`` and
+``adjugate`` on frames with non-integer coefficients.  Skipped when sympy is
+not installed.
 """
 
 import random
@@ -12,6 +16,7 @@ from fractions import Fraction
 import pytest
 
 from bigiso.calculus import Chart, courant_bracket
+from bigiso.membership import _cofactor, _pivot_columns, poly_det, span_test
 from bigiso.scalars import Polynomial
 from bigiso.structures import (
     _axiom_test_functions,
@@ -154,3 +159,68 @@ def test_bracket_matches_the_coordinate_formula():
     secs = list(s.e_frame) + list(s.e_prime_frame)
     for a, b in zip(secs, secs[1:]):
         assert flat(section(courant_bracket(a, b))) == flat(courant(section(a), section(b)))
+
+
+# ---- poly_det, the adjugate and the span-test residual ---------------------
+
+def rand_rational_poly(rng):
+    """Degree <= 2 in x, y, z with non-integer coefficients and some zeros."""
+    terms = {}
+    for _ in range(rng.randint(0, 4)):
+        exps = tuple(rng.randint(0, 1) for _ in range(3))
+        if sum(exps) <= 2:
+            terms[exps] = Fraction(rng.randint(-3, 3), rng.randint(1, 4))
+    return Polynomial(CHART.names, terms)
+
+
+def sympy_matrix(rows):
+    return sympy.Matrix([[to_sympy(p).as_expr() for p in row] for row in rows])
+
+
+def as_poly(expr):
+    return sympy.Poly(sympy.expand(expr), *X, domain=sympy.QQ)
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_poly_det_and_adjugate_match_sympy(seed):
+    rng = random.Random(200 + seed)
+    n = 1 + seed % 4
+    square = [[rand_rational_poly(rng) for _ in range(n)] for _ in range(n)]
+    S = sympy_matrix(square)
+    assert to_sympy(poly_det(square)) == as_poly(S.det(method="berkowitz"))
+    adj = S.adjugate(method="berkowitz")
+    for l in range(n):
+        for i in range(n):
+            assert to_sympy(_cofactor(square, i, l)) == as_poly(adj[l, i])
+
+
+@pytest.mark.parametrize("seed, k", [(1, 1), (2, 2), (3, 2), (4, 3), (5, 3)])
+def test_span_test_residual_matches_sympy(seed, k):
+    rng = random.Random(300 + seed)
+    width = 5
+    frame = [[rand_rational_poly(rng) for _ in range(width)] for _ in range(k)]
+    J = _pivot_columns(frame)
+    if J is None:
+        pytest.skip("random frame never has full rank")
+    F = sympy_matrix(frame)
+    FJ = F[:, list(J)]
+    D, adj = FJ.det(method="berkowitz"), FJ.adjugate(method="berkowitz")
+    contains = span_test(frame)
+    coeffs = [rand_rational_poly(rng) for _ in range(k)]
+    member = [sum((c * row[j] for c, row in zip(coeffs, frame)), Polynomial.zero(CHART.names)) for j in range(width)]
+    assert contains(member) == (True, None)
+    for _ in range(3):
+        b = [rand_rational_poly(rng) for _ in range(width)]
+        B = sympy_matrix([b])
+        residual = (D * B - B[:, list(J)] * adj * F).applyfunc(sympy.expand)
+        assert all(residual[c] == 0 for c in J)
+        nonzero = [j for j in range(width) if j not in J and residual[j] != 0]
+        ok, witness = contains(b)
+        assert ok == (not nonzero)
+        if nonzero:
+            j = nonzero[0]
+            columns = tuple(sorted(J + (j,)))
+            assert witness.columns == columns
+            minor = as_poly(sympy.Matrix.vstack(F, B)[:, list(columns)].det(method="berkowitz"))
+            assert to_sympy(witness.minor) == minor
+            assert as_poly(residual[j]) in (minor, -minor)
