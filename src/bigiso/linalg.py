@@ -206,12 +206,7 @@ class Matrix:
         eliminated = self._integer_rref()
         if eliminated is not None:
             rows, pivots = eliminated
-            out = []
-            for row, c in zip(rows, pivots):
-                p = row[c]
-                if p < 0:
-                    row, p = [-a for a in row], -p
-                out.append([Fraction(a, p) if a else _ZERO for a in row])
+            out = [[Fraction(a, row[c]) if a else _ZERO for a in row] for row, c in zip(rows, pivots)]
             out += [[_ZERO] * self.cols for _ in range(self.rows - len(pivots))]
             return Matrix(out), pivots, len(pivots)
         m = [list(row) for row in self.entries]
