@@ -139,10 +139,7 @@ class PolyVectorField(_Components):
 
     def apply(self, f: Polynomial) -> Polynomial:
         """Directional derivative of a function."""
-        total = self.chart.zero()
-        for i, c in enumerate(self.comps):
-            total = total + c * f.derivative(i)
-        return total
+        return Polynomial.dot(self.chart.names, ((c, f.derivative(i), 1) for i, c in enumerate(self.comps)))
 
 
 class PolyOneForm(_Components):
@@ -150,10 +147,7 @@ class PolyOneForm(_Components):
 
     def pair(self, X: PolyVectorField) -> Polynomial:
         _check_chart(self, X)
-        total = self.chart.zero()
-        for a, x in zip(self.comps, X.comps):
-            total = total + a * x
-        return total
+        return Polynomial.dot(self.chart.names, ((a, x, 1) for a, x in zip(self.comps, X.comps)))
 
 
 class _SkewTable:
@@ -206,18 +200,15 @@ class _SkewTable:
         """
         if len(args) > self.degree:
             raise ChartError(f"{type(self).__name__} takes at most {self.degree} arguments")
-        zero = self.chart.zero()
+        names = self.chart.names
         table = dict(self.table)
         for a in args:
             _check_chart(self, a)
-            out = {}
+            terms = {}
             for idx, p in table.items():
                 for s, i in enumerate(idx):
-                    rest = idx[:s] + idx[s + 1:]
-                    term = a.comps[i] * p
-                    acc = out.get(rest, zero)
-                    out[rest] = acc - term if s % 2 else acc + term
-            table = out
+                    terms.setdefault(idx[:s] + idx[s + 1:], []).append((a.comps[i], p, -1 if s % 2 else 1))
+            table = {rest: Polynomial.dot(names, t) for rest, t in terms.items()}
         return table
 
     def __call__(self, *args) -> Polynomial:
@@ -369,11 +360,11 @@ def lie_bracket(X: PolyVectorField, Y: PolyVectorField) -> PolyVectorField:
     _check_chart(X, Y)
     chart = X.chart
     comps = []
-    for i in range(chart.dim):
-        acc = chart.zero()
-        for j in range(chart.dim):
-            acc = acc + X.comps[j] * Y.comps[i].derivative(j) - Y.comps[j] * X.comps[i].derivative(j)
-        comps.append(acc)
+    for x_i, y_i in zip(X.comps, Y.comps):
+        terms = []
+        for j, (x_j, y_j) in enumerate(zip(X.comps, Y.comps)):
+            terms += ((x_j, y_i.derivative(j), 1), (y_j, x_i.derivative(j), -1))
+        comps.append(Polynomial.dot(chart.names, terms))
     return PolyVectorField(chart, comps)
 
 
@@ -413,23 +404,46 @@ def lie_derivative_twoform(X: PolyVectorField, theta: PolyTwoForm) -> PolyTwoFor
 def pairing_sections(s1: BigSection, s2: BigSection) -> Polynomial:
     """Symbolic neutral pairing of two sections."""
     _check_chart(s1.vf, s2.vf)
-    half = Fraction(1, 2)
-    return (s1.of.pair(s2.vf) + s2.of.pair(s1.vf)) * half
+    pairs = zip(s1.of.comps + s2.of.comps, s2.vf.comps + s1.vf.comps)
+    return Polynomial.dot(s1.chart.names, ((a, v, 1) for a, v in pairs)) / 2
 
 
 def courant_bracket(s1: BigSection, s2: BigSection) -> BigSection:
-    """([X,Y], L_X beta - L_Y alpha + d(alpha(Y) - beta(X))/2)."""
+    """([X,Y], L_X beta - L_Y alpha + d(alpha(Y) - beta(X))/2).
+
+    The 1-form part is written in coordinates.  Cartan's formula
+    L_X beta = i_X d beta + d(beta(X)) reads, component by component,
+        (L_X beta)_i = sum_j X^j (d_j beta_i - d_i beta_j) + d_i(beta(X)),
+    and likewise for L_Y alpha.  The exact terms d(beta(X)) - d(alpha(Y))
+    and (d(alpha(Y)) - d(beta(X)))/2 combine, so with q = beta(X) - alpha(Y)
+        cot_i = sum_j X^j (d_j beta_i - d_i beta_j)
+                    - Y^j (d_j alpha_i - d_i alpha_j) + d_i q / 2
+    (Courant 1990, Trans. AMS 319:631).  q is one Polynomial.dot, and so
+    is each cot_i; the j = i terms cancel and are left out.
+    """
     _check_chart(s1.vf, s2.vf)
     chart = s1.chart
-    x, alpha = s1.vf, s1.of
-    y, beta = s2.vf, s2.of
-    half = Fraction(1, 2)
-    cot = (
-        lie_derivative_oneform(x, beta)
-        - lie_derivative_oneform(y, alpha)
-        + d_function(alpha.pair(y) - beta.pair(x), chart).scale(half)
-    )
-    return BigSection(lie_bracket(x, y), cot)
+    names, m, one = chart.names, chart.dim, chart.one()
+    x, alpha = s1.vf.comps, s1.of.comps
+    y, beta = s2.vf.comps, s2.of.comps
+    pairs = [(b, u, 1) for b, u in zip(beta, x)] + [(a, v, -1) for a, v in zip(alpha, y)]
+    half_q = Polynomial.dot(names, pairs) / 2
+    # jac[i][j] = d_j of component i
+    jac_alpha = [[a.derivative(j) for j in range(m)] for a in alpha]
+    jac_beta = [[b.derivative(j) for j in range(m)] for b in beta]
+    cot = []
+    for i in range(m):
+        terms = [(half_q.derivative(i), one, 1)]
+        for j in range(m):
+            if j != i:
+                terms += (
+                    (x[j], jac_beta[i][j], 1),
+                    (x[j], jac_beta[j][i], -1),
+                    (y[j], jac_alpha[i][j], -1),
+                    (y[j], jac_alpha[j][i], 1),
+                )
+        cot.append(Polynomial.dot(names, terms))
+    return BigSection(lie_bracket(s1.vf, s2.vf), PolyOneForm(chart, cot))
 
 
 def axiom_v_defect(s1: BigSection, s2: BigSection, s3: BigSection) -> Polynomial:
@@ -492,14 +506,14 @@ def schouten_squared(P: PolyBivector) -> PolyTrivector:
     chart = P.chart
     table = {}
     for i, j, k in combinations(range(chart.dim), 3):
-        acc = chart.zero()
+        terms = []
         for l in range(chart.dim):
-            acc = acc + (
-                P.component(l, i) * P.component(j, k).derivative(l)
-                + P.component(l, j) * P.component(k, i).derivative(l)
-                + P.component(l, k) * P.component(i, j).derivative(l)
+            terms += (
+                (P.component(l, i), P.component(j, k).derivative(l), 2),
+                (P.component(l, j), P.component(k, i).derivative(l), 2),
+                (P.component(l, k), P.component(i, j).derivative(l), 2),
             )
-        table[(i, j, k)] = acc * 2
+        table[(i, j, k)] = Polynomial.dot(chart.names, terms)
     return PolyTrivector(chart, table)
 
 
@@ -510,9 +524,10 @@ def trivector_contract_two(T: PolyTrivector, a: PolyOneForm, b: PolyOneForm) -> 
 
 def wedge_vectors(X: PolyVectorField, Y: PolyVectorField) -> PolyBivector:
     chart = X.chart
+    x, y = X.comps, Y.comps
     table = {}
     for i, j in combinations(range(chart.dim), 2):
-        table[(i, j)] = X.comps[i] * Y.comps[j] - X.comps[j] * Y.comps[i]
+        table[(i, j)] = Polynomial.dot(chart.names, ((x[i], y[j], 1), (x[j], y[i], -1)))
     return PolyBivector(chart, table)
 
 
@@ -537,13 +552,11 @@ def vertical_lift(X: PolyVectorField, tangent: Chart) -> PolyVectorField:
 def _fibre_derivatives(comps, tangent: Chart) -> list:
     """xdot^j (dc/dx^j) on the tangent chart, for each base component c."""
     m = len(comps)
-    out = []
-    for c in comps:
-        acc = tangent.zero()
-        for j in range(m):
-            acc = acc + tangent.coordinate(m + j) * c.derivative(j).recast(tangent.names)
-        out.append(acc)
-    return out
+    xdot = [tangent.coordinate(m + j) for j in range(m)]
+    return [
+        Polynomial.dot(tangent.names, ((xdot[j], c.derivative(j).recast(tangent.names), 1) for j in range(m)))
+        for c in comps
+    ]
 
 
 def complete_lift(X: PolyVectorField, tangent: Chart) -> PolyVectorField:

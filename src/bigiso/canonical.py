@@ -486,9 +486,11 @@ def coupling_equivalences(cf: CanonicalFrame, grid=None) -> Verdict:
     t_fol = Subspace(m, [[1 if j == i else 0 for j in range(m)] for i in adapted.middle + adapted.transverse])
     ann_fol = Subspace(m, [[1 if j == i else 0 for j in range(m)] for i in adapted.leaf])
 
+    used = 0
     for pt in grid:
         if not cf.denominators_nonzero_at(pt):
             continue
+        used += 1
         alpha_prime_zero = all(
             entry.eval(pt) == 0 for row in cf.alpha_prime for entry in row
         )
@@ -515,6 +517,8 @@ def coupling_equivalences(cf: CanonicalFrame, grid=None) -> Verdict:
             )
         if decomposable and not _splitting_holds(cf, pt, h_pt, t_fol, ann_fol):
             failures.append((f"decomposition of E fails at {pt}", None))
+    if not used:
+        failures.append((_empty_sample(cf, len(grid)), None))
     return Verdict(
         "coupling equivalences",
         not failures,
@@ -631,10 +635,12 @@ def transversal_structure(
         [_row_to_section(sub, row) for row in ep_frame],
         grid=sub_grid,
     )
+    used = 0
     for pt in sub_grid:
         ambient_pt = _embed_point(adapted, pt)
         if not cf.denominators_nonzero_at(ambient_pt):
             continue
+        used += 1
         data = s.evaluate_at(ambient_pt)
         incl = _inclusion_map(adapted)
         expected = pullback_subspace(incl, data.E)
@@ -643,7 +649,18 @@ def transversal_structure(
             raise NormalizationError(f"transversal frame disagrees with the pullback at {pt}")
         if not is_graph_type(got):
             raise NormalizationError(f"transversal structure is not of graph type at {pt}")
+    if not used:
+        raise NormalizationError(_empty_sample(cf, len(sub_grid)))
     return structure
+
+
+def _empty_sample(cf: CanonicalFrame, points: int) -> str:
+    """The failure of a check that skipped every grid point: a pass on no
+    point would certify nothing."""
+    return (
+        f"empty sample: no point of the {points}-point grid lies on the validity locus "
+        f"({cf.det_e}) * ({cf.det_eprime}) != 0"
+    )
 
 
 def _check_transversal_constancy(s, adapted, sub_grid):

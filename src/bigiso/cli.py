@@ -2,9 +2,12 @@
 
 Subcommands run exact pipelines over a structure document and emit a JSON
 report.  Exit codes: 0 when every check passes, 1 when a check fails (the
-report carries the certificate), 2 on input errors.  Every subcommand
-validates the structure once, then runs the stages ``_COMMANDS`` lists for
-it; the stages share the structure, the grid and the canonical frame.
+report carries the certificate), 2 on input errors, 3 when the run stopped
+on an unexpected exception (the report's errors name it, a check that was
+running is recorded with verdict "error", and no traceback is printed).
+Every subcommand validates the structure once, then runs the stages
+``_COMMANDS`` lists for it; the stages share the structure, the grid and
+the canonical frame.
 """
 
 from __future__ import annotations
@@ -52,6 +55,7 @@ from .structures import (
 EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
 EXIT_INPUT_ERROR = 2
+EXIT_INTERNAL_ERROR = 3
 
 
 def _load_document(args) -> tuple[StructureDocument, str]:
@@ -359,6 +363,9 @@ def main(argv=None) -> int:
     except (ParseError, OSError) as exc:
         report.add_error(str(exc))
         exit_code = EXIT_INPUT_ERROR
+    except Exception as exc:  # the exit-code contract holds on every input
+        report.add_error(f"internal error: {type(exc).__name__}: {exc}")
+        exit_code = EXIT_INTERNAL_ERROR
     text = report.to_json()
     if args.output:
         with open(args.output, "w", encoding="utf-8") as fh:

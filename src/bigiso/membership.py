@@ -32,7 +32,6 @@ def poly_det(rows: Sequence[Sequence[Polynomial]]) -> Polynomial:
     if n == 0:
         raise ValueError("empty determinant")
     vars_ = rows[0][0].vars
-    zero = Polynomial.zero(vars_)
 
     def rec(row_idx: tuple, col_idx: tuple) -> Polynomial:
         k = len(row_idx)
@@ -44,21 +43,14 @@ def poly_det(rows: Sequence[Sequence[Polynomial]]) -> Polynomial:
             zeros = sum(1 for r in row_idx if rows[r][c].is_zero())
             if zeros > best_zeros:
                 best_col, best_zeros = cpos, zeros
-        if best_zeros == k:
-            return zero
         c = col_idx[best_col]
         rest_cols = col_idx[:best_col] + col_idx[best_col + 1 :]
-        total = zero
-        for rpos, r in enumerate(row_idx):
-            entry = rows[r][c]
-            if entry.is_zero():
-                continue
-            minor = rec(row_idx[:rpos] + row_idx[rpos + 1 :], rest_cols)
-            if minor.is_zero():
-                continue
-            term = entry * minor
-            total = total + term if (rpos + best_col) % 2 == 0 else total - term
-        return total
+        terms = [
+            (rows[r][c], rec(row_idx[:rpos] + row_idx[rpos + 1 :], rest_cols), (-1) ** (rpos + best_col))
+            for rpos, r in enumerate(row_idx)
+            if not rows[r][c].is_zero()
+        ]
+        return Polynomial.dot(vars_, terms)
 
     if any(len(r) != n for r in rows):
         raise ValueError("non-square determinant")
@@ -115,16 +107,17 @@ def span_test(frame_rows: Sequence[Sequence[Polynomial]]) -> Callable:
         return lambda candidate: (True, None)
     FJ = [[row[c] for c in J] for row in frame]
     adj = [[_cofactor(FJ, i, l) for i in range(k)] for l in range(k)]
-    D = sum(FJ[0][l] * adj[l][0] for l in range(k))
+    vars_ = frame[0][0].vars
+    D = Polynomial.dot(vars_, ((FJ[0][l], adj[l][0], 1) for l in range(k)))
     # r_j is the minor on the columns (J, j); sorting them moves column j
     # past every pivot column greater than j
     rest = [(j, sum(c > j for c in J) % 2) for j in range(len(frame[0])) if j not in J]
 
     def contains(candidate):
         b = tuple(candidate)
-        coeffs = [sum(b[c] * adj[l][i] for l, c in enumerate(J)) for i in range(k)]
+        coeffs = [Polynomial.dot(vars_, ((b[c], adj[l][i], 1) for l, c in enumerate(J))) for i in range(k)]
         for j, odd in rest:
-            r = D * b[j] - sum(c * row[j] for c, row in zip(coeffs, frame))
+            r = Polynomial.dot(vars_, [(D, b[j], 1)] + [(c, row[j], -1) for c, row in zip(coeffs, frame)])
             if not r.is_zero():
                 return False, SpanWitness(-r if odd else r, tuple(sorted(J + (j,))))
         return True, None

@@ -39,14 +39,11 @@ class Report:
         return _Timer(self, name)
 
     def add(self, name: str, ok: bool, certificate: dict | None = None, elapsed: float | None = None):
-        self.checks.append(
-            CheckRecord(
-                name,
-                "pass" if ok else "fail",
-                certificate,
-                round(elapsed * 1000, 3) if (self.with_timings and elapsed is not None) else None,
-            )
-        )
+        self._record(name, "pass" if ok else "fail", certificate, elapsed)
+
+    def _record(self, name: str, verdict: str, certificate: dict | None, elapsed: float | None):
+        timing = round(elapsed * 1000, 3) if (self.with_timings and elapsed is not None) else None
+        self.checks.append(CheckRecord(name, verdict, certificate, timing))
 
     def add_error(self, message: str):
         self.errors.append(message)
@@ -75,9 +72,14 @@ class Report:
 
 
 class _Timer:
+    """Times one check; done() records its verdict.  A body that raises
+    before done() leaves an "error" check naming the exception, which then
+    propagates."""
+
     def __init__(self, report: Report, name: str):
         self.report = report
         self.name = name
+        self.recorded = False
 
     def __enter__(self):
         self.t0 = time.perf_counter()
@@ -85,8 +87,12 @@ class _Timer:
 
     def done(self, ok: bool, certificate: dict | None = None):
         self.report.add(self.name, ok, certificate, time.perf_counter() - self.t0)
+        self.recorded = True
 
     def __exit__(self, exc_type, exc, tb):
+        if exc is not None and not self.recorded:
+            certificate = {"error": f"{exc_type.__name__}: {exc}"}
+            self.report._record(self.name, "error", certificate, time.perf_counter() - self.t0)
         return False
 
 

@@ -7,7 +7,11 @@ exponent tuples to nonzero integer numerators, with ``den`` and the
 numerators coprime (the zero polynomial has den 1).  That form is unique, so
 equality and hashing compare it directly, and the ring operations,
 evaluation and exact division all run on Python integers; ``terms`` is a
-Fraction view built on demand.  A fixed graded-lexicographic term order
+Fraction view built on demand.  ``Polynomial.dot`` is the one kernel for
+sums of products: it brings every product of a sum to one common
+denominator, accumulates them all into one numerator table and normalises
+once; the product operator and every accumulation in the calculus and
+membership layers go through it.  A fixed graded-lexicographic term order
 gives the printed order and the leading term.  Rational functions are stored
 as numerator/denominator pairs; equality is decided by cross-multiplication,
 so no multivariate gcd machinery is needed (only cheap cancellations are
@@ -214,19 +218,39 @@ class Polynomial:
                 return NotImplemented
             c = as_fraction(other)
             return self._scale(c.numerator, c.denominator)
-        other = self._coerce(other)
-        nums: dict = {}
-        for e1, c1 in self.nums.items():
-            for e2, c2 in other.nums.items():
-                exps = tuple(map(add, e1, e2))
-                v = nums.get(exps, 0) + c1 * c2
-                if v:
-                    nums[exps] = v
-                else:
-                    del nums[exps]
-        return Polynomial._canonical(self.vars, nums, self.den * other.den)
+        return Polynomial.dot(self.vars, ((self, other, 1),))
 
     __rmul__ = __mul__
+
+    @classmethod
+    def dot(cls, vars, terms) -> "Polynomial":
+        """The sum of sign * a * b over the (a, b, sign) triples of ``terms``,
+        a and b polynomials over ``vars`` and sign an integer.
+
+        The fused kernel behind every sum of products: each product is
+        brought to the lcm of the product denominators and accumulated into
+        one numerator table, which is normalised once, so no intermediate
+        product or partial sum is built (Monagan and Pearce, JSC 46, 2011).
+        """
+        vars = tuple(vars)
+        live = []
+        for a, b, sign in terms:
+            if a.vars != vars or b.vars != vars:
+                raise ValueError(f"variable mismatch: {vars} vs {a.vars if a.vars != vars else b.vars}")
+            if sign and a.nums and b.nums:
+                live.append((a, b, sign))
+        den = lcm(*(a.den * b.den for a, b, _ in live))
+        nums: dict = {}
+        get = nums.get
+        for a, b, sign in live:
+            f = sign * (den // (a.den * b.den))
+            b_items = b.nums.items()
+            for e1, c1 in a.nums.items():
+                c1 *= f
+                for e2, c2 in b_items:
+                    exps = tuple(map(add, e1, e2))
+                    nums[exps] = get(exps, 0) + c1 * c2
+        return cls._canonical(vars, {e: c for e, c in nums.items() if c}, den)
 
     def __pow__(self, n: int):
         if not isinstance(n, int) or n < 0:

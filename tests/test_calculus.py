@@ -654,3 +654,172 @@ class TestComponentTuples:
                 a - b
         with pytest.raises(ChartError, match="chart mismatch"):
             X + PolyVectorField.coordinate(Chart(("u", "v", "w")), "u")
+
+
+# --------------------------------------------------------------------------
+# the accumulation loops that Polynomial.dot replaced, kept as oracles
+# --------------------------------------------------------------------------
+
+def rand_qpoly(rng, chart, degree=2):
+    """Non-integer coefficients with mixed denominators; sometimes zero."""
+    terms = {}
+    for _ in range(rng.randint(0, 4)):
+        exps = [0] * chart.dim
+        for _ in range(rng.randint(0, degree)):
+            exps[rng.randrange(chart.dim)] += 1
+        terms[tuple(exps)] = Fraction(rng.randint(-5, 5), rng.randint(1, 6))
+    return Polynomial(chart.names, terms)
+
+
+def rand_qsection(rng, chart):
+    """A random section; a pair of them is almost never isotropic."""
+    vf = PolyVectorField(chart, [rand_qpoly(rng, chart) for _ in range(chart.dim)])
+    return BigSection(vf, PolyOneForm(chart, [rand_qpoly(rng, chart) for _ in range(chart.dim)]))
+
+
+def old_apply(X, f):
+    total = X.chart.zero()
+    for i, c in enumerate(X.comps):
+        total = total + c * f.derivative(i)
+    return total
+
+
+def old_pair(alpha, X):
+    total = alpha.chart.zero()
+    for a, x in zip(alpha.comps, X.comps):
+        total = total + a * x
+    return total
+
+
+def old_contract(T, *args):
+    zero = T.chart.zero()
+    table = dict(T.table)
+    for a in args:
+        out = {}
+        for idx, p in table.items():
+            for s, i in enumerate(idx):
+                rest = idx[:s] + idx[s + 1:]
+                term = a.comps[i] * p
+                acc = out.get(rest, zero)
+                out[rest] = acc - term if s % 2 else acc + term
+        table = out
+    return table
+
+
+def old_lie_bracket(X, Y):
+    chart = X.chart
+    comps = []
+    for i in range(chart.dim):
+        acc = chart.zero()
+        for j in range(chart.dim):
+            acc = acc + X.comps[j] * Y.comps[i].derivative(j) - Y.comps[j] * X.comps[i].derivative(j)
+        comps.append(acc)
+    return PolyVectorField(chart, comps)
+
+
+def old_pairing_sections(s1, s2):
+    return (old_pair(s1.of, s2.vf) + old_pair(s2.of, s1.vf)) * Fraction(1, 2)
+
+
+def old_courant_bracket(s1, s2):
+    """The bracket through Lie derivatives: L_X beta - L_Y alpha + d(alpha(Y) - beta(X))/2."""
+    chart = s1.chart
+    x, alpha = s1.vf, s1.of
+    y, beta = s2.vf, s2.of
+    cot = (
+        lie_derivative_oneform(x, beta)
+        - lie_derivative_oneform(y, alpha)
+        + d_function(old_pair(alpha, y) - old_pair(beta, x), chart).scale(Fraction(1, 2))
+    )
+    return BigSection(old_lie_bracket(x, y), cot)
+
+
+def old_schouten_squared(P):
+    chart = P.chart
+    table = {}
+    for i, j, k in combinations(range(chart.dim), 3):
+        acc = chart.zero()
+        for l in range(chart.dim):
+            acc = acc + (
+                P.component(l, i) * P.component(j, k).derivative(l)
+                + P.component(l, j) * P.component(k, i).derivative(l)
+                + P.component(l, k) * P.component(i, j).derivative(l)
+            )
+        table[(i, j, k)] = acc * 2
+    return PolyTrivector(chart, table)
+
+
+def old_wedge_vectors(X, Y):
+    chart = X.chart
+    table = {}
+    for i, j in combinations(range(chart.dim), 2):
+        table[(i, j)] = X.comps[i] * Y.comps[j] - X.comps[j] * Y.comps[i]
+    return PolyBivector(chart, table)
+
+
+def old_fibre_derivatives(comps, tangent):
+    m = len(comps)
+    out = []
+    for c in comps:
+        acc = tangent.zero()
+        for j in range(m):
+            acc = acc + tangent.coordinate(m + j) * c.derivative(j).recast(tangent.names)
+        out.append(acc)
+    return out
+
+
+def rand_qskew(rng, cls, chart, degree):
+    table = {idx: rand_qpoly(rng, chart, 1) for idx in combinations(range(chart.dim), degree)}
+    return cls(chart, table)
+
+
+class TestFusedSumsMatchTheOldLoops:
+    @pytest.mark.parametrize("m", [1, 2, 3, 4])
+    def test_brackets_and_pairings(self, m):
+        rng = random.Random(700 + m)
+        ch = Chart(tuple(f"x{i}" for i in range(m)))
+        for _ in range(6):
+            s1, s2 = rand_qsection(rng, ch), rand_qsection(rng, ch)
+            f = rand_qpoly(rng, ch)
+            assert s1.vf.apply(f) == old_apply(s1.vf, f)
+            assert s1.of.pair(s2.vf) == old_pair(s1.of, s2.vf)
+            assert lie_bracket(s1.vf, s2.vf) == old_lie_bracket(s1.vf, s2.vf)
+            g12 = pairing_sections(s1, s2)
+            assert g12 == old_pairing_sections(s1, s2)
+            bracket = courant_bracket(s1, s2)
+            assert bracket == old_courant_bracket(s1, s2)
+            assert str(bracket) == str(old_courant_bracket(s1, s2))
+            if m > 1:
+                assert not g12.is_zero()  # the sections are not isotropic
+            assert wedge_vectors(s1.vf, s2.vf) == old_wedge_vectors(s1.vf, s2.vf)
+
+    @pytest.mark.parametrize("m", [1, 2, 3, 4])
+    def test_contractions(self, m):
+        rng = random.Random(710 + m)
+        ch = Chart(tuple(f"x{i}" for i in range(m)))
+        for cls, degree, kind in (
+            (PolyTwoForm, 2, PolyVectorField),
+            (PolyBivector, 2, PolyOneForm),
+            (PolyThreeForm, 3, PolyVectorField),
+            (PolyTrivector, 3, PolyOneForm),
+        ):
+            if degree > m:
+                continue
+            T = rand_qskew(rng, cls, ch, degree)
+            for r in range(degree + 1):
+                args = [kind(ch, [rand_qpoly(rng, ch) for _ in range(m)]) for _ in range(r)]
+                assert T.contract(*args) == old_contract(T, *args), (cls.__name__, r)
+
+    @pytest.mark.parametrize("m", [1, 2, 3, 4])
+    def test_schouten_and_lifts(self, m):
+        rng = random.Random(720 + m)
+        ch = Chart(tuple(f"x{i}" for i in range(m)))
+        tangent = ch.tangent_chart()
+        for _ in range(3):
+            P = rand_qskew(rng, PolyBivector, ch, 2)
+            assert schouten_squared(P) == old_schouten_squared(P)
+            s = rand_qsection(rng, ch)
+            old_vf = [c.recast(tangent.names) for c in s.vf.comps] + old_fibre_derivatives(s.vf.comps, tangent)
+            assert complete_lift(s.vf, tangent) == PolyVectorField(tangent, old_vf)
+            old_of = old_fibre_derivatives(s.of.comps, tangent) + [c.recast(tangent.names) for c in s.of.comps]
+            assert complete_lift_form(s.of, tangent) == PolyOneForm(tangent, old_of)

@@ -219,3 +219,97 @@ def test_random_frames_agree_with_oracles_hypothesis():
         check_against_oracles(random.Random(seed))
 
     check()
+
+
+# ---- the accumulation loops that Polynomial.dot replaced, as oracles -------
+
+def old_poly_det(rows):
+    """Sparse cofactor expansion with an accumulated total."""
+    zero = Polynomial.zero(rows[0][0].vars)
+
+    def rec(row_idx, col_idx):
+        k = len(row_idx)
+        if k == 1:
+            return rows[row_idx[0]][col_idx[0]]
+        best_col, best_zeros = None, -1
+        for cpos, c in enumerate(col_idx):
+            zeros = sum(1 for r in row_idx if rows[r][c].is_zero())
+            if zeros > best_zeros:
+                best_col, best_zeros = cpos, zeros
+        if best_zeros == k:
+            return zero
+        c = col_idx[best_col]
+        rest_cols = col_idx[:best_col] + col_idx[best_col + 1:]
+        total = zero
+        for rpos, r in enumerate(row_idx):
+            entry = rows[r][c]
+            if entry.is_zero():
+                continue
+            minor = rec(row_idx[:rpos] + row_idx[rpos + 1:], rest_cols)
+            if minor.is_zero():
+                continue
+            term = entry * minor
+            total = total + term if (rpos + best_col) % 2 == 0 else total - term
+        return total
+
+    return rec(tuple(range(len(rows))), tuple(range(len(rows))))
+
+
+def old_residuals(frame, J, candidate):
+    """D, the coefficients b_J adj(F_J) and the residual entries off J, by sums."""
+    from bigiso.membership import _cofactor
+
+    k = len(frame)
+    FJ = [[row[c] for c in J] for row in frame]
+    adj = [[_cofactor(FJ, i, l) for i in range(k)] for l in range(k)]
+    D = sum(FJ[0][l] * adj[l][0] for l in range(k))
+    b = tuple(candidate)
+    coeffs = [sum(b[c] * adj[l][i] for l, c in enumerate(J)) for i in range(k)]
+    residual = {j: D * b[j] - sum(c * row[j] for c, row in zip(coeffs, frame)) for j in range(len(b)) if j not in J}
+    return D, coeffs, residual
+
+
+def rational_poly(rng, chart):
+    terms = {}
+    for _ in range(rng.randint(0, 3)):
+        exps = [0] * chart.dim
+        for _ in range(rng.randint(0, 2)):
+            exps[rng.randrange(chart.dim)] += 1
+        terms[tuple(exps)] = Fraction(rng.randint(-4, 4), rng.randint(1, 5))
+    return Polynomial(chart.names, terms)
+
+
+@pytest.mark.parametrize("m", [1, 2, 3, 4])
+def test_poly_det_and_residuals_match_the_old_sums(m):
+    from bigiso.membership import _pivot_columns
+
+    rng = random.Random(900 + m)
+    chart = Chart(tuple(f"x{i}" for i in range(m)))
+    checked = 0
+    for _ in range(12):
+        n = rng.randint(1, 4)
+        square = [[rational_poly(rng, chart) for _ in range(n)] for _ in range(n)]
+        assert poly_det(square) == old_poly_det(square)
+        width = n + rng.randint(0, 2)
+        frame = [tuple(rational_poly(rng, chart) for _ in range(width)) for _ in range(rng.randint(1, n))]
+        J = _pivot_columns(frame)
+        if J is None:
+            continue
+        contains = span_test(frame)
+        weights = [rational_poly(rng, chart) for _ in frame]
+        member = [Polynomial.dot(chart.names, [(w, row[j], 1) for w, row in zip(weights, frame)]) for j in range(width)]
+        D, coeffs, residual = old_residuals(frame, J, member)
+        assert contains(member) == (True, None) and all(r.is_zero() for r in residual.values())
+        assert coeffs == [D * w for w in weights]
+        for _ in range(3):
+            b = [rational_poly(rng, chart) for _ in range(width)]
+            D, _, residual = old_residuals(frame, J, b)
+            assert D == minor(frame, J)
+            nonzero = [j for j, r in residual.items() if not r.is_zero()]
+            ok, witness = contains(b)
+            assert ok == (not nonzero)
+            if nonzero:
+                r = residual[nonzero[0]]
+                assert witness.minor in (r, -r) and witness.minor == minor(frame + [b], witness.columns)
+            checked += 1
+    assert checked > 10

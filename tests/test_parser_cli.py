@@ -423,3 +423,68 @@ class TestCli:
         leaf = [c for c in payload["checks"] if c["name"] == "leaf presymplectic form"]
         assert leaf[0]["verdict"] == "fail"
         assert "blow up" in leaf[0]["certificate"]["failures"][0]["message"]
+
+    EMPTY_SAMPLE_DOC = (
+        "chart x y z\n"
+        "E:\n  (x, 1, 0 | 0, 0, 0)\n  (0, 0, 0 | 0, 0, 1)\n"
+        "E_prime:\n  (1, 0, 0 | 0, 0, 0)\n  (0, 1, 0 | 0, 0, 0)\n"
+        "  (0, 0, 0 | 0, 0, 1)\n  (0, 0, 0 | 1, -x, 0)\n"
+        "adapted: x | y | z\n"
+    )
+
+    def test_empty_sample_fails_instead_of_passing(self, tmp_path):
+        # the canonical frame divides by x, and every sampled point has x = 0
+        doc = tmp_path / "empty.bis"
+        doc.write_text(self.EMPTY_SAMPLE_DOC)
+        code, out = self.run("report-all", str(doc), "--grid", "0..0:1")
+        assert code == 1
+        checks = {c["name"]: c for c in json.loads(out)["checks"]}
+        locus = "lies on the validity locus (x) * (x) != 0"
+        for name, points in (("coupling equivalences", 1), ("transversal structure", 12)):
+            assert checks[name]["verdict"] == "fail", name
+            message = checks[name]["certificate"]["failures"][0]["message"]
+            assert message == f"empty sample: no point of the {points}-point grid {locus}"
+        assert "transversal integrability" not in checks
+        # one point on the locus is a sample again
+        _, out = self.run("decomposable", str(doc), "--grid", "1..1:1")
+        checks = {c["name"]: c for c in json.loads(out)["checks"]}
+        assert checks["coupling equivalences"]["verdict"] == "pass"
+
+    def test_unexpected_exception_is_a_json_error_record(self, monkeypatch, capsys):
+        import bigiso.cli
+
+        def broken(structure):
+            raise RuntimeError("stage fell over")
+
+        monkeypatch.setattr(bigiso.cli, "check_integrability", broken)
+        code = main(["integrability", "--fixture", "example_r3"])
+        captured = capsys.readouterr()
+        assert code == bigiso.cli.EXIT_INTERNAL_ERROR == 3
+        assert captured.err == "" and "Traceback" not in captured.out
+        payload = json.loads(captured.out)
+        assert payload["errors"] == ["internal error: RuntimeError: stage fell over"]
+        assert payload["checks"][-1] == {
+            "name": "integrability",
+            "verdict": "error",
+            "certificate": {"error": "RuntimeError: stage fell over"},
+            "timing_ms": None,
+        }
+        assert payload["summary"] == {"passed": 1, "failed": 1, "ok": False}
+
+    def test_timer_records_an_error_only_when_the_body_raises_first(self):
+        from bigiso.report import Report
+
+        report = Report(command="validate", document="", seed=0)
+        with pytest.raises(KeyError):
+            with report.start("raises") as timer:
+                raise KeyError("k")
+        with pytest.raises(ValueError):
+            with report.start("done first") as timer:
+                timer.done(True)
+                raise ValueError("after the verdict")
+        with report.start("quiet") as timer:
+            timer.done(False)
+        assert [(c.name, c.verdict) for c in report.checks] == [
+            ("raises", "error"), ("done first", "pass"), ("quiet", "fail")
+        ]
+        assert report.checks[0].certificate == {"error": "KeyError: 'k'"}

@@ -408,3 +408,82 @@ def test_exact_division_matches_the_fraction_reference():
         assert p.exact_div(q) == expected, (p, q)
         divided += expected is not None
     assert 100 < divided < 400
+
+
+# ---- the fused sum of products ---------------------------------------------
+
+def naive_dot(vars, terms):
+    """Reference for Polynomial.dot: the accumulation loop it replaced,
+    acc = acc + sign * a * b, with each product formed term by term in
+    Fractions and built by the checked constructor, so the reference shares
+    no arithmetic with the kernel."""
+    acc = Polynomial.zero(vars)
+    for a, b, sign in terms:
+        product = {}
+        for e1, c1 in a.terms.items():
+            for e2, c2 in b.terms.items():
+                e = tuple(i + j for i, j in zip(e1, e2))
+                product[e] = product.get(e, Fraction(0)) + sign * c1 * c2
+        acc = acc + Polynomial(vars, product)
+    return acc
+
+
+def random_dot_terms(rng):
+    """Up to five (a, b, sign) triples with mixed denominators, zero factors,
+    both signs and, now and then, a pair of triples that cancel exactly."""
+    terms = []
+    for _ in range(rng.randint(0, 5)):
+        a, b = random_polynomial(rng), random_polynomial(rng)
+        if rng.random() < 0.15:
+            a = Polynomial.zero(W)
+        sign = rng.choice([1, -1, 2, -3, 0])
+        terms.append((a, b, sign))
+        if rng.random() < 0.2:
+            terms.append((b, a, -sign))
+    return terms
+
+
+def check_dot(rng):
+    terms = random_dot_terms(rng)
+    got = Polynomial.dot(W, terms)
+    assert_stored_form(got)
+    assert got == naive_dot(W, terms) and str(got) == str(naive_dot(W, terms))
+    assert got == sum((sign * a * b for a, b, sign in terms), Polynomial.zero(W))
+
+
+def test_dot_matches_the_naive_loop_seeded():
+    for seed in range(1000):
+        check_dot(random.Random(seed))
+
+
+def test_dot_matches_the_naive_loop_hypothesis():
+    pytest.importorskip("hypothesis")
+    from hypothesis import given, settings, strategies as st
+
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(st.integers(min_value=0, max_value=2**32 - 1))
+    def check(seed):
+        check_dot(random.Random(seed))
+
+    check()
+
+
+def test_dot_edge_cases():
+    half_x = Polynomial(W, {(1, 0, 0): Fraction(1, 2)})
+    third_y = Polynomial(W, {(0, 1, 0): Fraction(-1, 3)})
+    zero = Polynomial.zero(W)
+    assert Polynomial.dot(W, []) == zero and Polynomial.dot(W, []).den == 1
+    assert Polynomial.dot(W, [(zero, half_x, 1), (half_x, zero, -1)]) == zero
+    # mixed denominators 2 * 3 and 2 * 2 meet over lcm 12, then reduce
+    got = Polynomial.dot(W, [(half_x, third_y, 1), (half_x, half_x, 1)])
+    assert got.terms == {(1, 1, 0): Fraction(-1, 6), (2, 0, 0): Fraction(1, 4)} and got.den == 12
+    # exact cancellation to zero leaves den 1; a cancelled denominator goes
+    cancel = Polynomial.dot(W, [(half_x, third_y, 1), (third_y, half_x, -1)])
+    assert cancel.is_zero() and cancel.den == 1
+    whole = Polynomial.dot(W, [(half_x, half_x, 2), (half_x, half_x, 2)])
+    assert (whole.nums, whole.den) == ({(2, 0, 0): 1}, 1)
+    assert Polynomial.dot(W, ((half_x, half_x, s) for s in (1, -1))) == zero  # any iterable
+    other = Polynomial.variable(("a", "b", "c"), "a")
+    for terms in ([(half_x, other, 1)], [(other, half_x, 1)], [(other, other, 1)]):
+        with pytest.raises(ValueError, match="variable mismatch"):
+            Polynomial.dot(W, terms)

@@ -15,7 +15,7 @@ from fractions import Fraction
 
 import pytest
 
-from bigiso.calculus import Chart, courant_bracket
+from bigiso.calculus import BigSection, Chart, PolyOneForm, PolyVectorField, courant_bracket
 from bigiso.membership import _cofactor, _pivot_columns, poly_det, span_test
 from bigiso.scalars import Polynomial
 from bigiso.structures import (
@@ -154,11 +154,20 @@ def test_coanchor_certificates_equal_the_direct_forms(seed, k):
 
 
 def test_bracket_matches_the_coordinate_formula():
-    rng = random.Random(6)
-    s = random_structure(rng, 3)
-    secs = list(s.e_frame) + list(s.e_prime_frame)
-    for a, b in zip(secs, secs[1:]):
-        assert flat(section(courant_bracket(a, b))) == flat(courant(section(a), section(b)))
+    for seed in range(6, 26):
+        rng = random.Random(seed)
+        if seed % 2:  # non-integer coefficients of degree <= 2
+            secs = [rational_section(rng) for _ in range(6)]
+        else:
+            s = random_structure(rng, 3)
+            secs = list(s.e_frame) + list(s.e_prime_frame)
+        for a, b in zip(secs, secs[1:]):
+            assert flat(section(courant_bracket(a, b))) == flat(courant(section(a), section(b))), seed
+
+
+def rational_section(rng):
+    vf = PolyVectorField(CHART, [rand_rational_poly(rng) for _ in range(3)])
+    return BigSection(vf, PolyOneForm(CHART, [rand_rational_poly(rng) for _ in range(3)]))
 
 
 # ---- poly_det, the adjugate and the span-test residual ---------------------
