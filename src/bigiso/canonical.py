@@ -13,9 +13,11 @@ the base point has a unique frame of the shape
 where (X_a, Xi_u) spans E and the four families together span E'.  Because
 the canonical frame is unique once the chart frame is fixed, it can be
 computed in one step per bundle: solve for the frame whose designated
-component block is the identity.  Each solve is a matrix inversion over the
-rational-function field; the inverted determinants delimit the validity
-locus, which is recorded on the result.
+component block is the identity.  Each solve is one fraction-free
+elimination of the polynomial frame on the block's columns
+(``linalg.fraction_free``), whose rows over its pivot are the canonical
+rows; the two block determinants delimit the validity locus, which is
+recorded on the result.
 """
 
 from __future__ import annotations
@@ -25,7 +27,7 @@ from fractions import Fraction
 from typing import Sequence
 
 from .calculus import BigSection, Chart, PolyOneForm, PolyVectorField
-from .linalg import Matrix, Subspace, combine, complement_in
+from .linalg import Matrix, Subspace, combine, complement_in, fraction_free
 from .pointwise import IsotropicData, characteristic_triple, covector_lift, is_graph_type, window
 from .scalars import Polynomial, RationalFunction, as_fraction
 from .structures import BigIsotropicStructure, Verdict, default_grid
@@ -95,13 +97,9 @@ class AdaptedChart:
         return {i: Fraction(0) for i in self.middle + self.transverse}
 
 
-def _rf(p: Polynomial) -> RationalFunction:
-    return RationalFunction.from_poly(p)
-
-
 def section_frame_components(sec: BigSection, adapted: AdaptedChart) -> list:
-    """Components of a section in the adapted frame (X_a, Y_h, Z_s) and its
-    dual coframe, ordered [t_a, t_h, t_s, c_a, c_h, c_s]."""
+    """Polynomial components of a section in the adapted frame (X_a, Y_h,
+    Z_s) and its dual coframe, ordered [t_a, t_h, t_s, c_a, c_h, c_s]."""
     v = sec.vf.comps
     w = sec.of.comps
     chi = adapted.chi
@@ -121,7 +119,7 @@ def section_frame_components(sec: BigSection, adapted: AdaptedChart) -> list:
             val = val + chi[hi][si] * w[adapted.transverse[si]]
         c_h.append(val)
     c_s = [w[i] for i in adapted.transverse]
-    return [_rf(x) for x in (t_a + t_h + t_s + c_a + c_h + c_s)]
+    return t_a + t_h + t_s + c_a + c_h + c_s
 
 
 def frame_components_to_coordinates(row: Sequence[RationalFunction], adapted: AdaptedChart) -> list:
@@ -140,11 +138,11 @@ def frame_components_to_coordinates(row: Sequence[RationalFunction], adapted: Ad
         v[i] = t_h[hi]
         w[i] = c_h[hi]
         for si in range(p):
-            w[i] = w[i] - c_s[si] * _rf(chi[hi][si])
+            w[i] = w[i] - c_s[si] * chi[hi][si]
     for si, i in enumerate(adapted.transverse):
         v[i] = t_s[si]
         for hi in range(mk):
-            v[i] = v[i] + t_h[hi] * _rf(chi[hi][si])
+            v[i] = v[i] + t_h[hi] * chi[hi][si]
         w[i] = c_s[si]
     return list(v) + list(w)
 
@@ -216,8 +214,8 @@ class CanonicalFrame:
     y_rows: tuple
     theta_rows: tuple
     eprime_only_rows: tuple  # E'-adapted variant of (X, Xi); not in E
-    det_e: RationalFunction
-    det_eprime: RationalFunction
+    det_e: Polynomial
+    det_eprime: Polynomial
     leaf_conditions_ok: bool = True
 
     @property
@@ -245,6 +243,21 @@ class CanonicalFrame:
         return [tuple(entry.eval(point) for entry in row) for row in rows]
 
 
+def _identity_on(rows, columns, names, singular: str):
+    """(det, combination): the determinant of the square block of the
+    polynomial rows on the given columns, and the combination of the rows
+    that is the identity on that block, in rational functions.  One
+    fraction-free elimination gives both: its rows over its pivot, which is
+    sign * det."""
+    reduced, pivots, sign = fraction_free(rows, columns)
+    if len(pivots) < len(rows):
+        raise NormalizationError(singular)
+    if not rows:
+        return Polynomial.one(names), ()
+    pivot = reduced[0][pivots[0]]
+    return sign * pivot, tuple(tuple(RationalFunction(e, pivot) for e in row) for row in reduced)
+
+
 def _grab(rows, row_range, col_range):
     return tuple(tuple(rows[i][j] for j in col_range) for i in row_range)
 
@@ -255,9 +268,9 @@ def normalize_frame(s: BigIsotropicStructure, adapted: AdaptedChart) -> Canonica
     The E part is the unique frame combination whose (leaf-tangent,
     transverse-covector) block is the identity; the complementary E' part is
     the unique combination whose (middle-tangent, middle-covector) block is
-    the identity with the other designated blocks zero.  Raises when an
-    inverted block is singular as a rational function, which means the chart
-    is not adapted to the structure near the base point.
+    the identity with the other designated blocks zero.  Raises when a
+    block's determinant is the zero polynomial, which means the chart is not
+    adapted to the structure near the base point.
     """
     if adapted.chart != s.chart:
         raise NormalizationError("adapted chart does not match the structure chart")
@@ -273,24 +286,11 @@ def normalize_frame(s: BigIsotropicStructure, adapted: AdaptedChart) -> Canonica
     m_e = [section_frame_components(sec, adapted) for sec in s.e_frame]
     m_ep = [section_frame_components(sec, adapted) for sec in s.e_prime_frame]
 
-    one = RationalFunction.one(s.chart.names)
-
-    if s.k:
-        block_e = Matrix([[row[c] for c in cols_e] for row in m_e])
-        det_e = block_e.det()
-        if det_e.is_zero():
-            raise NormalizationError(
-                "the E frame block on leaf-tangent/transverse-covector columns is singular"
-            )
-        new_e = (block_e.inverse() * Matrix(m_e)).entries
-    else:
-        det_e = one
-        new_e = ()
-    block_ep = Matrix([[row[c] for c in cols_ep] for row in m_ep])
-    det_ep = block_ep.det()
-    if det_ep.is_zero():
-        raise NormalizationError("the E' frame block is singular; chart not adapted")
-    new_ep = (block_ep.inverse() * Matrix(m_ep)).entries
+    names = s.chart.names
+    det_e, new_e = _identity_on(
+        m_e, cols_e, names, "the E frame block on leaf-tangent/transverse-covector columns is singular"
+    )
+    det_ep, new_ep = _identity_on(m_ep, cols_ep, names, "the E' frame block is singular; chart not adapted")
 
     x_rows = tuple(new_e[i] for i in range(r))
     xi_rows = tuple(new_e[i] for i in range(r, r + p))
@@ -571,18 +571,20 @@ def dirac_extension_frame(cf: CanonicalFrame):
     adapted = cf.adapted
     m = adapted.chart.dim
     r, mk, p = cf.r, cf.mk, cf.p
-    rows = []
-    for u in range(p):
-        rows.append([cf.B_prime[u][h] for h in range(mk)] + [cf.B_dprime[u][s] for s in range(p)])
-    if rows:
-        kernel_combos = Matrix(rows).kernel_rows()
-    elif mk + p:
-        kernel_combos = Matrix.identity(mk + p, RationalFunction.one(adapted.chart.names)).entries
-    else:
-        kernel_combos = []
+    names = adapted.chart.names
+    # B' and B'' have the denominator det_e, so their numerators have their kernel
+    rows = [
+        [(e * cf.det_e).as_polynomial() for e in cf.B_prime[u] + cf.B_dprime[u]] for u in range(p)
+    ]
+    reduced, pivots, _ = fraction_free(rows, range(mk + p))
+    zero, one = RationalFunction.zero(names), RationalFunction.one(names)
     gens = list(cf.x_rows) + list(cf.xi_rows)
-    zero = RationalFunction.zero(adapted.chart.names)
-    for combo in kernel_combos:
+    # one kernel combination per free column, as in the RREF
+    for f in (c for c in range(mk + p) if c not in pivots):
+        combo = [zero] * (mk + p)
+        combo[f] = one
+        for row, c in zip(reduced, pivots):
+            combo[c] = RationalFunction(-row[f], row[c])
         phi, psi = combo[:mk], combo[mk:]
         # assemble in frame components (c_a chosen to annihilate the X rows),
         # then convert so a nontrivial chi twist is folded in correctly

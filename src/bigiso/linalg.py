@@ -1,48 +1,29 @@
-"""Dense exact linear algebra over Q (and over rational-function fields).
+"""Dense exact linear algebra over Q, and one fraction-free elimination over
+Q[x].
 
 Everything is deterministic: reduced row echelon form gives each subspace a
 unique representative, so subspace equality is plain tuple equality.  Matrix
-entries may be Fractions or RationalFunctions; both support +, -, *, / and
-compare equal to 0 exactly.  The RREF, rank and pivot columns of a rational
+entries are Fractions and ints; the RREF, rank and pivot columns of a
 matrix come from one fraction-free elimination over the integers.
+``fraction_free`` is the same Gauss-Jordan elimination on polynomial rows,
+dividing exactly by the previous pivot; it gives every symbolic
+determinant, adjugate and reduced frame.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from math import gcd, lcm
+from operator import mul
 from typing import Iterable, Sequence
 
-from .scalars import Polynomial, RationalFunction, as_fraction
+from .scalars import Polynomial, as_fraction
 
 _ZERO = Fraction(0)
 
 
-def zero_like(entry):
-    if isinstance(entry, RationalFunction):
-        return RationalFunction.zero(entry.vars)
-    if isinstance(entry, Polynomial):
-        return Polynomial.zero(entry.vars)
-    return Fraction(0)
-
-
-def one_like(entry):
-    if isinstance(entry, RationalFunction):
-        return RationalFunction.one(entry.vars)
-    if isinstance(entry, Polynomial):
-        return Polynomial.one(entry.vars)
-    return Fraction(1)
-
-
-def _complexity(entry) -> int:
-    # pivot-selection heuristic: prefer structurally simple entries
-    if isinstance(entry, RationalFunction):
-        return len(entry.num.nums) + len(entry.den.nums)
-    return 1
-
-
 class Matrix:
-    """Immutable dense matrix over an exact field.
+    """Immutable dense matrix; its products and eliminations are over Q.
 
     The rows fix the width; ``cols`` gives the width of a matrix with no
     rows (0 when omitted) and, when given, must match the rows.
@@ -63,13 +44,12 @@ class Matrix:
         raise AttributeError("Matrix is immutable")
 
     @classmethod
-    def identity(cls, n: int, one=Fraction(1)) -> "Matrix":
-        zero = zero_like(one)
-        return cls([[one if i == j else zero for j in range(n)] for i in range(n)])
+    def identity(cls, n: int) -> "Matrix":
+        return cls([[Fraction(int(i == j)) for j in range(n)] for i in range(n)])
 
     @classmethod
-    def zeros(cls, rows: int, cols: int, zero=Fraction(0)) -> "Matrix":
-        return cls([[zero] * cols for _ in range(rows)], cols)
+    def zeros(cls, rows: int, cols: int) -> "Matrix":
+        return cls([[_ZERO] * cols for _ in range(rows)], cols)
 
     def row(self, i) -> tuple:
         return self.entries[i]
@@ -93,17 +73,8 @@ class Matrix:
     def __mul__(self, other: "Matrix") -> "Matrix":
         if self.cols != other.rows:
             raise ValueError(f"shape mismatch {self.rows}x{self.cols} @ {other.rows}x{other.cols}")
-        out = []
-        for i in range(self.rows):
-            row = []
-            for j in range(other.cols):
-                acc = None
-                for k in range(self.cols):
-                    term = self.entries[i][k] * other.entries[k][j]
-                    acc = term if acc is None else acc + term
-                row.append(acc if acc is not None else Fraction(0))
-            out.append(row)
-        return Matrix(out, other.cols)
+        columns = [other.column(j) for j in range(other.cols)]
+        return Matrix([[sum(map(mul, row, col), _ZERO) for col in columns] for row in self.entries], other.cols)
 
     def __add__(self, other: "Matrix") -> "Matrix":
         if (self.rows, self.cols) != (other.rows, other.cols):
@@ -133,22 +104,14 @@ class Matrix:
     def apply(self, vector: Sequence) -> tuple:
         if len(vector) != self.cols:
             raise ValueError("vector length mismatch")
-        out = []
-        for i in range(self.rows):
-            acc = None
-            for a, v in zip(self.entries[i], vector):
-                term = a * v
-                acc = term if acc is None else acc + term
-            out.append(acc if acc is not None else Fraction(0))
-        return tuple(out)
+        return tuple(sum(map(mul, row, vector), _ZERO) for row in self.entries)
 
     def submatrix(self, row_idx: Iterable[int], col_idx: Iterable[int]) -> "Matrix":
         col_idx = list(col_idx)
         return Matrix([[self.entries[i][j] for j in col_idx] for i in row_idx], len(col_idx))
 
     def _integer_rref(self):
-        """Fraction-free Gauss-Jordan elimination of a matrix of Fractions and
-        ints, or None when another kind of entry occurs.
+        """Fraction-free Gauss-Jordan elimination over the integers.
 
         Each row is scaled to integers by the lcm of its denominators, which
         changes neither the row space nor the pivot columns.  For each pivot p
@@ -158,9 +121,6 @@ class Matrix:
         entry in column c are untouched.  Returns (rows, pivots): dividing
         each pivot row by its pivot gives the unique RREF.
         """
-        kinds = {type(e) for row in self.entries for e in row}
-        if not all(issubclass(k, (Fraction, int)) for k in kinds):
-            return None
         rows = []
         for row in self.entries:
             dens = [e.denominator for e in row]
@@ -193,54 +153,21 @@ class Matrix:
     def rref(self):
         """Reduced row echelon form.
 
-        Returns (rref_matrix, pivot_columns, rank).  A matrix of Fractions and
-        ints is eliminated over the integers (_integer_rref), and each entry
-        is divided by its row's pivot once at the end.  Other entries
-        (RationalFunction, Polynomial) are eliminated over their field, where
-        pivot selection inside a column prefers structurally simple entries
-        (keeps rational-function intermediates small) with the row index as
-        tie break, so the result is deterministic.
+        Returns (rref_matrix, pivot_columns, rank).  The matrix is eliminated
+        over the integers (_integer_rref), and each entry is divided by its
+        row's pivot once at the end.
         """
         if self.rows == 0 or self.cols == 0:
             return self, (), 0
-        eliminated = self._integer_rref()
-        if eliminated is not None:
-            rows, pivots = eliminated
-            out = [[Fraction(a, row[c]) if a else _ZERO for a in row] for row, c in zip(rows, pivots)]
-            out += [[_ZERO] * self.cols for _ in range(self.rows - len(pivots))]
-            return Matrix(out), pivots, len(pivots)
-        m = [list(row) for row in self.entries]
-        n_rows, n_cols = self.rows, self.cols
-        pivots = []
-        r = 0
-        for c in range(n_cols):
-            if r >= n_rows:
-                break
-            best = None
-            for i in range(r, n_rows):
-                if not (m[i][c] == 0):
-                    score = (_complexity(m[i][c]), i)
-                    if best is None or score < best[0]:
-                        best = (score, i)
-            if best is None:
-                continue
-            i = best[1]
-            m[r], m[i] = m[i], m[r]
-            inv = one_like(m[r][c]) / m[r][c]
-            m[r] = [e * inv for e in m[r]]
-            for i2 in range(n_rows):
-                if i2 != r and not (m[i2][c] == 0):
-                    f = m[i2][c]
-                    m[i2] = [a - f * b for a, b in zip(m[i2], m[r])]
-            pivots.append(c)
-            r += 1
-        return Matrix(m), tuple(pivots), r
+        rows, pivots = self._integer_rref()
+        out = [[Fraction(a, row[c]) if a else _ZERO for a in row] for row, c in zip(rows, pivots)]
+        out += [[_ZERO] * self.cols for _ in range(self.rows - len(pivots))]
+        return Matrix(out), pivots, len(pivots)
 
     def pivot_columns(self) -> tuple:
         """The pivot columns of rref(), from its elimination without the
-        final divisions when the entries are Fractions and ints."""
-        eliminated = self._integer_rref()
-        return eliminated[1] if eliminated is not None else self.rref()[1]
+        final divisions."""
+        return self._integer_rref()[1]
 
     def rank(self) -> int:
         return len(self.pivot_columns())
@@ -253,74 +180,98 @@ class Matrix:
         red, pivots, _ = Matrix([list(row) + [b] for row, b in zip(self.entries, rhs)]).rref()
         if pivots and pivots[-1] == self.cols:
             return None
-        x = [Fraction(0)] * self.cols
+        x = [_ZERO] * self.cols
         for r_i, p in enumerate(pivots):
             x[p] = red.entries[r_i][self.cols]
         return tuple(x)
 
     def kernel_rows(self):
         """Basis rows of the right null space {x : M x = 0} (RREF-canonical)."""
-        red, pivots, rank = self.rref()
-        piv_set = set(pivots)
-        free = [c for c in range(self.cols) if c not in piv_set]
-        if self.cols == 0:
-            return []
-        sample = self.entries[0][0] if self.rows else Fraction(0)
-        zero, one = zero_like(sample), one_like(sample)
+        red, pivots, _ = self.rref()
         basis = []
-        for f in free:
-            vec = [zero] * self.cols
-            vec[f] = one
+        for f in (c for c in range(self.cols) if c not in pivots):
+            vec = [_ZERO] * self.cols
+            vec[f] = Fraction(1)
             for r_i, p in enumerate(pivots):
                 vec[p] = -red.entries[r_i][f]
             basis.append(tuple(vec))
         return basis
 
     def det(self):
-        """Determinant by fraction-producing Gaussian elimination."""
+        """Determinant by Gaussian elimination over Q."""
         if self.rows != self.cols:
             raise ValueError("determinant of a non-square matrix")
-        n = self.rows
-        if n == 0:
-            return Fraction(1)
-        m = [list(row) for row in self.entries]
-        sample = m[0][0]
-        result = one_like(sample)
-        sign = 1
-        for c in range(n):
-            best = None
-            for i in range(c, n):
-                if not (m[i][c] == 0):
-                    score = (_complexity(m[i][c]), i)
-                    if best is None or score < best[0]:
-                        best = (score, i)
-            if best is None:
-                return zero_like(sample)
-            i = best[1]
+        m = [[as_fraction(e) for e in row] for row in self.entries]
+        result = Fraction(1)
+        for c in range(self.rows):
+            i = next((i for i in range(c, self.rows) if m[i][c]), None)
+            if i is None:
+                return _ZERO
             if i != c:
                 m[c], m[i] = m[i], m[c]
-                sign = -sign
-            result = result * m[c][c]
-            inv = one_like(m[c][c]) / m[c][c]
-            for i2 in range(c + 1, n):
-                if not (m[i2][c] == 0):
-                    f = m[i2][c] * inv
-                    m[i2] = [a - f * b for a, b in zip(m[i2], m[c])]
-        return result * sign if sign == 1 else -result
+                result = -result
+            top = m[c]
+            result *= top[c]
+            for row in m[c + 1 :]:
+                if row[c]:
+                    f = row[c] / top[c]
+                    row[c:] = [a - f * b for a, b in zip(row[c:], top[c:])]
+        return result
 
     def inverse(self) -> "Matrix":
         if self.rows != self.cols:
             raise ValueError("inverse of a non-square matrix")
         n = self.rows
-        one = one_like(self.entries[0][0]) if n else Fraction(1)
-        aug = Matrix([list(self.entries[i]) + list(Matrix.identity(n, one).entries[i]) for i in range(n)])
-        red, pivots, rank = aug.rref()
+        identity = Matrix.identity(n).entries
+        red, pivots, rank = Matrix([row + unit for row, unit in zip(self.entries, identity)], 2 * n).rref()
         if rank < n or any(p >= n for p in pivots):
             raise ValueError("matrix is singular")
-        return Matrix([row[n:] for row in red.entries])
+        return Matrix([row[n:] for row in red.entries], n)
 
     def __str__(self):
         return "\n".join("[" + ", ".join(str(e) for e in row) + "]" for row in self.entries)
+
+
+def fraction_free(rows: Sequence[Sequence[Polynomial]], columns: Iterable[int]):
+    """Fraction-free Gauss-Jordan elimination of polynomial rows (Bareiss,
+    Math. Comp. 22, 1968; Sasaki and Murao, ACM TOMS 8, 1982).
+
+    Pivots are taken in ``columns``, in order: the pivot of column c is the
+    first nonzero entry at or below the current row, and a column with none
+    is skipped.  Every other row becomes (p * row - f * pivot row) / q, with
+    p the pivot, f the row's entry in column c and q the previous pivot (1
+    at the first); by Sylvester's identity the division is exact, so every
+    entry stays a polynomial.  Returns (rows, pivots, sign), sign being the
+    parity of the row swaps.  Every pivot row ends with the last pivot in
+    its pivot column and zeros in the other pivot columns; when every row
+    takes a pivot, that pivot is sign * det F_J and the rows are
+    sign * adj(F_J) * F, where J is the pivot columns and F the given rows.
+    """
+    rows = [list(row) for row in rows]
+    if not rows or not rows[0]:
+        return rows, (), 1
+    vars_ = rows[0][0].vars
+    pivots, sign, previous = [], 1, None
+    for c in columns:
+        r = len(pivots)
+        if r == len(rows):
+            break
+        i = next((i for i in range(r, len(rows)) if rows[i][c].nums), None)
+        if i is None:
+            continue
+        if i != r:
+            rows[r], rows[i] = rows[i], rows[r]
+            sign = -sign
+        top = rows[r]
+        p = top[c]
+        for i2, row in enumerate(rows):
+            if i2 != r:
+                f = row[c]
+                row = [Polynomial.dot(vars_, ((p, a, 1), (f, b, -1))) for a, b in zip(row, top)]
+                rows[i2] = row if previous is None else [e.exact_div(previous) if e.nums else e for e in row]
+        pivots.append(c)
+        previous = p
+    return rows, tuple(pivots), sign
 
 
 def combine(coeffs: Sequence, rows: Sequence[Sequence], width: int) -> tuple:

@@ -21,8 +21,9 @@ performed to keep expressions small).
 from __future__ import annotations
 
 from fractions import Fraction
+from heapq import heapify, heappop, heappush
 from math import gcd, lcm
-from operator import add
+from operator import add, neg, sub
 from typing import Mapping, Sequence
 
 Exponents = tuple
@@ -394,25 +395,51 @@ class Polynomial:
         return exps, self.nums[exps]
 
     def exact_div(self, divisor: "Polynomial"):
-        """Exact quotient self/divisor, or None if it does not divide."""
+        """Exact quotient self/divisor, or None if it does not divide.
+
+        Leading-term division of the integer numerator tables A / B, since
+        (A / a) / (B / b) = (A / B) * b / a.  The remainder is one integer
+        table R standing for R / scale, scaled up only when the divisor's
+        leading numerator does not divide the leading term, and its terms
+        are taken in descending graded-lexicographic order from a heap
+        (Monagan and Pearce, JSC 46, 2011), so no intermediate polynomial or
+        Fraction is built.
+        """
         divisor = self._coerce(divisor)
         if divisor.is_zero():
             raise ZeroDivisionError("division by the zero polynomial")
         d_exps, lead = divisor.leading()
         if not any(d_exps):  # a constant divides everything
             return self._scale(divisor.den, lead)
-        quotient = Polynomial.zero(self.vars)
-        rem = self
-        while not rem.is_zero():
-            r_exps, r = rem.leading()
-            diff = tuple(a - b for a, b in zip(r_exps, d_exps))
-            if any(e < 0 for e in diff):
+        rest = [(e, c) for e, c in divisor.nums.items() if e != d_exps]
+        rem = dict(self.nums)
+        heap = [(-sum(e), tuple(map(neg, e)), e) for e in rem]
+        heapify(heap)
+        quotient, scale = [], 1
+        while heap:
+            exps = heappop(heap)[2]
+            c = rem.pop(exps)
+            if not c:
+                continue
+            diff = tuple(map(sub, exps, d_exps))
+            if min(diff) < 0:
                 return None
-            # (r / rem.den) / (lead / divisor.den) x^diff
-            mono = Polynomial._canonical(self.vars, {diff: 1})._scale(r * divisor.den, rem.den * lead)
-            quotient = quotient + mono
-            rem = rem - mono * divisor
-        return quotient
+            k = abs(lead) // gcd(c, lead)
+            if k != 1:
+                rem = {e: v * k for e, v in rem.items()}
+                scale *= k
+                c *= k
+            q = c // lead
+            quotient.append((diff, q, scale))
+            for e, c2 in rest:
+                e = tuple(map(add, diff, e))
+                if e in rem:
+                    rem[e] -= q * c2
+                else:
+                    rem[e] = -q * c2
+                    heappush(heap, (-sum(e), tuple(map(neg, e)), e))
+        nums = {e: q * (scale // s) * divisor.den for e, q, s in quotient}
+        return Polynomial._canonical(self.vars, nums, scale * self.den)
 
     # ---- canonical form -------------------------------------------------
     def __eq__(self, other):

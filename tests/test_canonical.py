@@ -18,10 +18,14 @@ from bigiso.canonical import (
     seed_basis,
     transversal_structure,
 )
+from bigiso.fixtures import fixture_text
+from bigiso.grid import default_grid
 from bigiso.linalg import Matrix, Subspace
+from bigiso.parser import parse_document
 from bigiso.pointwise import dirac_extension
 from bigiso.scalars import Polynomial, RationalFunction
 from bigiso.structures import (
+    BigIsotropicStructure,
     check_integrability,
     structure_from_components,
     transform_structure,
@@ -116,6 +120,53 @@ class TestNormalizeR3:
         d = tr.evaluate_at((0, 0))
         assert d.E == Subspace(4, [(0, 0, 0, 1)])
         assert check_integrability(tr).ok
+
+
+# p = 0: no transverse direction, so no Xi row constrains the covectors
+NO_TRANSVERSE = """chart x y
+E:
+  (1, 0 | 0, 0)
+E_prime:
+  (1, 0 | 0, 0)
+  (0, 1 | 0, 0)
+  (0, 0 | 0, 1)
+adapted: x | y |
+"""
+
+
+class TestDiracExtensionFrame:
+    """The generators of dirac_extension_frame span the pointwise almost-Dirac
+    extension at every grid point on the validity locus."""
+
+    @pytest.mark.parametrize(
+        "text, p",
+        [
+            (fixture_text("example_r3"), 1),
+            (fixture_text("example_r5"), 1),
+            (fixture_text("example_r5_tilde"), 1),
+            (NO_TRANSVERSE, 0),
+            # symplectic: every direction is a leaf direction, mk + p = 0
+            (fixture_text("example_symplectic") + "adapted: x1 x2 x3 x4 | |\n", 0),
+        ],
+        ids=["r3", "r5", "r5_tilde", "no_transverse", "symplectic"],
+    )
+    def test_matches_the_pointwise_extension(self, text, p):
+        doc = parse_document(text)
+        s = BigIsotropicStructure.build(doc.chart, doc.e_sections, doc.e_prime_sections)
+        idx = {name: i for i, name in enumerate(doc.chart.names)}
+        leaf, middle, transverse = (tuple(idx[n] for n in part) for part in doc.adapted_split)
+        cf = normalize_frame(s, AdaptedChart(doc.chart, leaf, middle, transverse))
+        assert cf.p == p
+        gens = dirac_extension_frame(cf)
+        m = s.m
+        used = 0
+        for pt in default_grid(m, cap=12):
+            if not cf.denominators_nonzero_at(pt):
+                continue
+            values = [tuple(e.eval(pt) for e in row) for row in gens]
+            assert Subspace(2 * m, values) == dirac_extension(s.evaluate_at(pt)), pt
+            used += 1
+        assert used
 
 
 class TestDenominators:

@@ -4,7 +4,6 @@ from fractions import Fraction
 import pytest
 
 from bigiso.linalg import Matrix, Subspace, combine, complement_in, image, kernel
-from bigiso.scalars import Polynomial, RationalFunction
 
 
 def F(*vals):
@@ -103,16 +102,6 @@ def test_det_and_inverse():
     assert singular.det() == 0
     with pytest.raises(ValueError):
         singular.inverse()
-
-
-def test_rational_function_matrix_inverse():
-    vs = ("t",)
-    t = RationalFunction.from_poly(Polynomial.variable(vs, "t"))
-    one = RationalFunction.one(vs)
-    m = Matrix([[t, one], [one, t]])
-    inv = m.inverse()
-    assert m * inv == Matrix.identity(2, one)
-    assert m.det() == t * t - one
 
 
 class TestSubspace:
@@ -270,14 +259,6 @@ class TestPivotColumns:
         assert Matrix.zeros(3, 4).pivot_columns() == ()
         assert Matrix([[0, 0, Fraction(1, 3)], [0, 2, 5]]).pivot_columns() == (1, 2)
         assert Matrix([[Fraction(1, 2), Fraction(1, 3)], [3, 2]]).pivot_columns() == (0,)
-
-    def test_rational_function_entries_use_rref(self):
-        vs = ("t",)
-        t = RationalFunction.from_poly(Polynomial.variable(vs, "t"))
-        one, zero = RationalFunction.one(vs), RationalFunction.zero(vs)
-        m = Matrix([[t, one, zero], [t * t, t, zero], [one, zero, t]])
-        assert m.pivot_columns() == m.rref()[1] == (0, 1)
-        assert m.rank() == 2
 
 
 class TestSolve:

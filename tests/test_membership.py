@@ -9,7 +9,7 @@ from itertools import combinations
 import pytest
 
 from bigiso.calculus import Chart, courant_bracket
-from bigiso.linalg import Matrix
+from bigiso.linalg import Matrix, fraction_free
 from bigiso.grid import default_grid
 from bigiso.membership import PROBE_POINTS, SpanWitness, in_span, poly_det, span_test
 from bigiso.scalars import Polynomial
@@ -255,13 +255,19 @@ def old_poly_det(rows):
     return rec(tuple(range(len(rows))), tuple(range(len(rows))))
 
 
+def old_cofactor(square, i, l):
+    """The (i, l) cofactor of a square polynomial matrix, by cofactor expansion."""
+    if len(square) == 1:
+        return Polynomial.one(square[0][0].vars)
+    minor = old_poly_det([r[:l] + r[l + 1:] for i2, r in enumerate(square) if i2 != i])
+    return -minor if (i + l) % 2 else minor
+
+
 def old_residuals(frame, J, candidate):
     """D, the coefficients b_J adj(F_J) and the residual entries off J, by sums."""
-    from bigiso.membership import _cofactor
-
     k = len(frame)
     FJ = [[row[c] for c in J] for row in frame]
-    adj = [[_cofactor(FJ, i, l) for i in range(k)] for l in range(k)]
+    adj = [[old_cofactor(FJ, i, l) for i in range(k)] for l in range(k)]
     D = sum(FJ[0][l] * adj[l][0] for l in range(k))
     b = tuple(candidate)
     coeffs = [sum(b[c] * adj[l][i] for l, c in enumerate(J)) for i in range(k)]
@@ -313,3 +319,30 @@ def test_poly_det_and_residuals_match_the_old_sums(m):
                 assert witness.minor in (r, -r) and witness.minor == minor(frame + [b], witness.columns)
             checked += 1
     assert checked > 10
+
+
+@pytest.mark.parametrize("m", [1, 2, 3])
+def test_fraction_free_rows_are_the_cofactor_adjugate_times_the_frame(m):
+    """With a pivot in every row, the elimination's rows are sign * adj(F_J) F
+    and each pivot is sign * det F_J, by the cofactor oracle (no sympy)."""
+    rng = random.Random(950 + m)
+    chart = Chart(tuple(f"x{i}" for i in range(m)))
+    swapped = 0
+    for _ in range(12):
+        k = rng.randint(1, 4)
+        frame = [[rational_poly(rng, chart) for _ in range(k + 2)] for _ in range(k)]
+        J = tuple(rng.sample(range(k + 2), k))
+        rows, pivots, sign = fraction_free(frame, J)
+        FJ = [[row[c] for c in J] for row in frame]
+        det = old_poly_det(FJ)
+        if det.is_zero():
+            assert len(pivots) < k
+            continue
+        assert pivots == J
+        swapped += sign < 0
+        for l, row in enumerate(rows):
+            assert row[J[l]] == det * sign
+            for j, entry in enumerate(row):
+                cofactors = [(old_cofactor(FJ, i, l), frame[i][j], sign) for i in range(k)]
+                assert entry == Polynomial.dot(chart.names, cofactors)
+    assert swapped

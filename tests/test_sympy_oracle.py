@@ -4,10 +4,11 @@ and of the determinants behind membership.
 The Courant bracket on three coordinates is written out again over sympy's
 polynomials (``sympy.Poly`` over QQ), from its coordinate formula, and the enlargement and co-anchor certificates that
 bigiso derives from the pairings are compared with the direct bracket forms
-computed here.  ``poly_det``, the cofactors of the adjugate and the span-test
-residual D b - (b_J adj F_J) F are compared with sympy's ``det`` and
-``adjugate`` on frames with non-integer coefficients.  Skipped when sympy is
-not installed.
+computed here.  ``poly_det``, the fraction-free elimination behind it, the
+cofactor oracle of the adjugate and the span-test residual
+D b - (b_J adj F_J) F are compared with sympy's ``det``, ``adjugate`` and
+``rref`` on frames with non-integer coefficients.  Skipped when sympy is not
+installed.
 """
 
 import random
@@ -16,7 +17,8 @@ from fractions import Fraction
 import pytest
 
 from bigiso.calculus import BigSection, Chart, PolyOneForm, PolyVectorField, courant_bracket
-from bigiso.membership import _cofactor, _pivot_columns, poly_det, span_test
+from bigiso.linalg import fraction_free
+from bigiso.membership import _pivot_columns, poly_det, span_test
 from bigiso.scalars import Polynomial
 from bigiso.structures import (
     _axiom_test_functions,
@@ -26,11 +28,15 @@ from bigiso.structures import (
 )
 
 sympy = pytest.importorskip("sympy")
+from sympy.polys.matrices import DomainMatrix  # noqa: E402
+
+from test_membership import old_cofactor  # noqa: E402  (needs the tests directory on sys.path)
 
 CHART = Chart(("x", "y", "z"))
 X = sympy.symbols("x y z")
 HALF = sympy.Rational(1, 2)
 ZERO = sympy.Poly(0, *X, domain=sympy.QQ)
+RING = sympy.QQ[X]
 
 
 def to_sympy(p: Polynomial):
@@ -190,17 +196,91 @@ def as_poly(expr):
     return sympy.Poly(sympy.expand(expr), *X, domain=sympy.QQ)
 
 
-@pytest.mark.parametrize("seed", range(8))
+def ring_matrix(rows):
+    """A polynomial matrix as a sympy DomainMatrix over QQ[x, y, z]."""
+    return DomainMatrix.from_Matrix(sympy_matrix(rows)).convert_to(RING).to_dense()
+
+
+def to_ring(p: Polynomial):
+    return RING.from_sympy(to_sympy(p).as_expr())
+
+
+def adjugate(M):
+    """adj(M) from sympy's determinants of the (n - 1)-minors of M (sympy's
+    own DomainMatrix.adjugate fails over QQ[x, y, z])."""
+    n = M.shape[0]
+    rest = [[j for j in range(n) if j != i] for i in range(n)]
+    entries = [[M.extract(rest[i], rest[l]).det() * (-1) ** (i + l) if n > 1 else RING.one for i in range(n)] for l in range(n)]
+    return DomainMatrix(entries, (n, n), RING)
+
+
+def generic_pivots(rows):
+    """The rref pivot columns of a polynomial matrix over Q(x, y, z)."""
+    return ring_matrix(rows).to_field().rref()[1]
+
+
+def check_fraction_free(rows, columns):
+    """The kernel's pivots are sympy's rref pivots on the given column order;
+    with a pivot in every row, its rows are sign * adj(F_J) F and every
+    pivot entry is sign * det F_J.  Returns whether every row took a pivot."""
+    reduced, pivots, sign = fraction_free(rows, columns)
+    assert sign in (1, -1)
+    assert pivots == tuple(columns[c] for c in generic_pivots([[row[c] for c in columns] for row in rows]))
+    if len(pivots) < len(rows):
+        return False
+    F = ring_matrix(rows)
+    FJ = F.extract(range(len(rows)), list(pivots))
+    assert ring_matrix(reduced) == adjugate(FJ) * F * RING.convert(sign)
+    det = FJ.det() * sign
+    assert all(to_ring(row[c]) == det for row, c in zip(reduced, pivots))
+    return True
+
+
+@pytest.mark.parametrize("seed", range(12))
 def test_poly_det_and_adjugate_match_sympy(seed):
     rng = random.Random(200 + seed)
-    n = 1 + seed % 4
+    n = 1 + seed % 6
     square = [[rand_rational_poly(rng) for _ in range(n)] for _ in range(n)]
-    S = sympy_matrix(square)
-    assert to_sympy(poly_det(square)) == as_poly(S.det(method="berkowitz"))
-    adj = S.adjugate(method="berkowitz")
+    S = ring_matrix(square)
+    assert to_ring(poly_det(square)) == S.det()
+    adj = adjugate(S)
     for l in range(n):
         for i in range(n):
-            assert to_sympy(_cofactor(square, i, l)) == as_poly(adj[l, i])
+            assert to_ring(old_cofactor(square, i, l)) == adj[l, i].element
+    # a wider frame, eliminated on n of its columns in a shuffled order
+    frame = [row + [rand_rational_poly(rng) for _ in range(2)] for row in square]
+    check_fraction_free(frame, rng.sample(range(n + 2), n))
+
+
+def test_fraction_free_swaps_rows_and_keeps_the_sign():
+    x, y, z = (Polynomial.variable(CHART.names, i) for i in range(3))
+    zero, one = Polynomial.zero(CHART.names), Polynomial.one(CHART.names)
+    # the (0, 0) entry is zero, so the first pivot swaps two rows
+    frame = [[zero, x, one, y], [y, zero, z, one], [x + 1, z, zero, x * y]]
+    assert check_fraction_free(frame, [0, 1, 2])
+    assert fraction_free(frame, [0, 1, 2])[2] == -1
+    square = [row[:3] for row in frame]
+    assert to_ring(poly_det(square)) == ring_matrix(square).det()
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_fraction_free_pivots_on_degenerate_frames_match_sympy(seed):
+    """Rectangular, rank-deficient and zero-row frames: the pivots over all
+    columns are sympy's rref pivots, and full-rank ones reduce to adj F_J F."""
+    rng = random.Random(400 + seed)
+    rows, width = rng.randint(1, 5), rng.randint(1, 5)
+    frame = [[rand_rational_poly(rng) for _ in range(width)] for _ in range(rows)]
+    zero = Polynomial.zero(CHART.names)
+    if seed % 4 == 1:  # rank deficient: one more row, combining the first and the last
+        a, b = rand_rational_poly(rng), rand_rational_poly(rng)
+        frame.append([Polynomial.dot(CHART.names, [(a, p, 1), (b, q, 1)]) for p, q in zip(frame[0], frame[-1])])
+    elif seed % 4 == 2:  # a zero row
+        frame[rng.randrange(rows)] = [zero] * width
+    elif seed % 4 == 3:  # a zero column
+        column = rng.randrange(width)
+        for row in frame:
+            row[column] = zero
+    check_fraction_free(frame, list(range(width)))
 
 
 @pytest.mark.parametrize("seed, k", [(1, 1), (2, 2), (3, 2), (4, 3), (5, 3)])
