@@ -18,6 +18,9 @@ elimination of the polynomial frame on the block's columns
 (``linalg.fraction_free``), whose rows over its pivot are the canonical
 rows; the two block determinants delimit the validity locus, which is
 recorded on the result.
+
+The transversal structure lives on the slice {x = 0}, which
+``reduction.restrict`` pulls the structure back to like any submanifold.
 """
 
 from __future__ import annotations
@@ -29,9 +32,10 @@ from typing import Sequence
 from .calculus import BigSection, Chart, PolyOneForm, PolyVectorField
 from .linalg import Matrix, Subspace, combine, complement_in, fraction_free
 from .pointwise import IsotropicData, characteristic_triple, covector_lift, is_graph_type, window
-from .scalars import Polynomial, RationalFunction, as_fraction
+from .reduction import SubmanifoldData, restrict
+from .scalars import Polynomial, RationalFunction
 from .structures import BigIsotropicStructure, Verdict, default_grid
-from .transport import LinearMap, pullback_subspace, space_S
+from .transport import LinearMap
 
 
 class NormalizationError(ValueError):
@@ -515,7 +519,7 @@ def coupling_equivalences(cf: CanonicalFrame, grid=None) -> Verdict:
                     (cond_normal, cond_conormal, cond_flat, alpha_prime_zero),
                 )
             )
-        if decomposable and not _splitting_holds(cf, pt, h_pt, t_fol, ann_fol):
+        if decomposable and not _splitting_holds(cf, pt, data, h_pt, t_fol, ann_fol):
             failures.append((f"decomposition of E fails at {pt}", None))
     if not used:
         failures.append((_empty_sample(cf, len(grid)), None))
@@ -527,11 +531,11 @@ def coupling_equivalences(cf: CanonicalFrame, grid=None) -> Verdict:
     )
 
 
-def _splitting_holds(cf, pt, h_pt, t_fol, ann_fol) -> bool:
-    """E = [E n (TF (+) ann H)] (+) [E n (H (+) ann TF)] at the point, with
-    the two pieces spanned by the Xi and X sections respectively."""
+def _splitting_holds(cf, pt, data, h_pt, t_fol, ann_fol) -> bool:
+    """E = [E n (TF (+) ann H)] (+) [E n (H (+) ann TF)] at the point, where
+    data is the structure there, with the two pieces spanned by the Xi and X
+    sections respectively."""
     m = cf.adapted.chart.dim
-    data = cf.structure.evaluate_at(pt)
     x_vals = Subspace(2 * m, cf.eval_rows(cf.x_rows, pt)) if cf.x_rows else Subspace(2 * m)
     xi_vals = Subspace(2 * m, cf.eval_rows(cf.xi_rows, pt)) if cf.xi_rows else Subspace(2 * m)
     piece_fol = data.E.intersect(window(m, t_fol.basis, h_pt.annihilator().basis))
@@ -608,7 +612,8 @@ def transversal_structure(
     s: BigIsotropicStructure, cf: CanonicalFrame, grid=None
 ) -> BigIsotropicStructure:
     """The induced structure on the slice {x = 0}, framed by the restricted
-    Xi sections (and Y/Theta for the orthogonal bundle)."""
+    Xi sections (and Y/Theta for the orthogonal bundle) and checked against
+    the pullbacks along the coordinate inclusion of the slice."""
     adapted = cf.adapted
     m = adapted.chart.dim
     sub = adapted.sub_chart()
@@ -627,9 +632,10 @@ def transversal_structure(
     ep_frame = e_frame + [restrict_row(row) for row in cf.y_rows]
     ep_frame += [restrict_row(row) for row in cf.theta_rows]
 
-    n = sub.dim
-    sub_grid = grid if grid is not None else default_grid(n, cap=12)
-    _check_transversal_constancy(s, adapted, sub_grid)
+    sub_grid = grid if grid is not None else default_grid(sub.dim, cap=12)
+    inclusion = LinearMap.from_rows([[int(i == j) for j in sub_idx] for i in range(m)])
+    N = SubmanifoldData(adapted.chart, sub, (0,) * m, inclusion)
+    restricted = restrict(s, N, grid=sub_grid)
 
     structure = BigIsotropicStructure.build(
         sub,
@@ -638,14 +644,10 @@ def transversal_structure(
         grid=sub_grid,
     )
     used = 0
-    for pt in sub_grid:
-        ambient_pt = _embed_point(adapted, pt)
-        if not cf.denominators_nonzero_at(ambient_pt):
+    for pt, expected in zip(restricted.points, restricted.pulled_E):
+        if not cf.denominators_nonzero_at(N.embed_point(pt)):
             continue
         used += 1
-        data = s.evaluate_at(ambient_pt)
-        incl = _inclusion_map(adapted)
-        expected = pullback_subspace(incl, data.E)
         got = structure.evaluate_at(pt)
         if expected != got.E:
             raise NormalizationError(f"transversal frame disagrees with the pullback at {pt}")
@@ -663,35 +665,6 @@ def _empty_sample(cf: CanonicalFrame, points: int) -> str:
         f"empty sample: no point of the {points}-point grid lies on the validity locus "
         f"({cf.det_e}) * ({cf.det_eprime}) != 0"
     )
-
-
-def _check_transversal_constancy(s, adapted, sub_grid):
-    dims = set()
-    dims_prime = set()
-    incl = _inclusion_map(adapted)
-    for pt in sub_grid:
-        data = s.evaluate_at(_embed_point(adapted, pt))
-        dims.add(space_S(incl, data.E).dim)
-        dims_prime.add(space_S(incl, data.E_prime).dim)
-        if len(dims) > 1 or len(dims_prime) > 1:
-            raise NormalizationError(
-                f"slice-window dimensions jump across the transversal: {sorted(dims)} / {sorted(dims_prime)}"
-            )
-
-
-def _inclusion_map(adapted: AdaptedChart) -> LinearMap:
-    m = adapted.chart.dim
-    sub_idx = adapted.middle + adapted.transverse
-    rows = [[1 if sub_idx[j] == i else 0 for j in range(len(sub_idx))] for i in range(m)]
-    return LinearMap.from_rows(rows)
-
-
-def _embed_point(adapted: AdaptedChart, pt):
-    m = adapted.chart.dim
-    full = [Fraction(0)] * m
-    for value, i in zip(pt, adapted.middle + adapted.transverse):
-        full[i] = as_fraction(value)
-    return tuple(full)
 
 
 def _clear_denominators(comps):

@@ -216,7 +216,7 @@ def _transversal(run: _Run):
     with report.start("transversal structure") as timer:
         try:
             tr = transversal_structure(run.structure, cf)
-        except (NormalizationError, StructureError) as exc:
+        except (NormalizationError, ReductionError, StructureError) as exc:
             timer.done(False, _failure(exc))
             return
         cert = {

@@ -370,7 +370,7 @@ def _parse_grid_spec(text: str, line_no: int):
         raise ParseError("grid bounds out of order", line_no, 1)
     cap = 24
     if len(parts) >= 2:
-        if parts[1] != "cap" or len(parts) < 3:
+        if parts[1] != "cap" or len(parts) != 3:
             raise ParseError("grid cap must be written as 'cap N'", line_no, 1)
         cap = int(parts[2]) if parts[2].isdecimal() else 0
     if cap < 1:

@@ -148,10 +148,12 @@ class FoliationData:
 
 @dataclass(frozen=True)
 class RestrictedData:
-    """Pointwise pullbacks of (E, E') over a sample grid of the submanifold."""
+    """Pointwise pullbacks of (E, E') over a sample grid of the submanifold,
+    with the ambient structure at each embedded point they came from."""
 
     submanifold: SubmanifoldData
     points: tuple
+    ambient_data: tuple  # IsotropicData at the embedded points
     pulled_E: tuple
     pulled_E_prime: tuple
     dim_window: int
@@ -173,10 +175,11 @@ def restrict(s: BigIsotropicStructure, N: SubmanifoldData, grid=None) -> Restric
         raise ReductionError("submanifold lives in a different chart")
     pts = grid if grid is not None else default_grid(N.sub.dim, cap=16)
     incl = N.differential
-    pulled, pulled_prime = [], []
+    ambient_data, pulled, pulled_prime = [], [], []
     window_dims, window_prime_dims = {}, {}
     for u in pts:
         data = s.evaluate_at(N.embed_point(u))
+        ambient_data.append(data)
         pulled.append(pullback_subspace(incl, data.E))
         pulled_prime.append(pullback_subspace(incl, data.E_prime))
         window_dims.setdefault(space_S(incl, data.E).dim, u)
@@ -193,6 +196,7 @@ def restrict(s: BigIsotropicStructure, N: SubmanifoldData, grid=None) -> Restric
     return RestrictedData(
         N,
         tuple(pts),
+        tuple(ambient_data),
         tuple(pulled),
         tuple(pulled_prime),
         next(iter(window_dims)),
@@ -232,14 +236,13 @@ def check_reducibility(
     failures = []
     ann_tn = N.normal_equations()
     fibre_amb = [N.differential.push([1 if j == i else 0 for j in range(n)]) for i in F.fibre]
-    for u, pulled in zip(restricted.points, restricted.pulled_E):
+    for u, data, pulled in zip(restricted.points, restricted.ambient_data, restricted.pulled_E):
         for i in F.fibre:
             vec = [Fraction(0)] * (2 * n)
             vec[i] = Fraction(1)
             if not pulled.contains(vec):
                 failures.append((f"fibre direction {N.sub.names[i]} not in the pullback at {u}", None))
         # ambient-side formulation
-        data = s.evaluate_at(N.embed_point(u))
         inter = data.E.intersect(window(m, fibre_amb, ann_tn.entries))
         projected = tangent_projection(inter)
         target = Subspace(m, fibre_amb)
@@ -410,19 +413,19 @@ def reduce_structure(
     quotient_chart = F.quotient_chart()
     base_grid = sorted({tuple(u[i] for i in F.base) for u in restricted.points})
     quotient = BigIsotropicStructure.build(quotient_chart, reduced_frame, reduced_prime, grid=base_grid)
+    quotient_at = {pt: quotient.evaluate_at(pt) for pt in base_grid}
 
     # round trips: the quotient pulls back to the restriction and the
     # restriction pushes forward to the quotient, at every grid point
     proj = F.projection()
     for u, pulled in zip(restricted.points, restricted.pulled_E):
-        base_pt = tuple(u[i] for i in F.base)
-        delta = quotient.evaluate_at(base_pt).E
+        delta = quotient_at[tuple(u[i] for i in F.base)].E
         if pullback_subspace(proj, delta) != pulled:
             raise ReductionError(f"quotient does not pull back to the restriction at {u}")
         if pushforward_subspace(proj, pulled) != delta:
             raise ReductionError(f"restriction does not push forward to the quotient at {u}")
 
-    poisson = all(is_graph_type(quotient.evaluate_at(pt)) for pt in base_grid)
+    poisson = all(is_graph_type(data) for data in quotient_at.values())
     return ReductionResult(quotient, restricted, red_verdict, proj_verdict, poisson)
 
 

@@ -80,3 +80,21 @@ def nonintegrable_theta_structure():
         [PolyVectorField.coordinate(chart, "x"), PolyVectorField.coordinate(chart, "y")],
         theta,
     )
+
+
+@pytest.fixture
+def evaluation_counts(monkeypatch):
+    """Calls of BigIsotropicStructure.evaluate_at per (structure, point)."""
+    from collections import Counter
+    from fractions import Fraction
+
+    counts, alive = Counter(), []  # alive keeps each id() unique
+    original = BigIsotropicStructure.evaluate_at
+
+    def counted(self, point):
+        alive.append(self)
+        counts[(id(self), tuple(Fraction(c) for c in point))] += 1
+        return original(self, point)
+
+    monkeypatch.setattr(BigIsotropicStructure, "evaluate_at", counted)
+    return counts

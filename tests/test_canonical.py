@@ -134,6 +134,15 @@ adapted: x | y |
 """
 
 
+def _document_frame(text):
+    """(structure, canonical frame) of a document with an adapted block."""
+    doc = parse_document(text)
+    s = BigIsotropicStructure.build(doc.chart, doc.e_sections, doc.e_prime_sections)
+    idx = {name: i for i, name in enumerate(doc.chart.names)}
+    leaf, middle, transverse = (tuple(idx[n] for n in part) for part in doc.adapted_split)
+    return s, normalize_frame(s, AdaptedChart(doc.chart, leaf, middle, transverse))
+
+
 class TestDiracExtensionFrame:
     """The generators of dirac_extension_frame span the pointwise almost-Dirac
     extension at every grid point on the validity locus."""
@@ -151,11 +160,7 @@ class TestDiracExtensionFrame:
         ids=["r3", "r5", "r5_tilde", "no_transverse", "symplectic"],
     )
     def test_matches_the_pointwise_extension(self, text, p):
-        doc = parse_document(text)
-        s = BigIsotropicStructure.build(doc.chart, doc.e_sections, doc.e_prime_sections)
-        idx = {name: i for i, name in enumerate(doc.chart.names)}
-        leaf, middle, transverse = (tuple(idx[n] for n in part) for part in doc.adapted_split)
-        cf = normalize_frame(s, AdaptedChart(doc.chart, leaf, middle, transverse))
+        s, cf = _document_frame(text)
         assert cf.p == p
         gens = dirac_extension_frame(cf)
         m = s.m
@@ -167,6 +172,43 @@ class TestDiracExtensionFrame:
             assert Subspace(2 * m, values) == dirac_extension(s.evaluate_at(pt)), pt
             used += 1
         assert used
+
+
+class TestTransversalSlice:
+    """The slice {x = 0} through reduction.restrict, at the edges of the
+    split: no slice directions at all, and slice directions out of order."""
+
+    def test_zero_dimensional_slice(self):
+        s, cf = _document_frame(fixture_text("example_symplectic") + "adapted: x1 x2 x3 x4 | |\n")
+        tr = transversal_structure(s, cf)
+        assert tr.chart.names == () and tr.k == 0
+        assert tr.evaluate_at(()).E == Subspace(0)
+        assert check_integrability(tr).ok
+
+    def test_permuted_middle_directions(self):
+        text = fixture_text("example_r5").replace("adapted: x1 x2 | y1 y2 | z", "adapted: x1 x2 | y2 y1 | z")
+        s, cf = _document_frame(text)
+        tr = transversal_structure(s, cf)
+        # the slice chart keeps the split's order, middle then transverse
+        assert tr.chart.names == ("y2", "y1", "z")
+        incl = LinearMap.from_rows([[0, 0, 0], [0, 0, 0], [0, 1, 0], [1, 0, 0], [0, 0, 1]])
+        for pt in default_grid(3, cap=12):
+            ambient_pt = (0, 0, pt[1], pt[0], pt[2])
+            assert tr.evaluate_at(pt).E == pullback_subspace(incl, s.evaluate_at(ambient_pt).E)
+        assert tr.evaluate_at((0, 0, 0)).E == Subspace(6, [(0, 0, 0, 0, 0, 1)])
+        assert check_integrability(tr).ok
+
+    def test_each_point_is_evaluated_once(self, evaluation_counts):
+        s, cf = _document_frame(fixture_text("example_r3"))
+        evaluation_counts.clear()
+        tr = transversal_structure(s, cf)
+        # the ambient structure at the 12 embedded slice points, the slice at the same 12
+        assert len(evaluation_counts) == 24 and set(evaluation_counts.values()) == {1}
+        assert tr.chart.names == ("y", "z")
+        evaluation_counts.clear()
+        verdict = coupling_equivalences(cf)
+        assert verdict.ok and verdict.note == "decomposable"
+        assert len(evaluation_counts) == 24 and set(evaluation_counts.values()) == {1}
 
 
 class TestDenominators:

@@ -170,7 +170,7 @@ class TestDocumentParser:
             parse_document("chart x\nnonsense here\n")
 
 
-    @pytest.mark.parametrize("spec", ["-1..1 cap 0", "-1..1 cap x", "2..1", "a..b"])
+    @pytest.mark.parametrize("spec", ["-1..1 cap 0", "-1..1 cap x", "2..1", "a..b", "-2..2 cap 5 junk"])
     def test_bad_grid_line(self, spec):
         with pytest.raises(ParseError):
             parse_document(fixtures.fixture_text("example_r3") + f"grid: {spec}\n")
@@ -423,6 +423,29 @@ class TestCli:
         leaf = [c for c in payload["checks"] if c["name"] == "leaf presymplectic form"]
         assert leaf[0]["verdict"] == "fail"
         assert "blow up" in leaf[0]["certificate"]["failures"][0]["message"]
+
+    # E = span((1 - y) d_x + y d_y): on the slice {x = 0}, E meets the slice
+    # tangents plus covectors only at y = 1, off the validity locus 1 - y != 0
+    WINDOW_JUMP_DOC = (
+        "chart x y\n"
+        "E:\n  (1 - y, y | 0, 0)\n"
+        "E_prime:\n  (1, 0 | 0, 0)\n  (0, 1 | 0, 0)\n  (0, 0 | y, y - 1)\n"
+        "adapted: x | y |\n"
+    )
+
+    def test_slice_window_jump_is_a_failed_check(self, tmp_path):
+        doc = tmp_path / "jump.bis"
+        doc.write_text(self.WINDOW_JUMP_DOC)
+        code, out = self.run("transversal", str(doc))
+        assert code == 1
+        payload = json.loads(out)
+        assert payload["errors"] == []
+        checks = {c["name"]: c for c in payload["checks"]}
+        assert checks["canonical normalization"]["verdict"] == "pass"
+        assert checks["transversal structure"]["verdict"] == "fail"
+        message = checks["transversal structure"]["certificate"]["failures"][0]["message"]
+        assert message.startswith("properness fails for E: window dimension 0 at")
+        assert "transversal integrability" not in checks
 
     EMPTY_SAMPLE_DOC = (
         "chart x y z\n"

@@ -12,7 +12,9 @@ from bigiso.calculus import (
     courant_bracket,
     lift_section,
 )
+from bigiso.fixtures import fixture_text
 from bigiso.linalg import Subspace
+from bigiso.parser import parse_document
 from bigiso.pointwise import orthogonal_g
 from bigiso.reduction import (
     FoliationData,
@@ -31,6 +33,7 @@ from bigiso.reduction import (
 )
 from bigiso.scalars import Polynomial
 from bigiso.structures import (
+    BigIsotropicStructure,
     check_integrability,
     foliation_pair,
     graph_P,
@@ -246,6 +249,19 @@ class TestReduce:
         result = reduce_structure(s, SubmanifoldData.identity(chart), F)
         assert result.quotient.chart.names == () and result.quotient.k == 0
         assert result.reducibility.ok and result.projectability.ok and result.poisson_condition
+
+    def test_each_point_is_evaluated_once(self, evaluation_counts):
+        doc = parse_document(fixture_text("example_reduction"))
+        s = BigIsotropicStructure.build(doc.chart, doc.e_sections, doc.e_prime_sections)
+        N = SubmanifoldData.from_equations(doc.chart, list(doc.submanifold_equations))
+        F = FoliationData(N.sub, tuple(N.sub.index(name) for name in doc.foliation_names))
+        evaluation_counts.clear()
+        result = reduce_structure(s, N, F)
+        base_points = {tuple(u[i] for i in F.base) for u in result.restricted.points}
+        # the ambient structure at each sample point, the quotient at each base point
+        assert len(evaluation_counts) == len(result.restricted.points) + len(base_points) == 16 + 8
+        assert set(evaluation_counts.values()) == {1}
+        assert len(result.restricted.ambient_data) == 16
 
     def test_reducibility_failure_raises(self, poisson_4d, hyperplane):
         F = FoliationData(hyperplane.sub, fibre=(0,))
