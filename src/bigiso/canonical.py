@@ -10,14 +10,15 @@ the base point has a unique frame of the shape
     Y_h     = (Y_h + C''^s_h Z_s,                gamma^h_a dx^a)
     Theta_q = (L''^s_q Z_s,                      lambda^q_a dx^a + phi^q)
 
-where (X_a, Xi_u) spans E and the four families together span E'.  Because
-the canonical frame is unique once the chart frame is fixed, it can be
-computed in one step per bundle: solve for the frame whose designated
-component block is the identity.  Each solve is one fraction-free
-elimination of the polynomial frame on the block's columns
-(``linalg.fraction_free``), whose rows over its pivot are the canonical
-rows; the two block determinants delimit the validity locus, which is
-recorded on the result.
+where (X_a, Xi_u) spans E and the four families together span E', all in
+the chart's coordinate frame.  Because the canonical frame is unique once
+the chart is fixed, it can be computed in one step per bundle: solve for the
+frame whose designated block of coordinate columns is the identity.  Each
+solve is one fraction-free elimination of the structure's own polynomial
+rows on those columns, taken in the split's order
+(``linalg.fraction_free``); its rows over its pivot are the canonical rows.
+The two block determinants delimit the validity locus, which is recorded on
+the result.
 
 The transversal structure lives on the slice {x = 0}, which
 ``reduction.restrict`` pulls the structure back to like any submanifold.
@@ -27,7 +28,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Sequence
 
 from .calculus import BigSection, Chart, PolyOneForm, PolyVectorField
 from .linalg import Matrix, Subspace, combine, complement_in, fraction_free
@@ -44,18 +44,12 @@ class NormalizationError(ValueError):
 
 @dataclass(frozen=True)
 class AdaptedChart:
-    """A chart split into leaf / middle / transverse coordinate indices.
-
-    ``chi`` is the optional twist of the middle frame fields: the h-th frame
-    field is d_y^h + chi[h][s] d_z^s.  It must vanish on the leaf
-    {y = 0, z = 0}.
-    """
+    """A chart split into leaf / middle / transverse coordinate indices."""
 
     chart: Chart
     leaf: tuple
     middle: tuple
     transverse: tuple
-    chi: tuple = ()
 
     def __post_init__(self):
         object.__setattr__(self, "leaf", tuple(self.leaf))
@@ -64,21 +58,6 @@ class AdaptedChart:
         idx = self.leaf + self.middle + self.transverse
         if sorted(idx) != list(range(self.chart.dim)):
             raise NormalizationError("leaf/middle/transverse must partition the chart")
-        zero = self.chart.zero()
-        if self.chi:
-            chi = tuple(tuple(row) for row in self.chi)
-            if len(chi) != len(self.middle) or any(len(r) != len(self.transverse) for r in chi):
-                raise NormalizationError("chi must be (middle x transverse)-shaped")
-        else:
-            chi = tuple(
-                tuple(zero for _ in self.transverse) for _ in self.middle
-            )
-        object.__setattr__(self, "chi", chi)
-        off_leaf = {i: Fraction(0) for i in self.middle + self.transverse}
-        for row in chi:
-            for entry in row:
-                if not entry.set_vars(off_leaf).is_zero():
-                    raise NormalizationError("chi must vanish on the leaf")
 
     @property
     def r(self) -> int:
@@ -99,56 +78,6 @@ class AdaptedChart:
 
     def leaf_assignment(self) -> dict:
         return {i: Fraction(0) for i in self.middle + self.transverse}
-
-
-def section_frame_components(sec: BigSection, adapted: AdaptedChart) -> list:
-    """Polynomial components of a section in the adapted frame (X_a, Y_h,
-    Z_s) and its dual coframe, ordered [t_a, t_h, t_s, c_a, c_h, c_s]."""
-    v = sec.vf.comps
-    w = sec.of.comps
-    chi = adapted.chi
-    t_a = [v[i] for i in adapted.leaf]
-    t_h = [v[i] for i in adapted.middle]
-    t_s = []
-    for si, i in enumerate(adapted.transverse):
-        val = v[i]
-        for hi in range(adapted.mk):
-            val = val - chi[hi][si] * v[adapted.middle[hi]]
-        t_s.append(val)
-    c_a = [w[i] for i in adapted.leaf]
-    c_h = []
-    for hi, i in enumerate(adapted.middle):
-        val = w[i]
-        for si in range(adapted.p):
-            val = val + chi[hi][si] * w[adapted.transverse[si]]
-        c_h.append(val)
-    c_s = [w[i] for i in adapted.transverse]
-    return t_a + t_h + t_s + c_a + c_h + c_s
-
-
-def frame_components_to_coordinates(row: Sequence[RationalFunction], adapted: AdaptedChart) -> list:
-    """Inverse of section_frame_components, on rational-function rows."""
-    r, mk, p = adapted.r, adapted.mk, adapted.p
-    m = adapted.chart.dim
-    t_a, t_h, t_s = row[:r], row[r : r + mk], row[r + mk : r + mk + p]
-    c_a, c_h, c_s = row[m : m + r], row[m + r : m + r + mk], row[m + r + mk :]
-    chi = adapted.chi
-    v = [None] * m
-    w = [None] * m
-    for ai, i in enumerate(adapted.leaf):
-        v[i] = t_a[ai]
-        w[i] = c_a[ai]
-    for hi, i in enumerate(adapted.middle):
-        v[i] = t_h[hi]
-        w[i] = c_h[hi]
-        for si in range(p):
-            w[i] = w[i] - c_s[si] * chi[hi][si]
-    for si, i in enumerate(adapted.transverse):
-        v[i] = t_s[si]
-        for hi in range(mk):
-            v[i] = v[i] + t_h[hi] * chi[hi][si]
-        w[i] = c_s[si]
-    return list(v) + list(w)
 
 
 @dataclass(frozen=True)
@@ -234,9 +163,6 @@ class CanonicalFrame:
     def p(self):
         return self.adapted.p
 
-    def canonical_rows(self) -> tuple:
-        return self.x_rows + self.xi_rows + self.y_rows + self.theta_rows
-
     def denominators_nonzero_at(self, point) -> bool:
         try:
             return self.det_e.eval(point) != 0 and self.det_eprime.eval(point) != 0
@@ -262,8 +188,8 @@ def _identity_on(rows, columns, names, singular: str):
     return sign * pivot, tuple(tuple(RationalFunction(e, pivot) for e in row) for row in reduced)
 
 
-def _grab(rows, row_range, col_range):
-    return tuple(tuple(rows[i][j] for j in col_range) for i in row_range)
+def _grab(rows, columns):
+    return tuple(tuple(row[j] for j in columns) for row in rows)
 
 
 def normalize_frame(s: BigIsotropicStructure, adapted: AdaptedChart) -> CanonicalFrame:
@@ -272,9 +198,10 @@ def normalize_frame(s: BigIsotropicStructure, adapted: AdaptedChart) -> Canonica
     The E part is the unique frame combination whose (leaf-tangent,
     transverse-covector) block is the identity; the complementary E' part is
     the unique combination whose (middle-tangent, middle-covector) block is
-    the identity with the other designated blocks zero.  Raises when a
-    block's determinant is the zero polynomial, which means the chart is not
-    adapted to the structure near the base point.
+    the identity with the other designated blocks zero.  The pivot columns
+    are coordinate columns in the split's order.  Raises when a block's
+    determinant is the zero polynomial, which means the chart is not adapted
+    to the structure near the base point.
     """
     if adapted.chart != s.chart:
         raise NormalizationError("adapted chart does not match the structure chart")
@@ -284,71 +211,57 @@ def normalize_frame(s: BigIsotropicStructure, adapted: AdaptedChart) -> Canonica
         raise NormalizationError(
             f"index ranges (r={r}, p={p}, middle={mk}) incompatible with rank {s.k} in dimension {m}"
         )
-    cols_e = list(range(r)) + list(range(m + r + mk, 2 * m))
-    cols_ep = cols_e + list(range(r, r + mk)) + list(range(m + r, m + r + mk))
-
-    m_e = [section_frame_components(sec, adapted) for sec in s.e_frame]
-    m_ep = [section_frame_components(sec, adapted) for sec in s.e_prime_frame]
+    leaf, middle, transverse = adapted.leaf, adapted.middle, adapted.transverse
+    cols_e = list(leaf) + [m + i for i in transverse]
+    cols_ep = cols_e + list(middle) + [m + i for i in middle]
 
     names = s.chart.names
     det_e, new_e = _identity_on(
-        m_e, cols_e, names, "the E frame block on leaf-tangent/transverse-covector columns is singular"
+        s.frame_rows(), cols_e, names, "the E frame block on leaf-tangent/transverse-covector columns is singular"
     )
-    det_ep, new_ep = _identity_on(m_ep, cols_ep, names, "the E' frame block is singular; chart not adapted")
+    det_ep, new_ep = _identity_on(
+        s.prime_frame_rows(), cols_ep, names, "the E' frame block is singular; chart not adapted"
+    )
 
-    x_rows = tuple(new_e[i] for i in range(r))
-    xi_rows = tuple(new_e[i] for i in range(r, r + p))
-    y_rows = tuple(new_ep[i] for i in range(r + p, r + p + mk))
-    theta_rows = tuple(new_ep[i] for i in range(r + p + mk, 2 * m - s.k))
-    eprime_only = tuple(new_ep[i] for i in range(r + p))
-
-    # coefficient grids, read off the frame-component layout
-    t_h = range(r, r + mk)
-    t_s = range(r + mk, r + mk + p)
-    c_a = range(m, m + r)
-    c_h = range(m + r, m + r + mk)
-
-    cf = CanonicalFrame(
+    x_rows, xi_rows = new_e[:r], new_e[r:]
+    y_rows, theta_rows = new_ep[r + p : r + p + mk], new_ep[r + p + mk :]
+    leaf_covector = [m + i for i in leaf]
+    middle_covector = [m + i for i in middle]
+    return CanonicalFrame(
         structure=s,
         adapted=adapted,
-        A_prime=_grab(x_rows, range(r), t_h),
-        A_dprime=_grab(x_rows, range(r), t_s),
-        alpha=_grab(x_rows, range(r), c_a),
-        alpha_prime=_grab(x_rows, range(r), c_h),
-        B_prime=_grab(xi_rows, range(p), t_h),
-        B_dprime=_grab(xi_rows, range(p), t_s),
-        beta=_grab(xi_rows, range(p), c_a),
-        beta_prime=_grab(xi_rows, range(p), c_h),
-        C_dprime=_grab(y_rows, range(mk), t_s),
-        gamma=_grab(y_rows, range(mk), c_a),
-        L_dprime=_grab(theta_rows, range(mk), t_s),
-        lam=_grab(theta_rows, range(mk), c_a),
-        x_rows=tuple(tuple(frame_components_to_coordinates(row, adapted)) for row in x_rows),
-        xi_rows=tuple(tuple(frame_components_to_coordinates(row, adapted)) for row in xi_rows),
-        y_rows=tuple(tuple(frame_components_to_coordinates(row, adapted)) for row in y_rows),
-        theta_rows=tuple(tuple(frame_components_to_coordinates(row, adapted)) for row in theta_rows),
-        eprime_only_rows=tuple(
-            tuple(frame_components_to_coordinates(row, adapted)) for row in eprime_only
-        ),
+        A_prime=_grab(x_rows, middle),
+        A_dprime=_grab(x_rows, transverse),
+        alpha=_grab(x_rows, leaf_covector),
+        alpha_prime=_grab(x_rows, middle_covector),
+        B_prime=_grab(xi_rows, middle),
+        B_dprime=_grab(xi_rows, transverse),
+        beta=_grab(xi_rows, leaf_covector),
+        beta_prime=_grab(xi_rows, middle_covector),
+        C_dprime=_grab(y_rows, transverse),
+        gamma=_grab(y_rows, leaf_covector),
+        L_dprime=_grab(theta_rows, transverse),
+        lam=_grab(theta_rows, leaf_covector),
+        x_rows=x_rows,
+        xi_rows=xi_rows,
+        y_rows=y_rows,
+        theta_rows=theta_rows,
+        eprime_only_rows=new_ep[: r + p],
         det_e=det_e,
         det_eprime=det_ep,
         leaf_conditions_ok=_leaf_conditions_hold(adapted, x_rows, xi_rows, y_rows, theta_rows),
     )
-    return cf
 
 
 def _leaf_conditions_hold(adapted, x_rows, xi_rows, y_rows, theta_rows) -> bool:
     """Along the leaf the canonical tangent coefficients must collapse to the
     seed values (identity/zero pattern); fails when the chart split does not
     actually match the structure's characteristic distributions on the leaf."""
-    r, mk, p = adapted.r, adapted.mk, adapted.p
     on_leaf = adapted.leaf_assignment()
-    t_h = range(r, r + mk)
-    t_s = range(r + mk, r + mk + p)
 
-    def vanishes(rows, col_range):
+    def vanishes(rows, columns):
         for row in rows:
-            for c in col_range:
+            for c in columns:
                 try:
                     if not row[c].set_vars(on_leaf).is_zero():
                         return False
@@ -356,13 +269,14 @@ def _leaf_conditions_hold(adapted, x_rows, xi_rows, y_rows, theta_rows) -> bool:
                     return False
         return True
 
+    middle, transverse = adapted.middle, adapted.transverse
     return (
-        vanishes(x_rows, t_h)
-        and vanishes(x_rows, t_s)
-        and vanishes(xi_rows, t_h)
-        and vanishes(xi_rows, t_s)
-        and vanishes(y_rows, t_s)
-        and vanishes(theta_rows, t_s)
+        vanishes(x_rows, middle)
+        and vanishes(x_rows, transverse)
+        and vanishes(xi_rows, middle)
+        and vanishes(xi_rows, transverse)
+        and vanishes(y_rows, transverse)
+        and vanishes(theta_rows, transverse)
     )
 
 
@@ -574,7 +488,7 @@ def dirac_extension_frame(cf: CanonicalFrame):
     """
     adapted = cf.adapted
     m = adapted.chart.dim
-    r, mk, p = cf.r, cf.mk, cf.p
+    mk, p = cf.mk, cf.p
     names = adapted.chart.names
     # B' and B'' have the denominator det_e, so their numerators have their kernel
     rows = [
@@ -590,21 +504,21 @@ def dirac_extension_frame(cf: CanonicalFrame):
         for row, c in zip(reduced, pivots):
             combo[c] = RationalFunction(-row[f], row[c])
         phi, psi = combo[:mk], combo[mk:]
-        # assemble in frame components (c_a chosen to annihilate the X rows),
-        # then convert so a nontrivial chi twist is folded in correctly
-        frame_row = [zero] * (2 * m)
-        for hi in range(mk):
-            frame_row[m + r + hi] = phi[hi]
-        for si in range(p):
-            frame_row[m + r + mk + si] = psi[si]
-        for ai in range(r):
+        # a pure covector: phi on the middle and psi on the transverse
+        # coordinates, with its leaf part chosen to annihilate the X rows
+        row = [zero] * (2 * m)
+        for hi, i in enumerate(adapted.middle):
+            row[m + i] = phi[hi]
+        for si, i in enumerate(adapted.transverse):
+            row[m + i] = psi[si]
+        for ai, i in enumerate(adapted.leaf):
             acc = zero
             for hi in range(mk):
                 acc = acc + phi[hi] * cf.A_prime[ai][hi]
             for si in range(p):
                 acc = acc + psi[si] * cf.A_dprime[ai][si]
-            frame_row[m + ai] = -acc
-        gens.append(tuple(frame_components_to_coordinates(frame_row, adapted)))
+            row[m + i] = -acc
+        gens.append(tuple(row))
     return tuple(gens)
 
 

@@ -19,6 +19,9 @@ grid override, and named Hamiltonian pairs::
     submanifold: x4 = 0
     grid: -2..2 cap 24
     hamiltonian h1: f = x1 ; Xf = (0, 1, 0, 0)
+
+The chart, adapted, foliation and grid lines may each appear once;
+submanifold and hamiltonian lines may repeat.
 """
 
 from __future__ import annotations
@@ -288,6 +291,8 @@ def parse_document(text: str) -> StructureDocument:
             blocks[current_block].append((line, ln))
             continue
         if lowered.startswith("adapted:"):
+            if adapted is not None:
+                raise ParseError("duplicate adapted line", ln, 1)
             body = stripped[len("adapted:") :]
             parts, _ = _split_top_level(body, ln, len("adapted:") + 1, separators=("|",))
             if len(parts) != 3:
@@ -296,6 +301,8 @@ def parse_document(text: str) -> StructureDocument:
             current_block = None
             continue
         if lowered.startswith("foliation:"):
+            if foliation is not None:
+                raise ParseError("duplicate foliation line", ln, 1)
             foliation = tuple(stripped[len("foliation:") :].split())
             current_block = None
             continue
@@ -305,6 +312,8 @@ def parse_document(text: str) -> StructureDocument:
             current_block = None
             continue
         if lowered.startswith("grid:"):
+            if grid_range is not None:
+                raise ParseError("duplicate grid line", ln, 1)
             grid_range = _parse_grid_spec(stripped[len("grid:") :], ln)
             current_block = None
             continue

@@ -35,16 +35,6 @@ class BigVector:
         if len(self.tangent) != self.m or len(self.cotangent) != self.m:
             raise GeometryError("component lengths must equal m")
 
-    def as_row(self) -> tuple:
-        return self.tangent + self.cotangent
-
-    @classmethod
-    def from_row(cls, row: Sequence) -> "BigVector":
-        if len(row) % 2:
-            raise GeometryError("row length must be even")
-        m = len(row) // 2
-        return cls(m, tuple(row[:m]), tuple(row[m:]))
-
 
 def pairing_g(u: BigVector, v: BigVector) -> Fraction:
     """Neutral metric: half the sum of the two mixed contractions."""

@@ -141,10 +141,6 @@ class FoliationData:
     def fibre_fields(self) -> list:
         return [PolyVectorField.coordinate(self.chart, i) for i in self.fibre]
 
-    def tangent_space(self) -> Subspace:
-        m = self.chart.dim
-        return Subspace(m, [[1 if j == i else 0 for j in range(m)] for i in self.fibre])
-
 
 @dataclass(frozen=True)
 class RestrictedData:

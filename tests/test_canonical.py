@@ -251,6 +251,19 @@ class TestNormalizeR5:
         assert cf.leaf_conditions_ok
         assert check_orthogonality_relations(cf).ok
 
+    def test_permuted_split_permutes_the_frame(self):
+        # the pivot columns are taken in the split's order, so reversing the
+        # leaf and the middle directions reverses the X, Y and Theta rows
+        text = fixture_text("example_r5")
+        _, cf = _document_frame(text)
+        _, swapped = _document_frame(text.replace("adapted: x1 x2 | y1 y2 | z", "adapted: x2 x1 | y2 y1 | z"))
+        for rows in ("x_rows", "y_rows", "theta_rows"):
+            given, reversed_ = getattr(cf, rows), getattr(swapped, rows)
+            assert len(given) == 2
+            assert all(a == b for a, b in zip(given[0] + given[1], reversed_[1] + reversed_[0])), rows
+        assert all(a == b for a, b in zip(cf.xi_rows[0], swapped.xi_rows[0]))
+        assert swapped.det_e == -cf.det_e and swapped.det_eprime == -cf.det_eprime
+
     def test_not_decomposable_in_original_chart(self, r5_structure, r5_adapted):
         cf = normalize_frame(r5_structure, r5_adapted)
         assert not is_locally_decomposable(cf)
@@ -393,30 +406,6 @@ class TestNormalizationErrors:
         adapted = AdaptedChart(chart, leaf=(0,), middle=(1,), transverse=(2,))
         with pytest.raises(NormalizationError):
             normalize_frame(s, adapted)
-
-    def test_chi_must_vanish_on_leaf(self):
-        chart = Chart(("x", "y", "z"))
-        with pytest.raises(NormalizationError):
-            AdaptedChart(
-                chart,
-                leaf=(0,),
-                middle=(1,),
-                transverse=(2,),
-                chi=((chart.one(),),),
-            )
-
-    def test_chi_twist_accepted_when_vanishing(self, r3_structure):
-        chart = r3_structure.chart
-        adapted = AdaptedChart(
-            chart,
-            leaf=(0,),
-            middle=(1,),
-            transverse=(2,),
-            chi=((chart.coordinate("y"),),),
-        )
-        cf = normalize_frame(r3_structure, adapted)
-        assert cf.leaf_conditions_ok
-        assert check_orthogonality_relations(cf).ok
 
 
 class TestDiracSpecialization:

@@ -382,6 +382,25 @@ class TestCli:
         assert json.loads(out)["errors"] == [error]
 
     @pytest.mark.parametrize(
+        "fixture, repeat, command",
+        [
+            ("example_r5", "adapted: x1 x2 | y2 y1 | z", "canonical"),
+            ("example_reduction", "foliation: x4", "reduce"),
+            ("example_r3", "grid: -1..1 cap 5\ngrid: -2..2", "validate"),
+        ],
+        ids=["adapted", "foliation", "grid"],
+    )
+    def test_repeated_keyword_line_is_an_input_error(self, tmp_path, fixture, repeat, command):
+        text = fixtures.fixture_text(fixture).rstrip("\n") + "\n" + repeat + "\n"
+        bad = tmp_path / "repeat.bis"
+        bad.write_text(text)
+        code, out = self.run(command, str(bad))
+        assert code == 2
+        line = len(text.splitlines())
+        keyword = repeat.split(":")[0]
+        assert json.loads(out)["errors"] == [f"line {line}, column 1: duplicate {keyword} line"]
+
+    @pytest.mark.parametrize(
         "grid, message",
         [
             ("1..2:3", None),
