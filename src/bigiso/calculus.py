@@ -356,16 +356,31 @@ def d_twoform(theta: PolyTwoForm) -> PolyThreeForm:
     return PolyThreeForm(chart, table)
 
 
+def partials(comps) -> tuple:
+    """The table d[i][j] = d_j comps[i] for polynomials over one chart.
+
+    For a section's row (X, alpha) these are the partials its brackets
+    read; a caller that brackets one section many times takes them once.
+    """
+    comps = tuple(comps)
+    m = len(comps[0].vars) if comps else 0
+    return tuple(tuple(c.derivative(j) for j in range(m)) for c in comps)
+
+
+def _vector_part(names, x, y, dx, dy) -> list:
+    """[X, Y]^i = sum_j X^j d_j Y^i - Y^j d_j X^i from the partial tables
+    dx, dy of X and Y."""
+    m = len(x)
+    return [
+        Polynomial.dot(names, [t for j in range(m) for t in ((x[j], dy[i][j], 1), (y[j], dx[i][j], -1))])
+        for i in range(m)
+    ]
+
+
 def lie_bracket(X: PolyVectorField, Y: PolyVectorField) -> PolyVectorField:
     _check_chart(X, Y)
     chart = X.chart
-    comps = []
-    for x_i, y_i in zip(X.comps, Y.comps):
-        terms = []
-        for j, (x_j, y_j) in enumerate(zip(X.comps, Y.comps)):
-            terms += ((x_j, y_i.derivative(j), 1), (y_j, x_i.derivative(j), -1))
-        comps.append(Polynomial.dot(chart.names, terms))
-    return PolyVectorField(chart, comps)
+    return PolyVectorField(chart, _vector_part(chart.names, X.comps, Y.comps, partials(X.comps), partials(Y.comps)))
 
 
 def _contract_to(cls, T: _SkewTable, *args):
@@ -408,42 +423,47 @@ def pairing_sections(s1: BigSection, s2: BigSection) -> Polynomial:
     return Polynomial.dot(s1.chart.names, ((a, v, 1) for a, v in pairs)) / 2
 
 
-def courant_bracket(s1: BigSection, s2: BigSection) -> BigSection:
+def courant_bracket(s1: BigSection, s2: BigSection, d1=None, d2=None) -> BigSection:
     """([X,Y], L_X beta - L_Y alpha + d(alpha(Y) - beta(X))/2).
 
-    The 1-form part is written in coordinates.  Cartan's formula
-    L_X beta = i_X d beta + d(beta(X)) reads, component by component,
-        (L_X beta)_i = sum_j X^j (d_j beta_i - d_i beta_j) + d_i(beta(X)),
-    and likewise for L_Y alpha.  The exact terms d(beta(X)) - d(alpha(Y))
-    and (d(alpha(Y)) - d(beta(X)))/2 combine, so with q = beta(X) - alpha(Y)
-        cot_i = sum_j X^j (d_j beta_i - d_i beta_j)
-                    - Y^j (d_j alpha_i - d_i alpha_j) + d_i q / 2
-    (Courant 1990, Trans. AMS 319:631).  q is one Polynomial.dot, and so
-    is each cot_i; the j = i terms cancel and are left out.
+    d1 and d2 are the tables partials(s.as_poly_row()) of the two sections,
+    taken here when not given; the bracket itself takes no derivative.
+
+    The 1-form part is written in coordinates (Courant 1990, Trans. AMS
+    319:631).  Cartan's formula L_X beta = i_X d beta + d(beta(X)) reads,
+    component by component,
+        (L_X beta)_i = sum_j X^j d_j beta_i + beta_j d_i X^j,
+    and likewise for L_Y alpha, while the product rule gives
+        d_i(alpha(Y) - beta(X)) = sum_j Y^j d_i alpha_j + alpha_j d_i Y^j
+                                        - X^j d_i beta_j - beta_j d_i X^j.
+    Half of the last line added to the first two leaves, times two,
+        2 cot_i = sum_j 2 X^j d_j beta_i - X^j d_i beta_j + beta_j d_i X^j
+                      - 2 Y^j d_j alpha_i + Y^j d_i alpha_j - alpha_j d_i Y^j,
+    which is one Polynomial.dot per component, halved; at j = i the first
+    two terms of each line combine to X^i d_i beta_i and Y^i d_i alpha_i.
     """
     _check_chart(s1.vf, s2.vf)
     chart = s1.chart
-    names, m, one = chart.names, chart.dim, chart.one()
-    x, alpha = s1.vf.comps, s1.of.comps
-    y, beta = s2.vf.comps, s2.of.comps
-    pairs = [(b, u, 1) for b, u in zip(beta, x)] + [(a, v, -1) for a, v in zip(alpha, y)]
-    half_q = Polynomial.dot(names, pairs) / 2
-    # jac[i][j] = d_j of component i
-    jac_alpha = [[a.derivative(j) for j in range(m)] for a in alpha]
-    jac_beta = [[b.derivative(j) for j in range(m)] for b in beta]
+    names, m = chart.names, chart.dim
+    d1 = partials(s1.as_poly_row()) if d1 is None else d1
+    d2 = partials(s2.as_poly_row()) if d2 is None else d2
+    x, alpha, dx, dalpha = s1.vf.comps, s1.of.comps, d1[:m], d1[m:]
+    y, beta, dy, dbeta = s2.vf.comps, s2.of.comps, d2[:m], d2[m:]
     cot = []
     for i in range(m):
-        terms = [(half_q.derivative(i), one, 1)]
+        terms = [(x[i], dbeta[i][i], 1), (y[i], dalpha[i][i], -1)]
         for j in range(m):
+            terms += ((beta[j], dx[j][i], 1), (alpha[j], dy[j][i], -1))
             if j != i:
                 terms += (
-                    (x[j], jac_beta[i][j], 1),
-                    (x[j], jac_beta[j][i], -1),
-                    (y[j], jac_alpha[i][j], -1),
-                    (y[j], jac_alpha[j][i], 1),
+                    (x[j], dbeta[i][j], 2),
+                    (x[j], dbeta[j][i], -1),
+                    (y[j], dalpha[i][j], -2),
+                    (y[j], dalpha[j][i], 1),
                 )
-        cot.append(Polynomial.dot(names, terms))
-    return BigSection(lie_bracket(s1.vf, s2.vf), PolyOneForm(chart, cot))
+        cot.append(Polynomial.dot(names, terms) / 2)
+    vector = _vector_part(names, x, y, dx, dy)
+    return BigSection(PolyVectorField(chart, vector), PolyOneForm(chart, cot))
 
 
 def axiom_v_defect(s1: BigSection, s2: BigSection, s3: BigSection) -> Polynomial:

@@ -24,7 +24,7 @@ from typing import Callable, Sequence
 
 from .grid import default_grid
 from .linalg import Matrix, fraction_free
-from .scalars import Polynomial, ScaledPoint
+from .scalars import Polynomial, ScaledPoint, eval_row
 
 PROBE_POINTS = 16
 
@@ -58,7 +58,7 @@ def _pivot_columns(frame: list):
     k = len(frame)
     for point in default_grid(len(frame[0][0].vars), cap=PROBE_POINTS):
         point = ScaledPoint(point)
-        pivots = Matrix([[e.eval(point) for e in row] for row in frame]).pivot_columns()
+        pivots = Matrix([eval_row(row, point)[0] for row in frame]).pivot_columns()
         if len(pivots) == k:
             return pivots
     pivots = fraction_free(frame, range(len(frame[0])))[1]

@@ -265,7 +265,8 @@ def parse_document(text: str) -> StructureDocument:
             continue
         stripped = line.strip()
         lowered = stripped.lower()
-        if lowered.startswith("chart"):
+        keyword = lowered.split(None, 1)[0]  # chart and hamiltonian are whole words
+        if keyword == "chart":
             names = stripped[len("chart") :].split()
             if not names:
                 raise ParseError("chart needs at least one coordinate name", ln, 1)
@@ -317,7 +318,7 @@ def parse_document(text: str) -> StructureDocument:
             grid_range = _parse_grid_spec(stripped[len("grid:") :], ln)
             current_block = None
             continue
-        if lowered.startswith("hamiltonian"):
+        if keyword == "hamiltonian":
             hamiltonian.append((stripped, ln))
             current_block = None
             continue

@@ -7,11 +7,12 @@ exponent tuples to nonzero integer numerators, with ``den`` and the
 numerators coprime (the zero polynomial has den 1).  That form is unique, so
 equality and hashing compare it directly, and the ring operations,
 evaluation and exact division all run on Python integers; ``terms`` is a
-Fraction view built on demand.  ``Polynomial.dot`` is the one kernel for
-sums of products: it brings every product of a sum to one common
-denominator, accumulates them all into one numerator table and normalises
-once; the product operator and every accumulation in the calculus and
-membership layers go through it.  A fixed graded-lexicographic term order
+Fraction view built on demand, and ``eval_row`` gives a row's values at a
+point as integers over one common denominator.  ``Polynomial.dot`` is the
+one kernel for sums of products: it brings every product of a sum to one
+common denominator, accumulates them all into one numerator table and
+normalises once; the product operator and every accumulation in the
+calculus and membership layers go through it.  A fixed graded-lexicographic term order
 gives the printed order and the leading term.  Rational functions are stored
 as numerator/denominator pairs; equality is decided by cross-multiplication,
 so no multivariate gcd machinery is needed (only cheap cancellations are
@@ -40,8 +41,9 @@ def as_fraction(value) -> Fraction:
 class ScaledPoint:
     """A rational point as integer numerators over one common denominator.
 
-    Polynomial.eval converts a plain point to one; a caller that evaluates
-    many polynomials at the same point converts it once and passes it.
+    Polynomial.eval and eval_row convert a plain point to one; a caller
+    that evaluates many polynomials at the same point converts it once and
+    passes it.
     """
 
     __slots__ = ("nums", "den")
@@ -53,6 +55,17 @@ class ScaledPoint:
 
     def __len__(self):
         return len(self.nums)
+
+
+def eval_row(polys: Sequence, point) -> tuple:
+    """The values of polynomials at one point as (integers, den), den > 0:
+    value i is integers[i] / den.  Positive scaling keeps a row's span and
+    pivot columns, so an exact rank can be taken on the integers alone."""
+    if not isinstance(point, ScaledPoint):
+        point = ScaledPoint(point)
+    pairs = [p.eval_scaled(point) for p in polys]
+    den = lcm(*(q for _, q in pairs))
+    return tuple(n * (den // q) for n, q in pairs), den
 
 
 _ZERO = Fraction(0)
@@ -180,7 +193,8 @@ class Polynomial:
             return Polynomial._canonical(self.vars, {})
         if d < 0:
             n, d = -n, -d
-        return Polynomial._canonical(self.vars, {e: c * n for e, c in self.nums.items()}, self.den * d)
+        nums = self.nums if n == 1 else {e: c * n for e, c in self.nums.items()}
+        return Polynomial._canonical(self.vars, nums, self.den * d)
 
     def _add(self, other: "Polynomial", sign: int) -> "Polynomial":
         """self + sign * other over the lcm of the two denominators."""
@@ -290,22 +304,32 @@ class Polynomial:
 
     # ---- evaluation / substitution --------------------------------------
     def eval(self, point) -> Fraction:
-        """The value at a point (Fractions and ints, or a ScaledPoint).
+        """The value at a point (Fractions and ints, or a ScaledPoint): the
+        Fraction of eval_scaled.  A plain point is converted only when some
+        term has a variable; a constant still rejects an inexact point."""
+        if not isinstance(point, ScaledPoint):
+            nums = self.nums
+            if not nums or (len(nums) == 1 and not any(next(iter(nums)))):
+                if len(point) != len(self.vars):
+                    raise ValueError("point length does not match variables")
+                for c in point:
+                    as_fraction(c)  # rejects an inexact point as the general case does
+                return Fraction(next(iter(nums.values())), self.den) if nums else _ZERO
+            point = ScaledPoint(point)
+        return Fraction(*self.eval_scaled(point))
+
+    def eval_scaled(self, point: ScaledPoint) -> tuple:
+        """The value at a point as integers (n, q), q > 0: the value is n / q.
 
         With the point as integers a_i / d and the coefficients as c_e / den,
         the value is sum_e c_e a^e d^(top - |e|) / (den d^top), top being
-        the total degree: one integer sum and one Fraction.
+        the total degree: one integer sum, and q = den d^top.
         """
-        if len(point) != len(self.vars):
+        if len(point.nums) != len(self.vars):
             raise ValueError("point length does not match variables")
         nums = self.nums
-        if not nums or (len(nums) == 1 and not any(next(iter(nums)))):
-            if not isinstance(point, ScaledPoint):
-                for c in point:
-                    as_fraction(c)  # rejects an inexact point as the general case does
-            return Fraction(next(iter(nums.values())), self.den) if nums else _ZERO
-        if not isinstance(point, ScaledPoint):
-            point = ScaledPoint(point)
+        if not nums:
+            return 0, 1
         coords, d = point.nums, point.den
         total = 0
         if d == 1:
@@ -314,7 +338,7 @@ class Polynomial:
                     if e:
                         value *= a**e
                 total += value
-            return Fraction(total, self.den)
+            return total, self.den
         top = self.total_degree()
         powers = [d**k for k in range(top + 1)]
         for exps, value in nums.items():
@@ -324,7 +348,7 @@ class Polynomial:
                     value *= a**e
                     deg += e
             total += value * powers[top - deg]
-        return Fraction(total, self.den * powers[top])
+        return total, self.den * powers[top]
 
     def substitute(self, images: Sequence["Polynomial"]) -> "Polynomial":
         """Full composition: replace variable i by ``images[i]`` (all over a

@@ -33,6 +33,7 @@ from .calculus import (
     lift_section,
     p_bracket_oneforms,
     pairing_sections,
+    partials,
     schouten_squared,
     sharp,
     trivector_contract_two,
@@ -41,7 +42,7 @@ from .grid import default_grid
 from .linalg import Matrix, Subspace
 from .membership import in_span, span_test  # noqa: F401  (bench/tracing.py wraps in_span here)
 from .pointwise import IsotropicData, orthogonal_g
-from .scalars import Polynomial, ScaledPoint, as_fraction
+from .scalars import Polynomial, ScaledPoint, as_fraction, eval_row
 
 
 class StructureError(ValueError):
@@ -112,7 +113,7 @@ class BigIsotropicStructure:
 
         The pairings g(E, E) and g(E, E') must vanish identically, and at
         every point of the grid (default_grid(m) when None) the frames must
-        have ranks k and 2m - k; the ranks are decided over the integers.
+        have ranks k and 2m - k; the ranks are taken on integer rows.
         Raises StructureError on the first failure.
         """
         m, k = self.m, self.k
@@ -141,11 +142,14 @@ class BigIsotropicStructure:
             self._rows_at(pt)
 
     def _rows_at(self, point) -> tuple:
-        """(point, E rows, E' rows) at a chart point; errors on rank drops."""
+        """(point, E rows, E' rows) at a chart point; errors on rank drops.
+
+        Each row is the section's value times a positive integer, so the
+        rows are integers with the ranks and spans of the values."""
         point = tuple(as_fraction(c) for c in point)
         scaled = ScaledPoint(point)
-        e_rows = [sec.eval(scaled) for sec in self.e_frame]
-        ep_rows = [sec.eval(scaled) for sec in self.e_prime_frame]
+        e_rows = [eval_row(sec.as_poly_row(), scaled)[0] for sec in self.e_frame]
+        ep_rows = [eval_row(sec.as_poly_row(), scaled)[0] for sec in self.e_prime_frame]
         e_rank, ep_rank = Matrix(e_rows).rank(), Matrix(ep_rows).rank()
         m, k = self.m, self.k
         if e_rank != k or ep_rank != 2 * m - k:
@@ -209,11 +213,13 @@ def check_integrability(s: BigIsotropicStructure) -> Verdict:
     frame wherever the frame has rank k, which the structure's grid
     validation probed.  The structure's membership test of the frame serves
     every pair; a failure carries a nonzero (k+1)-minor of the frame stacked
-    on the bracket.
+    on the bracket.  Each section's partials are taken once, for all its
+    brackets.
     """
+    d = [partials(sec.as_poly_row()) for sec in s.e_frame]
     failures = []
     for i, j in itertools.combinations(range(s.k), 2):
-        br = courant_bracket(s.e_frame[i], s.e_frame[j])
+        br = courant_bracket(s.e_frame[i], s.e_frame[j], d[i], d[j])
         ok, witness = s.in_E(br.as_poly_row())
         if not ok:
             failures.append((f"bracket of frame sections {i},{j} leaves E", witness))
@@ -221,11 +227,14 @@ def check_integrability(s: BigIsotropicStructure) -> Verdict:
 
 
 def check_module_property(s: BigIsotropicStructure) -> Verdict:
-    """Brackets of E sections with E' sections must stay in E'."""
+    """Brackets of E sections with E' sections must stay in E'; each
+    section's partials are taken once, for all its brackets."""
+    d = [partials(sec.as_poly_row()) for sec in s.e_frame]
+    d_prime = [partials(sec.as_poly_row()) for sec in s.e_prime_frame]
     failures = []
     for i in range(s.k):
         for j in range(len(s.e_prime_frame)):
-            br = courant_bracket(s.e_frame[i], s.e_prime_frame[j])
+            br = courant_bracket(s.e_frame[i], s.e_prime_frame[j], d[i], d_prime[j])
             ok, witness = s.in_E_prime(br.as_poly_row())
             if not ok:
                 failures.append((f"bracket of E section {i} with E' section {j} leaves E'", witness))
@@ -473,9 +482,12 @@ def verify_modular_enlargement(s: BigIsotropicStructure) -> Verdict:
        one such T, and the triples (i2, i1, j) and (i, i, j) take -T and 0.
 
     The pairings are computed, never assumed zero, so validate=False
-    structures get the verdicts of the direct bracket forms.
+    structures get the verdicts of the direct bracket forms.  Each
+    section's partials are taken once, for all its brackets.
     """
     chart = s.chart
+    d = [partials(sec.as_poly_row()) for sec in s.e_frame]
+    d_prime = [partials(sec.as_poly_row()) for sec in s.e_prime_frame]
     f, h = _axiom_test_functions(chart)
     twist = d_function(f, chart).scale(h) - d_function(h, chart).scale(f)
     zero = PolyVectorField.zero(chart)
@@ -483,14 +495,14 @@ def verify_modular_enlargement(s: BigIsotropicStructure) -> Verdict:
     mixed = {}  # (i, j) -> [e_i, e'_j]
     for i, a in enumerate(s.e_frame):
         for j, b in enumerate(s.e_prime_frame):
-            mixed[i, j] = courant_bracket(a, b)
+            mixed[i, j] = courant_bracket(a, b, d[i], d_prime[j])
             defect = BigSection(zero, twist.scale(pairing_sections(a, b)))
             if not defect.is_zero():
                 failures.append((f"axiom 2 fails on ({i},{j})", defect))
     T = {}  # (i1, i2, j) with i1 < i2 -> T(e_i1, e_i2, e'_j)
     for i1, i2 in itertools.combinations(range(s.k), 2):
         a1, a2 = s.e_frame[i1], s.e_frame[i2]
-        inner = courant_bracket(a1, a2)
+        inner = courant_bracket(a1, a2, d[i1], d[i2])
         for j, b in enumerate(s.e_prime_frame):
             T[i1, i2, j] = (
                 pairing_sections(inner, b)

@@ -98,3 +98,19 @@ def evaluation_counts(monkeypatch):
 
     monkeypatch.setattr(BigIsotropicStructure, "evaluate_at", counted)
     return counts
+
+
+@pytest.fixture
+def derivative_calls(monkeypatch):
+    """Calls of Polynomial.derivative, one (polynomial, variable) entry each."""
+    from bigiso.scalars import Polynomial
+
+    calls = []
+    original = Polynomial.derivative
+
+    def counted(self, which):
+        calls.append((self, which))
+        return original(self, which)
+
+    monkeypatch.setattr(Polynomial, "derivative", counted)
+    return calls

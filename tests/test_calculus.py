@@ -33,6 +33,7 @@ from bigiso.calculus import (
     lie_derivative_twoform,
     p_bracket_oneforms,
     pairing_sections,
+    partials,
     schouten_squared,
     sharp,
     trivector_contract_two,
@@ -166,6 +167,28 @@ class TestExteriorCalculus:
 
 
 class TestCourantBracket:
+    def test_partials_table(self):
+        ch = chart3()
+        x, y, z = (ch.coordinate(n) for n in ch.names)
+        table = partials([x * x * y, z - 3, ch.zero()])
+        assert table == ((x * y * 2, x * x, ch.zero()), (ch.zero(), ch.zero(), ch.one()), (ch.zero(),) * 3)
+        assert partials([]) == ()
+
+    def test_given_partials_take_no_derivative(self, derivative_calls):
+        rng = random.Random(6)
+        ch = chart3()
+        for _ in range(5):
+            s1, s2 = rand_qsection(rng, ch), rand_qsection(rng, ch)
+            derivative_calls.clear()
+            expected = courant_bracket(s1, s2)
+            assert len(derivative_calls) == 2 * 2 * ch.dim**2
+            d1, d2 = partials(s1.as_poly_row()), partials(s2.as_poly_row())
+            derivative_calls.clear()
+            assert courant_bracket(s1, s2, d1, d2) == expected
+            assert courant_bracket(s2, s1, d2, d1) == -expected
+            assert derivative_calls == []
+            assert expected.vf == lie_bracket(s1.vf, s2.vf)
+
     def test_disjoint_coordinates_vanish(self):
         ch = chart3()
         s1 = BigSection(PolyVectorField.coordinate(ch, "x"), PolyOneForm.zero(ch))

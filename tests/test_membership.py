@@ -321,6 +321,32 @@ def test_poly_det_and_residuals_match_the_old_sums(m):
     assert checked > 10
 
 
+def fraction_pivot_columns(frame):
+    """Reference: _pivot_columns on the Fraction values of the frame."""
+    for point in default_grid(len(frame[0][0].vars), cap=PROBE_POINTS):
+        pivots = Matrix([[e.eval(point) for e in row] for row in frame]).pivot_columns()
+        if len(pivots) == len(frame):
+            return pivots
+    pivots = fraction_free(frame, range(len(frame[0])))[1]
+    return pivots if len(pivots) == len(frame) else None
+
+
+@pytest.mark.parametrize("m", [1, 2, 3])
+def test_pivot_columns_on_integer_rows_match_the_fraction_rows(m):
+    from bigiso.membership import _pivot_columns
+
+    rng = random.Random(940 + m)
+    chart = Chart(tuple(f"x{i}" for i in range(m)))
+    found = set()
+    for _ in range(40):
+        width = rng.randint(1, 5)
+        frame = [tuple(rational_poly(rng, chart) for _ in range(width)) for _ in range(rng.randint(1, width))]
+        J = _pivot_columns(frame)
+        assert J == fraction_pivot_columns(frame)
+        found.add(J is None)
+    assert found == {True, False}
+
+
 @pytest.mark.parametrize("m", [1, 2, 3])
 def test_fraction_free_rows_are_the_cofactor_adjugate_times_the_frame(m):
     """With a pivot in every row, the elimination's rows are sign * adj(F_J) F

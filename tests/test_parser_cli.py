@@ -132,6 +132,10 @@ class TestRoundTripAndFuzz:
         check()
 
 
+# frame blocks of E = span{d_x} on the plane (x, y), for documents built here
+PLANE_BLOCKS = "E:\n  (1, 0 | 0, 0)\nE_prime:\n  (1, 0 | 0, 0)\n  (0, 1 | 0, 0)\n  (0, 0 | 0, 1)\n"
+
+
 class TestDocumentParser:
     def test_full_document(self):
         doc = parse_document(fixtures.fixture_text("example_r5"))
@@ -168,6 +172,26 @@ class TestDocumentParser:
     def test_unknown_line(self):
         with pytest.raises(ParseError):
             parse_document("chart x\nnonsense here\n")
+
+    @pytest.mark.parametrize(
+        "text, line",
+        [
+            ("chartx y\n" + PLANE_BLOCKS, "chartx y"),
+            ("chart x y\n" + PLANE_BLOCKS + "hamiltonianized p: f = x ; Xf = (0, 1)\n",
+             "hamiltonianized p: f = x ; Xf = (0, 1)"),
+        ],
+        ids=["chart", "hamiltonian"],
+    )
+    def test_keywords_are_whole_words(self, text, line):
+        with pytest.raises(ParseError) as err:
+            parse_document(text)
+        number = text.splitlines().index(line) + 1
+        assert str(err.value) == f"line {number}, column 1: unrecognized line: {line!r}"
+
+    def test_keywords_may_be_followed_by_any_space(self):
+        doc = parse_document("chart\tx  y\n" + PLANE_BLOCKS + "hamiltonian\tp: f = x ; Xf = (0, 1)\n")
+        assert doc.chart.names == ("x", "y")
+        assert [p.name for p in doc.hamiltonian_pairs] == ["p"]
 
 
     @pytest.mark.parametrize("spec", ["-1..1 cap 0", "-1..1 cap x", "2..1", "a..b", "-2..2 cap 5 junk"])
@@ -256,6 +280,19 @@ class TestCli:
         assert code == 2
         payload = json.loads(out)
         assert payload["errors"]
+
+    @pytest.mark.parametrize(
+        "text",
+        ["chartx y\n" + PLANE_BLOCKS, "chart x y\n" + PLANE_BLOCKS + "hamiltonianized p: f = x ; Xf = (0, 1)\n"],
+        ids=["chart", "hamiltonian"],
+    )
+    def test_keyword_prefix_is_an_input_error(self, tmp_path, text):
+        bad = tmp_path / "prefix.bis"
+        bad.write_text(text)
+        code, out = self.run("validate", str(bad))
+        assert code == 2
+        [error] = json.loads(out)["errors"]
+        assert "unrecognized line" in error
 
     def test_missing_file(self):
         code, out = self.run("validate", "/nonexistent/path.bis")

@@ -4,7 +4,8 @@ from math import gcd
 
 import pytest
 
-from bigiso.scalars import Polynomial, RationalFunction, ScaledPoint
+from bigiso.linalg import Matrix, Subspace
+from bigiso.scalars import Polynomial, RationalFunction, ScaledPoint, eval_row
 
 V = ("x", "y")
 
@@ -191,6 +192,64 @@ def test_eval_rejects_bad_points():
             p.eval([1, 2, 3])
         with pytest.raises(ValueError):
             p.eval(ScaledPoint([1]))
+
+
+def random_row(rng, width):
+    """Polynomials with non-integer coefficients, among them zero and
+    constant entries."""
+    row = []
+    for _ in range(width):
+        kind = rng.randrange(4)
+        if kind == 0:
+            row.append(Polynomial.zero(W))
+        elif kind == 1:
+            row.append(Polynomial.constant(W, Fraction(rng.randint(-7, 7), rng.randint(1, 6))))
+        else:
+            row.append(random_polynomial(rng))
+    return row
+
+
+def test_integer_rows_are_positive_multiples_of_the_values():
+    rng = random.Random(29)
+    for trial in range(300):
+        width = rng.randint(1, 6)
+        row = random_row(rng, width)
+        point = [Fraction(rng.randint(-5, 5), rng.randint(2, 7)) for _ in W]
+        if trial % 5 == 0:
+            point[rng.randrange(len(W))] = rng.randint(-2, 2)  # one integer coordinate
+        values = [p.eval(point) for p in row]
+        for at in (point, ScaledPoint(point)):
+            ints, den = eval_row(row, at)
+            assert type(den) is int and den > 0
+            assert all(type(n) is int for n in ints)
+            # one c > 0 for the whole row: ints = c * values with c = den
+            assert list(ints) == [den * v for v in values], (row, point)
+        assert Matrix([ints]).pivot_columns() == Matrix([values]).pivot_columns()
+
+
+def test_integer_rows_keep_ranks_and_subspaces():
+    rng = random.Random(31)
+    for _ in range(60):
+        rows = [random_row(rng, 4) for _ in range(rng.randint(1, 4))]
+        point = ScaledPoint([Fraction(rng.randint(-5, 5), rng.randint(2, 7)) for _ in W])
+        ints = [eval_row(r, point)[0] for r in rows]
+        values = [[p.eval(point) for p in r] for r in rows]
+        assert Matrix(ints).pivot_columns() == Matrix(values).pivot_columns()
+        assert Subspace(4, ints) == Subspace(4, values)
+        assert Subspace(4, ints).basis == Subspace(4, values).basis
+
+
+def test_integer_rows_reject_inexact_points():
+    row = [Polynomial.zero(W), Polynomial.one(W), x().recast(W) * 2]
+    with pytest.raises(TypeError):
+        eval_row(row, [0.5, 1, 2])
+    with pytest.raises(TypeError):
+        eval_row([Polynomial.one(W)], [Fraction(1, 2), 1.0, 2])
+    with pytest.raises(ValueError):
+        eval_row(row, ScaledPoint([1, 2]))
+    assert eval_row([], [1, 2, 3]) == ((), 1)
+    ints, den = eval_row(row, [Fraction(1, 2), 0, 0])
+    assert [Fraction(n, den) for n in ints] == [0, 1, 1]
 
 
 # The three exponent-remap helpers that Polynomial.recast replaced, kept as

@@ -385,6 +385,43 @@ class TestIntegrability:
         assert check_module_property(r5_structure).ok
 
 
+def mixed_graph_P_structure():
+    """graph(P) on Q^5 for the Poisson P = d0^d1 + d2^d3, E = E' and each
+    frame mixed by its own polynomial row operations R_t += c x_v R_s."""
+    chart = Chart(tuple(f"x{i}" for i in range(5)))
+    P = PolyBivector(chart, {(0, 1): chart.one(), (2, 3): chart.one()})
+    graph = graph_P([PolyOneForm.coordinate(chart, i) for i in range(5)], P).e_frame
+
+    def mixed(ops):
+        rows = list(graph)
+        for t, src, v, c in ops:
+            rows[t] = rows[t] + rows[src].scale(chart.coordinate(v) * c)
+        return rows
+
+    e = mixed([(1, 0, 2, 1), (0, 1, 3, -2), (3, 2, 4, 1), (4, 3, 0, 3), (2, 4, 1, -1)])
+    ep = mixed([(0, 1, 4, 2), (1, 0, 3, 1), (2, 3, 0, -1), (4, 2, 1, 1), (3, 4, 2, 2)])
+    return BigIsotropicStructure.build(chart, e, ep)
+
+
+class TestPartialsOncePerCheck:
+    """Each frame section's partials are taken once per check and every
+    bracket reads them: 2m^2 derivatives per section (2m entries, m
+    variables), so 2km^2 for integrability and 4m^3 for the module property
+    (k + 2m - k = 2m sections), whatever the number of brackets."""
+
+    @pytest.mark.parametrize("which", ["example_r5", "mixed graph(P)"])
+    def test_derivative_counts(self, which, r5_structure, derivative_calls):
+        s = r5_structure if which == "example_r5" else mixed_graph_P_structure()
+        m, k = s.m, s.k
+        assert (m, k) == ((5, 3) if which == "example_r5" else (5, 5))
+        derivative_calls.clear()
+        assert check_integrability(s).ok
+        assert len(derivative_calls) == 2 * k * m * m
+        derivative_calls.clear()
+        assert check_module_property(s).ok
+        assert len(derivative_calls) == 4 * m**3
+
+
 class TestGraphTheta:
     def test_integrable_example(self):
         chart = Chart(("x", "y", "z"))
