@@ -1,15 +1,18 @@
 """The deterministic sample grid: the smallest points of a chart first.
 
-``default_grid`` walks values^m shell by shell in increasing L1 norm, orders
+``grid_walk`` walks values^m shell by shell in increasing L1 norm, orders
 each shell by sign pattern (left to right, a nonnegative coordinate before a
-negative one) and then lexicographically, and stops at ``cap`` points.  Only
-the shells it keeps are enumerated, so one order serves every chart size.
-Structure validation samples the grid; membership tests probe it for pivots.
+negative one) and then lexicographically, and yields the points lazily, so
+only the shells a caller reaches are enumerated and one order serves every
+chart size.  ``default_grid`` is its first ``cap`` points.  Structure
+validation samples the default grid; membership tests walk the same order
+for pivots and stop at the first point where the frame has full rank.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import islice
 from math import lcm
 
 GRID_VALUES = tuple(Fraction(v) for v in (-2, -1, 0, 1, 2))
@@ -27,12 +30,12 @@ def _shell(codes, reach, j: int, total: int):
                 yield (index,) + tail
 
 
-def default_grid(m: int, cap: int = 24, values=GRID_VALUES) -> tuple:
-    """The first cap points of values^m by (L1 norm, sign pattern, point).
+def grid_walk(m: int, values=GRID_VALUES):
+    """Every point of values^m by (L1 norm, sign pattern, point), lazily.
 
     The walk runs on integers: each value becomes its index in sorted order
-    and its magnitude times the common denominator of the values, and the
-    points are mapped back to the caller's values at the end.
+    and its magnitude times the common denominator of the values, and each
+    point is mapped back to the caller's values as it is yielded.
     """
     order = sorted(set(values))
     index = {v: i for i, v in enumerate(order)}
@@ -42,10 +45,12 @@ def default_grid(m: int, cap: int = 24, values=GRID_VALUES) -> tuple:
     reach = [{0}]  # reach[j]: the scaled L1 norms that j coordinates can have
     for _ in range(m):
         reach.append({t + size for t in reach[-1] for _, size in codes})
-    points = []
     for total in sorted(reach[m]):
-        if len(points) >= cap:
-            break
         shell = _shell(codes, reach, m, total)
-        points += sorted(shell, key=lambda p: (tuple(i < negative for i in p), p))
-    return tuple(tuple(order[i] for i in p) for p in points[:cap])
+        for p in sorted(shell, key=lambda p: (tuple(i < negative for i in p), p)):
+            yield tuple(order[i] for i in p)
+
+
+def default_grid(m: int, cap: int = 24, values=GRID_VALUES) -> tuple:
+    """The first cap points of grid_walk(m, values)."""
+    return tuple(islice(grid_walk(m, values), cap))

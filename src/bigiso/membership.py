@@ -9,22 +9,24 @@ r = D b - b_J adj(F_J) F = sign * (sign * D b - b_J G) vanishes on J, and
 for j outside J the entry r_j is the (k+1)-minor of [F; b] on the columns J
 and j (Schur complement).  So r = 0 means b = (b_J adj(F_J) / D) F on the
 dense set D != 0, and every (k+1)-minor vanishes; otherwise the first
-nonzero r_j is the certificate.  J is the pivot set of F at the first of
-the PROBE_POINTS points of ``default_grid`` (the origin, then shell by
-shell in L1 norm; a document's grid override does not change them) where F
-has rank k, or of F over Q(x), from the same elimination on every column,
-when F drops rank at all of them; a frame that never has rank k admits
-every candidate.
+nonzero r_j is the certificate.  J is the pivot set of F at the first
+point, among the first PROBE_POINTS points of ``grid_walk`` (the origin,
+then shell by shell in L1 norm; a document's grid override does not change
+them), where F has rank k, or of F over Q(x), from the same elimination on
+every column, when F drops rank at all of them; a frame that never has
+rank k admits every candidate.  ``eval_rows`` evaluates the probes one at
+a time, so the walk stops at the first full-rank point.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import islice
 from typing import Callable, Sequence
 
-from .grid import default_grid
+from .grid import grid_walk
 from .linalg import Matrix, fraction_free
-from .scalars import Polynomial, ScaledPoint, eval_row
+from .scalars import Polynomial, eval_rows
 
 PROBE_POINTS = 16
 
@@ -56,9 +58,9 @@ class SpanWitness:
 
 def _pivot_columns(frame: list):
     k = len(frame)
-    for point in default_grid(len(frame[0][0].vars), cap=PROBE_POINTS):
-        point = ScaledPoint(point)
-        pivots = Matrix([eval_row(row, point)[0] for row in frame]).pivot_columns()
+    probes = islice(grid_walk(len(frame[0][0].vars)), PROBE_POINTS)
+    for rows in eval_rows(frame, probes):
+        pivots = Matrix(rows).pivot_columns()
         if len(pivots) == k:
             return pivots
     pivots = fraction_free(frame, range(len(frame[0])))[1]

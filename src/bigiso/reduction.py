@@ -29,7 +29,7 @@ from .calculus import (
 )
 from .linalg import Matrix, Subspace
 from .pointwise import is_graph_type, tangent_projection, window
-from .scalars import Polynomial, as_fraction
+from .scalars import Polynomial, as_fraction, eval_rows
 from .structures import BigIsotropicStructure, Verdict, default_grid
 from .transport import LinearMap, pullback_subspace, pushforward_subspace, space_S
 
@@ -169,7 +169,9 @@ def restrict(s: BigIsotropicStructure, N: SubmanifoldData, grid=None) -> Restric
     """
     if N.ambient != s.chart:
         raise ReductionError("submanifold lives in a different chart")
-    pts = grid if grid is not None else default_grid(N.sub.dim, cap=16)
+    pts = tuple(grid) if grid is not None else default_grid(N.sub.dim, cap=16)
+    if not pts:
+        raise ReductionError("empty grid: no point of the submanifold to restrict at")
     incl = N.differential
     ambient_data, pulled, pulled_prime = [], [], []
     window_dims, window_prime_dims = {}, {}
@@ -191,7 +193,7 @@ def restrict(s: BigIsotropicStructure, N: SubmanifoldData, grid=None) -> Restric
         raise ReductionError(f"pullback dimension jumps across the grid: {sorted(ranks)}")
     return RestrictedData(
         N,
-        tuple(pts),
+        pts,
         tuple(ambient_data),
         tuple(pulled),
         tuple(pulled_prime),
@@ -203,11 +205,10 @@ def restrict(s: BigIsotropicStructure, N: SubmanifoldData, grid=None) -> Restric
 def verify_restricted_frame(restricted: RestrictedData, frame: Sequence[BigSection]) -> Verdict:
     """A caller-supplied polynomial frame matches the pointwise pullbacks."""
     n = restricted.submanifold.sub.dim
+    rows_at = eval_rows([sec.as_poly_row() for sec in frame], restricted.points)
     failures = []
-    for u, expected in zip(restricted.points, restricted.pulled_E):
-        rows = [sec.eval(u) for sec in frame]
-        got = Subspace(2 * n, rows)
-        if got != expected:
+    for u, expected, rows in zip(restricted.points, restricted.pulled_E, rows_at):
+        if Subspace(2 * n, rows) != expected:
             failures.append((f"restricted frame span differs at {u}", None))
     return Verdict("restricted frame verification", not failures, tuple(failures))
 
@@ -392,9 +393,10 @@ def reduce_structure(
         else _restricted_frame_heuristic(s, N, prime=True)
     )
     prime_expected = 2 * N.sub.dim - restricted.rank
+    prime_at = eval_rows([sec.as_poly_row() for sec in prime], restricted.points)
     prime_ok = len(prime) == prime_expected and all(
-        Subspace(2 * N.sub.dim, [sec.eval(u) for sec in prime]) == expected
-        for u, expected in zip(restricted.points, restricted.pulled_E_prime)
+        Subspace(2 * N.sub.dim, rows) == expected
+        for rows, expected in zip(prime_at, restricted.pulled_E_prime)
     )
     if not prime_ok:
         raise ReductionError("no verified frame for the restricted orthogonal bundle; supply one")

@@ -7,16 +7,17 @@ exponent tuples to nonzero integer numerators, with ``den`` and the
 numerators coprime (the zero polynomial has den 1).  That form is unique, so
 equality and hashing compare it directly, and the ring operations,
 evaluation and exact division all run on Python integers; ``terms`` is a
-Fraction view built on demand, and ``eval_row`` gives a row's values at a
-point as integers over one common denominator.  ``Polynomial.dot`` is the
-one kernel for sums of products: it brings every product of a sum to one
-common denominator, accumulates them all into one numerator table and
-normalises once; the product operator and every accumulation in the
-calculus and membership layers go through it.  A fixed graded-lexicographic term order
-gives the printed order and the leading term.  Rational functions are stored
-as numerator/denominator pairs; equality is decided by cross-multiplication,
-so no multivariate gcd machinery is needed (only cheap cancellations are
-performed to keep expressions small).
+Fraction view built on demand, and ``eval_rows`` gives a frame's rows at
+each of many points as integers, each row a positive multiple of its
+values.  ``Polynomial.dot`` is the one kernel for sums of products: it
+brings every product of a sum to one common denominator, accumulates them
+all into one numerator table and normalises once; the product operator and
+every accumulation in the calculus and membership layers go through it.
+A fixed graded-lexicographic term order gives the printed order and the
+leading term.  Rational functions are stored as numerator/denominator
+pairs; equality is decided by cross-multiplication, so no multivariate gcd
+machinery is needed (only cheap cancellations are performed to keep
+expressions small).
 """
 
 from __future__ import annotations
@@ -41,7 +42,7 @@ def as_fraction(value) -> Fraction:
 class ScaledPoint:
     """A rational point as integer numerators over one common denominator.
 
-    Polynomial.eval and eval_row convert a plain point to one; a caller
+    Polynomial.eval and eval_rows convert a plain point to one; a caller
     that evaluates many polynomials at the same point converts it once and
     passes it.
     """
@@ -57,15 +58,52 @@ class ScaledPoint:
         return len(self.nums)
 
 
-def eval_row(polys: Sequence, point) -> tuple:
-    """The values of polynomials at one point as (integers, den), den > 0:
-    value i is integers[i] / den.  Positive scaling keeps a row's span and
-    pivot columns, so an exact rank can be taken on the integers alone."""
-    if not isinstance(point, ScaledPoint):
-        point = ScaledPoint(point)
-    pairs = [p.eval_scaled(point) for p in polys]
-    den = lcm(*(q for _, q in pairs))
-    return tuple(n * (den // q) for n, q in pairs), den
+def eval_rows(rows: Sequence[Sequence], points):
+    """Yield a frame's rows at each point as integer tuples, lazily.
+
+    Row i at a point is a positive multiple of the values of rows[i] there,
+    so its span and pivot columns are those of the values and an exact rank
+    can be taken on the integers alone.  The term table is built once per
+    call: each nonzero term of row i is (column, coefficient over the row's
+    common denominator den_i, total degree, support ((var, exp), ...)).  With
+    a point as integers a_v / d, row i is scaled by den_i * d^top_i, top_i
+    being the row's top degree, so a term of degree deg takes d^(top_i - deg);
+    a term stops multiplying at its first zero coordinate.  Each point is
+    converted once; an inexact coordinate raises TypeError and a wrong
+    length ValueError.
+    """
+    table, widths = [], set()
+    for row in rows:
+        den = lcm(*(p.den for p in row))
+        terms = []
+        for column, p in enumerate(row):
+            widths.add(len(p.vars))
+            f = den // p.den
+            for exps, c in p.nums.items():
+                support = tuple((v, e) for v, e in enumerate(exps) if e)
+                terms.append((column, c * f, sum(exps), support))
+        table.append((len(row), max((deg for _, _, deg, _ in terms), default=0), terms))
+    top = max((t for _, t, _ in table), default=0)
+    for point in points:
+        if not isinstance(point, ScaledPoint):
+            point = ScaledPoint(point)
+        coords, d = point.nums, point.den
+        if widths and widths != {len(coords)}:
+            raise ValueError("point length does not match variables")
+        powers = [d**k for k in range(top + 1)]
+        out = []
+        for width, row_top, terms in table:
+            values = [0] * width
+            for column, c, deg, support in terms:
+                for v, e in support:
+                    a = coords[v]
+                    if not a:
+                        break
+                    c *= a**e
+                else:
+                    values[column] += c * powers[row_top - deg]
+            out.append(tuple(values))
+        yield out
 
 
 _ZERO = Fraction(0)
@@ -281,10 +319,10 @@ class Polynomial:
 
     def __truediv__(self, other):
         if isinstance(other, (int, Fraction)):
-            c = as_fraction(other)
-            if c == 0:
+            if not other:
                 raise ZeroDivisionError("division by zero")
-            return self._scale(c.denominator, c.numerator)
+            # an int is its own numerator over the denominator 1
+            return self._scale(other.denominator, other.numerator)
         if isinstance(other, Polynomial):
             return RationalFunction(self, other)
         return NotImplemented

@@ -42,7 +42,7 @@ from .grid import default_grid
 from .linalg import Matrix, Subspace
 from .membership import in_span, span_test  # noqa: F401  (bench/tracing.py wraps in_span here)
 from .pointwise import IsotropicData, orthogonal_g
-from .scalars import Polynomial, ScaledPoint, as_fraction, eval_row
+from .scalars import Polynomial, as_fraction, eval_rows
 
 
 class StructureError(ValueError):
@@ -112,9 +112,11 @@ class BigIsotropicStructure:
         """Check that the frames define a big-isotropic structure.
 
         The pairings g(E, E) and g(E, E') must vanish identically, and at
-        every point of the grid (default_grid(m) when None) the frames must
-        have ranks k and 2m - k; the ranks are taken on integer rows.
-        Raises StructureError on the first failure.
+        every point of the grid (default_grid(m) when None; an empty grid
+        certifies nothing and is refused) the frames must have ranks k and
+        2m - k; the ranks are taken on integer rows, one point at a time,
+        so the first degenerate point stops the walk.  Raises
+        StructureError on the first failure.
         """
         m, k = self.m, self.k
         if len(self.e_prime_frame) != 2 * m - k:
@@ -138,29 +140,34 @@ class BigIsotropicStructure:
         # E(x) has rank k its g-orthogonal has dimension 2m - k; it contains
         # E'(x) by the pairings above, so rank E'(x) = 2m - k makes E'(x)
         # that orthogonal, and the isotropic E(x) lies in it.
-        for pt in grid if grid is not None else default_grid(m):
-            self._rows_at(pt)
+        points = tuple(grid) if grid is not None else default_grid(m)
+        if not points:
+            raise StructureError("empty grid: no point certifies the frame ranks")
+        for _ in self._rows_at(points):
+            pass
 
-    def _rows_at(self, point) -> tuple:
-        """(point, E rows, E' rows) at a chart point; errors on rank drops.
+    def _rows_at(self, points):
+        """(E rows, E' rows) at each chart point, lazily; errors on rank drops.
 
-        Each row is the section's value times a positive integer, so the
-        rows are integers with the ranks and spans of the values."""
-        point = tuple(as_fraction(c) for c in point)
-        scaled = ScaledPoint(point)
-        e_rows = [eval_row(sec.as_poly_row(), scaled)[0] for sec in self.e_frame]
-        ep_rows = [eval_row(sec.as_poly_row(), scaled)[0] for sec in self.e_prime_frame]
-        e_rank, ep_rank = Matrix(e_rows).rank(), Matrix(ep_rows).rank()
+        Each frame is evaluated over all the points by one eval_rows table,
+        and each row is the section's value times a positive integer, so
+        the rows are integers with the ranks and spans of the values."""
         m, k = self.m, self.k
-        if e_rank != k or ep_rank != 2 * m - k:
-            raise StructureError(
-                f"degenerate point {point}: frame ranks {e_rank}/{ep_rank}, expected {k}/{2 * m - k}"
-            )
-        return point, e_rows, ep_rows
+        e_at = eval_rows(self.frame_rows(), points)
+        ep_at = eval_rows(self.prime_frame_rows(), points)
+        for point, e_rows, ep_rows in zip(points, e_at, ep_at):
+            e_rank, ep_rank = Matrix(e_rows).rank(), Matrix(ep_rows).rank()
+            if e_rank != k or ep_rank != 2 * m - k:
+                point = tuple(as_fraction(c) for c in point)
+                raise StructureError(
+                    f"degenerate point {point}: frame ranks {e_rank}/{ep_rank}, expected {k}/{2 * m - k}"
+                )
+            yield e_rows, ep_rows
 
     def evaluate_at(self, point) -> IsotropicData:
         """Evaluate both frames at a chart point; errors on rank drops."""
-        point, e_rows, ep_rows = self._rows_at(point)
+        point = tuple(as_fraction(c) for c in point)
+        ((e_rows, ep_rows),) = self._rows_at([point])
         E = Subspace(2 * self.m, e_rows)
         Ep = Subspace(2 * self.m, ep_rows)
         if orthogonal_g(E) != Ep:

@@ -93,6 +93,11 @@ class TestRestrict:
                 ],
             ) or pulled.dim == 3
 
+    @pytest.mark.parametrize("empty", [(), []])
+    def test_empty_grid_is_refused(self, poisson_4d, hyperplane, empty):
+        with pytest.raises(ReductionError, match="empty grid"):
+            restrict(poisson_4d, hyperplane, grid=empty)
+
     def test_identity_restriction(self, poisson_4d):
         N = SubmanifoldData.identity(poisson_4d.chart)
         restricted = restrict(poisson_4d, N)

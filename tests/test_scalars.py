@@ -5,7 +5,7 @@ from math import gcd
 import pytest
 
 from bigiso.linalg import Matrix, Subspace
-from bigiso.scalars import Polynomial, RationalFunction, ScaledPoint, eval_row
+from bigiso.scalars import Polynomial, RationalFunction, ScaledPoint, eval_rows
 
 V = ("x", "y")
 
@@ -209,6 +209,17 @@ def random_row(rng, width):
     return row
 
 
+def assert_positive_multiple(ints, values):
+    """ints = c * values for one rational c > 0, and ints are Python ints."""
+    assert all(type(n) is int for n in ints)
+    nonzero = [(n, v) for n, v in zip(ints, values) if v]
+    if not nonzero:
+        assert not any(ints), (ints, values)
+        return
+    c = Fraction(nonzero[0][0]) / nonzero[0][1]
+    assert c > 0 and list(ints) == [c * v for v in values], (ints, values)
+
+
 def test_integer_rows_are_positive_multiples_of_the_values():
     rng = random.Random(29)
     for trial in range(300):
@@ -219,11 +230,9 @@ def test_integer_rows_are_positive_multiples_of_the_values():
             point[rng.randrange(len(W))] = rng.randint(-2, 2)  # one integer coordinate
         values = [p.eval(point) for p in row]
         for at in (point, ScaledPoint(point)):
-            ints, den = eval_row(row, at)
-            assert type(den) is int and den > 0
-            assert all(type(n) is int for n in ints)
-            # one c > 0 for the whole row: ints = c * values with c = den
-            assert list(ints) == [den * v for v in values], (row, point)
+            (rows,) = eval_rows([row], [at])
+            (ints,) = rows
+            assert_positive_multiple(ints, values)
         assert Matrix([ints]).pivot_columns() == Matrix([values]).pivot_columns()
 
 
@@ -232,7 +241,7 @@ def test_integer_rows_keep_ranks_and_subspaces():
     for _ in range(60):
         rows = [random_row(rng, 4) for _ in range(rng.randint(1, 4))]
         point = ScaledPoint([Fraction(rng.randint(-5, 5), rng.randint(2, 7)) for _ in W])
-        ints = [eval_row(r, point)[0] for r in rows]
+        ints = next(eval_rows(rows, [point]))
         values = [[p.eval(point) for p in r] for r in rows]
         assert Matrix(ints).pivot_columns() == Matrix(values).pivot_columns()
         assert Subspace(4, ints) == Subspace(4, values)
@@ -242,14 +251,79 @@ def test_integer_rows_keep_ranks_and_subspaces():
 def test_integer_rows_reject_inexact_points():
     row = [Polynomial.zero(W), Polynomial.one(W), x().recast(W) * 2]
     with pytest.raises(TypeError):
-        eval_row(row, [0.5, 1, 2])
+        next(eval_rows([row], [[0.5, 1, 2]]))
     with pytest.raises(TypeError):
-        eval_row([Polynomial.one(W)], [Fraction(1, 2), 1.0, 2])
+        next(eval_rows([[Polynomial.one(W)]], [[Fraction(1, 2), 1.0, 2]]))
     with pytest.raises(ValueError):
-        eval_row(row, ScaledPoint([1, 2]))
-    assert eval_row([], [1, 2, 3]) == ((), 1)
-    ints, den = eval_row(row, [Fraction(1, 2), 0, 0])
-    assert [Fraction(n, den) for n in ints] == [0, 1, 1]
+        next(eval_rows([row], [ScaledPoint([1, 2])]))
+    assert list(eval_rows([[]], [[1, 2, 3]])) == [[()]]
+    assert list(eval_rows([], [[1, 2, 3], [4, 5, 6]])) == [[], []]
+    ((ints,),) = eval_rows([row], [[Fraction(1, 2), 0, 0]])
+    assert_positive_multiple(ints, [0, 1, 1])
+
+
+def random_point(rng):
+    """A rational point of W with d != 1, sometimes with zero coordinates."""
+    point = [Fraction(rng.randint(-6, 6), rng.randint(1, 7)) for _ in W]
+    for i in rng.sample(range(len(W)), rng.randint(0, 2)):
+        point[i] = 0
+    if all(c.denominator == 1 for c in map(Fraction, point)):
+        point[rng.randrange(len(W))] = Fraction(1, 2)
+    return point
+
+
+def test_eval_rows_over_many_points_matches_the_fraction_rows():
+    # rows with zero, constant, non-integer-coefficient and mixed-degree
+    # entries, one table for all the points
+    rng = random.Random(37)
+    for _ in range(80):
+        width = rng.randint(1, 6)
+        rows = [random_row(rng, width) for _ in range(rng.randint(1, 4))]
+        points = [random_point(rng) for _ in range(rng.randint(1, 6))]
+        got = list(eval_rows(rows, points))
+        assert len(got) == len(points)
+        for point, ints in zip(points, got):
+            values = [[p.eval(point) for p in row] for row in rows]
+            assert len(ints) == len(rows)
+            for row_ints, row_values in zip(ints, values):
+                assert_positive_multiple(row_ints, row_values)
+            assert Matrix(ints).pivot_columns() == Matrix(values).pivot_columns()
+            assert Subspace(width, ints) == Subspace(width, values)
+            assert Subspace(width, ints).basis == Subspace(width, values).basis
+        inexact = list(points[0])
+        inexact[rng.randrange(len(W))] = 0.5
+        with pytest.raises(TypeError):
+            list(eval_rows(rows, points + [inexact]))
+        with pytest.raises(ValueError):
+            list(eval_rows(rows, points + [points[0][:2]]))
+
+
+def test_eval_rows_is_lazy():
+    pulled = []
+
+    def points():
+        for point in ([1, 0, 0], [0, 1, 0], [0, 0, 1]):
+            pulled.append(point)
+            yield point
+
+    rows = [[x().recast(W), Polynomial.one(W)]]
+    walk = eval_rows(rows, points())
+    assert pulled == []
+    assert next(walk) == [(1, 1)]
+    assert pulled == [[1, 0, 0]]
+    assert next(walk) == [(0, 1)]
+    assert len(pulled) == 2
+
+
+def test_division_by_integers_and_fractions():
+    p = x() * Fraction(3, 5) - y() * 4 + 1
+    for n in (1, 2, -3, 7, True):
+        assert p / n == p * Fraction(1, int(n))
+    with pytest.raises(ZeroDivisionError):
+        p / 0
+    with pytest.raises(ZeroDivisionError):
+        p / Fraction(0)
+    assert p / Fraction(-2, 3) == p * Fraction(-3, 2)
 
 
 # The three exponent-remap helpers that Polynomial.recast replaced, kept as

@@ -1,6 +1,7 @@
 import random
+import sys
 from fractions import Fraction
-from itertools import combinations, product
+from itertools import combinations, islice, product
 
 import pytest
 
@@ -19,7 +20,8 @@ from bigiso.calculus import (
     sharp,
 )
 from bigiso import fixtures
-from bigiso.grid import default_grid
+from bigiso import grid as grid_module
+from bigiso.grid import GRID_VALUES, default_grid, grid_walk
 from bigiso.linalg import Subspace
 from bigiso.membership import in_span, span_test
 from bigiso.parser import parse_document
@@ -289,6 +291,15 @@ class TestValidateRanks:
             "degenerate point (Fraction(0, 1), Fraction(0, 1)): frame ranks 1/2, expected 1/3"
         )
 
+    @pytest.mark.parametrize("empty", [(), []])
+    def test_empty_grid_is_refused(self, empty, r3_structure):
+        # a grid with no point would certify no rank at all
+        s = r3_structure
+        with pytest.raises(StructureError, match="empty grid"):
+            BigIsotropicStructure.build(s.chart, s.e_frame, s.e_prime_frame, grid=empty)
+        with pytest.raises(StructureError, match="empty grid"):
+            s.validate(empty)
+
     def test_verdict_is_that_of_evaluate_at_on_every_point(self):
         # once the pairings vanish identically, the ranks decide what
         # evaluate_at's subspace checks decide, with the same message
@@ -351,6 +362,14 @@ class TestDefaultGrid:
             every = sorted_grid(m, fractions)
             for cap in (1, 12, 24, 100):
                 assert default_grid(m, cap, fractions) == tuple(every[:cap]), (m, cap)
+
+    @pytest.mark.parametrize(
+        "values", [GRID_VALUES, (Fraction(-1, 2), 0, Fraction(1, 3), Fraction(3, 2), 2)]
+    )
+    def test_is_a_prefix_of_the_walk(self, values):
+        for m in range(1, 7):
+            for cap in range(1, 41):
+                assert default_grid(m, cap, values) == tuple(islice(grid_walk(m, values), cap)), (m, cap)
 
     def test_points_keep_the_callers_values(self):
         grid = default_grid(2, 9, (0, 1, -1))
@@ -420,6 +439,30 @@ class TestPartialsOncePerCheck:
         derivative_calls.clear()
         assert check_module_property(s).ok
         assert len(derivative_calls) == 4 * m**3
+
+
+def counting_default_grid(monkeypatch):
+    """Calls of grid.default_grid through every bigiso module that holds it."""
+    calls = []
+    original = grid_module.default_grid
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    for name, module in list(sys.modules.items()):
+        if name.startswith("bigiso") and getattr(module, "default_grid", None) is original:
+            monkeypatch.setattr(module, "default_grid", counted)
+    return calls
+
+
+def test_one_default_grid_per_structure(monkeypatch):
+    # validate builds the grid; the membership probes walk it lazily
+    s = mixed_graph_P_structure()
+    calls = counting_default_grid(monkeypatch)
+    fresh = BigIsotropicStructure.build(s.chart, s.e_frame, s.e_prime_frame)
+    assert check_integrability(fresh).ok and check_module_property(fresh).ok
+    assert calls == [(5,)]
 
 
 class TestGraphTheta:
