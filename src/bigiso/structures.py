@@ -11,7 +11,7 @@ tests of polynomials, with minor certificates on failure.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
 from typing import Sequence
@@ -85,6 +85,7 @@ class BigIsotropicStructure:
     chart: Chart
     e_frame: tuple
     e_prime_frame: tuple
+    validated: bool = field(default=False, init=False, compare=False)
 
     @property
     def m(self) -> int:
@@ -116,7 +117,7 @@ class BigIsotropicStructure:
         certifies nothing and is refused) the frames must have ranks k and
         2m - k; the ranks are taken on integer rows, one point at a time,
         so the first degenerate point stops the walk.  Raises
-        StructureError on the first failure.
+        StructureError on the first failure; on success sets `validated`.
         """
         m, k = self.m, self.k
         if len(self.e_prime_frame) != 2 * m - k:
@@ -145,6 +146,7 @@ class BigIsotropicStructure:
             raise StructureError("empty grid: no point certifies the frame ranks")
         for _ in self._rows_at(points):
             pass
+        object.__setattr__(self, "validated", True)
 
     def _rows_at(self, points):
         """(E rows, E' rows) at each chart point, lazily; errors on rank drops.
@@ -213,29 +215,52 @@ def structure_from_components(chart: Chart, e_rows, ep_rows, grid=None, validate
 # integrability
 # --------------------------------------------------------------------------
 
+def _frame_bracket_failures(s: BigIsotropicStructure):
+    """Yield each frame pair whose Courant bracket leaves E, with the
+    nonzero (k+1)-minor of the frame stacked on the bracket, lazily.
+
+    The structure's membership test of the frame serves every pair, and
+    each section's partials are taken once, for all its brackets."""
+    d = [partials(sec.as_poly_row()) for sec in s.e_frame]
+    for i, j in itertools.combinations(range(s.k), 2):
+        br = courant_bracket(s.e_frame[i], s.e_frame[j], d[i], d[j])
+        ok, witness = s.in_E(br.as_poly_row())
+        if not ok:
+            yield (f"bracket of frame sections {i},{j} leaves E", witness)
+
+
 def check_integrability(s: BigIsotropicStructure) -> Verdict:
     """Closure of the E frame under Courant brackets, by minor certificates.
 
     The bracket of every frame pair must lie in the pointwise span of the
     frame wherever the frame has rank k, which the structure's grid
-    validation probed.  The structure's membership test of the frame serves
-    every pair; a failure carries a nonzero (k+1)-minor of the frame stacked
-    on the bracket.  Each section's partials are taken once, for all its
-    brackets.
+    validation probed; a failure carries a nonzero (k+1)-minor of the frame
+    stacked on the bracket.
     """
-    d = [partials(sec.as_poly_row()) for sec in s.e_frame]
-    failures = []
-    for i, j in itertools.combinations(range(s.k), 2):
-        br = courant_bracket(s.e_frame[i], s.e_frame[j], d[i], d[j])
-        ok, witness = s.in_E(br.as_poly_row())
-        if not ok:
-            failures.append((f"bracket of frame sections {i},{j} leaves E", witness))
-    return Verdict("integrability", not failures, tuple(failures), note="rank certified on sampled locus")
+    failures = tuple(_frame_bracket_failures(s))
+    return Verdict("integrability", not failures, failures, note="rank certified on sampled locus")
 
 
 def check_module_property(s: BigIsotropicStructure) -> Verdict:
-    """Brackets of E sections with E' sections must stay in E'; each
-    section's partials are taken once, for all its brackets."""
+    """Brackets of E sections with E' sections must stay in E'.
+
+    For sections a = (X, alpha), c of E and b of E', Courant's identity
+    X g(b, c) = g([a,b] + d g(a,b), c) + g(b, [a,c] + d g(a,c))
+    (Courant 1990; Liu-Weinstein-Xu 1997) gives g([a,b], c) = -g(b, [a,c])
+    once g(E, E) = g(E, E') = 0 identically.  On a validated structure
+    E' = orth(E) and E = orth(E') wherever the ranks are k and 2m - k, a
+    dense open set, so every [e_i, e'_j] lies in E' iff every [e_i, e_l]
+    lies in E: the module property holds iff E is integrable (the paper's
+    "if E is integrable, Gamma E' is a module over Gamma E", and its
+    converse).
+    A validated structure whose frame brackets all stay in E therefore
+    passes without a mixed bracket or a membership test of E'.  Otherwise,
+    and on validate=False structures, every [e_i, e'_j] is formed and
+    tested against E', so a failure carries its minor certificates; each
+    section's partials are taken once, for all its brackets.
+    """
+    if s.validated and next(_frame_bracket_failures(s), None) is None:
+        return Verdict("module property", True)
     d = [partials(sec.as_poly_row()) for sec in s.e_frame]
     d_prime = [partials(sec.as_poly_row()) for sec in s.e_prime_frame]
     failures = []
@@ -473,8 +498,8 @@ def verify_modular_enlargement(s: BigIsotropicStructure) -> Verdict:
     anchor and the Courant bracket as the mixed bracket.
 
     Courant's identities give each axiom's defect lhs - rhs in closed form
-    (Courant 1990; Liu-Weinstein-Xu 1997), so only the brackets [e_i, e'_j]
-    and [e_i1, e_i2] are formed.  For a = (X, alpha), b = (Y, beta):
+    (Courant 1990; Liu-Weinstein-Xu 1997), so no scaled or nested bracket
+    is formed.  For a = (X, alpha), b = (Y, beta):
 
     1. The anchor intertwines brackets: the tangent part of [a, b] is [X, Y]
        by definition, so this holds identically and is not tested.
@@ -485,37 +510,55 @@ def verify_modular_enlargement(s: BigIsotropicStructure) -> Verdict:
        The bracket is skew for all sections, isotropic or not, so
        [a2, a1] = -[a1, a2] and [a, a] = 0; hence T(a2, a1, b) = -T(a1, a2, b)
        and T(a, a, b) = 0.  T is formed for i1 < i2 only, from one bracket
-       [e_i1, e_i2]; each pairing g([e_i, e'_j], e_l), i != l, enters exactly
-       one such T, and the triples (i2, i1, j) and (i, i, j) take -T and 0.
+       [e_i1, e_i2].
 
-    The pairings are computed, never assumed zero, so validate=False
-    structures get the verdicts of the direct bracket forms.  Each
-    section's partials are taken once, for all its brackets.
+    The pairings g(e_i, e'_j) of axiom 2 are computed, never assumed zero.
+    When they all vanish, as on every validated structure, the identity
+    X g(b, c) = g([a,b] + d g(a,b), c) + g(b, [a,c] + d g(a,c)) of
+    check_module_property, taken at (a2, b, a1) and (a1, b, a2), gives
+    g([a2,b], a1) = g(b, [a1,a2]) - e and g([a1,b], a2) = -g(b, [a1,a2]) - e
+    with the same e = g(b, (0, d g(a1, a2))), so T = 3 g([a1,a2], b), also
+    where E is not isotropic, and axiom 3's defect is -d g([a1,a2], b):
+    only the k(k-1)/2 brackets [e_i1, e_i2] are formed.  Otherwise (only
+    validate=False admits it) the kn brackets [e_i, e'_j] enter T too, each
+    pairing g([e_i, e'_j], e_l), i != l, in exactly one T, and the verdicts
+    are those of the direct bracket forms.  Each section's partials are
+    taken once, for all its brackets.
     """
     chart = s.chart
     d = [partials(sec.as_poly_row()) for sec in s.e_frame]
-    d_prime = [partials(sec.as_poly_row()) for sec in s.e_prime_frame]
     f, h = _axiom_test_functions(chart)
     twist = d_function(f, chart).scale(h) - d_function(h, chart).scale(f)
     zero = PolyVectorField.zero(chart)
     failures = []
-    mixed = {}  # (i, j) -> [e_i, e'_j]
+    orthogonal = True  # g(e_i, e'_j) = 0 for every i, j
     for i, a in enumerate(s.e_frame):
         for j, b in enumerate(s.e_prime_frame):
-            mixed[i, j] = courant_bracket(a, b, d[i], d_prime[j])
-            defect = BigSection(zero, twist.scale(pairing_sections(a, b)))
+            pairing = pairing_sections(a, b)
+            orthogonal = orthogonal and pairing.is_zero()
+            defect = BigSection(zero, twist.scale(pairing))
             if not defect.is_zero():
                 failures.append((f"axiom 2 fails on ({i},{j})", defect))
+    if not orthogonal:
+        d_prime = [partials(sec.as_poly_row()) for sec in s.e_prime_frame]
+        mixed = {  # (i, j) -> [e_i, e'_j]
+            (i, j): courant_bracket(a, b, d[i], d_prime[j])
+            for i, a in enumerate(s.e_frame)
+            for j, b in enumerate(s.e_prime_frame)
+        }
     T = {}  # (i1, i2, j) with i1 < i2 -> T(e_i1, e_i2, e'_j)
     for i1, i2 in itertools.combinations(range(s.k), 2):
         a1, a2 = s.e_frame[i1], s.e_frame[i2]
         inner = courant_bracket(a1, a2, d[i1], d[i2])
         for j, b in enumerate(s.e_prime_frame):
-            T[i1, i2, j] = (
-                pairing_sections(inner, b)
-                + pairing_sections(mixed[i2, j], a1)
-                - pairing_sections(mixed[i1, j], a2)
-            )
+            if orthogonal:
+                T[i1, i2, j] = pairing_sections(inner, b) * 3
+            else:
+                T[i1, i2, j] = (
+                    pairing_sections(inner, b)
+                    + pairing_sections(mixed[i2, j], a1)
+                    - pairing_sections(mixed[i1, j], a2)
+                )
     for i1, i2 in itertools.permutations(range(s.k), 2):
         for j in range(len(s.e_prime_frame)):
             t = T[i1, i2, j] if i1 < i2 else -T[i2, i1, j]

@@ -87,6 +87,28 @@ def enlargement_reference(s):
     return [(message, str(payload)) for message, payload in failures]
 
 
+def module_reference(s):
+    """The module property by its direct form: every bracket [e_i, e'_j]
+    tested against E', with the minor certificate of each failure."""
+    in_E_prime = span_test(s.prime_frame_rows())
+    failures = []
+    for i, a in enumerate(s.e_frame):
+        for j, b in enumerate(s.e_prime_frame):
+            ok, witness = in_E_prime(courant_bracket(a, b).as_poly_row())
+            if not ok:
+                failures.append((f"bracket of E section {i} with E' section {j} leaves E'", witness))
+    return failures
+
+
+def jacobi_pairing_sum(a1, a2, b):
+    """T(a1, a2, b) = g([a1,a2], b) + g([a2,b], a1) - g([a1,b], a2) from its three brackets."""
+    return (
+        pairing_sections(courant_bracket(a1, a2), b)
+        + pairing_sections(courant_bracket(a2, b), a1)
+        - pairing_sections(courant_bracket(a1, b), a2)
+    )
+
+
 def coanchor_reference(s):
     """The co-anchor conditions with condition ii compared against the
     bracket [e_i, e'_j] itself."""
@@ -404,11 +426,12 @@ class TestIntegrability:
         assert check_module_property(r5_structure).ok
 
 
-def mixed_graph_P_structure():
-    """graph(P) on Q^5 for the Poisson P = d0^d1 + d2^d3, E = E' and each
-    frame mixed by its own polynomial row operations R_t += c x_v R_s."""
+def mixed_graph_P_structure(p=None):
+    """graph(P) on Q^5 for P = p d0^d1 + d2^d3 (p = 1 by default, which is
+    Poisson; p = x2 is not), E = E' and each frame mixed by its own
+    polynomial row operations R_t += c x_v R_s."""
     chart = Chart(tuple(f"x{i}" for i in range(5)))
-    P = PolyBivector(chart, {(0, 1): chart.one(), (2, 3): chart.one()})
+    P = PolyBivector(chart, {(0, 1): p or chart.one(), (2, 3): chart.one()})
     graph = graph_P([PolyOneForm.coordinate(chart, i) for i in range(5)], P).e_frame
 
     def mixed(ops):
@@ -422,11 +445,112 @@ def mixed_graph_P_structure():
     return BigIsotropicStructure.build(chart, e, ep)
 
 
+def non_poisson_mixed_graph_P_structure():
+    """graph(P) on Q^4 for the non-Poisson P = x3 d_x1^d_x2 + d_x3^d_x4 with
+    one E row mixed, E' the unmixed graph: validated, and not integrable."""
+    chart = Chart(("x1", "x2", "x3", "x4"))
+    x = [chart.coordinate(i) for i in range(4)]
+    P = PolyBivector(chart, {(0, 1): x[2], (2, 3): chart.one()})
+    e = list(graph_P([PolyOneForm.coordinate(chart, i) for i in range(4)], P).e_frame)
+    return BigIsotropicStructure.build(chart, [e[0] + e[1].scale(x[3])] + e[1:], e)
+
+
+def random_rank_one_structure(rng, m):
+    """A random isotropic section e = (X, alpha) with X^0 = 1 and its
+    g-orthogonal, framed by u - 2 g(e, u) (0, dx0) over the coordinate
+    sections u != (0, dx0) and mixed by polynomial row operations; ranks 1
+    and 2m - 1 everywhere, so it validates on every grid."""
+    chart = Chart(tuple(f"x{i}" for i in range(m)))
+    X = [chart.one()] + [rand_poly_deg1(rng, chart) for _ in range(m - 1)]
+    alpha = [rand_poly_deg1(rng, chart) for _ in range(m)]
+    alpha[0] = -sum((alpha[i] * X[i] for i in range(1, m)), chart.zero())
+    e = BigSection(PolyVectorField(chart, X), PolyOneForm(chart, alpha))
+    dx0 = BigSection(PolyVectorField.zero(chart), PolyOneForm.coordinate(chart, 0))
+    units = [BigSection(PolyVectorField.coordinate(chart, i), PolyOneForm.zero(chart)) for i in range(m)]
+    units += [BigSection(PolyVectorField.zero(chart), PolyOneForm.coordinate(chart, i)) for i in range(1, m)]
+    prime = [u - dx0.scale(pairing_sections(e, u) * 2) for u in units]
+    for _ in range(m - 1):
+        t, src = rng.sample(range(2 * m - 1), 2)
+        c = chart.coordinate(rng.randrange(m)) * rng.choice((-2, -1, 1, 2))
+        prime[t] = prime[t] + prime[src].scale(c)
+    return BigIsotropicStructure.build(chart, [e], prime)
+
+
+def oracle_structures():
+    """Validated structures for the oracle tests: the 12 fixtures, three
+    mixed graph(P) frames (two of them not Poisson) and random rank-1
+    frames."""
+    structures = []
+    for name in fixtures.list_fixtures():
+        doc = parse_document(fixtures.fixture_text(name))
+        structures.append(BigIsotropicStructure.build(doc.chart, doc.e_sections, doc.e_prime_sections))
+    x2 = Chart(tuple(f"x{i}" for i in range(5))).coordinate(2)
+    structures += [
+        mixed_graph_P_structure(),
+        mixed_graph_P_structure(x2),
+        non_poisson_mixed_graph_P_structure(),
+    ]
+    rng = random.Random(74)
+    structures += [random_rank_one_structure(rng, m) for m in (1, 2, 2, 3, 3, 4)]
+    return structures
+
+
+class TestModuleProperty:
+    """On a validated structure the module property holds iff E is
+    integrable, and a failure keeps the certificates of the direct form."""
+
+    @pytest.fixture(scope="class")
+    def structures(self):
+        return oracle_structures()
+
+    def test_verdict_and_failures_equal_the_direct_form(self, structures):
+        outcomes = []
+        for s in structures:
+            assert s.validated
+            verdict = check_module_property(s)
+            assert list(verdict.failures) == module_reference(s)
+            assert verdict.ok == (not verdict.failures) == check_integrability(s).ok
+            outcomes.append(verdict.ok)
+        # example_theta_nonintegrable and the two non-Poisson graph(P) frames
+        assert outcomes.count(False) == 3
+        assert all(outcomes[-6:]) and {s.k for s in structures[-6:]} == {1}  # rank 1 always passes
+
+    def test_jacobi_pairing_sum_is_three_inner_pairings(self, structures):
+        for s in structures:
+            for a1, a2, b in product(s.e_frame, s.e_frame, s.e_prime_frame):
+                assert jacobi_pairing_sum(a1, a2, b) == pairing_sections(courant_bracket(a1, a2), b) * 3
+
+    def test_enlargement_failures_equal_the_direct_form(self, structures):
+        failing = 0
+        for s in structures:
+            verdict = verify_modular_enlargement(s)
+            assert [(msg, str(p)) for msg, p in verdict.failures] == enlargement_reference(s)
+            failing += not verdict.ok
+        assert failing == 2  # the two non-Poisson graph(P) frames
+
+    def test_unvalidated_structure_keeps_the_direct_form(self, monkeypatch):
+        validated = mixed_graph_P_structure()
+        s = BigIsotropicStructure.build(
+            validated.chart, validated.e_frame, validated.e_prime_frame, validate=False
+        )
+        assert not s.validated and s == validated
+        calls = counting_brackets(monkeypatch)
+        assert check_module_property(s).ok
+        assert len(calls) == s.k * len(s.e_prime_frame)
+        monkeypatch.undo()
+        s.validate()
+        assert s.validated
+        calls = counting_brackets(monkeypatch)
+        assert check_module_property(s).ok
+        assert len(calls) == s.k * (s.k - 1) // 2
+
+
 class TestPartialsOncePerCheck:
     """Each frame section's partials are taken once per check and every
     bracket reads them: 2m^2 derivatives per section (2m entries, m
-    variables), so 2km^2 for integrability and 4m^3 for the module property
-    (k + 2m - k = 2m sections), whatever the number of brackets."""
+    variables), so 2km^2 for integrability, whatever the number of
+    brackets.  The module property of a validated integrable structure is
+    decided by the same frame brackets, so it takes 2km^2 too."""
 
     @pytest.mark.parametrize("which", ["example_r5", "mixed graph(P)"])
     def test_derivative_counts(self, which, r5_structure, derivative_calls):
@@ -438,7 +562,7 @@ class TestPartialsOncePerCheck:
         assert len(derivative_calls) == 2 * k * m * m
         derivative_calls.clear()
         assert check_module_property(s).ok
-        assert len(derivative_calls) == 4 * m**3
+        assert len(derivative_calls) == 2 * k * m * m
 
 
 def counting_default_grid(monkeypatch):
@@ -696,6 +820,9 @@ class TestHamiltonian:
         assert poisson_bracket(s, const, PolyVectorField.zero(chart), f, X_f).is_zero()
 
     def test_one_membership_test_per_frame(self, monkeypatch):
+        # a passing validated structure decides both checks on the E test
+        # alone; the E' test is built once, for the weak-Hamiltonian pairs
+        # or for the certificates of a failing module property
         import bigiso.structures
 
         built = []
@@ -706,12 +833,19 @@ class TestHamiltonian:
         chart = Chart(("x1", "x2"))
         P = PolyBivector(chart, {(0, 1): chart.one()})
         s = graph_P([PolyOneForm.coordinate(chart, i) for i in range(2)], P)
+        assert check_integrability(s).ok and check_module_property(s).ok
+        assert built == [s.frame_rows()]
         f, h = chart.coordinate("x1"), chart.coordinate("x2")
         X_f, X_h = sharp(P, d_function(f, chart)), sharp(P, d_function(h, chart))
         for _ in range(3):
             poisson_bracket(s, f, X_f, h, X_h)
         assert check_integrability(s).ok and check_module_property(s).ok
         assert built == [s.frame_rows(), s.prime_frame_rows()]
+
+        built.clear()
+        failing = non_poisson_mixed_graph_P_structure()
+        assert not check_integrability(failing).ok and not check_module_property(failing).ok
+        assert built == [failing.frame_rows(), failing.prime_frame_rows()]
 
     def test_membership_verification(self, symplectic_structure):
         chart = symplectic_structure.chart
@@ -736,15 +870,12 @@ class TestAxioms:
 
     def test_enlargement_computes_each_bracket_once(self, monkeypatch):
         """Same verdict, failures and order as the bracket-per-term loop,
-        with kn + k(k-1)/2 brackets (n = 2m - k) instead of 2kn + 5k^2 n."""
+        with the k(k-1)/2 frame brackets of a validated structure instead
+        of 2kn + 5k^2 n (n = 2m - k)."""
         import bigiso.structures
 
         # graph of a non-Poisson P with one frame row mixed: axiom 3 fails twice
-        chart = Chart(("x1", "x2", "x3", "x4"))
-        x = [chart.coordinate(i) for i in range(4)]
-        P = PolyBivector(chart, {(0, 1): x[2], (2, 3): chart.one()})
-        e = list(graph_P([PolyOneForm.coordinate(chart, i) for i in range(4)], P).e_frame)
-        mixed = BigIsotropicStructure.build(chart, [e[0] + e[1].scale(x[3])] + e[1:], e)
+        mixed = non_poisson_mixed_graph_P_structure()
         calls = []
         monkeypatch.setattr(
             bigiso.structures, "courant_bracket", lambda *a: calls.append(a) or courant_bracket(*a)
@@ -755,8 +886,8 @@ class TestAxioms:
             "axiom 3 fails on (0,3,0)",
             "axiom 3 fails on (3,0,0)",
         ]
-        k, n = 4, 4
-        assert len(calls) == k * n + k * (k - 1) // 2
+        k = 4
+        assert len(calls) == k * (k - 1) // 2 == 6
 
     def test_enlargement_and_coanchor_match_the_bracket_forms_unvalidated(self, monkeypatch):
         """Random frames that are neither isotropic nor orthogonal, built
@@ -797,6 +928,32 @@ class TestAxioms:
             assert len(pairs) == k * n + 3 * n * k * (k - 1) // 2
             assert len({(id(a), id(b)) for a, b in pairs}) == len(pairs)
             assert [(msg, str(p)) for msg, p in verdict.failures] == enlargement_reference(s)
+
+    def test_orthogonal_frames_that_are_not_isotropic(self, monkeypatch):
+        """g(E, E') = 0 but g(e_0, e_1) = p != 0, built with validate=False:
+        T = 3 g([e_0, e_1], e'_j) still holds, so only [e_0, e_1] is formed,
+        and the failures are those of the direct bracket forms."""
+        rng = random.Random(76)
+        chart = Chart(("x", "y", "z"))
+        labels = set()
+        for _ in range(4):
+            p = rand_poly_deg1(rng, chart) * rand_poly_deg1(rng, chart)
+            # e'_j has no d_x and no dx part, so it pairs to zero with both
+            ep_rows = [
+                (0, rand_poly_deg1(rng, chart), rand_poly_deg1(rng, chart))
+                + (0, rand_poly_deg1(rng, chart), rand_poly_deg1(rng, chart))
+                for _ in range(4)
+            ]
+            e_rows = [(1, 0, 0, 0, 0, 0), (0, 0, 0, p, 0, 0)]
+            s = structure_from_components(chart, e_rows, ep_rows, validate=False)
+            assert not pairing_sections(*s.e_frame).is_zero()
+            calls = counting_brackets(monkeypatch)
+            verdict = verify_modular_enlargement(s)
+            assert len(calls) == 1
+            monkeypatch.undo()
+            assert [(msg, str(q)) for msg, q in verdict.failures] == enlargement_reference(s)
+            labels |= {msg.split(" fails")[0] for msg, _ in verdict.failures}
+        assert labels == {"axiom 3"}
 
     def test_constant_nonzero_pairing(self):
         """g(a, b) = 1/2 everywhere: condition i fails and condition ii
