@@ -215,13 +215,13 @@ def structure_from_components(chart: Chart, e_rows, ep_rows, grid=None, validate
 # integrability
 # --------------------------------------------------------------------------
 
-def _frame_bracket_failures(s: BigIsotropicStructure):
+def _frame_bracket_failures(s: BigIsotropicStructure, d):
     """Yield each frame pair whose Courant bracket leaves E, with the
     nonzero (k+1)-minor of the frame stacked on the bracket, lazily.
 
-    The structure's membership test of the frame serves every pair, and
-    each section's partials are taken once, for all its brackets."""
-    d = [partials(sec.as_poly_row()) for sec in s.e_frame]
+    d holds the partials of each frame section, taken once by the caller
+    for all its brackets; the structure's membership test of the frame
+    serves every pair."""
     for i, j in itertools.combinations(range(s.k), 2):
         br = courant_bracket(s.e_frame[i], s.e_frame[j], d[i], d[j])
         ok, witness = s.in_E(br.as_poly_row())
@@ -237,7 +237,8 @@ def check_integrability(s: BigIsotropicStructure) -> Verdict:
     validation probed; a failure carries a nonzero (k+1)-minor of the frame
     stacked on the bracket.
     """
-    failures = tuple(_frame_bracket_failures(s))
+    d = [partials(sec.as_poly_row()) for sec in s.e_frame]
+    failures = tuple(_frame_bracket_failures(s, d))
     return Verdict("integrability", not failures, failures, note="rank certified on sampled locus")
 
 
@@ -259,9 +260,9 @@ def check_module_property(s: BigIsotropicStructure) -> Verdict:
     tested against E', so a failure carries its minor certificates; each
     section's partials are taken once, for all its brackets.
     """
-    if s.validated and next(_frame_bracket_failures(s), None) is None:
-        return Verdict("module property", True)
     d = [partials(sec.as_poly_row()) for sec in s.e_frame]
+    if s.validated and next(_frame_bracket_failures(s, d), None) is None:
+        return Verdict("module property", True)
     d_prime = [partials(sec.as_poly_row()) for sec in s.e_prime_frame]
     failures = []
     for i in range(s.k):
@@ -512,18 +513,14 @@ def verify_modular_enlargement(s: BigIsotropicStructure) -> Verdict:
        and T(a, a, b) = 0.  T is formed for i1 < i2 only, from one bracket
        [e_i1, e_i2].
 
-    The pairings g(e_i, e'_j) of axiom 2 are computed, never assumed zero.
-    When they all vanish, as on every validated structure, the identity
-    X g(b, c) = g([a,b] + d g(a,b), c) + g(b, [a,c] + d g(a,c)) of
-    check_module_property, taken at (a2, b, a1) and (a1, b, a2), gives
-    g([a2,b], a1) = g(b, [a1,a2]) - e and g([a1,b], a2) = -g(b, [a1,a2]) - e
-    with the same e = g(b, (0, d g(a1, a2))), so T = 3 g([a1,a2], b), also
-    where E is not isotropic, and axiom 3's defect is -d g([a1,a2], b):
-    only the k(k-1)/2 brackets [e_i1, e_i2] are formed.  Otherwise (only
-    validate=False admits it) the kn brackets [e_i, e'_j] enter T too, each
-    pairing g([e_i, e'_j], e_l), i != l, in exactly one T, and the verdicts
-    are those of the direct bracket forms.  Each section's partials are
-    taken once, for all its brackets.
+    The identity X g(b, c) = g([a,b] + d g(a,b), c) + g(b, [a,c] + d g(a,c))
+    of check_module_property, taken at (a2, b, a1) and (a1, b, a2) with
+    g((0, df), a) = X_a f / 2, gives for all sections
+    T = 3 g([a1,a2], b) + 3/2 (X_a2 g(a1, b) - X_a1 g(a2, b)):
+    the d g(a1, a2) terms cancel, so T needs only the k(k-1)/2 brackets
+    [e_i1, e_i2] and the pairings g(e_i, e'_j) of axiom 2, which are
+    computed, never assumed zero.  Each section's partials are taken once,
+    for all its brackets.
     """
     chart = s.chart
     d = [partials(sec.as_poly_row()) for sec in s.e_frame]
@@ -531,34 +528,22 @@ def verify_modular_enlargement(s: BigIsotropicStructure) -> Verdict:
     twist = d_function(f, chart).scale(h) - d_function(h, chart).scale(f)
     zero = PolyVectorField.zero(chart)
     failures = []
-    orthogonal = True  # g(e_i, e'_j) = 0 for every i, j
+    p = {}  # (i, j) -> g(e_i, e'_j)
     for i, a in enumerate(s.e_frame):
         for j, b in enumerate(s.e_prime_frame):
-            pairing = pairing_sections(a, b)
-            orthogonal = orthogonal and pairing.is_zero()
-            defect = BigSection(zero, twist.scale(pairing))
+            p[i, j] = pairing_sections(a, b)
+            defect = BigSection(zero, twist.scale(p[i, j]))
             if not defect.is_zero():
                 failures.append((f"axiom 2 fails on ({i},{j})", defect))
-    if not orthogonal:
-        d_prime = [partials(sec.as_poly_row()) for sec in s.e_prime_frame]
-        mixed = {  # (i, j) -> [e_i, e'_j]
-            (i, j): courant_bracket(a, b, d[i], d_prime[j])
-            for i, a in enumerate(s.e_frame)
-            for j, b in enumerate(s.e_prime_frame)
-        }
     T = {}  # (i1, i2, j) with i1 < i2 -> T(e_i1, e_i2, e'_j)
     for i1, i2 in itertools.combinations(range(s.k), 2):
         a1, a2 = s.e_frame[i1], s.e_frame[i2]
         inner = courant_bracket(a1, a2, d[i1], d[i2])
         for j, b in enumerate(s.e_prime_frame):
-            if orthogonal:
-                T[i1, i2, j] = pairing_sections(inner, b) * 3
-            else:
-                T[i1, i2, j] = (
-                    pairing_sections(inner, b)
-                    + pairing_sections(mixed[i2, j], a1)
-                    - pairing_sections(mixed[i1, j], a2)
-                )
+            t = pairing_sections(inner, b) * 3
+            if not (p[i1, j].is_zero() and p[i2, j].is_zero()):
+                t = t + (a2.vf.apply(p[i1, j]) - a1.vf.apply(p[i2, j])) * Fraction(3, 2)
+            T[i1, i2, j] = t
     for i1, i2 in itertools.permutations(range(s.k), 2):
         for j in range(len(s.e_prime_frame)):
             t = T[i1, i2, j] if i1 < i2 else -T[i2, i1, j]

@@ -892,15 +892,15 @@ class TestAxioms:
     def test_enlargement_and_coanchor_match_the_bracket_forms_unvalidated(self, monkeypatch):
         """Random frames that are neither isotropic nor orthogonal, built
         with validate=False: verdicts and certificates equal the direct
-        bracket forms, with kn + k(k-1)/2 brackets and none for the co-anchor."""
+        bracket forms, with the k(k-1)/2 frame brackets and none for the
+        co-anchor."""
         rng = random.Random(71)
         labels = set()
         for m, k in ((2, 1), (2, 2), (3, 1), (3, 3), (4, 1)):
             s = random_unchecked_structure(rng, m, k)
-            n = 2 * m - k
             calls = counting_brackets(monkeypatch)
             enlargement, coanchor = verify_modular_enlargement(s), verify_coanchor(s)
-            assert len(calls) == k * n + k * (k - 1) // 2
+            assert len(calls) == k * (k - 1) // 2
             monkeypatch.undo()
             assert [(msg, str(p)) for msg, p in enlargement.failures] == enlargement_reference(s)
             assert [(msg, str(p)) for msg, p in coanchor.failures] == coanchor_reference(s)
@@ -909,8 +909,9 @@ class TestAxioms:
         assert labels == {"axiom 2", "axiom 3", "condition i", "condition ii"}
 
     def test_enlargement_computes_each_pairing_once(self, monkeypatch):
-        """kn pairings g(e_i, e'_j) for axiom 2 and three per T(i1 < i2, j),
-        none of them repeated, on frames that are not isotropic."""
+        """kn pairings g(e_i, e'_j) for axiom 2, reused by T, and one
+        g([e_i1, e_i2], e'_j) per T(i1 < i2, j), none of them repeated, on
+        frames that are not isotropic."""
         import bigiso.structures
 
         rng = random.Random(73)
@@ -925,7 +926,7 @@ class TestAxioms:
             )
             verdict = verify_modular_enlargement(s)
             monkeypatch.undo()
-            assert len(pairs) == k * n + 3 * n * k * (k - 1) // 2
+            assert len(pairs) == k * n + n * k * (k - 1) // 2
             assert len({(id(a), id(b)) for a, b in pairs}) == len(pairs)
             assert [(msg, str(p)) for msg, p in verdict.failures] == enlargement_reference(s)
 
