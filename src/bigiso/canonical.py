@@ -169,9 +169,6 @@ class CanonicalFrame:
         except ZeroDivisionError:
             return False
 
-    def eval_rows(self, rows, point):
-        return [tuple(entry.eval(point) for entry in row) for row in rows]
-
 
 def _identity_on(rows, columns, names, singular: str):
     """(det, combination): the determinant of the square block of the
@@ -450,8 +447,8 @@ def _splitting_holds(cf, pt, data, h_pt, t_fol, ann_fol) -> bool:
     data is the structure there, with the two pieces spanned by the Xi and X
     sections respectively."""
     m = cf.adapted.chart.dim
-    x_vals = Subspace(2 * m, cf.eval_rows(cf.x_rows, pt)) if cf.x_rows else Subspace(2 * m)
-    xi_vals = Subspace(2 * m, cf.eval_rows(cf.xi_rows, pt)) if cf.xi_rows else Subspace(2 * m)
+    x_vals = SubbundleField(2 * m, cf.x_rows).at(pt)
+    xi_vals = SubbundleField(2 * m, cf.xi_rows).at(pt)
     piece_fol = data.E.intersect(window(m, t_fol.basis, h_pt.annihilator().basis))
     piece_h = data.E.intersect(window(m, h_pt.basis, ann_fol.basis))
     return (

@@ -6,8 +6,9 @@ unique representative, so subspace equality is plain tuple equality.  Matrix
 entries are Fractions and ints; the RREF, rank and pivot columns of a
 matrix come from one fraction-free elimination over the integers.
 ``fraction_free`` is the same Gauss-Jordan elimination on polynomial rows,
-dividing exactly by the previous pivot; it gives every symbolic
-determinant, adjugate and reduced frame.
+dividing exactly by the previous pivot; it gives every determinant (a
+rational one in ``Matrix.det``, on constant polynomials), adjugate and
+reduced frame.
 """
 
 from __future__ import annotations
@@ -198,25 +199,17 @@ class Matrix:
         return basis
 
     def det(self):
-        """Determinant by Gaussian elimination over Q."""
+        """Determinant: the last pivot of one ``fraction_free`` elimination of
+        the entries as constant polynomials, times the sign of its row swaps."""
         if self.rows != self.cols:
             raise ValueError("determinant of a non-square matrix")
-        m = [[as_fraction(e) for e in row] for row in self.entries]
-        result = Fraction(1)
-        for c in range(self.rows):
-            i = next((i for i in range(c, self.rows) if m[i][c]), None)
-            if i is None:
-                return _ZERO
-            if i != c:
-                m[c], m[i] = m[i], m[c]
-                result = -result
-            top = m[c]
-            result *= top[c]
-            for row in m[c + 1 :]:
-                if row[c]:
-                    f = row[c] / top[c]
-                    row[c:] = [a - f * b for a, b in zip(row[c:], top[c:])]
-        return result
+        if not self.rows:
+            return Fraction(1)
+        rows = [[Polynomial.constant((), e) for e in row] for row in self.entries]
+        reduced, pivots, sign = fraction_free(rows, range(self.cols))
+        if len(pivots) < self.rows:
+            return _ZERO
+        return sign * reduced[-1][-1].constant_value()
 
     def inverse(self) -> "Matrix":
         if self.rows != self.cols:

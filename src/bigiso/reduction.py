@@ -3,8 +3,11 @@ reduced structure on the local leaf space.
 
 Submanifolds are affine-linear in the ambient chart and foliations are by
 fibres of a coordinate projection, which matches the chart-adapted setting
-of the canonical-frame machinery.  The reduced structure is certified, not
-merely constructed: pointwise pullbacks/pushforwards over a sample grid are
+of the canonical-frame machinery.  The restricted frames are the ambient
+sections tangent to the submanifold, pulled back along its affine embedding
+by ``structures.pull_back_sections`` (of which a chart change is the
+invertible case).  The reduced structure is certified, not merely
+constructed: pointwise pullbacks/pushforwards over a sample grid are
 compared against the symbolic frames at every step.
 """
 
@@ -30,7 +33,7 @@ from .calculus import (
 from .linalg import Matrix, Subspace
 from .pointwise import is_graph_type, tangent_projection, window
 from .scalars import Polynomial, as_fraction, eval_rows
-from .structures import BigIsotropicStructure, Verdict, default_grid
+from .structures import BigIsotropicStructure, Verdict, default_grid, pull_back_sections
 from .transport import LinearMap, pullback_subspace, pushforward_subspace, space_S
 
 
@@ -152,8 +155,6 @@ class RestrictedData:
     ambient_data: tuple  # IsotropicData at the embedded points
     pulled_E: tuple
     pulled_E_prime: tuple
-    dim_window: int
-    dim_window_prime: int
 
     @property
     def rank(self) -> int:
@@ -191,26 +192,22 @@ def restrict(s: BigIsotropicStructure, N: SubmanifoldData, grid=None) -> Restric
     ranks = {sp.dim for sp in pulled}
     if len(ranks) > 1:
         raise ReductionError(f"pullback dimension jumps across the grid: {sorted(ranks)}")
-    return RestrictedData(
-        N,
-        pts,
-        tuple(ambient_data),
-        tuple(pulled),
-        tuple(pulled_prime),
-        next(iter(window_dims)),
-        next(iter(window_prime_dims)),
-    )
+    return RestrictedData(N, pts, tuple(ambient_data), tuple(pulled), tuple(pulled_prime))
+
+
+def _span_mismatches(points, frame: Sequence[BigSection], expected) -> list:
+    """The points at which the frame spans another subspace than expected."""
+    rows_at = eval_rows([sec.as_poly_row() for sec in frame], points)
+    return [u for u, e, rows in zip(points, expected, rows_at) if Subspace(e.ambient_dim, rows) != e]
 
 
 def verify_restricted_frame(restricted: RestrictedData, frame: Sequence[BigSection]) -> Verdict:
     """A caller-supplied polynomial frame matches the pointwise pullbacks."""
-    n = restricted.submanifold.sub.dim
-    rows_at = eval_rows([sec.as_poly_row() for sec in frame], restricted.points)
-    failures = []
-    for u, expected, rows in zip(restricted.points, restricted.pulled_E, rows_at):
-        if Subspace(2 * n, rows) != expected:
-            failures.append((f"restricted frame span differs at {u}", None))
-    return Verdict("restricted frame verification", not failures, tuple(failures))
+    failures = tuple(
+        (f"restricted frame span differs at {u}", None)
+        for u in _span_mismatches(restricted.points, frame, restricted.pulled_E)
+    )
+    return Verdict("restricted frame verification", not failures, failures)
 
 
 def check_reducibility(
@@ -270,46 +267,6 @@ def check_projectable(s: BigIsotropicStructure, F: FoliationData) -> Verdict:
             if not ok:
                 failures.append((f"condition b': fibre flow moves frame section {i} out of E", witness))
     return Verdict("projectability", not failures, tuple(failures))
-
-
-def _restricted_frame_heuristic(s: BigIsotropicStructure, N: SubmanifoldData, prime: bool = False):
-    """Restrict ambient frame sections whose tangents stay inside TN.
-
-    The coefficients are composed with the embedding; a section survives iff
-    its tangent part symbolically annihilates the conormal equations.
-    """
-    amb_frame = s.e_prime_frame if prime else s.e_frame
-    n, m = N.sub.dim, N.ambient.dim
-    # ambient coordinate i as a polynomial on the sub chart
-    images = []
-    for i in range(m):
-        p = N.sub.constant(N.offset[i])
-        for j in range(n):
-            p = p + N.sub.coordinate(j) * N.differential.matrix[i, j]
-        images.append(p)
-    ann = N.normal_equations()
-    # left inverse of the differential for solving J X = v
-    jt = N.differential.matrix.transpose()
-    gram_inv = (jt * N.differential.matrix).inverse()
-    sections = []
-    for sec in amb_frame:
-        v = [c.substitute(images) for c in sec.vf.comps]
-        w = [c.substitute(images) for c in sec.of.comps]
-        in_tn = True
-        for eq in ann.entries:
-            acc = N.sub.zero()
-            for coeff, comp in zip(eq, v):
-                acc = acc + comp * coeff
-            if not acc.is_zero():
-                in_tn = False
-                break
-        if not in_tn:
-            continue
-        pre = [sum((jt[i, j] * v[j] for j in range(m)), N.sub.zero()) for i in range(n)]
-        x = [sum((gram_inv[i, j] * pre[j] for j in range(n)), N.sub.zero()) for i in range(n)]
-        xi = [sum((jt[i, j] * w[j] for j in range(m)), N.sub.zero()) for i in range(n)]
-        sections.append(BigSection(PolyVectorField(N.sub, x), PolyOneForm(N.sub, xi)))
-    return sections
 
 
 def _projectable_form(frame: Sequence[BigSection], F: FoliationData):
@@ -372,33 +329,29 @@ def reduce_structure(
     """Full pipeline: restrict, check reducibility/projectability, quotient.
 
     The restricted frames are taken from the caller when given, otherwise
-    recovered by restricting ambient frame sections; either way they are
-    verified against the pointwise pullbacks before any quotient is built.
+    pulled back from the ambient frame sections tangent to N; either way
+    they are verified against the pointwise pullbacks before any quotient
+    is built.
     """
     restricted = restrict(s, N, grid=grid)
     red_verdict = check_reducibility(s, N, F, restricted)
     if not red_verdict.ok:
         raise ReductionError(red_verdict.describe())
 
-    frame = list(restricted_frame) if restricted_frame else _restricted_frame_heuristic(s, N)
+    def pull_back(sections):
+        return pull_back_sections(sections, N.sub, N.offset, N.differential.matrix)
+
+    frame = list(restricted_frame) if restricted_frame else pull_back(s.e_frame)
     frame_verdict = verify_restricted_frame(restricted, frame)
     if not frame_verdict.ok or len(frame) != restricted.rank:
         raise ReductionError(
             "no verified projectable frame for the restriction; supply one "
             f"({len(frame)} candidate sections for rank {restricted.rank})"
         )
-    prime = (
-        list(restricted_prime_frame)
-        if restricted_prime_frame
-        else _restricted_frame_heuristic(s, N, prime=True)
-    )
-    prime_expected = 2 * N.sub.dim - restricted.rank
-    prime_at = eval_rows([sec.as_poly_row() for sec in prime], restricted.points)
-    prime_ok = len(prime) == prime_expected and all(
-        Subspace(2 * N.sub.dim, rows) == expected
-        for rows, expected in zip(prime_at, restricted.pulled_E_prime)
-    )
-    if not prime_ok:
+    prime = list(restricted_prime_frame) if restricted_prime_frame else pull_back(s.e_prime_frame)
+    if len(prime) != 2 * N.sub.dim - restricted.rank or _span_mismatches(
+        restricted.points, prime, restricted.pulled_E_prime
+    ):
         raise ReductionError("no verified frame for the restricted orthogonal bundle; supply one")
 
     on_n = BigIsotropicStructure.build(N.sub, frame, prime, grid=restricted.points)

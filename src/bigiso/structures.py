@@ -6,6 +6,11 @@ E-frame under Courant brackets), the module property of E', the specialized
 integrability criteria of the graph constructors, the partial Hamiltonian
 formalism, and the enlargement/co-anchor axioms are all decided by zero
 tests of polynomials, with minor certificates on failure.
+
+``pull_back_sections`` pulls frame sections back along an affine map
+u -> offset + J u, keeping those tangent to its image; restriction to an
+affine submanifold uses it, and the chart change of ``transform_structure``
+is its invertible case.
 """
 
 from __future__ import annotations
@@ -608,6 +613,30 @@ def regular_integrability_criterion(s: BigIsotropicStructure) -> Verdict:
 # chart transforms
 # --------------------------------------------------------------------------
 
+def pull_back_sections(frame: Sequence[BigSection], chart: Chart, offset: Sequence, J: Matrix) -> list:
+    """The sections of ``frame`` tangent to the affine map u -> offset + J u,
+    pulled back to ``chart`` (the coordinates u).
+
+    Coefficients are composed with the map, the tangent part goes through
+    the left inverse (J^T J)^-1 J^T and the covector part through J^T; a
+    section whose tangent part leaves the image of J is dropped.  An
+    invertible J is a chart change and keeps every section.
+    """
+    coords = [chart.coordinate(j) for j in range(chart.dim)]
+    images = [chart.constant(c) + p for c, p in zip(offset, J.apply(coords))]
+    jt = J.transpose()
+    left = (jt * J).inverse() * jt
+    sections = []
+    for sec in frame:
+        v = tuple(c.substitute(images) for c in sec.vf.comps)
+        x = left.apply(v)
+        if J.apply(x) != v:
+            continue
+        xi = jt.apply([c.substitute(images) for c in sec.of.comps])
+        sections.append(BigSection(PolyVectorField(chart, x), PolyOneForm(chart, xi)))
+    return sections
+
+
 def transform_structure(
     s: BigIsotropicStructure,
     T: Matrix,
@@ -615,10 +644,11 @@ def transform_structure(
     offset: Sequence | None = None,
     grid=None,
 ) -> BigIsotropicStructure:
-    """Move a structure through the affine chart change x_new = T x + offset.
-
-    Vector components go through T, covector components through the inverse
-    transpose, and coefficients are composed with the inverse map.
+    """Move a structure through the affine chart change x_new = T x + offset:
+    the pullback of its sections along the inverse map
+    x = T^-1 x_new - T^-1 offset (``pull_back_sections``), so vector
+    components go through T and covector components through the inverse
+    transpose.
     """
     m = s.m
     if (T.rows, T.cols) != (m, m):
@@ -628,26 +658,10 @@ def transform_structure(
     new_chart = Chart(tuple(new_names))
     if new_chart.dim != m:
         raise StructureError("new chart must have the same dimension")
-
-    # old coordinate i as a polynomial in the new coordinates
-    images = []
-    for i in range(m):
-        p = new_chart.zero()
-        for j in range(m):
-            p = p + new_chart.coordinate(j) * T_inv[i, j]
-            p = p - new_chart.constant(T_inv[i, j] * offset[j])
-        images.append(p)
-
-    def move(sec: BigSection) -> BigSection:
-        v = [c.substitute(images) for c in sec.vf.comps]
-        w = [c.substitute(images) for c in sec.of.comps]
-        new_v = [sum((T[i, j] * v[j] for j in range(m)), new_chart.zero()) for i in range(m)]
-        new_w = [sum((T_inv[j, i] * w[j] for j in range(m)), new_chart.zero()) for i in range(m)]
-        return BigSection(PolyVectorField(new_chart, new_v), PolyOneForm(new_chart, new_w))
-
+    back = [-c for c in T_inv.apply(offset)]
     return BigIsotropicStructure.build(
         new_chart,
-        [move(sec) for sec in s.e_frame],
-        [move(sec) for sec in s.e_prime_frame],
+        pull_back_sections(s.e_frame, new_chart, back, T_inv),
+        pull_back_sections(s.e_prime_frame, new_chart, back, T_inv),
         grid=grid,
     )

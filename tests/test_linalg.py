@@ -1,3 +1,4 @@
+import itertools
 import random
 from fractions import Fraction
 
@@ -102,6 +103,40 @@ def test_det_and_inverse():
     assert singular.det() == 0
     with pytest.raises(ValueError):
         singular.inverse()
+
+
+def leibniz_det(rows):
+    """Independent oracle: the sum over permutations of signed products."""
+    n = len(rows)
+    total = Fraction(0)
+    for perm in itertools.permutations(range(n)):
+        inversions = sum(perm[i] > perm[j] for i in range(n) for j in range(i + 1, n))
+        term = Fraction(-1 if inversions % 2 else 1)
+        for i, j in enumerate(perm):
+            term *= rows[i][j]
+        total += term
+    return total
+
+
+def test_det_matches_the_leibniz_expansion():
+    rng = random.Random(18)
+    for n in range(6):
+        for trial in range(12):
+            rows = [[Fraction(rng.randint(-4, 4), rng.randint(1, 3)) for _ in range(n)] for _ in range(n)]
+            if n and trial % 3 == 1:
+                # the last row a combination of the others (zero when n = 1)
+                coeffs = [Fraction(rng.randint(-2, 2)) for _ in range(n - 1)]
+                rows[-1] = list(combine(coeffs, rows[:-1], n))
+            elif n > 1 and trial % 3 == 2:
+                # no pivot in the first row: the elimination swaps rows
+                rows[0][0], rows[1][0] = Fraction(0), Fraction(rng.choice([-3, -1, 2, 5]), 2)
+            expected = leibniz_det(rows)
+            assert Matrix(rows, n).det() == expected
+            if n and trial % 3 == 1:
+                assert expected == 0
+    assert Matrix([], 0).det() == 1
+    with pytest.raises(ValueError):
+        Matrix([F(1, 2)]).det()
 
 
 class TestSubspace:

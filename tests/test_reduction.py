@@ -37,9 +37,44 @@ from bigiso.structures import (
     check_integrability,
     foliation_pair,
     graph_P,
+    pull_back_sections,
     structure_from_components,
 )
 from bigiso.transport import pullback_subspace, pushforward_subspace
+
+
+def restriction_reference(frame, N):
+    """The ambient sections whose tangents stay inside TN, restricted to N,
+    written out: coefficients composed with the embedding, a section kept
+    iff its tangent part annihilates the conormal equations, the tangent
+    part solved through the Gram matrix of the differential and the
+    covector part pulled back by its transpose."""
+    n, m = N.sub.dim, N.ambient.dim
+    images = []
+    for i in range(m):
+        p = N.sub.constant(N.offset[i])
+        for j in range(n):
+            p = p + N.sub.coordinate(j) * N.differential.matrix[i, j]
+        images.append(p)
+    ann = N.normal_equations()
+    jt = N.differential.matrix.transpose()
+    gram_inv = (jt * N.differential.matrix).inverse()
+    sections = []
+    for sec in frame:
+        v = [c.substitute(images) for c in sec.vf.comps]
+        w = [c.substitute(images) for c in sec.of.comps]
+        normal = [sum((comp * coeff for coeff, comp in zip(eq, v)), N.sub.zero()) for eq in ann.entries]
+        if not all(p.is_zero() for p in normal):
+            continue
+        pre = [sum((jt[i, j] * v[j] for j in range(m)), N.sub.zero()) for i in range(n)]
+        x = [sum((gram_inv[i, j] * pre[j] for j in range(n)), N.sub.zero()) for i in range(n)]
+        xi = [sum((jt[i, j] * w[j] for j in range(m)), N.sub.zero()) for i in range(n)]
+        sections.append(BigSection(PolyVectorField(N.sub, x), PolyOneForm(N.sub, xi)))
+    return sections
+
+
+def pulled_to(N, frame):
+    return pull_back_sections(frame, N.sub, N.offset, N.differential.matrix)
 
 
 @pytest.fixture(scope="module")
@@ -113,9 +148,52 @@ class TestRestrict:
             BigSection(-PolyVectorField.coordinate(sub, 2), PolyOneForm.zero(sub)),
         ]
         assert verify_restricted_frame(restricted, frame).ok
-        bad = frame[:2] + [BigSection(PolyVectorField.coordinate(sub, 2), PolyOneForm.zero(sub))]
+        flipped = frame[:2] + [BigSection(PolyVectorField.coordinate(sub, 2), PolyOneForm.zero(sub))]
         # the sign flip on the last section does not change the span
-        assert verify_restricted_frame(restricted, bad).ok
+        assert verify_restricted_frame(restricted, flipped).ok
+        short = verify_restricted_frame(restricted, frame[:2])
+        expected = tuple((f"restricted frame span differs at {u}", None) for u in restricted.points)
+        assert short.failures == expected
+
+    @pytest.mark.parametrize(
+        "name", ["example_reduction", "example_foliated_hamiltonian", "example_foliated_presymplectic"]
+    )
+    def test_pullback_of_the_fixture_frames_matches_the_reference(self, name):
+        doc = parse_document(fixture_text(name))
+        s = BigIsotropicStructure.build(doc.chart, doc.e_sections, doc.e_prime_sections)
+        N = SubmanifoldData.from_equations(doc.chart, list(doc.submanifold_equations))
+        restricted = restrict(s, N)
+        for frame, expected in ((s.e_frame, restricted.pulled_E), (s.e_prime_frame, restricted.pulled_E_prime)):
+            pulled = pulled_to(N, frame)
+            assert pulled == restriction_reference(frame, N)
+            assert len(pulled) == expected[0].dim
+        assert verify_restricted_frame(restricted, pulled_to(N, s.e_frame)).ok
+
+    def test_pullback_to_a_slanted_plane_drops_the_transverse_section(self):
+        chart = Chart(("x1", "x2", "x3"))
+        x1, x2, x3 = (chart.coordinate(i) for i in range(3))
+        N = SubmanifoldData.from_equations(chart, [x1 + x2 - 1])
+        assert N.sub.names == ("u1", "u2")
+
+        def section(vf, of):
+            return BigSection(PolyVectorField(chart, vf), PolyOneForm(chart, of))
+
+        frame = [
+            section([x2 * x3, -x2 * x3, x1], [x3, x1 * x2, chart.one()]),
+            section([chart.one(), chart.zero(), chart.zero()], [chart.zero(), x3, chart.zero()]),
+            section([x1 - x3, x3 - x1, x2 * x2], [x1, chart.zero(), x2]),
+        ]
+        pulled = pulled_to(N, frame)
+        assert len(pulled) == 2  # d_x1 leaves the plane x1 + x2 = 1
+        assert pulled == restriction_reference(frame, N)
+        # the embedding pushes each pulled tangent onto the ambient one, and
+        # the covector is the ambient one pulled back by the transpose
+        jt = N.differential.matrix.transpose()
+        for sec, amb in zip(pulled, (frame[0], frame[2])):
+            for u in [(0, 0), (1, -2), (Fraction(1, 2), 3)]:
+                x = N.embed_point(u)
+                assert N.differential.push(sec.vf.eval(u)) == amb.vf.eval(x)
+                assert sec.of.eval(u) == jt.apply(amb.of.eval(x))
 
 
 class TestReducibility:

@@ -41,6 +41,7 @@ from bigiso.structures import (
     graph_theta,
     is_infinitesimal_automorphism,
     poisson_bracket,
+    pull_back_sections,
     regular_integrability_criterion,
     structure_from_components,
     tangent_lift,
@@ -58,6 +59,34 @@ def rand_poly_deg1(rng, chart):
         e[i] = 1
         terms[tuple(e)] = Fraction(rng.randint(-2, 2))
     return Polynomial(chart.names, terms)
+
+
+def transform_reference(sec, T, new_chart, offset):
+    """One section moved through the chart change x_new = T x + offset,
+    written out: coefficients composed with the inverse map, vector
+    components through T and covector components through the inverse
+    transpose."""
+    m = T.rows
+    T_inv = T.inverse()
+    images = []
+    for i in range(m):
+        p = new_chart.zero()
+        for j in range(m):
+            p = p + new_chart.coordinate(j) * T_inv[i, j]
+            p = p - new_chart.constant(T_inv[i, j] * offset[j])
+        images.append(p)
+    v = [c.substitute(images) for c in sec.vf.comps]
+    w = [c.substitute(images) for c in sec.of.comps]
+    new_v = [sum((T[i, j] * v[j] for j in range(m)), new_chart.zero()) for i in range(m)]
+    new_w = [sum((T_inv[j, i] * w[j] for j in range(m)), new_chart.zero()) for i in range(m)]
+    return BigSection(PolyVectorField(new_chart, new_v), PolyOneForm(new_chart, new_w))
+
+
+def random_invertible(rng, m):
+    while True:
+        T = Matrix([[Fraction(rng.randint(-2, 2)) for _ in range(m)] for _ in range(m)])
+        if T.rank() == m:
+            return T
 
 
 def enlargement_reference(s):
@@ -1031,3 +1060,34 @@ class TestTransform:
         ).scale(Fraction(1))
         moved = transform_structure(r5_structure, T, ("u1", "u2", "v1", "v2", "w"))
         assert check_integrability(moved).ok
+
+    @pytest.mark.parametrize("name", ["example_r3", "example_r5"])
+    def test_transform_matches_the_reference_chart_change(self, name):
+        doc = parse_document(fixtures.fixture_text(name))
+        s = BigIsotropicStructure.build(doc.chart, doc.e_sections, doc.e_prime_sections)
+        rng = random.Random(18)
+        new_chart = Chart(tuple(f"t{i}" for i in range(s.m)))
+        for _ in range(4):
+            T = random_invertible(rng, s.m)
+            offset = [Fraction(rng.randint(-3, 3), rng.randint(1, 2)) for _ in range(s.m)]
+            moved = transform_structure(s, T, new_chart.names, offset)
+            for frame, moved_frame in ((s.e_frame, moved.e_frame), (s.e_prime_frame, moved.e_prime_frame)):
+                assert moved_frame == tuple(transform_reference(sec, T, new_chart, offset) for sec in frame)
+
+    def test_pull_back_along_the_inverse_map_is_the_reference_chart_change(self):
+        # polynomial coefficients, so the composition with the map is exercised
+        rng = random.Random(81)
+        chart, new_chart = Chart(("x", "y", "z")), Chart(("u", "v", "w"))
+        for _ in range(6):
+            vf = [rand_poly_deg1(rng, chart) * rand_poly_deg1(rng, chart) for _ in range(6)]
+            of = [rand_poly_deg1(rng, chart) for _ in range(6)]
+            frame = [
+                BigSection(PolyVectorField(chart, vf[:3]), PolyOneForm(chart, of[:3])),
+                BigSection(PolyVectorField(chart, vf[3:]), PolyOneForm(chart, of[3:])),
+            ]
+            T = random_invertible(rng, 3)
+            offset = [Fraction(rng.randint(-3, 3)) for _ in range(3)]
+            T_inv = T.inverse()
+            back = [-c for c in T_inv.apply(offset)]
+            pulled = pull_back_sections(frame, new_chart, back, T_inv)
+            assert pulled == [transform_reference(sec, T, new_chart, offset) for sec in frame]
