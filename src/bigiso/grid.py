@@ -41,7 +41,7 @@ def grid_walk(m: int, values=GRID_VALUES):
     index = {v: i for i, v in enumerate(order)}
     negative = sum(v < 0 for v in order)  # indices below this are negative
     den = lcm(*(Fraction(v).denominator for v in order))
-    codes = [(index[v], int(abs(Fraction(v)) * den)) for v in values]
+    codes = [(index[v], int(abs(Fraction(v)) * den)) for v in order]
     reach = [{0}]  # reach[j]: the scaled L1 norms that j coordinates can have
     for _ in range(m):
         reach.append({t + size for t in reach[-1] for _, size in codes})

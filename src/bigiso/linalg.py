@@ -52,9 +52,6 @@ class Matrix:
     def zeros(cls, rows: int, cols: int) -> "Matrix":
         return cls([[_ZERO] * cols for _ in range(rows)], cols)
 
-    def row(self, i) -> tuple:
-        return self.entries[i]
-
     def column(self, j) -> tuple:
         return tuple(r[j] for r in self.entries)
 
@@ -76,28 +73,6 @@ class Matrix:
             raise ValueError(f"shape mismatch {self.rows}x{self.cols} @ {other.rows}x{other.cols}")
         columns = [other.column(j) for j in range(other.cols)]
         return Matrix([[sum(map(mul, row, col), _ZERO) for col in columns] for row in self.entries], other.cols)
-
-    def __add__(self, other: "Matrix") -> "Matrix":
-        if (self.rows, self.cols) != (other.rows, other.cols):
-            raise ValueError("shape mismatch")
-        return Matrix(
-            [
-                [a + b for a, b in zip(r1, r2)]
-                for r1, r2 in zip(self.entries, other.entries)
-            ],
-            self.cols,
-        )
-
-    def __sub__(self, other: "Matrix") -> "Matrix":
-        if (self.rows, self.cols) != (other.rows, other.cols):
-            raise ValueError("shape mismatch")
-        return Matrix(
-            [
-                [a - b for a, b in zip(r1, r2)]
-                for r1, r2 in zip(self.entries, other.entries)
-            ],
-            self.cols,
-        )
 
     def scale(self, c) -> "Matrix":
         return Matrix([[e * c for e in row] for row in self.entries], self.cols)

@@ -7,12 +7,15 @@ exponent tuples to nonzero integer numerators, with ``den`` and the
 numerators coprime (the zero polynomial has den 1).  That form is unique, so
 equality and hashing compare it directly, and the ring operations,
 evaluation and exact division all run on Python integers; ``terms`` is a
-Fraction view built on demand, and ``eval_rows`` gives a frame's rows at
-each of many points as integers, each row a positive multiple of its
-values.  ``Polynomial.dot`` is the one kernel for sums of products: it
-brings every product of a sum to one common denominator, accumulates them
-all into one numerator table and normalises once; the product operator and
-every accumulation in the calculus and membership layers go through it.
+Fraction view built on demand.  ``eval_rows`` is the one evaluation kernel:
+it gives a frame's rows at each of many points as integers, each row a
+positive multiple of its values, and ``Polynomial.eval`` is the Fraction of
+the single row (p,).  ``substitute`` is the one composition, and
+``set_vars`` substitutes constants for the frozen variables.
+``Polynomial.dot`` is the one kernel for sums of products: it brings every
+product of a sum to one common denominator, accumulates them all into one
+numerator table and normalises once; the product operator and every
+accumulation in the calculus and membership layers go through it.
 A fixed graded-lexicographic term order gives the printed order and the
 leading term.  Rational functions are stored as numerator/denominator
 pairs; equality is decided by cross-multiplication, so no multivariate gcd
@@ -135,7 +138,9 @@ class Polynomial:
             coeff = as_fraction(coeff)
             if coeff == 0:
                 continue
-            exps = tuple(int(e) for e in exps)
+            if not all(isinstance(e, int) for e in exps):
+                raise ValueError(f"non-integer exponent in {exps}")
+            exps = tuple(int(e) for e in exps)  # a bool exponent becomes an int
             if len(exps) != len(vars):
                 raise ValueError("exponent tuple length does not match variables")
             if any(e < 0 for e in exps):
@@ -194,9 +199,11 @@ class Polynomial:
     def variable(cls, vars, which) -> "Polynomial":
         vars = tuple(vars)
         idx = which if isinstance(which, int) else vars.index(which)
+        if idx not in range(len(vars)):
+            raise ValueError(f"no variable {which!r} in {vars}")
         exps = [0] * len(vars)
         exps[idx] = 1
-        return cls(vars, {tuple(exps): Fraction(1)})
+        return cls._canonical(vars, {tuple(exps): 1})
 
     # ---- predicates ----------------------------------------------------
     def is_zero(self) -> bool:
@@ -343,8 +350,9 @@ class Polynomial:
     # ---- evaluation / substitution --------------------------------------
     def eval(self, point) -> Fraction:
         """The value at a point (Fractions and ints, or a ScaledPoint): the
-        Fraction of eval_scaled.  A plain point is converted only when some
-        term has a variable; a constant still rejects an inexact point."""
+        one row (self,) of eval_rows over den * d^top, top being the total
+        degree (0 for the zero polynomial).  A constant at a plain point is
+        read off directly but still rejects an inexact or wrong-length point."""
         if not isinstance(point, ScaledPoint):
             nums = self.nums
             if not nums or (len(nums) == 1 and not any(next(iter(nums)))):
@@ -354,39 +362,8 @@ class Polynomial:
                     as_fraction(c)  # rejects an inexact point as the general case does
                 return Fraction(next(iter(nums.values())), self.den) if nums else _ZERO
             point = ScaledPoint(point)
-        return Fraction(*self.eval_scaled(point))
-
-    def eval_scaled(self, point: ScaledPoint) -> tuple:
-        """The value at a point as integers (n, q), q > 0: the value is n / q.
-
-        With the point as integers a_i / d and the coefficients as c_e / den,
-        the value is sum_e c_e a^e d^(top - |e|) / (den d^top), top being
-        the total degree: one integer sum, and q = den d^top.
-        """
-        if len(point.nums) != len(self.vars):
-            raise ValueError("point length does not match variables")
-        nums = self.nums
-        if not nums:
-            return 0, 1
-        coords, d = point.nums, point.den
-        total = 0
-        if d == 1:
-            for exps, value in nums.items():
-                for a, e in zip(coords, exps):
-                    if e:
-                        value *= a**e
-                total += value
-            return total, self.den
-        top = self.total_degree()
-        powers = [d**k for k in range(top + 1)]
-        for exps, value in nums.items():
-            deg = 0
-            for a, e in zip(coords, exps):
-                if e:
-                    value *= a**e
-                    deg += e
-            total += value * powers[top - deg]
-        return total, self.den * powers[top]
+        ((value,),) = next(eval_rows([(self,)], (point,)))
+        return Fraction(value, self.den * point.den ** max(self.total_degree(), 0))
 
     def substitute(self, images: Sequence["Polynomial"]) -> "Polynomial":
         """Full composition: replace variable i by ``images[i]`` (all over a
@@ -404,32 +381,16 @@ class Polynomial:
         return result._scale(1, self.den)
 
     def set_vars(self, assignment: Mapping[int, Fraction]) -> "Polynomial":
-        """Partial evaluation: freeze some variables to rational constants,
-        keeping the same variable set.  With the constants as integers a_i / d,
-        each term is brought to the denominator den * d^top, top being the
-        largest degree in the frozen variables."""
-        frozen = list(assignment)
-        point = ScaledPoint([assignment[i] for i in frozen])
-        d = point.den
-        top = max((sum(exps[i] for i in frozen) for exps in self.nums), default=0)
-        nums: dict = {}
-        for exps, value in self.nums.items():
-            new, deg = list(exps), 0
-            for idx, a in zip(frozen, point.nums):
-                e = exps[idx]
-                if e:
-                    value *= a**e
-                    deg += e
-                new[idx] = 0
-            if value == 0:
-                continue
-            key = tuple(new)
-            acc = nums.get(key, 0) + value * d ** (top - deg)
-            if acc:
-                nums[key] = acc
-            else:
-                del nums[key]
-        return Polynomial._canonical(self.vars, nums, self.den * d**top)
+        """Partial evaluation: freeze the variables with index i in
+        ``assignment`` to the rationals assignment[i], keeping the same
+        variable set; the substitution of those constants for them."""
+        n = len(self.vars)
+        if any(i not in range(n) for i in assignment):
+            raise ValueError(f"assignment names a variable outside range({n})")
+        images = [Polynomial.variable(self.vars, i) for i in range(n)]
+        for i, value in assignment.items():
+            images[i] = Polynomial.constant(self.vars, value)
+        return self.substitute(images)
 
     def recast(self, vars: Sequence[str]) -> "Polynomial":
         """The same polynomial over another variable tuple, matching

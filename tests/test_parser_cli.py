@@ -273,6 +273,56 @@ class TestCli:
         red = [c for c in json.loads(out)["checks"] if c["name"] == "reduction pipeline"][0]
         assert red["verdict"] == "pass" and red["certificate"]["quotient_chart"] == []
 
+    # the frames the default path pulls back to the slice x4 = 0
+    RESTRICTED_ROWS = ("(0, 1, 0 | 1, 0, 0)", "(-1, 0, 0 | 0, 1, 0)", "(0, 0, -1 | 0, 0, 0)")
+
+    def restricted_document(self, tmp_path, e_rows=RESTRICTED_ROWS, prime_rows=RESTRICTED_ROWS):
+        text = fixtures.fixture_text("example_reduction")
+        for block, rows in (("restricted_E", e_rows), ("restricted_E_prime", prime_rows)):
+            text += f"\n{block}:\n" + "".join(f"  {row}\n" for row in rows)
+        doc = tmp_path / "restricted.bis"
+        doc.write_text(text)
+        return str(doc)
+
+    def test_reduce_with_supplied_restricted_frames(self, tmp_path, monkeypatch):
+        import bigiso.cli as cli
+
+        passed = []
+        original = cli.reduce_structure
+
+        def recording(structure, N, F, restricted_frame=None, **kwargs):
+            passed.append((restricted_frame, kwargs["restricted_prime_frame"]))
+            return original(structure, N, F, restricted_frame, **kwargs)
+
+        monkeypatch.setattr(cli, "reduce_structure", recording)
+        code, out = self.run("reduce", self.restricted_document(tmp_path))
+        assert code == 0
+        ((frame, prime),) = passed
+        assert len(frame) == len(prime) == 3
+        assert all(sec.vf.chart.names == ("x1", "x2", "x3") for sec in frame + prime)
+        _, expected = self.run("reduce", "--fixture", "example_reduction")
+        got, expected = json.loads(out), json.loads(expected)
+        assert got.pop("document") != expected.pop("document")
+        assert got == expected
+
+    def test_too_small_restricted_frame_fails_the_reduction(self, tmp_path):
+        code, out = self.run("reduce", self.restricted_document(tmp_path, e_rows=self.RESTRICTED_ROWS[:2]))
+        assert code == 1
+        red = [c for c in json.loads(out)["checks"] if c["name"] == "reduction pipeline"][0]
+        assert red["verdict"] == "fail"
+        assert [f["message"] for f in red["certificate"]["failures"]] == [
+            "no verified projectable frame for the restriction; supply one (2 candidate sections for rank 3)"
+        ]
+
+    @pytest.mark.parametrize("block", ["E", "E_prime"])
+    def test_restricted_block_takes_only_slice_coordinates(self, tmp_path, block):
+        rows = self.RESTRICTED_ROWS[:2] + ("(0, 0, -x4 | 0, 0, 0)",)
+        e_rows, prime_rows = (rows, self.RESTRICTED_ROWS) if block == "E" else (self.RESTRICTED_ROWS, rows)
+        code, out = self.run("reduce", self.restricted_document(tmp_path, e_rows, prime_rows))
+        assert code == 2
+        (error,) = json.loads(out)["errors"]
+        assert error.endswith("unknown coordinate 'x4'")
+
     def test_input_error_exit_code(self, tmp_path):
         bad = tmp_path / "bad.bis"
         bad.write_text("chart x\nE:\n  (y | 0)\n")

@@ -620,3 +620,124 @@ def test_dot_edge_cases():
     for terms in ([(half_x, other, 1)], [(other, half_x, 1)], [(other, other, 1)]):
         with pytest.raises(ValueError, match="variable mismatch"):
             Polynomial.dot(W, terms)
+
+
+# ---- oracles: the scaled-point evaluation and partial evaluation that
+# Polynomial.eval and Polynomial.set_vars ran before they went through
+# eval_rows and substitute.
+
+def eval_scaled_reference(p, point):
+    """The value at a ScaledPoint as integers (n, q), q > 0, the value n / q:
+    with the point as a_i / d and the coefficients as c_e / den, the value is
+    sum_e c_e a^e d^(top - |e|) / (den d^top), top being the total degree."""
+    if len(point.nums) != len(p.vars):
+        raise ValueError("point length does not match variables")
+    if not p.nums:
+        return 0, 1
+    coords, d = point.nums, point.den
+    top = p.total_degree()
+    total = 0
+    for exps, value in p.nums.items():
+        deg = 0
+        for a, e in zip(coords, exps):
+            if e:
+                value *= a**e
+                deg += e
+        total += value * d ** (top - deg)
+    return total, p.den * d**top
+
+
+def set_vars_reference(p, assignment):
+    """Freeze some variables: with the constants as a_i / d, each term is
+    brought to the denominator den * d^top, top being the largest degree in
+    the frozen variables."""
+    frozen = list(assignment)
+    point = ScaledPoint([assignment[i] for i in frozen])
+    d = point.den
+    top = max((sum(exps[i] for i in frozen) for exps in p.nums), default=0)
+    nums = {}
+    for exps, value in p.nums.items():
+        new, deg = list(exps), 0
+        for idx, a in zip(frozen, point.nums):
+            e = exps[idx]
+            if e:
+                value *= a**e
+                deg += e
+            new[idx] = 0
+        if value:
+            key = tuple(new)
+            nums[key] = nums.get(key, 0) + value * d ** (top - deg)
+    den = p.den * d**top
+    return Polynomial(p.vars, {e: Fraction(c, den) for e, c in nums.items()})
+
+
+NAMES = ("x", "y", "z", "w")
+
+
+def random_small_polynomial(rng):
+    """1-4 variables, total degree <= 4, rational coefficients; one in five
+    is zero and one in five a constant."""
+    names = NAMES[: rng.randint(1, 4)]
+    kind = rng.randrange(5)
+    if kind == 0:
+        return Polynomial.zero(names)
+    if kind == 1:
+        return Polynomial.constant(names, Fraction(rng.randint(-9, 9), rng.randint(1, 6)))
+    terms = {}
+    for _ in range(rng.randint(1, 6)):
+        exps = [0] * len(names)
+        for _ in range(rng.randint(0, 4)):
+            exps[rng.randrange(len(names))] += 1
+        terms[tuple(exps)] = Fraction(rng.randint(-9, 9), rng.randint(1, 6))
+    return Polynomial(names, terms)
+
+
+def random_rational(rng):
+    return rng.choice([0, rng.randint(-3, 3), Fraction(rng.randint(-6, 6), rng.randint(1, 7))])
+
+
+def test_eval_matches_the_scaled_point_reference():
+    rng = random.Random(53)
+    for _ in range(500):
+        p = random_small_polynomial(rng)
+        point = [random_rational(rng) for _ in p.vars]
+        n, q = eval_scaled_reference(p, ScaledPoint(point))
+        for at in (point, tuple(map(Fraction, point)), ScaledPoint(point)):
+            value = p.eval(at)
+            assert type(value) is Fraction and value == Fraction(n, q), (p, point)
+
+
+def test_set_vars_matches_the_scaled_point_reference():
+    rng = random.Random(59)
+    for trial in range(500):
+        p = random_small_polynomial(rng)
+        n = len(p.vars)
+        frozen = rng.sample(range(n), trial % (n + 1))  # none, some or all
+        assignment = {i: random_rational(rng) for i in frozen}
+        got, expected = p.set_vars(assignment), set_vars_reference(p, assignment)
+        assert got == expected and got.vars == p.vars, (p, assignment)
+        assert_stored_form(got)
+        point = [random_rational(rng) for _ in range(n)]
+        on_locus = [assignment.get(i, c) for i, c in enumerate(point)]
+        assert got.eval(point) == p.eval(on_locus)
+
+
+def test_constructor_rejects_non_integer_exponents():
+    for bad in (1.5, Fraction(3, 2), "1"):
+        with pytest.raises(ValueError, match="non-integer exponent"):
+            P({(bad, 0): 1})
+
+
+def test_set_vars_rejects_indices_outside_the_variables():
+    p = x() * y() + 1
+    for index in (-1, 2, 5):
+        with pytest.raises(ValueError, match="outside range"):
+            p.set_vars({index: Fraction(1)})
+    assert p.set_vars({}) == p
+
+
+def test_variable_rejects_indices_outside_the_variables():
+    assert Polynomial.variable(V, 1) == y() and Polynomial.variable(V, "x") == x()
+    for index in (-1, 2):
+        with pytest.raises(ValueError, match="no variable"):
+            Polynomial.variable(V, index)

@@ -427,6 +427,17 @@ class TestDefaultGrid:
         assert grid == tuple(sorted_grid(2, (0, 1, -1)))
         assert all(type(c) is int for p in grid for c in p)
 
+    @pytest.mark.parametrize(
+        "values", [(0, 1, 1), (-1, 2, -1, 0, 2, 2), (Fraction(1, 2), 0, Fraction(1, 2), -3)]
+    )
+    def test_repeated_values_are_walked_once(self, values):
+        distinct = tuple(sorted(set(values)))
+        for m in range(1, 5):
+            walk = list(grid_walk(m, values))
+            assert walk == list(grid_walk(m, distinct)) == sorted_grid(m, distinct), m
+            assert len(walk) == len(set(walk)) == len(distinct) ** m
+        assert default_grid(2, 5, (0, 1, 1)) == ((0, 0), (0, 1), (1, 0), (1, 1))
+
     @pytest.mark.parametrize("m", [8, 10, 12])
     def test_large_charts_list_the_smallest_points(self, m):
         for cap in (1, 24, 100):
