@@ -3,9 +3,9 @@ Q[x].
 
 Everything is deterministic: reduced row echelon form gives each subspace a
 unique representative, so subspace equality is plain tuple equality.  Matrix
-entries are Fractions and ints; the RREF, rank and pivot columns of a
-matrix come from one fraction-free elimination over the integers.
-``fraction_free`` is the same Gauss-Jordan elimination on polynomial rows,
+entries are Fractions and ints; one fraction-free elimination over the
+integers gives the RREF, and its forward pass alone the rank and pivot columns.
+``fraction_free`` is a Gauss-Jordan elimination on polynomial rows,
 dividing exactly by the previous pivot; it gives every determinant (a
 rational one in ``Matrix.det``, on constant polynomials), adjugate and
 reduced frame.
@@ -86,16 +86,14 @@ class Matrix:
         col_idx = list(col_idx)
         return Matrix([[self.entries[i][j] for j in col_idx] for i in row_idx], len(col_idx))
 
-    def _integer_rref(self):
-        """Fraction-free Gauss-Jordan elimination over the integers.
+    def _integer_echelon(self):
+        """Forward pass of the fraction-free elimination over the integers.
 
         Each row is scaled to integers by the lcm of its denominators, which
-        changes neither the row space nor the pivot columns.  For each pivot p
-        in column c (the first nonzero entry at or below the current row),
-        every other row with an entry f there becomes p * row - f * pivot row,
-        divided by its content so that the integers stay small; rows with no
-        entry in column c are untouched.  Returns (rows, pivots): dividing
-        each pivot row by its pivot gives the unique RREF.
+        changes neither the row space nor the pivot columns.  The pivot of
+        column c is its first nonzero entry at or below the current row, and
+        _clear_column clears the rows below it.  Returns (rows, pivots): an
+        integer row echelon form with the pivot columns of the RREF.
         """
         rows = []
         for row in self.entries:
@@ -105,45 +103,40 @@ class Matrix:
                 rows.append([e.numerator for e in row])
             else:
                 rows.append([e.numerator * (d // q) for e, q in zip(row, dens)])
-        n_rows = self.rows
-        pivots = []
+        n_rows, pivots = self.rows, []
         for c in range(self.cols):
             r = len(pivots)
             if r == n_rows:
                 break
-            i = next((i for i in range(r, n_rows) if rows[i][c]), None)
-            if i is None:
+            for i in range(r, n_rows):
+                if rows[i][c]:
+                    break
+            else:  # no pivot in column c
                 continue
             rows[r], rows[i] = rows[i], rows[r]
-            top = rows[r]
-            p = top[c]
-            for i2 in range(n_rows):
-                f = rows[i2][c]
-                if f and i2 != r:
-                    row = [p * a - f * b for a, b in zip(rows[i2], top)]
-                    g = gcd(*row)
-                    rows[i2] = [a // g for a in row] if g > 1 else row
+            _clear_column(rows, r, c, range(r + 1, n_rows))
             pivots.append(c)
         return rows, tuple(pivots)
 
     def rref(self):
         """Reduced row echelon form.
 
-        Returns (rref_matrix, pivot_columns, rank).  The matrix is eliminated
-        over the integers (_integer_rref), and each entry is divided by its
-        row's pivot once at the end.
+        Returns (rref_matrix, pivot_columns, rank).  After the forward pass
+        (_integer_echelon) a back pass clears each pivot column above its
+        pivot, last pivot first; each entry is divided by its row's pivot once.
         """
         if self.rows == 0 or self.cols == 0:
             return self, (), 0
-        rows, pivots = self._integer_rref()
+        rows, pivots = self._integer_echelon()
+        for r in reversed(range(len(pivots))):
+            _clear_column(rows, r, pivots[r], range(r))
         out = [[Fraction(a, row[c]) if a else _ZERO for a in row] for row, c in zip(rows, pivots)]
         out += [[_ZERO] * self.cols for _ in range(self.rows - len(pivots))]
         return Matrix(out), pivots, len(pivots)
 
     def pivot_columns(self) -> tuple:
-        """The pivot columns of rref(), from its elimination without the
-        final divisions."""
-        return self._integer_rref()[1]
+        """The pivot columns of rref(), from the forward pass alone."""
+        return self._integer_echelon()[1]
 
     def rank(self) -> int:
         return len(self.pivot_columns())
@@ -198,6 +191,18 @@ class Matrix:
 
     def __str__(self):
         return "\n".join("[" + ", ".join(str(e) for e in row) + "]" for row in self.entries)
+
+
+def _clear_column(rows: list, r: int, c: int, targets) -> None:
+    """Each integer row of ``targets`` with an entry f in column c becomes
+    (p * row - f * pivot row) / content, p being the pivot of row r."""
+    top, p = rows[r], rows[r][c]
+    for i in targets:
+        f = rows[i][c]
+        if f:
+            row = [p * a - f * b for a, b in zip(rows[i], top)]
+            g = gcd(*row)
+            rows[i] = [a // g for a in row] if g > 1 else row
 
 
 def fraction_free(rows: Sequence[Sequence[Polynomial]], columns: Iterable[int]):

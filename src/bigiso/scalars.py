@@ -27,8 +27,9 @@ from __future__ import annotations
 
 from fractions import Fraction
 from heapq import heapify, heappop, heappush
+from itertools import accumulate
 from math import gcd, lcm
-from operator import add, neg, sub
+from operator import add, mul, neg, sub
 from typing import Mapping, Sequence
 
 Exponents = tuple
@@ -367,18 +368,21 @@ class Polynomial:
 
     def substitute(self, images: Sequence["Polynomial"]) -> "Polynomial":
         """Full composition: replace variable i by ``images[i]`` (all over a
-        common new variable set)."""
+        common new variable set); each power is taken once, all in one dot."""
         if len(images) != len(self.vars):
             raise ValueError("need one image per variable")
         new_vars = images[0].vars if images else self.vars
-        result = Polynomial.zero(new_vars)
+        if self.total_degree() <= 0:  # zero or constant: no image is read
+            return Polynomial.constant(new_vars, self.constant_value())
+        one, terms = Polynomial.one(new_vars), []
+        # powers[i][e - 1] = images[i] ** e, up to the largest exponent of x_i
+        powers = [list(accumulate([img] * max(col), mul)) for img, col in zip(images, zip(*self.nums))]
         for exps, c in self.nums.items():
-            term = Polynomial.constant(new_vars, c)
-            for img, e in zip(images, exps):
-                for _ in range(e):
-                    term = term * img
-            result = result + term
-        return result._scale(1, self.den)
+            a, b, *rest = [row[e - 1] for row, e in zip(powers, exps) if e] + [one, one]
+            for f in rest[:-2]:  # powers beyond the first two, not the padding
+                a = a * f
+            terms.append((a, b, c))
+        return Polynomial.dot(new_vars, terms)._scale(1, self.den)
 
     def set_vars(self, assignment: Mapping[int, Fraction]) -> "Polynomial":
         """Partial evaluation: freeze the variables with index i in

@@ -5,7 +5,9 @@ A structure is a chart together with a rank-k frame spanning E and a rank
 E-frame under Courant brackets), the module property of E', the specialized
 integrability criteria of the graph constructors, the partial Hamiltonian
 formalism, and the enlargement/co-anchor axioms are all decided by zero
-tests of polynomials, with minor certificates on failure.
+tests of polynomials, with minor certificates on failure.  Integrability, the
+module property and enlargement axiom 3 read one table of the k(k-1)/2 frame
+brackets per structure, ``frame_brackets``.
 
 ``pull_back_sections`` pulls frame sections back along an affine map
 u -> offset + J u, keeping those tangent to its image; restriction to an
@@ -197,6 +199,14 @@ class BigIsotropicStructure:
         """The membership test of the E' frame, built once per structure."""
         return span_test(self.prime_frame_rows())
 
+    @cached_property
+    def frame_brackets(self) -> dict:
+        """The Courant brackets {(i, j): [e_i, e_j]} of the E frame, i < j,
+        built once per structure from each section's partials, taken once."""
+        d = [partials(sec.as_poly_row()) for sec in self.e_frame]
+        e, pairs = self.e_frame, itertools.combinations(range(self.k), 2)
+        return {(i, j): courant_bracket(e[i], e[j], d[i], d[j]) for i, j in pairs}
+
     def section_in_E(self, sec: BigSection):
         return self.in_E(sec.as_poly_row())
 
@@ -220,15 +230,11 @@ def structure_from_components(chart: Chart, e_rows, ep_rows, grid=None, validate
 # integrability
 # --------------------------------------------------------------------------
 
-def _frame_bracket_failures(s: BigIsotropicStructure, d):
+def _frame_bracket_failures(s: BigIsotropicStructure):
     """Yield each frame pair whose Courant bracket leaves E, with the
-    nonzero (k+1)-minor of the frame stacked on the bracket, lazily.
-
-    d holds the partials of each frame section, taken once by the caller
-    for all its brackets; the structure's membership test of the frame
-    serves every pair."""
-    for i, j in itertools.combinations(range(s.k), 2):
-        br = courant_bracket(s.e_frame[i], s.e_frame[j], d[i], d[j])
+    nonzero (k+1)-minor of the frame stacked on the bracket, lazily, from
+    the structure's bracket table and its membership test of the frame."""
+    for (i, j), br in s.frame_brackets.items():
         ok, witness = s.in_E(br.as_poly_row())
         if not ok:
             yield (f"bracket of frame sections {i},{j} leaves E", witness)
@@ -242,8 +248,7 @@ def check_integrability(s: BigIsotropicStructure) -> Verdict:
     validation probed; a failure carries a nonzero (k+1)-minor of the frame
     stacked on the bracket.
     """
-    d = [partials(sec.as_poly_row()) for sec in s.e_frame]
-    failures = tuple(_frame_bracket_failures(s, d))
+    failures = tuple(_frame_bracket_failures(s))
     return Verdict("integrability", not failures, failures, note="rank certified on sampled locus")
 
 
@@ -265,9 +270,9 @@ def check_module_property(s: BigIsotropicStructure) -> Verdict:
     tested against E', so a failure carries its minor certificates; each
     section's partials are taken once, for all its brackets.
     """
-    d = [partials(sec.as_poly_row()) for sec in s.e_frame]
-    if s.validated and next(_frame_bracket_failures(s, d), None) is None:
+    if s.validated and next(_frame_bracket_failures(s), None) is None:
         return Verdict("module property", True)
+    d = [partials(sec.as_poly_row()) for sec in s.e_frame]
     d_prime = [partials(sec.as_poly_row()) for sec in s.e_prime_frame]
     failures = []
     for i in range(s.k):
@@ -515,20 +520,17 @@ def verify_modular_enlargement(s: BigIsotropicStructure) -> Verdict:
        Jacobiator (0, -dT/3), T = g([a1,a2], b) + g([a2,b], a1) - g([a1,b], a2).
        The bracket is skew for all sections, isotropic or not, so
        [a2, a1] = -[a1, a2] and [a, a] = 0; hence T(a2, a1, b) = -T(a1, a2, b)
-       and T(a, a, b) = 0.  T is formed for i1 < i2 only, from one bracket
-       [e_i1, e_i2].
+       and T(a, a, b) = 0, so T is formed for i1 < i2 only.
 
     The identity X g(b, c) = g([a,b] + d g(a,b), c) + g(b, [a,c] + d g(a,c))
     of check_module_property, taken at (a2, b, a1) and (a1, b, a2) with
     g((0, df), a) = X_a f / 2, gives for all sections
     T = 3 g([a1,a2], b) + 3/2 (X_a2 g(a1, b) - X_a1 g(a2, b)):
     the d g(a1, a2) terms cancel, so T needs only the k(k-1)/2 brackets
-    [e_i1, e_i2] and the pairings g(e_i, e'_j) of axiom 2, which are
-    computed, never assumed zero.  Each section's partials are taken once,
-    for all its brackets.
+    [e_i1, e_i2] of the structure's table and the pairings g(e_i, e'_j) of
+    axiom 2, which are computed, never assumed zero.
     """
     chart = s.chart
-    d = [partials(sec.as_poly_row()) for sec in s.e_frame]
     f, h = _axiom_test_functions(chart)
     twist = d_function(f, chart).scale(h) - d_function(h, chart).scale(f)
     zero = PolyVectorField.zero(chart)
@@ -541,9 +543,8 @@ def verify_modular_enlargement(s: BigIsotropicStructure) -> Verdict:
             if not defect.is_zero():
                 failures.append((f"axiom 2 fails on ({i},{j})", defect))
     T = {}  # (i1, i2, j) with i1 < i2 -> T(e_i1, e_i2, e'_j)
-    for i1, i2 in itertools.combinations(range(s.k), 2):
+    for (i1, i2), inner in s.frame_brackets.items():
         a1, a2 = s.e_frame[i1], s.e_frame[i2]
-        inner = courant_bracket(a1, a2, d[i1], d[i2])
         for j, b in enumerate(s.e_prime_frame):
             t = pairing_sections(inner, b) * 3
             if not (p[i1, j].is_zero() and p[i2, j].is_zero()):

@@ -1,6 +1,7 @@
 import itertools
 import random
 from fractions import Fraction
+from math import gcd, lcm
 
 import pytest
 
@@ -387,3 +388,94 @@ class TestIntegerRref:
             assert len(a.kernel_rows()) == len(free)
             for x in a.kernel_rows():
                 assert all(v == 0 for v in a.apply(x))
+
+
+def rref_reference(m: Matrix):
+    """Oracle: the one-pass integer Gauss-Jordan elimination that rref(),
+    rank() and pivot_columns() ran before the forward and back passes were
+    split (each pivot clears its column above and below at once).  Returns
+    (rref_matrix, pivot_columns, rank)."""
+    if m.rows == 0 or m.cols == 0:
+        return m, (), 0
+    rows = []
+    for row in m.entries:
+        d = lcm(*(Fraction(e).denominator for e in row))
+        rows.append([int(Fraction(e) * d) for e in row])
+    pivots = []
+    for c in range(m.cols):
+        r = len(pivots)
+        if r == m.rows:
+            break
+        i = next((i for i in range(r, m.rows) if rows[i][c]), None)
+        if i is None:
+            continue
+        rows[r], rows[i] = rows[i], rows[r]
+        top = rows[r]
+        p = top[c]
+        for i2 in range(m.rows):
+            f = rows[i2][c]
+            if f and i2 != r:
+                row = [p * a - f * b for a, b in zip(rows[i2], top)]
+                g = gcd(*row)
+                rows[i2] = [a // g for a in row] if g > 1 else row
+        pivots.append(c)
+    out = [[Fraction(a, row[c]) for a in row] for row, c in zip(rows, pivots)]
+    out += [[Fraction(0)] * m.cols for _ in range(m.rows - len(pivots))]
+    return Matrix(out), tuple(pivots), len(pivots)
+
+
+def random_elimination_matrix(rng):
+    """A rational matrix of 0-6 rows and 0-8 columns whose rows are random,
+    zero, repeats of an earlier row or rational combinations of earlier
+    rows, so most are rank-deficient."""
+    n_rows, cols = rng.randint(0, 6), rng.randint(0, 8)
+    rows = []
+    for _ in range(n_rows):
+        kind = rng.choice(("random", "random", "zero", "repeat", "combination"))
+        if kind == "zero" or (kind != "random" and not rows):
+            row = [Fraction(0)] * cols
+        elif kind == "repeat":
+            row = list(rng.choice(rows))
+        elif kind == "combination":
+            a, b = rng.choice(rows), rng.choice(rows)
+            s, t = random_fraction(rng), random_fraction(rng)
+            row = [s * x + t * y for x, y in zip(a, b)]
+        else:
+            row = [random_fraction(rng) if rng.random() < 0.7 else Fraction(0) for _ in range(cols)]
+        rows.append(row)
+    return Matrix(rows, cols)
+
+
+class TestForwardAndBackPasses:
+    """rank and pivot_columns stop after the forward pass; rref adds the
+    back pass; all three agree with the one-pass elimination they replace."""
+
+    def test_match_the_one_pass_reference(self):
+        shapes = set()
+        for seed in range(500):
+            m = random_elimination_matrix(random.Random(seed))
+            # the same rows scaled to ints, as the rank rows of validate are
+            scale = lcm(*(e.denominator for row in m.entries for e in row))
+            integer = Matrix([[int(e * scale) for e in row] for row in m.entries], m.cols)
+            red, pivots, rank = rref_reference(m)
+            assert rref_reference(integer) == (red, pivots, rank)
+            for a in (m, integer):
+                assert a.rref() == (red, pivots, rank)
+                assert a.pivot_columns() == pivots
+                assert a.rank() == rank
+            shapes.add((m.rows, m.cols, rank < min(m.rows, m.cols)))
+        assert {(r, c) for r, c, _ in shapes} == {(r, c) for r in range(7) for c in range(9)}
+        assert any(deficient for r, c, deficient in shapes if r and c)
+
+    def test_pivots_above_later_rows_and_entries_above_pivots(self):
+        # the second pivot column has an entry in an earlier pivot row, which
+        # only the back pass clears; the third row repeats the first
+        m = Matrix([[1, 2, 3], [0, 1, 4], [1, 2, 3], [2, 5, 10]])
+        assert m.rref() == rref_reference(m)
+        assert m.rref()[0].entries[0] == (1, 0, -5)
+        assert (m.pivot_columns(), m.rank()) == ((0, 1), 2)
+        # the pivot of column 1 lies in the row after an earlier pivot row
+        # that also has an entry there
+        m = Matrix([[0, 1, 1], [1, 1, 0], [0, 0, 0]])
+        assert (m.pivot_columns(), m.rank()) == ((0, 1), 2) == rref_reference(m)[1:]
+        assert m.rref() == rref_reference(m)

@@ -741,3 +741,50 @@ def test_variable_rejects_indices_outside_the_variables():
     for index in (-1, 2):
         with pytest.raises(ValueError, match="no variable"):
             Polynomial.variable(V, index)
+
+
+def substitute_reference(p, images):
+    """Oracle: the composition loop substitute() ran before it took each
+    image's powers once, one product per unit of exponent and one sum per
+    term."""
+    new_vars = images[0].vars if images else p.vars
+    result = Polynomial.zero(new_vars)
+    for exps, c in p.nums.items():
+        term = Polynomial.constant(new_vars, c)
+        for img, e in zip(images, exps):
+            for _ in range(e):
+                term = term * img
+        result = result + term
+    return result * Fraction(1, p.den)
+
+
+def random_image(rng, names):
+    """A zero, constant or degree <= 2 polynomial over ``names``."""
+    kind = rng.randrange(4)
+    if kind == 0:
+        return Polynomial.zero(names)
+    if kind == 1:
+        return Polynomial.constant(names, random_rational(rng) or 1)
+    terms = {}
+    for _ in range(rng.randint(1, 3)):
+        exps = [0] * len(names)
+        for _ in range(rng.randint(0, 2)):
+            exps[rng.randrange(len(names))] += 1
+        terms[tuple(exps)] = Fraction(rng.randint(-5, 5), rng.randint(1, 4))
+    return Polynomial(names, terms)
+
+
+def test_substitute_matches_the_term_by_term_reference():
+    rng = random.Random(61)
+    kinds = set()
+    for _ in range(400):
+        p = random_small_polynomial(rng)
+        targets = NAMES[: rng.randint(1, 4)]
+        images = [random_image(rng, targets) for _ in p.vars]
+        got = p.substitute(images)
+        assert got == substitute_reference(p, images) and got.vars == targets, (p, images)
+        assert_stored_form(got)
+        kinds.add("zero" if p.is_zero() else "constant" if p.is_constant() else "general")
+    assert kinds == {"zero", "constant", "general"}
+    with pytest.raises(ValueError, match="one image per variable"):
+        x().substitute([x()])

@@ -586,15 +586,17 @@ class TestModuleProperty:
 
 
 class TestPartialsOncePerCheck:
-    """Each frame section's partials are taken once per check and every
-    bracket reads them: 2m^2 derivatives per section (2m entries, m
-    variables), so 2km^2 for integrability, whatever the number of
-    brackets.  The module property of a validated integrable structure is
-    decided by the same frame brackets, so it takes 2km^2 too."""
+    """Each frame section's partials are taken once per structure, when its
+    table of frame brackets is built: 2m^2 derivatives per section (2m
+    entries, m variables), so 2km^2 for the first check, whatever the
+    number of brackets.  The module property of a validated integrable
+    structure is decided by the same table, so it takes none."""
 
     @pytest.mark.parametrize("which", ["example_r5", "mixed graph(P)"])
     def test_derivative_counts(self, which, r5_structure, derivative_calls):
-        s = r5_structure if which == "example_r5" else mixed_graph_P_structure()
+        given = r5_structure if which == "example_r5" else mixed_graph_P_structure()
+        # a fresh structure: the session fixture may already hold its table
+        s = BigIsotropicStructure.build(given.chart, given.e_frame, given.e_prime_frame)
         m, k = s.m, s.k
         assert (m, k) == ((5, 3) if which == "example_r5" else (5, 5))
         derivative_calls.clear()
@@ -602,7 +604,24 @@ class TestPartialsOncePerCheck:
         assert len(derivative_calls) == 2 * k * m * m
         derivative_calls.clear()
         assert check_module_property(s).ok
-        assert len(derivative_calls) == 2 * k * m * m
+        assert derivative_calls == []
+
+
+@pytest.mark.parametrize("make", [mixed_graph_P_structure, non_poisson_mixed_graph_P_structure])
+def test_one_bracket_table_serves_the_three_checks(make, monkeypatch):
+    """Integrability, the module property and the enlargement axioms of one
+    fresh validated structure form its k(k-1)/2 frame brackets together;
+    a non-integrable E adds only the kn mixed brackets of the module
+    property's certificates (n = 2m - k)."""
+    s = make()
+    assert s.validated
+    calls = counting_brackets(monkeypatch)
+    integrable = check_integrability(s).ok
+    assert check_module_property(s).ok == integrable
+    verify_modular_enlargement(s)
+    mixed = 0 if integrable else s.k * len(s.e_prime_frame)
+    assert len(calls) == s.k * (s.k - 1) // 2 + mixed
+    assert integrable == (make is mixed_graph_P_structure)
 
 
 def counting_default_grid(monkeypatch):
