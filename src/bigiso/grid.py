@@ -11,6 +11,8 @@ for pivots and stop at the first point where the frame has full rank.
 
 from __future__ import annotations
 
+import functools
+import operator
 from fractions import Fraction
 from itertools import islice
 from math import lcm
@@ -25,7 +27,7 @@ def _shell(codes, reach, j: int, total: int):
         yield ()
         return
     for index, size in codes:
-        if total - size in reach[j - 1]:
+        if total >= size and reach[j - 1] >> (total - size) & 1:
             for tail in _shell(codes, reach, j - 1, total - size):
                 yield (index,) + tail
 
@@ -42,10 +44,11 @@ def grid_walk(m: int, values=GRID_VALUES):
     negative = sum(v < 0 for v in order)  # indices below this are negative
     den = lcm(*(Fraction(v).denominator for v in order))
     codes = [(index[v], int(abs(Fraction(v)) * den)) for v in order]
-    reach = [{0}]  # reach[j]: the scaled L1 norms that j coordinates can have
+    sizes = {size for _, size in codes}
+    reach = [1]  # bit t of reach[j]: j coordinates can have scaled L1 norm t
     for _ in range(m):
-        reach.append({t + size for t in reach[-1] for _, size in codes})
-    for total in sorted(reach[m]):
+        reach.append(functools.reduce(operator.or_, (reach[-1] << size for size in sizes), 0))
+    for total in (t for t in range(reach[m].bit_length()) if reach[m] >> t & 1):
         shell = _shell(codes, reach, m, total)
         for p in sorted(shell, key=lambda p: (tuple(i < negative for i in p), p)):
             yield tuple(order[i] for i in p)

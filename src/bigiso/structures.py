@@ -4,10 +4,10 @@ A structure is a chart together with a rank-k frame spanning E and a rank
 (2m-k) frame spanning its g-orthogonal E'.  Integrability (closure of the
 E-frame under Courant brackets), the module property of E', the specialized
 integrability criteria of the graph constructors, the partial Hamiltonian
-formalism, and the enlargement/co-anchor axioms are all decided by zero
-tests of polynomials, with minor certificates on failure.  Integrability, the
-module property and enlargement axiom 3 read one table of the k(k-1)/2 frame
-brackets per structure, ``frame_brackets``.
+formalism, and the enlargement/co-anchor axioms are all decided by zero or
+constancy tests of polynomials, with certificates built only for failures.
+Integrability, the module property and enlargement axiom 3 read one table
+per structure, ``frame_brackets``: each frame bracket with its verdict in E.
 
 ``pull_back_sections`` pulls frame sections back along an affine map
 u -> offset + J u, keeping those tangent to its image; restriction to an
@@ -201,11 +201,12 @@ class BigIsotropicStructure:
 
     @cached_property
     def frame_brackets(self) -> dict:
-        """The Courant brackets {(i, j): [e_i, e_j]} of the E frame, i < j,
-        built once per structure from each section's partials, taken once."""
+        """{(i, j): ([e_i, e_j], witness)}, i < j: the E frame's Courant brackets,
+        from each section's partials taken once, and in_E's witness (None if in E)."""
         d = [partials(sec.as_poly_row()) for sec in self.e_frame]
         e, pairs = self.e_frame, itertools.combinations(range(self.k), 2)
-        return {(i, j): courant_bracket(e[i], e[j], d[i], d[j]) for i, j in pairs}
+        brackets = {(i, j): courant_bracket(e[i], e[j], d[i], d[j]) for i, j in pairs}
+        return {ij: (br, self.in_E(br.as_poly_row())[1]) for ij, br in brackets.items()}
 
     def section_in_E(self, sec: BigSection):
         return self.in_E(sec.as_poly_row())
@@ -230,26 +231,19 @@ def structure_from_components(chart: Chart, e_rows, ep_rows, grid=None, validate
 # integrability
 # --------------------------------------------------------------------------
 
-def _frame_bracket_failures(s: BigIsotropicStructure):
-    """Yield each frame pair whose Courant bracket leaves E, with the
-    nonzero (k+1)-minor of the frame stacked on the bracket, lazily, from
-    the structure's bracket table and its membership test of the frame."""
-    for (i, j), br in s.frame_brackets.items():
-        ok, witness = s.in_E(br.as_poly_row())
-        if not ok:
-            yield (f"bracket of frame sections {i},{j} leaves E", witness)
-
-
 def check_integrability(s: BigIsotropicStructure) -> Verdict:
     """Closure of the E frame under Courant brackets, by minor certificates.
 
     The bracket of every frame pair must lie in the pointwise span of the
     frame wherever the frame has rank k, which the structure's grid
     validation probed; a failure carries a nonzero (k+1)-minor of the frame
-    stacked on the bracket.
+    stacked on the bracket, read from the structure's ``frame_brackets``.
     """
-    failures = tuple(_frame_bracket_failures(s))
-    return Verdict("integrability", not failures, failures, note="rank certified on sampled locus")
+    failures = []
+    for (i, j), (_, witness) in s.frame_brackets.items():
+        if witness is not None:
+            failures.append((f"bracket of frame sections {i},{j} leaves E", witness))
+    return Verdict("integrability", not failures, tuple(failures), note="rank certified on sampled locus")
 
 
 def check_module_property(s: BigIsotropicStructure) -> Verdict:
@@ -264,13 +258,13 @@ def check_module_property(s: BigIsotropicStructure) -> Verdict:
     lies in E: the module property holds iff E is integrable (the paper's
     "if E is integrable, Gamma E' is a module over Gamma E", and its
     converse).
-    A validated structure whose frame brackets all stay in E therefore
-    passes without a mixed bracket or a membership test of E'.  Otherwise,
+    A validated structure whose ``frame_brackets`` carry no witness
+    therefore passes without a mixed bracket or a membership test.  Otherwise,
     and on validate=False structures, every [e_i, e'_j] is formed and
     tested against E', so a failure carries its minor certificates; each
     section's partials are taken once, for all its brackets.
     """
-    if s.validated and next(_frame_bracket_failures(s), None) is None:
+    if s.validated and all(witness is None for _, witness in s.frame_brackets.values()):
         return Verdict("module property", True)
     d = [partials(sec.as_poly_row()) for sec in s.e_frame]
     d_prime = [partials(sec.as_poly_row()) for sec in s.e_prime_frame]
@@ -527,8 +521,10 @@ def verify_modular_enlargement(s: BigIsotropicStructure) -> Verdict:
     g((0, df), a) = X_a f / 2, gives for all sections
     T = 3 g([a1,a2], b) + 3/2 (X_a2 g(a1, b) - X_a1 g(a2, b)):
     the d g(a1, a2) terms cancel, so T needs only the k(k-1)/2 brackets
-    [e_i1, e_i2] of the structure's table and the pairings g(e_i, e'_j) of
-    axiom 2, which are computed, never assumed zero.
+    [e_i1, e_i2] of the structure's ``frame_brackets`` and the pairings
+    g(e_i, e'_j) of axiom 2, which are computed, never assumed zero.  As
+    h df - f dh != 0, axiom 2 fails iff g(a, b) != 0, and axiom 3 iff T is
+    not constant; a defect is built only for a failure.
     """
     chart = s.chart
     f, h = _axiom_test_functions(chart)
@@ -539,11 +535,10 @@ def verify_modular_enlargement(s: BigIsotropicStructure) -> Verdict:
     for i, a in enumerate(s.e_frame):
         for j, b in enumerate(s.e_prime_frame):
             p[i, j] = pairing_sections(a, b)
-            defect = BigSection(zero, twist.scale(p[i, j]))
-            if not defect.is_zero():
-                failures.append((f"axiom 2 fails on ({i},{j})", defect))
+            if not p[i, j].is_zero():
+                failures.append((f"axiom 2 fails on ({i},{j})", BigSection(zero, twist.scale(p[i, j]))))
     T = {}  # (i1, i2, j) with i1 < i2 -> T(e_i1, e_i2, e'_j)
-    for (i1, i2), inner in s.frame_brackets.items():
+    for (i1, i2), (inner, _) in s.frame_brackets.items():
         a1, a2 = s.e_frame[i1], s.e_frame[i2]
         for j, b in enumerate(s.e_prime_frame):
             t = pairing_sections(inner, b) * 3
@@ -552,10 +547,10 @@ def verify_modular_enlargement(s: BigIsotropicStructure) -> Verdict:
             T[i1, i2, j] = t
     for i1, i2 in itertools.permutations(range(s.k), 2):
         for j in range(len(s.e_prime_frame)):
-            t = T[i1, i2, j] if i1 < i2 else -T[i2, i1, j]
-            defect = BigSection(zero, d_function(t, chart).scale(Fraction(-1, 3)))
-            if not defect.is_zero():
-                failures.append((f"axiom 3 fails on ({i1},{i2},{j})", defect))
+            t = T[min(i1, i2), max(i1, i2), j]
+            if not t.is_constant():
+                defect = d_function(t if i1 < i2 else -t, chart).scale(Fraction(-1, 3))
+                failures.append((f"axiom 3 fails on ({i1},{i2},{j})", BigSection(zero, defect)))
     return Verdict("modular enlargement axioms", not failures, tuple(failures))
 
 
@@ -566,7 +561,8 @@ def verify_coanchor(s: BigIsotropicStructure) -> Verdict:
     alpha(Y) + beta(X) = 2 g(a, b) vanish.  Condition ii compares the
     cotangent part of [a, b], L_X beta - L_Y alpha + d(alpha(Y) - beta(X))/2,
     with L_X beta - L_Y alpha + d(alpha(Y)); their difference is
-    -d(alpha(Y) + beta(X))/2 = -d g(a, b), so no bracket is formed.
+    -d(alpha(Y) + beta(X))/2 = -d g(a, b), so no bracket is formed and
+    condition ii fails iff alpha(Y) + beta(X) is not constant.
     """
     failures = []
     for i, a in enumerate(s.e_frame):
@@ -574,8 +570,8 @@ def verify_coanchor(s: BigIsotropicStructure) -> Verdict:
             sym = a.of.pair(b.vf) + b.of.pair(a.vf)
             if not sym.is_zero():
                 failures.append((f"condition i fails on ({i},{j})", sym))
-            defect = d_function(sym, s.chart).scale(Fraction(-1, 2))
-            if not defect.is_zero():
+            if not sym.is_constant():
+                defect = d_function(sym, s.chart).scale(Fraction(-1, 2))
                 failures.append((f"condition ii fails on ({i},{j})", defect))
     return Verdict("co-anchor conditions", not failures, tuple(failures))
 

@@ -447,6 +447,13 @@ class TestDefaultGrid:
             assert grid[0] == (0,) * m
             assert norms == sorted(norms)
 
+    def test_wide_value_ranges_list_the_smallest_points(self):
+        # the 25 points of Z^3 with L1 norm <= 2 come first whatever the range;
+        # the reachable norms of 6001 values are found without a set per norm
+        wide = default_grid(3, cap=25, values=range(-3000, 3001))
+        assert wide == default_grid(3, cap=25, values=range(-2, 3))
+        assert max(sum(abs(c) for c in p) for p in wide) == 2
+
 
 class TestIntegrability:
     def test_r3_integrable(self, r3_structure):
@@ -610,15 +617,20 @@ class TestPartialsOncePerCheck:
 @pytest.mark.parametrize("make", [mixed_graph_P_structure, non_poisson_mixed_graph_P_structure])
 def test_one_bracket_table_serves_the_three_checks(make, monkeypatch):
     """Integrability, the module property and the enlargement axioms of one
-    fresh validated structure form its k(k-1)/2 frame brackets together;
-    a non-integrable E adds only the kn mixed brackets of the module
-    property's certificates (n = 2m - k)."""
+    fresh validated structure form its k(k-1)/2 frame brackets together and
+    test each against E once; a non-integrable E adds only the kn mixed
+    brackets of the module property's certificates (n = 2m - k), tested
+    against E'."""
     s = make()
     assert s.validated
+    contains, members = s.in_E, []
+    monkeypatch.setitem(vars(s), "in_E", lambda row: members.append(row) or contains(row))
     calls = counting_brackets(monkeypatch)
     integrable = check_integrability(s).ok
     assert check_module_property(s).ok == integrable
+    assert len(members) == s.k * (s.k - 1) // 2
     verify_modular_enlargement(s)
+    assert len(members) == s.k * (s.k - 1) // 2
     mixed = 0 if integrable else s.k * len(s.e_prime_frame)
     assert len(calls) == s.k * (s.k - 1) // 2 + mixed
     assert integrable == (make is mixed_graph_P_structure)
@@ -952,14 +964,19 @@ class TestAxioms:
         """Random frames that are neither isotropic nor orthogonal, built
         with validate=False: verdicts and certificates equal the direct
         bracket forms, with the k(k-1)/2 frame brackets and none for the
-        co-anchor."""
+        co-anchor.  In the last frame T = 3/4 for axiom 3 and
+        alpha(Y) + beta(X) = 1 for co-anchor pair (0,1): nonzero constants,
+        whose defects vanish."""
         rng = random.Random(71)
+        structures = [random_unchecked_structure(rng, m, k) for m, k in ((2, 1), (2, 2), (3, 1), (3, 3), (4, 1))]
+        chart = Chart(("x", "y"))
+        e_rows = [(1, 0, 0, 0), (0, 1, 0, chart.coordinate("x"))]
+        structures.append(structure_from_components(chart, e_rows, [(0, 1, 0, 0), (0, 0, 1, 0)], validate=False))
         labels = set()
-        for m, k in ((2, 1), (2, 2), (3, 1), (3, 3), (4, 1)):
-            s = random_unchecked_structure(rng, m, k)
+        for s in structures:
             calls = counting_brackets(monkeypatch)
             enlargement, coanchor = verify_modular_enlargement(s), verify_coanchor(s)
-            assert len(calls) == k * (k - 1) // 2
+            assert len(calls) == s.k * (s.k - 1) // 2
             monkeypatch.undo()
             assert [(msg, str(p)) for msg, p in enlargement.failures] == enlargement_reference(s)
             assert [(msg, str(p)) for msg, p in coanchor.failures] == coanchor_reference(s)
@@ -1014,6 +1031,15 @@ class TestAxioms:
             assert [(msg, str(q)) for msg, q in verdict.failures] == enlargement_reference(s)
             labels |= {msg.split(" fails")[0] for msg, _ in verdict.failures}
         assert labels == {"axiom 3"}
+
+    def test_axiom_2_twist_is_nonzero(self):
+        """Axiom 2 fails exactly where g(e_i, e'_j) != 0 because its defect
+        is that pairing times the fixed 1-form h df - f dh."""
+        for m in range(1, 9):
+            chart = Chart(tuple(f"x{i}" for i in range(m)))
+            f, h = _axiom_test_functions(chart)
+            twist = d_function(f, chart).scale(h) - d_function(h, chart).scale(f)
+            assert any(not c.is_zero() for c in twist.comps), m
 
     def test_constant_nonzero_pairing(self):
         """g(a, b) = 1/2 everywhere: condition i fails and condition ii
