@@ -388,7 +388,14 @@ def pseudo_conormal(cf: CanonicalFrame) -> SubbundleField:
 def coupling_equivalences(cf: CanonicalFrame, grid=None) -> Verdict:
     """The three pointwise splitting conditions and the coefficient test must
     agree everywhere on the sampled validity locus; on decomposable frames
-    the two-piece splitting of E is verified as well."""
+    the two-piece splitting of E is verified as well.
+
+    By dim(A n B) = dim A + dim B - dim(A + B), H (+) TF = TM iff dim H = r
+    and dim(H + TF) = m, and C (+) ann TF = T*M iff dim C + r = m and
+    dim(C + ann TF) = m.  For Y in H' n TF (tangent parts of E' sections, so
+    Y is in cal_E'), varpi(cal_E, Y) = 0 iff (Y, 0) is in E', the
+    g-orthogonal of E: varpi(X, Y) = alpha(Y) = 2 g((X, alpha), (Y, 0)).
+    """
     adapted = cf.adapted
     m = adapted.chart.dim
     decomposable = is_locally_decomposable(cf)
@@ -410,18 +417,13 @@ def coupling_equivalences(cf: CanonicalFrame, grid=None) -> Verdict:
             entry.eval(pt) == 0 for row in cf.alpha_prime for entry in row
         )
         h_pt = h_field.at(pt)
-        cond_normal = h_pt.dim == cf.r and h_pt.intersect(t_fol).dim == 0 and h_pt.sum(t_fol).dim == m
+        cond_normal = h_pt.dim == cf.r and h_pt.sum(t_fol).dim == m
         con_pt = conormal.at(pt)
-        cond_conormal = con_pt.intersect(ann_fol).dim == 0 and con_pt.sum(ann_fol).dim == m
+        cond_conormal = con_pt.dim + cf.r == m and con_pt.sum(ann_fol).dim == m
         # middle tangents must pair trivially under the induced form
         data = cf.structure.evaluate_at(pt)
-        triple = characteristic_triple(data)
         hp_cap_t = h_prime_field.at(pt).intersect(t_fol)
-        cond_flat = True
-        for y_vec in hp_cap_t.basis:
-            for x_vec in triple.cal_E.basis:
-                if triple.varpi_on(x_vec, y_vec) != 0:
-                    cond_flat = False
+        cond_flat = data.E_prime.contains_subspace(window(m, hp_cap_t.basis, ()))
         agree = cond_normal == cond_conormal == cond_flat == alpha_prime_zero
         if not agree:
             failures.append(
@@ -445,7 +447,8 @@ def coupling_equivalences(cf: CanonicalFrame, grid=None) -> Verdict:
 def _splitting_holds(cf, pt, data, h_pt, t_fol, ann_fol) -> bool:
     """E = [E n (TF (+) ann H)] (+) [E n (H (+) ann TF)] at the point, where
     data is the structure there, with the two pieces spanned by the Xi and X
-    sections respectively."""
+    sections respectively.  Once the pieces sum to E, the sum is direct iff
+    their dimensions add up to dim E (Grassmann)."""
     m = cf.adapted.chart.dim
     x_vals = SubbundleField(2 * m, cf.x_rows).at(pt)
     xi_vals = SubbundleField(2 * m, cf.xi_rows).at(pt)
@@ -455,7 +458,7 @@ def _splitting_holds(cf, pt, data, h_pt, t_fol, ann_fol) -> bool:
         piece_fol == xi_vals
         and piece_h == x_vals
         and piece_fol.sum(piece_h) == data.E
-        and piece_fol.intersect(piece_h).dim == 0
+        and piece_fol.dim + piece_h.dim == data.E.dim
     )
 
 
@@ -579,17 +582,12 @@ def _empty_sample(cf: CanonicalFrame, points: int) -> str:
 
 
 def _clear_denominators(comps):
-    dens = []
-    for c in comps:
-        if not c.is_polynomial():
-            dens.append(c.den)
-    scale = RationalFunction.one(comps[0].vars)
-    seen = []
-    for d in dens:
-        if all(not (d == q) for q in seen):
+    scale, seen = RationalFunction.one(comps[0].vars), []
+    for d in (c.den for c in comps if not c.is_polynomial()):
+        if d not in seen:
             seen.append(d)
             scale = scale * RationalFunction.from_poly(d)
-    return [(c * scale) for c in comps]
+    return [c * scale for c in comps]
 
 
 def _row_to_section(sub_chart: Chart, row) -> BigSection:

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import functools
 import operator
+import sys
 from fractions import Fraction
 from itertools import islice
 from math import lcm
@@ -55,5 +56,6 @@ def grid_walk(m: int, values=GRID_VALUES):
 
 
 def default_grid(m: int, cap: int = 24, values=GRID_VALUES) -> tuple:
-    """The first cap points of grid_walk(m, values)."""
-    return tuple(islice(grid_walk(m, values), cap))
+    """The first cap points of grid_walk(m, values); a cap past sys.maxsize,
+    more points than any walk yields, means every point."""
+    return tuple(islice(grid_walk(m, values), min(cap, sys.maxsize)))

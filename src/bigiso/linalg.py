@@ -301,15 +301,15 @@ class Subspace:
         vector = tuple(as_fraction(x) for x in vector)
         if len(vector) != self.ambient_dim:
             raise ValueError("ambient dimension mismatch")
-        if all(x == 0 for x in vector):
-            return True
-        if not self.basis:
-            return False
-        stacked = Matrix(list(self.basis) + [vector])
-        return stacked.rank() == self.dim
+        return Matrix(self.basis + (vector,)).rank() == self.dim
 
     def contains_subspace(self, other: "Subspace") -> bool:
-        return all(self.contains(v) for v in other.basis)
+        """other <= self iff stacking other's basis on self's keeps the rank
+        at dim self; an empty other is contained in every subspace."""
+        if not other.basis:
+            return True
+        self._check_ambient(other)
+        return Matrix(self.basis + other.basis).rank() == self.dim
 
     def _check_ambient(self, other: "Subspace"):
         if self.ambient_dim != other.ambient_dim:
@@ -327,19 +327,15 @@ class Subspace:
     def complement_in(self, outer: "Subspace") -> "Subspace":
         """A deterministic direct complement: inner (+) result = outer.
 
-        Picks outer basis rows (in RREF order) that extend the inner basis.
+        Picks each outer basis row (in RREF order) that extends the inner
+        basis and the rows before it: the pivot columns of [inner; outer]
+        transposed, of which the (independent) inner columns are the first.
         """
         self._check_ambient(outer)
         if not outer.contains_subspace(self):
             raise ValueError("inner subspace is not contained in the outer one")
-        current, rank = list(self.basis), self.dim
-        chosen = []
-        for row in outer.basis:
-            trial = current + [row]
-            r = Matrix(trial).rank()
-            if r > rank:
-                current, rank = trial, r
-                chosen.append(row)
+        stack = Matrix(self.basis + outer.basis, self.ambient_dim).transpose()
+        chosen = [outer.basis[c - self.dim] for c in stack.pivot_columns() if c >= self.dim]
         return Subspace(self.ambient_dim, chosen)
 
     def annihilator(self) -> "Subspace":

@@ -259,9 +259,10 @@ def flat_varpi_kernel(data: IsotropicData) -> Subspace:
 
 
 def is_graph_type(data: IsotropicData) -> bool:
-    """True when E meets the tangent summand only in 0."""
-    tangent = window(data.m, Matrix.identity(data.m).entries, ())
-    return data.E.intersect(tangent).dim == 0
+    """True when E meets the tangent summand only in 0: E n (TM (+) 0) is the
+    kernel of (X, alpha) -> alpha on E, so its dimension is dim E minus the
+    rank of the covector parts of E's basis."""
+    return Matrix([row[data.m :] for row in data.E.basis], data.m).rank() == data.E.dim
 
 
 def random_subspace(rng, d: int, dim_hint: int | None = None, span: int = 3) -> Subspace:

@@ -1,4 +1,6 @@
 import dataclasses
+import itertools
+import random
 from fractions import Fraction
 
 import pytest
@@ -8,6 +10,7 @@ from bigiso.canonical import (
     AdaptedChart,
     NormalizationError,
     check_orthogonality_relations,
+    _empty_sample,
     coupling_equivalences,
     dirac_extension_frame,
     is_locally_decomposable,
@@ -15,6 +18,7 @@ from bigiso.canonical import (
     normalize_frame,
     pseudo_conormal,
     pseudo_normal,
+    pseudo_normal_prime,
     seed_basis,
     transversal_structure,
 )
@@ -22,10 +26,11 @@ from bigiso.fixtures import fixture_text
 from bigiso.grid import default_grid
 from bigiso.linalg import Matrix, Subspace
 from bigiso.parser import parse_document
-from bigiso.pointwise import dirac_extension
+from bigiso.pointwise import characteristic_triple, dirac_extension, window
 from bigiso.scalars import Polynomial, RationalFunction
 from bigiso.structures import (
     BigIsotropicStructure,
+    Verdict,
     check_integrability,
     structure_from_components,
     transform_structure,
@@ -422,3 +427,202 @@ class TestDiracSpecialization:
         mat = leaf_pullback(cf)
         # inverse of the bivector block structure: alpha = the flat of the leaf form
         assert mat[0, 1] != 0 and (mat[0, 1] + mat[1, 0]).is_zero()
+
+
+# ---------------------------------------------------------------------------
+# reference oracle: the coupling conditions through the characteristic triple
+# and subspace intersections
+# ---------------------------------------------------------------------------
+
+
+def _coordinate_span(m, indices):
+    return Subspace(m, [[1 if j == i else 0 for j in range(m)] for i in indices])
+
+
+def coupling_conditions_reference(cf, pt):
+    """(cond_normal, cond_conormal, cond_flat, alpha_prime_zero) at a point on
+    the validity locus: each intersection formed and its dimension read, and
+    varpi evaluated from the characteristic triple of the structure there."""
+    adapted, m = cf.adapted, cf.adapted.chart.dim
+    t_fol = _coordinate_span(m, adapted.middle + adapted.transverse)
+    ann_fol = _coordinate_span(m, adapted.leaf)
+    alpha_prime_zero = all(entry.eval(pt) == 0 for row in cf.alpha_prime for entry in row)
+    h_pt = pseudo_normal(cf).at(pt)
+    cond_normal = h_pt.dim == cf.r and h_pt.intersect(t_fol).dim == 0 and h_pt.sum(t_fol).dim == m
+    con_pt = pseudo_conormal(cf).at(pt)
+    cond_conormal = con_pt.intersect(ann_fol).dim == 0 and con_pt.sum(ann_fol).dim == m
+    triple = characteristic_triple(cf.structure.evaluate_at(pt))
+    hp_cap_t = pseudo_normal_prime(cf).at(pt).intersect(t_fol)
+    cond_flat = all(triple.varpi_on(x, y) == 0 for y in hp_cap_t.basis for x in triple.cal_E.basis)
+    return cond_normal, cond_conormal, cond_flat, alpha_prime_zero
+
+
+def splitting_reference(cf, pt):
+    """E = piece_fol (+) piece_h at a point, the directness read from the
+    dimension of the intersection of the pieces."""
+    adapted, m = cf.adapted, cf.adapted.chart.dim
+    t_fol = _coordinate_span(m, adapted.middle + adapted.transverse)
+    ann_fol = _coordinate_span(m, adapted.leaf)
+    data, h_pt = cf.structure.evaluate_at(pt), pseudo_normal(cf).at(pt)
+    x_vals = Subspace(2 * m, [[e.eval(pt) for e in row] for row in cf.x_rows])
+    xi_vals = Subspace(2 * m, [[e.eval(pt) for e in row] for row in cf.xi_rows])
+    piece_fol = data.E.intersect(window(m, t_fol.basis, h_pt.annihilator().basis))
+    piece_h = data.E.intersect(window(m, h_pt.basis, ann_fol.basis))
+    return (
+        piece_fol == xi_vals
+        and piece_h == x_vals
+        and piece_fol.sum(piece_h) == data.E
+        and piece_fol.intersect(piece_h).dim == 0
+    )
+
+
+def coupling_reference(cf, grid):
+    """The coupling verdict assembled from the reference conditions."""
+    decomposable = is_locally_decomposable(cf)
+    failures, used = [], 0
+    for pt in grid:
+        if not cf.denominators_nonzero_at(pt):
+            continue
+        used += 1
+        conditions = coupling_conditions_reference(cf, pt)
+        if len(set(conditions)) > 1:
+            failures.append((f"equivalences diverge at {pt}", conditions))
+        if decomposable and not splitting_reference(cf, pt):
+            failures.append((f"decomposition of E fails at {pt}", None))
+    if not used:
+        failures.append((_empty_sample(cf, len(grid)), None))
+    note = "decomposable" if decomposable else "not decomposable"
+    return Verdict("coupling equivalences", not failures, tuple(failures), note=note)
+
+
+# alpha' = z * I: the conditions hold on {z = 0} and fail off it
+_R5_SCALED = """chart x1 x2 y1 y2 z
+
+E:
+  (1, 0, 0, 0, 0 | 0, 1, z, 0, 0)
+  (0, 1, 0, 0, 0 | -1, 0, 0, z, 0)
+  (0, 0, 0, 0, 0 | 0, 0, 0, 0, 1)
+
+E_prime:
+  (1, 0, 0, 0, 0 | 0, 1, z, 0, 0)
+  (0, 1, 0, 0, 0 | -1, 0, 0, z, 0)
+  (0, 0, 0, 0, 0 | 0, 0, 0, 0, 1)
+  (0, 0, 1, 0, 0 | -z, 0, 0, 0, 0)
+  (0, 0, 0, 1, 0 | 0, -z, 0, 0, 0)
+  (0, 0, 0, 0, 0 | 0, 0, 1, 0, 0)
+  (0, 0, 0, 0, 0 | 0, 0, 0, 1, 0)
+
+adapted: x1 x2 | y1 y2 | z
+"""
+
+
+# x1~ = x1 - y2, x2~ = x2 + y1, as in test_tilde_chart_is_decomposable
+_TILDE = ((1, 0, 0, -1, 0), (0, 1, 1, 0, 0), (0, 0, 1, 0, 0), (0, 0, 0, 1, 0), (0, 0, 0, 0, 1))
+
+
+def _seeded_chart_changes(s, seeds):
+    """Canonical frames of s (split as example_r5) moved by seeded affine
+    chart changes x -> D T x + b: T is the identity, the tilde shear or the
+    identity plus small integer entries, and D mixes the leaf and the middle
+    coordinates among themselves and scales the transverse one.  The changes
+    whose blocks normalize_frame rejects are skipped."""
+    m = s.m
+    for seed in seeds:
+        rng = random.Random(seed)
+        steps = (0, 0, 1, -1)
+        perturbed = [[int(i == j) + rng.choice(steps) for j in range(m)] for i in range(m)]
+        T = Matrix(rng.choice([Matrix.identity(m).entries, _TILDE, perturbed]))
+        D = [[0] * m for _ in range(m)]
+        for block in ((0, 1), (2, 3)):
+            for i in block:
+                for j in block:
+                    D[i][j] = int(i == j) + rng.choice(steps)
+        D[4][4] = rng.choice((1, -1, 2))
+        change = Matrix(D) * T
+        if change.det() == 0:
+            continue
+        offset = [rng.randint(-1, 1) for _ in range(m)]
+        moved = transform_structure(s, change.scale(Fraction(1)), [f"u{i}" for i in range(m)], offset)
+        try:
+            yield normalize_frame(moved, AdaptedChart(moved.chart, leaf=(0, 1), middle=(2, 3), transverse=(4,)))
+        except NormalizationError:
+            continue
+
+
+def _fixture_frame(name):
+    return _document_frame(fixture_text(name))[1]
+
+
+def _tilde_frame(r5_structure):
+    tilde = transform_structure(r5_structure, Matrix(_TILDE).scale(Fraction(1)), ("tx1", "tx2", "ty1", "ty2", "tz"))
+    return normalize_frame(tilde, AdaptedChart(tilde.chart, leaf=(0, 1), middle=(2, 3), transverse=(4,)))
+
+
+def assert_coupling_matches_reference(cf, grid):
+    """coupling_equivalences on each one-point grid against the reference.
+
+    A one-point verdict records the four booleans whenever they disagree,
+    and alpha_prime_zero is computed the same way on both sides, so equal
+    verdicts at a point mean equal (cond_normal, cond_conormal, cond_flat,
+    alpha_prime_zero) there, and an equal splitting verdict.  Returns the
+    reference booleans at the points on the validity locus."""
+    seen = []
+    for pt in grid:
+        assert coupling_equivalences(cf, (pt,)) == coupling_reference(cf, (pt,)), pt
+        if cf.denominators_nonzero_at(pt):
+            seen.append(coupling_conditions_reference(cf, pt))
+    assert coupling_equivalences(cf, grid) == coupling_reference(cf, grid)
+    return seen
+
+
+class TestCouplingAgainstReference:
+    @pytest.mark.parametrize(
+        "name, holds", [("example_r3", True), ("example_r5", False), ("example_r5_tilde", True)]
+    )
+    def test_fixtures(self, name, holds):
+        cf = _fixture_frame(name)
+        seen = assert_coupling_matches_reference(cf, default_grid(cf.adapted.chart.dim))
+        assert seen and set(seen) == {(holds,) * 4}
+
+    def test_tilde_chart(self, r5_structure):
+        cf = _tilde_frame(r5_structure)
+        assert is_locally_decomposable(cf)
+        seen = assert_coupling_matches_reference(cf, default_grid(5))
+        assert set(seen) == {(True,) * 4}
+
+    def test_dirac_case(self, symplectic_structure):
+        adapted = AdaptedChart(symplectic_structure.chart, leaf=(0, 1, 2, 3), middle=(), transverse=())
+        cf = normalize_frame(symplectic_structure, adapted)
+        assert set(assert_coupling_matches_reference(cf, default_grid(4))) == {(True,) * 4}
+
+    def test_conditions_that_change_with_the_point(self):
+        cf = _document_frame(_R5_SCALED)[1]
+        seen = assert_coupling_matches_reference(cf, default_grid(5))
+        assert set(seen) == {(True,) * 4, (False,) * 4}
+
+    @pytest.mark.parametrize("text", [fixture_text("example_r5"), _R5_SCALED], ids=["r5", "r5_scaled"])
+    def test_seeded_chart_changes(self, text):
+        s = _document_frame(text)[0]
+        outcomes, frames = set(), 0
+        for cf in _seeded_chart_changes(s, range(16)):
+            frames += 1
+            outcomes |= set(assert_coupling_matches_reference(cf, default_grid(5, cap=12)))
+        assert frames >= 4 and outcomes == {(True,) * 4, (False,) * 4}
+
+    @pytest.mark.parametrize(
+        "text",
+        [fixture_text("example_r3"), fixture_text("example_r5_tilde"), _R5_SCALED],
+        ids=["r3", "r5_tilde", "r5_scaled"],
+    )
+    def test_frames_read_under_another_split(self, text):
+        # the rows still lie in E and E', so both sides decide, but the
+        # conditions no longer agree by the shape of the canonical frame
+        cf = _document_frame(text)[1]
+        a, m = cf.adapted, cf.adapted.chart.dim
+        outcomes = set()
+        for perm in itertools.permutations(range(m)):
+            leaf, middle, transverse = perm[: a.r], perm[a.r : a.r + a.mk], perm[a.r + a.mk :]
+            if list(leaf) == sorted(leaf) and list(middle) == sorted(middle):
+                moved = dataclasses.replace(cf, adapted=AdaptedChart(a.chart, leaf, middle, transverse))
+                outcomes |= set(assert_coupling_matches_reference(moved, default_grid(m, cap=4)))
+        assert (True,) * 4 in outcomes and any(len(set(c)) > 1 for c in outcomes)

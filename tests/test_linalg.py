@@ -6,6 +6,7 @@ from math import gcd, lcm
 import pytest
 
 from bigiso.linalg import Matrix, Subspace, combine, complement_in, image, kernel
+from bigiso.pointwise import random_subspace
 
 
 def F(*vals):
@@ -479,3 +480,131 @@ class TestForwardAndBackPasses:
         m = Matrix([[0, 1, 1], [1, 1, 0], [0, 0, 0]])
         assert (m.pivot_columns(), m.rank()) == ((0, 1), 2) == rref_reference(m)[1:]
         assert m.rref() == rref_reference(m)
+
+
+# ---------------------------------------------------------------------------
+# reference oracles: the per-vector loops that one elimination replaced
+# ---------------------------------------------------------------------------
+
+
+def contains_reference(space: Subspace, vector) -> bool:
+    """One rank of the basis stacked on the vector, with the zero vector and
+    the zero space decided before any elimination."""
+    vector = tuple(Fraction(x) for x in vector)
+    if len(vector) != space.ambient_dim:
+        raise ValueError("ambient dimension mismatch")
+    if all(x == 0 for x in vector):
+        return True
+    if not space.basis:
+        return False
+    return Matrix(list(space.basis) + [vector]).rank() == space.dim
+
+
+def contains_subspace_reference(space: Subspace, other: Subspace) -> bool:
+    """One membership test per basis vector of other."""
+    return all(contains_reference(space, v) for v in other.basis)
+
+
+def complement_in_reference(inner: Subspace, outer: Subspace) -> Subspace:
+    """Greedy: each outer basis row that raises the rank of the rows so far."""
+    if inner.ambient_dim != outer.ambient_dim:
+        raise ValueError("ambient dimension mismatch")
+    if not contains_subspace_reference(outer, inner):
+        raise ValueError("inner subspace is not contained in the outer one")
+    current, rank, chosen = list(inner.basis), inner.dim, []
+    for row in outer.basis:
+        trial = current + [row]
+        r = Matrix(trial).rank()
+        if r > rank:
+            current, rank = trial, r
+            chosen.append(row)
+    return Subspace(inner.ambient_dim, chosen)
+
+
+def random_subspace_pair(rng, d: int):
+    """(inner, outer) from pointwise.random_subspace; inner is spanned by
+    random combinations of outer's basis every other draw, so both
+    containment outcomes occur."""
+    outer = random_subspace(rng, d)
+    if rng.random() < 0.5:
+        return random_subspace(rng, d), outer
+    coeffs = [[Fraction(rng.randint(-2, 2)) for _ in outer.basis] for _ in range(rng.randint(0, d))]
+    return Subspace(d, [combine(c, outer.basis, d) for c in coeffs]), outer
+
+
+class TestSubspaceQuestionsAgainstLoops:
+    def test_contains_matches_the_loop(self):
+        rng = random.Random(23)
+        outcomes = set()
+        for _ in range(300):
+            d = rng.randint(0, 6)
+            space = random_subspace(rng, d)
+            vector = [Fraction(rng.randint(-2, 2)) for _ in range(d)]
+            if space.dim and rng.random() < 0.5:
+                vector = combine([rng.randint(-2, 2) for _ in space.basis], space.basis, d)
+            expected = contains_reference(space, vector)
+            assert space.contains(vector) == expected
+            outcomes.add((expected, space.dim == 0, any(vector)))
+        assert {(True, True, False), (False, True, True), (True, False, True), (False, False, True)} <= outcomes
+        for space in (Subspace(2), Subspace(2, [F(1, 1)]), Subspace.full(2)):
+            for vector in (F(0, 0, 0), F(1, 0, 0), F(1)):
+                with pytest.raises(ValueError, match="ambient dimension mismatch"):
+                    space.contains(vector)
+
+    def test_contains_subspace_matches_the_loop(self):
+        rng = random.Random(29)
+        outcomes = set()
+        for _ in range(300):
+            d = rng.randint(0, 6)
+            other, space = random_subspace_pair(rng, d)
+            if rng.random() < 0.5:
+                space, other = other, space
+            expected = contains_subspace_reference(space, other)
+            assert space.contains_subspace(other) == expected
+            outcomes.add((expected, other.dim == 0, space.dim in (0, d)))
+        assert {(True, True, False), (True, False, False), (False, False, False), (True, False, True)} <= outcomes
+
+    def test_contains_subspace_edge_cases(self):
+        for d in range(4):
+            zero, full = Subspace(d), Subspace.full(d)
+            assert zero.contains_subspace(zero) and full.contains_subspace(zero)
+            assert full.contains_subspace(full) and zero.contains_subspace(full) == (d == 0)
+        # an empty other is contained whatever its ambient dimension; a
+        # nonempty one of another ambient dimension is an error
+        assert Subspace(2, [F(1, 1)]).contains_subspace(Subspace(3))
+        assert Subspace(2).contains_subspace(Subspace(5))
+        for space in (Subspace(2), Subspace(2, [F(1, 1)]), Subspace.full(2)):
+            with pytest.raises(ValueError, match="ambient dimension mismatch"):
+                space.contains_subspace(Subspace(3, [F(0, 0, 1)]))
+            with pytest.raises(ValueError, match="ambient dimension mismatch"):
+                contains_subspace_reference(space, Subspace(3, [F(0, 0, 1)]))
+
+    def test_complement_in_matches_the_greedy_loop(self):
+        rng = random.Random(31)
+        shapes = set()
+        for _ in range(300):
+            d = rng.randint(0, 6)
+            inner, outer = random_subspace_pair(rng, d)
+            if not contains_subspace_reference(outer, inner):
+                with pytest.raises(ValueError, match="not contained"):
+                    complement_in(inner, outer)
+                shapes.add("not contained")
+                continue
+            comp = complement_in(inner, outer)
+            assert comp == complement_in_reference(inner, outer)
+            assert comp.dim == outer.dim - inner.dim and inner.sum(comp) == outer
+            shapes.add((inner.dim == 0, comp.dim == 0, outer.dim == d))
+        assert {"not contained", (True, False, False), (False, True, False), (False, False, False)} <= shapes
+        assert {(True, True, True), (False, False, True)} & shapes
+
+    def test_complement_in_edge_cases(self):
+        for d in range(4):
+            zero, full = Subspace(d), Subspace.full(d)
+            assert complement_in(zero, full) == full == complement_in_reference(zero, full)
+            assert complement_in(full, full) == zero == complement_in(zero, zero)
+        # the outer rows are kept in RREF order: the first two of three extend
+        inner, outer = Subspace(3, [F(1, 1, 1)]), Subspace.full(3)
+        assert complement_in(inner, outer).basis == (tuple(F(1, 0, 0)), tuple(F(0, 1, 0)))
+        assert complement_in(inner, outer) == complement_in_reference(inner, outer)
+        with pytest.raises(ValueError, match="ambient dimension mismatch"):
+            complement_in(Subspace(2), Subspace.full(3))

@@ -510,6 +510,20 @@ class TestCli:
             failure = check["certificate"]["failures"][0]["message"]
             assert failure == "degenerate point " + message
 
+    def test_grid_cap_past_sys_maxsize_means_every_point(self, tmp_path):
+        huge = "99999999999999999999"
+        every = self.run("report-all", "--fixture", "example_r3", "--grid=-1..1:27")
+        assert every[0] == 0
+        assert self.run("report-all", "--fixture", "example_r3", f"--grid=-1..1:{huge}") == every
+        reports = []
+        for cap in ("27", huge):
+            doc = tmp_path / f"cap_{cap}.bigiso"
+            doc.write_text(fixtures.fixture_text("example_r3") + f"grid: -1..1 cap {cap}\n")
+            code, out = self.run("report-all", str(doc))
+            assert code == 0
+            reports.append(out.replace(str(doc), "DOC"))
+        assert reports[0] == reports[1]
+
     def test_grid_flag_single_point(self):
         code, _ = self.run("integrability", "--fixture", "example_r3", "--grid=0..0:1")
         assert code == 0

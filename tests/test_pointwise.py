@@ -418,3 +418,54 @@ class TestWindow:
             assert w.intersect(cotangent) == window(m, (), C.basis)
             # rows need not be independent or reduced
             assert window(m, list(T.basis) * 2, list(C.basis) + [[0] * m]) == w
+
+
+# ---------------------------------------------------------------------------
+# reference oracle: graph type as an intersection with the tangent summand
+# ---------------------------------------------------------------------------
+
+
+def is_graph_type_reference(data):
+    """E n (TM (+) 0) = 0, the intersection formed and its dimension read."""
+    tangent = window(data.m, Matrix.identity(data.m).entries, ())
+    return data.E.intersect(tangent).dim == 0
+
+
+class TestGraphTypeAgainstIntersection:
+    def test_random_isotropic(self):
+        rng = random.Random(37)
+        outcomes = set()
+        for _ in range(200):
+            data = random_isotropic(rng, rng.randint(1, 5))
+            expected = is_graph_type_reference(data)
+            assert is_graph_type(data) == expected
+            outcomes.add((expected, data.E.dim == 0))
+        assert {(True, True), (True, False), (False, False)} <= outcomes
+
+    def test_graphs_of_random_subspaces(self):
+        # E = {(P a, a)} for a in a random A and P skew is isotropic and of
+        # graph type; adding (x, 0) with x in ann A keeps it isotropic but not
+        # of graph type unless x = 0
+        rng = random.Random(41)
+        for _ in range(100):
+            m = rng.randint(1, 5)
+            A = random_subspace(rng, m)
+            P = [[Fraction(0)] * m for _ in range(m)]
+            for i in range(m):
+                for j in range(i + 1, m):
+                    P[i][j] = Fraction(rng.randint(-2, 2))
+                    P[j][i] = -P[i][j]
+            rows = [Matrix(P).apply(a) + tuple(a) for a in A.basis]
+            graph = IsotropicData.from_E(Subspace(2 * m, rows))
+            assert is_graph_type(graph) and is_graph_type_reference(graph)
+            for x in A.annihilator().basis:
+                widened = IsotropicData.from_E(Subspace(2 * m, rows + [tuple(x) + (Fraction(0),) * m]))
+                assert not is_graph_type(widened) and not is_graph_type_reference(widened)
+
+    @pytest.mark.parametrize("m", [1, 2, 3])
+    def test_zero_and_full_summands(self, m):
+        tangent = IsotropicData.from_E(window(m, Matrix.identity(m).entries, ()))
+        cotangent = IsotropicData.from_E(window(m, (), Matrix.identity(m).entries))
+        zero = IsotropicData.from_E(Subspace(2 * m))
+        for data, expected in ((tangent, False), (cotangent, True), (zero, True)):
+            assert is_graph_type(data) == is_graph_type_reference(data) == expected

@@ -447,6 +447,11 @@ class TestDefaultGrid:
             assert grid[0] == (0,) * m
             assert norms == sorted(norms)
 
+    @pytest.mark.parametrize("cap", [27, 28, sys.maxsize, sys.maxsize + 1, 10**20])
+    def test_a_cap_past_the_grid_gives_every_point(self, cap):
+        # islice refuses a stop past sys.maxsize; the grid is small, the cap is not
+        assert default_grid(3, cap, (-1, 0, 1)) == tuple(sorted_grid(3, (-1, 0, 1)))
+
     def test_wide_value_ranges_list_the_smallest_points(self):
         # the 25 points of Z^3 with L1 norm <= 2 come first whatever the range;
         # the reachable norms of 6001 values are found without a set per norm
