@@ -417,7 +417,8 @@ def coupling_equivalences(cf: CanonicalFrame, grid=None) -> Verdict:
             entry.eval(pt) == 0 for row in cf.alpha_prime for entry in row
         )
         h_pt = h_field.at(pt)
-        cond_normal = h_pt.dim == cf.r and h_pt.sum(t_fol).dim == m
+        # dim H = r is implied: H has r generators and dim TF = m - r
+        cond_normal = h_pt.sum(t_fol).dim == m
         con_pt = conormal.at(pt)
         cond_conormal = con_pt.dim + cf.r == m and con_pt.sum(ann_fol).dim == m
         # middle tangents must pair trivially under the induced form
@@ -447,8 +448,9 @@ def coupling_equivalences(cf: CanonicalFrame, grid=None) -> Verdict:
 def _splitting_holds(cf, pt, data, h_pt, t_fol, ann_fol) -> bool:
     """E = [E n (TF (+) ann H)] (+) [E n (H (+) ann TF)] at the point, where
     data is the structure there, with the two pieces spanned by the Xi and X
-    sections respectively.  Once the pieces sum to E, the sum is direct iff
-    their dimensions add up to dim E (Grassmann)."""
+    sections respectively.  The sum is direct without a dimension count: the
+    pieces equal spans of r X rows and p Xi rows and sum to E of dimension
+    r + p, so their dimensions are r and p (Grassmann)."""
     m = cf.adapted.chart.dim
     x_vals = SubbundleField(2 * m, cf.x_rows).at(pt)
     xi_vals = SubbundleField(2 * m, cf.xi_rows).at(pt)
@@ -458,7 +460,6 @@ def _splitting_holds(cf, pt, data, h_pt, t_fol, ann_fol) -> bool:
         piece_fol == xi_vals
         and piece_h == x_vals
         and piece_fol.sum(piece_h) == data.E
-        and piece_fol.dim + piece_h.dim == data.E.dim
     )
 
 

@@ -320,9 +320,13 @@ class Subspace:
         return Subspace(self.ambient_dim, list(self.basis) + list(other.basis))
 
     def intersect(self, other: "Subspace") -> "Subspace":
+        """Zassenhaus: the RREF of the rows (a, a), a in self, and (b, 0), b in
+        other, spans {(a + b, a)}; its rows pivoting in the right half are the
+        (0, a) with a = -b, whose right halves span self n other."""
         self._check_ambient(other)
-        eqs = Matrix(self.equations().entries + other.equations().entries, self.ambient_dim)
-        return Subspace(self.ambient_dim, eqs.kernel_rows())
+        d, zeros = self.ambient_dim, (_ZERO,) * self.ambient_dim
+        red, pivots, _ = Matrix([a + a for a in self.basis] + [b + zeros for b in other.basis], 2 * d).rref()
+        return Subspace(d, [row[d:] for row, p in zip(red.entries, pivots) if p >= d])
 
     def complement_in(self, outer: "Subspace") -> "Subspace":
         """A deterministic direct complement: inner (+) result = outer.

@@ -72,10 +72,7 @@ def orthogonal_g(space: Subspace) -> Subspace:
     if space.ambient_dim % 2:
         raise GeometryError("ambient dimension must be even")
     # v orthogonal to basis row b  iff  (J b) . v = 0 with J swapping halves
-    eq_rows = swap_halves(space.basis)
-    if not eq_rows:
-        return Subspace.full(space.ambient_dim)
-    return kernel(Matrix(eq_rows))
+    return kernel(Matrix(swap_halves(space.basis), space.ambient_dim))
 
 
 def is_isotropic(space: Subspace) -> bool:

@@ -31,10 +31,10 @@ from .calculus import (
     sharp,
 )
 from .linalg import Matrix, Subspace
-from .pointwise import is_graph_type, tangent_projection, window
+from .pointwise import is_graph_type, swap_halves, tangent_projection, window
 from .scalars import Polynomial, as_fraction, eval_rows
 from .structures import BigIsotropicStructure, Verdict, default_grid, pull_back_sections
-from .transport import LinearMap, pullback_subspace, pushforward_subspace, space_S
+from .transport import LinearMap, pull_rows, pullback_subspace, pushforward_subspace
 
 
 class ReductionError(ValueError):
@@ -166,33 +166,35 @@ def restrict(s: BigIsotropicStructure, N: SubmanifoldData, grid=None) -> Restric
 
     The window dimensions (E against TN (+) ambient covectors, and the same
     for E') must stay constant across the grid: that is the properness
-    certificate, and a jump reports the two offending points.
+    certificate, and a jump reports the two offending points.  One pull_rows
+    kernel per bundle and point gives its pullback and, by its row count, its
+    window dimension; each bundle's equations are its partner's basis rows
+    with their halves swapped (g(v, w) = swap(w) . v / 2; E' = orth E).
     """
     if N.ambient != s.chart:
         raise ReductionError("submanifold lives in a different chart")
     pts = tuple(grid) if grid is not None else default_grid(N.sub.dim, cap=16)
     if not pts:
         raise ReductionError("empty grid: no point of the submanifold to restrict at")
-    incl = N.differential
-    ambient_data, pulled, pulled_prime = [], [], []
-    window_dims, window_prime_dims = {}, {}
+    Mt, width = N.differential.matrix.transpose(), 2 * N.sub.dim
+    ambient_data, pulled, windows = [], ([], []), ({}, {})  # E, then E'
     for u in pts:
         data = s.evaluate_at(N.embed_point(u))
         ambient_data.append(data)
-        pulled.append(pullback_subspace(incl, data.E))
-        pulled_prime.append(pullback_subspace(incl, data.E_prime))
-        window_dims.setdefault(space_S(incl, data.E).dim, u)
-        window_prime_dims.setdefault(space_S(incl, data.E_prime).dim, u)
-    for dims, label in ((window_dims, "E"), (window_prime_dims, "E'")):
+        for out, dims, partner in zip(pulled, windows, (data.E_prime, data.E)):
+            rows = pull_rows(Mt, swap_halves(partner.basis))
+            out.append(Subspace(width, rows))
+            dims.setdefault(len(rows), u)
+    for dims, label in zip(windows, ("E", "E'")):
         if len(dims) > 1:
             (d1, u1), (d2, u2) = list(dims.items())[:2]
             raise ReductionError(
                 f"properness fails for {label}: window dimension {d1} at {u1} but {d2} at {u2}"
             )
-    ranks = {sp.dim for sp in pulled}
+    ranks = {sp.dim for sp in pulled[0]}
     if len(ranks) > 1:
         raise ReductionError(f"pullback dimension jumps across the grid: {sorted(ranks)}")
-    return RestrictedData(N, pts, tuple(ambient_data), tuple(pulled), tuple(pulled_prime))
+    return RestrictedData(N, pts, tuple(ambient_data), tuple(pulled[0]), tuple(pulled[1]))
 
 
 def _span_mismatches(points, frame: Sequence[BigSection], expected) -> list:

@@ -58,7 +58,7 @@ class StructureError(ValueError):
 
 @dataclass(frozen=True)
 class Verdict:
-    """Outcome of an exact check, with certificates for failures."""
+    """Outcome of an exact check; each failure is a (message, detail) pair."""
 
     name: str
     ok: bool
@@ -72,7 +72,7 @@ class Verdict:
         if self.ok:
             return f"{self.name}: pass" + (f" ({self.note})" if self.note else "")
         lines = [f"{self.name}: FAIL"]
-        lines += [f"  - {f}" for f in self.failures]
+        lines += [f"  - {msg}" + ("" if detail is None else f": {detail}") for msg, detail in self.failures]
         return "\n".join(lines)
 
 
@@ -200,10 +200,15 @@ class BigIsotropicStructure:
         return span_test(self.prime_frame_rows())
 
     @cached_property
+    def frame_partials(self) -> list:
+        """The partials of each E frame section, taken once per structure."""
+        return [partials(sec.as_poly_row()) for sec in self.e_frame]
+
+    @cached_property
     def frame_brackets(self) -> dict:
         """{(i, j): ([e_i, e_j], witness)}, i < j: the E frame's Courant brackets,
-        from each section's partials taken once, and in_E's witness (None if in E)."""
-        d = [partials(sec.as_poly_row()) for sec in self.e_frame]
+        from frame_partials, and in_E's witness (None if in E)."""
+        d = self.frame_partials
         e, pairs = self.e_frame, itertools.combinations(range(self.k), 2)
         brackets = {(i, j): courant_bracket(e[i], e[j], d[i], d[j]) for i, j in pairs}
         return {ij: (br, self.in_E(br.as_poly_row())[1]) for ij, br in brackets.items()}
@@ -262,11 +267,11 @@ def check_module_property(s: BigIsotropicStructure) -> Verdict:
     therefore passes without a mixed bracket or a membership test.  Otherwise,
     and on validate=False structures, every [e_i, e'_j] is formed and
     tested against E', so a failure carries its minor certificates; each
-    section's partials are taken once, for all its brackets.
+    E' section's partials are taken once, and the E sections' are frame_partials.
     """
     if s.validated and all(witness is None for _, witness in s.frame_brackets.values()):
         return Verdict("module property", True)
-    d = [partials(sec.as_poly_row()) for sec in s.e_frame]
+    d = s.frame_partials
     d_prime = [partials(sec.as_poly_row()) for sec in s.e_prime_frame]
     failures = []
     for i in range(s.k):

@@ -4,10 +4,10 @@ For a linear map L: Q^n -> Q^m (the differential of a map of manifolds at a
 point), the pullback takes subspaces of Q^{2m} to subspaces of Q^{2n} and the
 pushforward goes the other way.  They are one construction: the swap
 sigma(X, a) = (a, X) preserves g, and push_L = sigma o pull_{L^T} o sigma, so
-the pushforward runs the pullback kernel on L^T with the two halves of every
-row swapped.  The dimension bookkeeping (the S / Sigma auxiliary spaces and
-the predicted dimensions) is exposed so tests can verify the counting
-identities independently of the solved subspaces.
+the pushforward runs the pullback kernel ``pull_rows`` on L^T with the two
+halves of every row swapped.  The dimension bookkeeping (the S / Sigma
+auxiliary spaces and the predicted dimensions) is exposed so tests can verify
+the counting identities independently of the solved subspaces.
 """
 
 from __future__ import annotations
@@ -15,7 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Sequence
 
-from .linalg import Matrix, Subspace, image, kernel
+from .linalg import Matrix, Subspace, kernel
 from .pointwise import GeometryError, orthogonal_g, swap_halves, window
 from .scalars import as_fraction
 
@@ -56,12 +56,6 @@ class LinearMap:
         """ker L^T in the target cotangent space."""
         return kernel(self.matrix.transpose())
 
-    def image_tangent(self) -> Subspace:
-        return image(self.matrix)
-
-    def image_cotangent(self) -> Subspace:
-        return image(self.matrix.transpose())
-
     def is_surjective(self) -> bool:
         return self.matrix.rank() == self.m
 
@@ -74,9 +68,11 @@ def _check_ambient(space: Subspace, dim: int, what: str):
         raise GeometryError(f"{what}: expected ambient dimension {2 * dim}, got {space.ambient_dim}")
 
 
-def _pull(Mt: Matrix, eq_rows) -> list:
+def pull_rows(Mt: Matrix, eq_rows) -> list:
     """Rows spanning {(X, Mt a) : (M X, a) is annihilated by eq_rows}, where
-    Mt is the n x m transpose of M: Q^n -> Q^m and eq_rows have length 2m."""
+    Mt is the n x m transpose of M: Q^n -> Q^m and eq_rows have length 2m.
+    One row per kernel vector (X, a), so the row count is the solution
+    dimension: dim space_S(M, E) for E cut out by eq_rows and M injective."""
     n, m = Mt.rows, Mt.cols
     # unknowns (X, a) in Q^{n+m}: e . (M X, a) = (Mt e_tan) . X + e_cot . a
     rows = [Mt.apply(e[:m]) + tuple(e[m:]) for e in eq_rows]
@@ -86,14 +82,14 @@ def _pull(Mt: Matrix, eq_rows) -> list:
 def pullback_subspace(L: LinearMap, E: Subspace) -> Subspace:
     """{(X, L^T a) : (L X, a) in E} as a subspace of Q^{2n}."""
     _check_ambient(E, L.m, "pullback")
-    return Subspace(2 * L.n, _pull(L.matrix.transpose(), E.equations().entries))
+    return Subspace(2 * L.n, pull_rows(L.matrix.transpose(), E.equations().entries))
 
 
 def pushforward_subspace(L: LinearMap, E: Subspace) -> Subspace:
     """{(L X, a) : (X, L^T a) in E} as a subspace of Q^{2m}: the pullback
     through L^T, conjugated by the swap."""
     _check_ambient(E, L.n, "pushforward")
-    pulled = _pull(L.matrix, swap_halves(E.equations().entries))
+    pulled = pull_rows(L.matrix, swap_halves(E.equations().entries))
     return Subspace(2 * L.m, swap_halves(pulled))
 
 
@@ -112,13 +108,13 @@ def e_cap_ker_push(L: LinearMap, E: Subspace) -> Subspace:
 def space_S(L: LinearMap, E: Subspace) -> Subspace:
     """E n (im L (+) target covectors): the pairs that see the source."""
     _check_ambient(E, L.m, "space_S")
-    return E.intersect(window(L.m, L.image_tangent().basis, Matrix.identity(L.m).entries))
+    return E.intersect(window(L.m, L.matrix.transpose().entries, Matrix.identity(L.m).entries))
 
 
 def space_sigma(L: LinearMap, E: Subspace) -> Subspace:
     """E n (source vectors (+) im L^T): the pairs that project to the target."""
     _check_ambient(E, L.n, "space_sigma")
-    return E.intersect(window(L.n, Matrix.identity(L.n).entries, L.image_cotangent().basis))
+    return E.intersect(window(L.n, Matrix.identity(L.n).entries, L.matrix.entries))
 
 
 def _predict_dim(what: str, cap, L: LinearMap, E, E_prime, source: int, target: int) -> int:

@@ -608,3 +608,45 @@ class TestSubspaceQuestionsAgainstLoops:
         assert complement_in(inner, outer) == complement_in_reference(inner, outer)
         with pytest.raises(ValueError, match="ambient dimension mismatch"):
             complement_in(Subspace(2), Subspace.full(3))
+
+
+def intersect_reference(space: Subspace, other: Subspace) -> Subspace:
+    """The kernel of both subspaces' equations stacked, each from its own
+    elimination."""
+    if space.ambient_dim != other.ambient_dim:
+        raise ValueError("ambient dimension mismatch")
+    eqs = Matrix(space.equations().entries + other.equations().entries, space.ambient_dim)
+    return Subspace(space.ambient_dim, eqs.kernel_rows())
+
+
+class TestIntersectAgainstEquations:
+    def test_intersect_matches_the_equations_kernel(self):
+        rng = random.Random(37)
+        shapes = set()
+        for _ in range(300):
+            d = rng.randint(0, 6)
+            a, b = random_subspace_pair(rng, d)
+            if rng.random() < 0.5:
+                a, b = b, a
+            got = a.intersect(b)
+            assert got == intersect_reference(a, b)
+            assert got.basis == intersect_reference(a, b).basis
+            assert a.contains_subspace(got) and b.contains_subspace(got)
+            assert got.dim == a.dim + b.dim - a.sum(b).dim
+            shapes.add((got.dim == 0, got.dim in (a.dim, b.dim), d == 0))
+        assert {(True, False, False), (False, True, False), (False, False, False), (True, True, True)} <= shapes
+
+    def test_intersect_edge_cases(self):
+        for d in range(4):
+            zero, full = Subspace(d), Subspace.full(d)
+            for a, b in itertools.product((zero, full), repeat=2):
+                assert a.intersect(b) == intersect_reference(a, b) == (full if a == b == full else zero)
+        line, plane = Subspace(3, [F(1, 1, 1)]), Subspace(3, [F(1, 0, 0), F(0, 1, 1)])
+        assert line.intersect(plane) == plane.intersect(line) == Subspace(3, [F(1, 1, 1)])
+        assert line.intersect(Subspace(3, [F(1, 0, 0)])) == Subspace(3)
+        for a, b in ((Subspace(2), Subspace(3)), (Subspace.full(2), Subspace(3, [F(0, 0, 1)]))):
+            for intersect in (Subspace.intersect, intersect_reference):
+                with pytest.raises(ValueError, match="ambient dimension mismatch"):
+                    intersect(a, b)
+                with pytest.raises(ValueError, match="ambient dimension mismatch"):
+                    intersect(b, a)

@@ -314,6 +314,35 @@ class TestCli:
             "no verified projectable frame for the restriction; supply one (2 candidate sections for rank 3)"
         ]
 
+    def test_failed_reduction_lists_plain_messages(self, tmp_path):
+        # the slanted hyperplane x4 = x3 with fibres along u1: reducibility fails
+        text = fixtures.fixture_text("example_reduction").replace("submanifold: x4 = 0", "submanifold: x4 = x3")
+        doc = tmp_path / "slanted.bis"
+        doc.write_text(text.replace("foliation: x3", "foliation: u1"))
+        code, out = self.run("reduce", str(doc))
+        assert code == 1
+        red = [c for c in json.loads(out)["checks"] if c["name"] == "reduction pipeline"][0]
+        (failure,) = red["certificate"]["failures"]
+        lines = failure["message"].split("\n")
+        assert lines[0] == "reducibility condition: FAIL"
+        assert lines[1].startswith("  - fibre direction u1 not in the pullback at (Fraction(0, 1),")
+        assert "('" not in failure["message"] and ", None)" not in failure["message"]
+
+    def test_properness_failure_for_E_prime(self, tmp_path):
+        # E' = span((-y, 1 | 0, 0), dx, dy) keeps d_y over {x = 0} only at y = 0
+        doc = tmp_path / "window.bis"
+        doc.write_text(
+            "chart x y\nE:\n  (0, 0 | 1, y)\n"
+            "E_prime:\n  (-y, 1 | 0, 0)\n  (0, 0 | 1, 0)\n  (0, 0 | 0, 1)\n"
+            "submanifold: x = 0\nfoliation:\n"
+        )
+        code, out = self.run("reduce", str(doc))
+        assert code == 1
+        red = [c for c in json.loads(out)["checks"] if c["name"] == "reduction pipeline"][0]
+        assert [f["message"] for f in red["certificate"]["failures"]] == [
+            "properness fails for E': window dimension 3 at (Fraction(0, 1),) but 2 at (Fraction(1, 1),)"
+        ]
+
     @pytest.mark.parametrize("block", ["E", "E_prime"])
     def test_restricted_block_takes_only_slice_coordinates(self, tmp_path, block):
         rows = self.RESTRICTED_ROWS[:2] + ("(0, 0, -x4 | 0, 0, 0)",)

@@ -1,3 +1,5 @@
+import random
+from dataclasses import fields
 from fractions import Fraction
 
 import pytest
@@ -13,9 +15,10 @@ from bigiso.calculus import (
     lift_section,
 )
 from bigiso.fixtures import fixture_text
+from bigiso.grid import default_grid
 from bigiso.linalg import Subspace
 from bigiso.parser import parse_document
-from bigiso.pointwise import orthogonal_g
+from bigiso.pointwise import orthogonal_g, random_isotropic
 from bigiso.reduction import (
     FoliationData,
     ReductionError,
@@ -40,7 +43,7 @@ from bigiso.structures import (
     pull_back_sections,
     structure_from_components,
 )
-from bigiso.transport import pullback_subspace, pushforward_subspace
+from bigiso.transport import LinearMap, pullback_subspace, pushforward_subspace, space_S
 
 
 def restriction_reference(frame, N):
@@ -194,6 +197,158 @@ class TestRestrict:
                 x = N.embed_point(u)
                 assert N.differential.push(sec.vf.eval(u)) == amb.vf.eval(x)
                 assert sec.of.eval(u) == jt.apply(amb.of.eval(x))
+
+
+def restrict_reference(s, N, grid=None):
+    """restrict through the transport constructions at every point: each
+    pullback by pullback_subspace (from the bundle's own equations) and each
+    window dimension from a space_S intersection."""
+    if N.ambient != s.chart:
+        raise ReductionError("submanifold lives in a different chart")
+    pts = tuple(grid) if grid is not None else default_grid(N.sub.dim, cap=16)
+    if not pts:
+        raise ReductionError("empty grid: no point of the submanifold to restrict at")
+    incl = N.differential
+    ambient_data, pulled, pulled_prime = [], [], []
+    window_dims, window_prime_dims = {}, {}
+    for u in pts:
+        data = s.evaluate_at(N.embed_point(u))
+        ambient_data.append(data)
+        pulled.append(pullback_subspace(incl, data.E))
+        pulled_prime.append(pullback_subspace(incl, data.E_prime))
+        window_dims.setdefault(space_S(incl, data.E).dim, u)
+        window_prime_dims.setdefault(space_S(incl, data.E_prime).dim, u)
+    for dims, label in ((window_dims, "E"), (window_prime_dims, "E'")):
+        if len(dims) > 1:
+            (d1, u1), (d2, u2) = list(dims.items())[:2]
+            raise ReductionError(
+                f"properness fails for {label}: window dimension {d1} at {u1} but {d2} at {u2}"
+            )
+    ranks = {sp.dim for sp in pulled}
+    if len(ranks) > 1:
+        raise ReductionError(f"pullback dimension jumps across the grid: {sorted(ranks)}")
+    return RestrictedData(N, pts, tuple(ambient_data), tuple(pulled), tuple(pulled_prime))
+
+
+def same_restriction(s, N, grid=None) -> str:
+    """Run restrict and restrict_reference; both must raise the same message
+    or agree on every RestrictedData field.  Returns the outcome."""
+    outcomes = []
+    for run in (restrict, restrict_reference):
+        try:
+            outcomes.append(run(s, N, grid=grid))
+        except ReductionError as exc:
+            outcomes.append(str(exc))
+    got, expected = outcomes
+    if isinstance(expected, str):
+        assert got == expected
+        return expected.split(":")[0]
+    for f in fields(RestrictedData):
+        assert getattr(got, f.name) == getattr(expected, f.name), f.name
+    return "restricted"
+
+
+def slice_of(doc):
+    """The coordinate inclusion of the slice {leaf coordinates = 0} of a
+    document's adapted split, middle then transverse."""
+    idx = {name: i for i, name in enumerate(doc.chart.names)}
+    kept = tuple(idx[name] for name in doc.adapted_split[1] + doc.adapted_split[2])
+    m = doc.chart.dim
+    incl = LinearMap.from_rows([[int(i == j) for j in kept] for i in range(m)])
+    sub = Chart(tuple(doc.chart.names[i] for i in kept))
+    return SubmanifoldData(doc.chart, sub, (0,) * m, incl)
+
+
+def beta_twisted(rng, m):
+    """A random_isotropic pair as constant frames, moved by (X, a) -> (X + beta a, a)
+    for a bivector beta with random linear coefficients.  The move preserves g,
+    so the frames stay a structure, while E's meeting with a submanifold's
+    tangents changes from point to point."""
+    chart = Chart(tuple(f"x{i + 1}" for i in range(m)))
+    beta = [[chart.zero()] * m for _ in range(m)]
+    for i in range(m):
+        for j in range(i + 1, m):
+            entry = chart.constant(rng.randint(-1, 1))
+            for t in range(m):
+                entry = entry + chart.coordinate(t) * rng.randint(-1, 1)
+            beta[i][j], beta[j][i] = entry, -entry
+    data = random_isotropic(rng, m)
+
+    def moved(rows):
+        return [
+            tuple(row[i] + sum((beta[i][j] * row[m + j] for j in range(m)), chart.zero()) for i in range(m))
+            + tuple(row[m:])
+            for row in rows
+        ]
+
+    return structure_from_components(chart, moved(data.E.basis), moved(data.E_prime.basis))
+
+
+def random_affine_submanifold(rng, chart):
+    for _ in range(20):
+        eqs = []
+        for _ in range(rng.randint(1, chart.dim - 1)):
+            eq = chart.constant(rng.randint(-2, 2))
+            for t in range(chart.dim):
+                eq = eq + chart.coordinate(t) * rng.randint(-2, 2)
+            eqs.append(eq)
+        try:
+            return SubmanifoldData.from_equations(chart, eqs)
+        except ReductionError:
+            continue
+    raise AssertionError("no affine submanifold drawn")
+
+
+class TestRestrictAgainstReference:
+    """restrict reads each bundle's equations from its partner's basis and
+    the window dimensions from the pullback kernel's row count; the
+    reference intersects and solves from each bundle's own equations."""
+
+    @pytest.mark.parametrize(
+        "name", ["example_reduction", "example_foliated_hamiltonian", "example_foliated_presymplectic"]
+    )
+    def test_reduction_fixtures(self, name):
+        doc = parse_document(fixture_text(name))
+        s = BigIsotropicStructure.build(doc.chart, doc.e_sections, doc.e_prime_sections)
+        N = SubmanifoldData.from_equations(doc.chart, list(doc.submanifold_equations))
+        assert same_restriction(s, N) == "restricted"
+
+    @pytest.mark.parametrize("name", ["example_r3", "example_r5", "example_r5_tilde"])
+    def test_transversal_slices(self, name):
+        doc = parse_document(fixture_text(name))
+        s = BigIsotropicStructure.build(doc.chart, doc.e_sections, doc.e_prime_sections)
+        N = slice_of(doc)
+        assert same_restriction(s, N, grid=default_grid(N.sub.dim, cap=12)) == "restricted"
+
+    @pytest.mark.parametrize(
+        "text, outcome",
+        [
+            # E = span((1 - y) d_x + y d_y) meets the slice {x = 0} plus covectors only at y = 1
+            (
+                "chart x y\nE:\n  (1 - y, y | 0, 0)\n"
+                "E_prime:\n  (1, 0 | 0, 0)\n  (0, 1 | 0, 0)\n  (0, 0 | y, y - 1)\nadapted: x | y |\n",
+                "properness fails for E",
+            ),
+            # E' = span((-y, 1 | 0, 0), dx, dy) keeps d_y over {x = 0} only at y = 0
+            (
+                "chart x y\nE:\n  (0, 0 | 1, y)\n"
+                "E_prime:\n  (-y, 1 | 0, 0)\n  (0, 0 | 1, 0)\n  (0, 0 | 0, 1)\nadapted: x | y |\n",
+                "properness fails for E'",
+            ),
+        ],
+    )
+    def test_window_jumps(self, text, outcome):
+        doc = parse_document(text)
+        s = BigIsotropicStructure.build(doc.chart, doc.e_sections, doc.e_prime_sections)
+        assert same_restriction(s, slice_of(doc)) == outcome
+
+    def test_seeded_affine_submanifolds(self):
+        rng = random.Random(43)
+        outcomes = set()
+        for _ in range(40):
+            s = beta_twisted(rng, rng.randint(2, 4))
+            outcomes.add(same_restriction(s, random_affine_submanifold(rng, s.chart)))
+        assert outcomes == {"restricted", "properness fails for E", "properness fails for E'"}
 
 
 class TestReducibility:

@@ -31,6 +31,7 @@ from bigiso.structures import (
     BigIsotropicStructure,
     _axiom_test_functions,
     StructureError,
+    Verdict,
     check_P_conditions,
     check_integrability,
     check_module_property,
@@ -597,26 +598,40 @@ class TestModuleProperty:
         assert len(calls) == s.k * (s.k - 1) // 2
 
 
+def test_describe_renders_each_failure_as_message_and_detail():
+    verdict = check_module_property(non_poisson_mixed_graph_P_structure())
+    assert verdict.failures and all(detail is not None for _, detail in verdict.failures)
+    lines = [f"  - {message}: {detail}" for message, detail in verdict.failures]
+    assert verdict.describe() == "\n".join(["module property: FAIL"] + lines)
+    assert Verdict("check", False, (("no detail", None),)).describe() == "check: FAIL\n  - no detail"
+
+
 class TestPartialsOncePerCheck:
     """Each frame section's partials are taken once per structure, when its
     table of frame brackets is built: 2m^2 derivatives per section (2m
     entries, m variables), so 2km^2 for the first check, whatever the
     number of brackets.  The module property of a validated integrable
-    structure is decided by the same table, so it takes none."""
+    structure is decided by the same table, so it takes none; on a
+    non-integrable one it takes only the 2(2m - k)m^2 of the E' sections."""
 
-    @pytest.mark.parametrize("which", ["example_r5", "mixed graph(P)"])
+    @pytest.mark.parametrize("which", ["example_r5", "mixed graph(P)", "non-Poisson mixed graph(P)"])
     def test_derivative_counts(self, which, r5_structure, derivative_calls):
-        given = r5_structure if which == "example_r5" else mixed_graph_P_structure()
+        given = {
+            "example_r5": lambda: r5_structure,
+            "mixed graph(P)": mixed_graph_P_structure,
+            "non-Poisson mixed graph(P)": non_poisson_mixed_graph_P_structure,
+        }[which]()
         # a fresh structure: the session fixture may already hold its table
         s = BigIsotropicStructure.build(given.chart, given.e_frame, given.e_prime_frame)
         m, k = s.m, s.k
-        assert (m, k) == ((5, 3) if which == "example_r5" else (5, 5))
+        assert (m, k) == {"example_r5": (5, 3), "mixed graph(P)": (5, 5)}.get(which, (4, 4))
+        integrable = which != "non-Poisson mixed graph(P)"
         derivative_calls.clear()
-        assert check_integrability(s).ok
+        assert check_integrability(s).ok == integrable
         assert len(derivative_calls) == 2 * k * m * m
         derivative_calls.clear()
-        assert check_module_property(s).ok
-        assert derivative_calls == []
+        assert check_module_property(s).ok == integrable
+        assert len(derivative_calls) == (0 if integrable else 2 * (2 * m - k) * m * m)
 
 
 @pytest.mark.parametrize("make", [mixed_graph_P_structure, non_poisson_mixed_graph_P_structure])
