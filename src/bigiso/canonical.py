@@ -448,19 +448,16 @@ def coupling_equivalences(cf: CanonicalFrame, grid=None) -> Verdict:
 def _splitting_holds(cf, pt, data, h_pt, t_fol, ann_fol) -> bool:
     """E = [E n (TF (+) ann H)] (+) [E n (H (+) ann TF)] at the point, where
     data is the structure there, with the two pieces spanned by the Xi and X
-    sections respectively.  The sum is direct without a dimension count: the
-    pieces equal spans of r X rows and p Xi rows and sum to E of dimension
-    r + p, so their dimensions are r and p (Grassmann)."""
+    sections respectively.  Nothing else needs checking: det_e is nonzero on
+    the validity locus, so the r X and p Xi rows (adj(F_J) F over det_e) span
+    E, of dimension r + p; pieces equal to their spans sum to E, directly
+    (Grassmann), and a test of that sum is a conjunct no input can falsify."""
     m = cf.adapted.chart.dim
     x_vals = SubbundleField(2 * m, cf.x_rows).at(pt)
     xi_vals = SubbundleField(2 * m, cf.xi_rows).at(pt)
     piece_fol = data.E.intersect(window(m, t_fol.basis, h_pt.annihilator().basis))
     piece_h = data.E.intersect(window(m, h_pt.basis, ann_fol.basis))
-    return (
-        piece_fol == xi_vals
-        and piece_h == x_vals
-        and piece_fol.sum(piece_h) == data.E
-    )
+    return piece_fol == xi_vals and piece_h == x_vals
 
 
 def leaf_pullback(cf: CanonicalFrame) -> Matrix:

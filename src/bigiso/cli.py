@@ -91,7 +91,11 @@ def _grid_for(doc: StructureDocument, args):
         lo, hi, cap = doc.grid_range
     else:
         return None
-    values = tuple(Fraction(v) for v in range(lo, hi + 1))
+    # A value with cap in-range values of smaller magnitude is in none of the
+    # first cap points (swapping any of those in gives an earlier point), so
+    # only c, the value of least magnitude, and cap values each side are walked.
+    c = min(max(0, lo), hi)
+    values = tuple(Fraction(v) for v in range(max(lo, c - cap), min(hi, c + cap) + 1))
     return default_grid(doc.chart.dim, cap=cap, values=values)
 
 

@@ -256,11 +256,6 @@ def kernel(m: Matrix) -> "Subspace":
     return Subspace(m.cols, m.kernel_rows())
 
 
-def image(m: Matrix) -> "Subspace":
-    """Column space of m, as a subspace of Q^rows."""
-    return Subspace(m.rows, [m.column(j) for j in range(m.cols)])
-
-
 class Subspace:
     """A linear subspace of Q^d held as an RREF basis matrix.
 
@@ -276,8 +271,14 @@ class Subspace:
             if len(row) != ambient_dim:
                 raise ValueError("vector length does not match ambient dimension")
         red, _, rank = Matrix(rows, ambient_dim).rref()
+        self._hold(ambient_dim, red.entries[:rank])
+
+    def _hold(self, ambient_dim: int, basis) -> "Subspace":
+        """Sets the fields from rows already an RREF basis of Fractions;
+        results built from such rows call it on Subspace.__new__(Subspace)."""
         object.__setattr__(self, "ambient_dim", ambient_dim)
-        object.__setattr__(self, "basis", tuple(red.entries[:rank]))
+        object.__setattr__(self, "basis", tuple(basis))
+        return self
 
     def __setattr__(self, *_):
         raise AttributeError("Subspace is immutable")
@@ -322,11 +323,12 @@ class Subspace:
     def intersect(self, other: "Subspace") -> "Subspace":
         """Zassenhaus: the RREF of the rows (a, a), a in self, and (b, 0), b in
         other, spans {(a + b, a)}; its rows pivoting in the right half are the
-        (0, a) with a = -b, whose right halves span self n other."""
+        (0, a) with a = -b, whose right halves span self n other.  Those rows
+        of an RREF have zero left halves, so their right halves are an RREF."""
         self._check_ambient(other)
         d, zeros = self.ambient_dim, (_ZERO,) * self.ambient_dim
         red, pivots, _ = Matrix([a + a for a in self.basis] + [b + zeros for b in other.basis], 2 * d).rref()
-        return Subspace(d, [row[d:] for row, p in zip(red.entries, pivots) if p >= d])
+        return Subspace.__new__(Subspace)._hold(d, [row[d:] for row, p in zip(red.entries, pivots) if p >= d])
 
     def complement_in(self, outer: "Subspace") -> "Subspace":
         """A deterministic direct complement: inner (+) result = outer.
@@ -334,13 +336,14 @@ class Subspace:
         Picks each outer basis row (in RREF order) that extends the inner
         basis and the rows before it: the pivot columns of [inner; outer]
         transposed, of which the (independent) inner columns are the first.
+        Rows of an RREF taken in order are an RREF themselves.
         """
         self._check_ambient(outer)
         if not outer.contains_subspace(self):
             raise ValueError("inner subspace is not contained in the outer one")
         stack = Matrix(self.basis + outer.basis, self.ambient_dim).transpose()
         chosen = [outer.basis[c - self.dim] for c in stack.pivot_columns() if c >= self.dim]
-        return Subspace(self.ambient_dim, chosen)
+        return Subspace.__new__(Subspace)._hold(self.ambient_dim, chosen)
 
     def annihilator(self) -> "Subspace":
         """Covectors (same coordinates) vanishing on self."""

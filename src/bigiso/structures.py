@@ -48,7 +48,7 @@ from .calculus import (
 from .grid import default_grid
 from .linalg import Matrix, Subspace
 from .membership import in_span, span_test  # noqa: F401  (bench/tracing.py wraps in_span here)
-from .pointwise import IsotropicData, orthogonal_g
+from .pointwise import IsotropicData, _pairing_row
 from .scalars import Polynomial, as_fraction, eval_rows
 
 
@@ -174,14 +174,16 @@ class BigIsotropicStructure:
             yield e_rows, ep_rows
 
     def evaluate_at(self, point) -> IsotropicData:
-        """Evaluate both frames at a chart point; errors on rank drops."""
+        """Evaluate both frames at a chart point; errors on rank drops.
+
+        With ranks k and 2m - k, E'(x) has the dimension of the g-orthogonal
+        of E(x) (g is nondegenerate), so it is that orthogonal exactly when
+        every E row pairs to zero with every E' row."""
         point = tuple(as_fraction(c) for c in point)
         ((e_rows, ep_rows),) = self._rows_at([point])
-        E = Subspace(2 * self.m, e_rows)
-        Ep = Subspace(2 * self.m, ep_rows)
-        if orthogonal_g(E) != Ep:
+        if any(_pairing_row(e, ep) for e in e_rows for ep in ep_rows):
             raise StructureError(f"E' frame does not span the g-orthogonal of E at {point}")
-        return IsotropicData(self.m, E, Ep)
+        return IsotropicData(self.m, Subspace(2 * self.m, e_rows), Subspace(2 * self.m, ep_rows))
 
     def frame_rows(self) -> list:
         return [sec.as_poly_row() for sec in self.e_frame]

@@ -5,7 +5,7 @@ from math import gcd, lcm
 
 import pytest
 
-from bigiso.linalg import Matrix, Subspace, combine, complement_in, image, kernel
+from bigiso.linalg import Matrix, Subspace, combine, complement_in, kernel
 from bigiso.pointwise import random_subspace
 
 
@@ -90,11 +90,6 @@ def test_combine():
         coeffs = [Fraction(rng.randint(-4, 4), rng.randint(1, 3)) for _ in range(mat.rows)]
         expected = mat.transpose().apply(coeffs) if mat.rows else tuple(F(0, 0, 0))
         assert combine(coeffs, mat.entries, 3) == expected
-
-
-def test_image():
-    img = image(Matrix([F(1, 2), F(2, 4)]))
-    assert img.basis == ((Fraction(1), Fraction(2)),)
 
 
 def test_det_and_inverse():
@@ -635,6 +630,29 @@ class TestIntersectAgainstEquations:
             assert got.dim == a.dim + b.dim - a.sum(b).dim
             shapes.add((got.dim == 0, got.dim in (a.dim, b.dim), d == 0))
         assert {(True, False, False), (False, True, False), (False, False, False), (True, True, True)} <= shapes
+
+    def test_one_elimination_per_intersection(self, monkeypatch):
+        # the Zassenhaus rows pivoting in the right half already hold the
+        # RREF basis, and a complement keeps rows of outer's RREF in order
+        calls = []
+        original = Matrix.rref
+
+        def counted(self):
+            calls.append(self)
+            return original(self)
+
+        monkeypatch.setattr(Matrix, "rref", counted)
+        rng = random.Random(41)
+        for _ in range(100):
+            d = rng.randint(0, 6)
+            a, b = random_subspace_pair(rng, d)
+            calls.clear()
+            a.intersect(b)
+            assert len(calls) == 1
+            outer = a.sum(b)
+            calls.clear()
+            complement_in(a, outer)
+            assert calls == []
 
     def test_intersect_edge_cases(self):
         for d in range(4):

@@ -557,6 +557,36 @@ class TestCli:
         code, _ = self.run("integrability", "--fixture", "example_r3", "--grid=0..0:1")
         assert code == 0
 
+    def test_grid_walks_only_the_values_its_cap_reaches(self, monkeypatch):
+        # oracle: the walk of every value in the range; the CLI walks at most
+        # the value of least magnitude and cap values each side of it
+        import argparse
+        from types import SimpleNamespace
+
+        import bigiso.cli
+        from bigiso.grid import default_grid
+
+        walked = []
+
+        def recording(m, cap, values):
+            walked.append(len(values))
+            return default_grid(m, cap=cap, values=values)
+
+        monkeypatch.setattr(bigiso.cli, "default_grid", recording)
+        rng = random.Random(43)
+        for _ in range(200):
+            lo = rng.randint(-40, 40)
+            hi, cap, m = lo + rng.randint(0, 60), rng.randint(1, 30), rng.randint(0, 3)
+            doc = SimpleNamespace(chart=Chart(tuple(f"x{i}" for i in range(m))), grid_range=None)
+            got = bigiso.cli._grid_for(doc, argparse.Namespace(grid=f"{lo}..{hi}:{cap}"))
+            values = tuple(Fraction(v) for v in range(lo, hi + 1))
+            assert got == default_grid(m, cap=cap, values=values), (lo, hi, cap, m)
+            assert walked[-1] <= min(hi - lo + 1, 2 * cap + 1), (lo, hi, cap, m)
+        walked.clear()
+        wide = self.run("validate", "--fixture", "example_r3", "--grid=-300000..300000:1")
+        assert walked == [3]
+        assert wide == self.run("validate", "--fixture", "example_r3", "--grid=-1..1:1")
+
     def test_leaf_pullback_error_is_a_failed_check(self, monkeypatch):
         import bigiso.cli
         from bigiso.canonical import NormalizationError

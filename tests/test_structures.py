@@ -275,6 +275,27 @@ class TestEvaluateAt:
             data = s.evaluate_at(pt)
             assert data == IsotropicData.from_E(data.E), (name, pt)
 
+    def test_takes_no_orthogonal_kernel(self, monkeypatch):
+        # ranks k and 2m - k let the pairings of the rows decide E' = orth E
+        from bigiso import pointwise
+
+        calls = []
+        original = pointwise.orthogonal_g
+
+        def counted(space):
+            calls.append(space)
+            return original(space)
+
+        for module_name, module in list(sys.modules.items()):
+            if module_name.startswith("bigiso") and getattr(module, "orthogonal_g", None) is original:
+                monkeypatch.setattr(module, "orthogonal_g", counted)
+        for name in fixtures.list_fixtures():
+            doc = parse_document(fixtures.fixture_text(name))
+            s = BigIsotropicStructure.build(doc.chart, doc.e_sections, doc.e_prime_sections)
+            for pt in default_grid(s.m):
+                s.evaluate_at(pt)
+        assert calls == []
+
     def test_rank_drop_raises_without_validation(self):
         chart = Chart(("x", "y"))
         x = chart.coordinate("x")

@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from bigiso.linalg import Matrix, Subspace, image, kernel
+from bigiso.linalg import Matrix, Subspace, kernel
 from bigiso.pointwise import GeometryError, orthogonal_g, random_isotropic, random_subspace, swap_halves
 from bigiso.transport import (
     LinearMap,
@@ -276,11 +276,13 @@ def ref_e_cap_ker_push(L, E):
 
 
 def ref_space_S(L, E):
-    return E.intersect(ref_window(L.m, image(L.matrix).basis, Matrix.identity(L.m).entries))
+    # the tangents span the column space of L
+    return E.intersect(ref_window(L.m, L.matrix.transpose().entries, Matrix.identity(L.m).entries))
 
 
 def ref_space_sigma(L, E):
-    return E.intersect(ref_window(L.n, Matrix.identity(L.n).entries, image(L.matrix.transpose()).basis))
+    # the covectors span the column space of L^T
+    return E.intersect(ref_window(L.n, Matrix.identity(L.n).entries, L.matrix.entries))
 
 
 def ref_predict_pullback_dim(L, E, E_prime):
