@@ -367,13 +367,20 @@ def main(argv=None) -> int:
     except (ParseError, OSError) as exc:
         report.add_error(str(exc))
         exit_code = EXIT_INPUT_ERROR
+    except UnicodeDecodeError as exc:
+        report.add_error(f"{args.document}: not UTF-8 text ({exc.reason} at byte {exc.start})")
+        exit_code = EXIT_INPUT_ERROR
     except Exception as exc:  # the exit-code contract holds on every input
         report.add_error(f"internal error: {type(exc).__name__}: {exc}")
         exit_code = EXIT_INTERNAL_ERROR
     text = report.to_json()
     if args.output:
-        with open(args.output, "w", encoding="utf-8") as fh:
-            fh.write(text + "\n")
+        try:
+            with open(args.output, "w", encoding="utf-8") as fh:
+                fh.write(text + "\n")
+        except OSError as exc:
+            print(f"bigiso: cannot write --output {args.output}: {exc.strerror}", file=sys.stderr)
+            return EXIT_INPUT_ERROR
     else:
         print(text)
     return exit_code

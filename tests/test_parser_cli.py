@@ -414,6 +414,22 @@ class TestCli:
         assert code == 0
         assert json.loads(target.read_text())["summary"]["ok"] is True
 
+    def test_unwritable_output_is_an_input_error(self, tmp_path, capsys):
+        target = tmp_path / "missing" / "out.json"
+        code, out = self.run("validate", "--fixture", "example_r3", "--output", str(target))
+        assert (code, out) == (2, "")
+        [line] = capsys.readouterr().err.splitlines()
+        assert str(target) in line and "Traceback" not in line
+        assert not target.parent.exists()
+
+    def test_document_not_utf8_is_an_input_error(self, tmp_path):
+        bad = tmp_path / "latin.bis"
+        bad.write_bytes(b"\xff\xfe")
+        code, out = self.run("validate", str(bad))
+        assert code == 2
+        [error] = json.loads(out)["errors"]
+        assert str(bad) in error and "UTF-8" in error and "internal error" not in error
+
     def test_validate_hamiltonian_pairs(self):
         code, out = self.run("validate", "--fixture", "example_symplectic")
         assert code == 0
