@@ -28,8 +28,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import sub
 
 from .calculus import BigSection, Chart, PolyOneForm, PolyVectorField
+from .grid import format_point
 from .linalg import Matrix, Subspace, combine, complement_in, fraction_free
 from .pointwise import IsotropicData, characteristic_triple, covector_lift, is_graph_type, window
 from .reduction import SubmanifoldData, restrict
@@ -118,6 +120,19 @@ def seed_basis(data: IsotropicData) -> SeedBasis:
     return SeedBasis(X0, xi0, Y0, eta0, kappa0, nu0, Z0)
 
 
+@dataclass(frozen=True)
+class FrameValues:
+    """A canonical frame at one point: rows of Fractions of length 2m, and
+    alpha' as read from the frame's stored grid."""
+
+    m: int
+    x: tuple
+    xi: tuple
+    y: tuple
+    theta: tuple
+    alpha_prime: tuple
+
+
 @dataclass(frozen=True, eq=False)
 class CanonicalFrame:
     """The coefficient record of a canonical local frame.
@@ -168,6 +183,13 @@ class CanonicalFrame:
             return self.det_e.eval(point) != 0 and self.det_eprime.eval(point) != 0
         except ZeroDivisionError:
             return False
+
+    def at(self, point) -> FrameValues:
+        """The X, Xi, Y and Theta rows and the alpha' grid at a point of the
+        validity locus, each entry evaluated once."""
+        grids = (self.x_rows, self.xi_rows, self.y_rows, self.theta_rows, self.alpha_prime)
+        values = (tuple(tuple(entry.eval(point) for entry in row) for row in rows) for rows in grids)
+        return FrameValues(self.adapted.chart.dim, *values)
 
 
 def _identity_on(rows, columns, names, singular: str):
@@ -255,26 +277,12 @@ def _leaf_conditions_hold(adapted, x_rows, xi_rows, y_rows, theta_rows) -> bool:
     seed values (identity/zero pattern); fails when the chart split does not
     actually match the structure's characteristic distributions on the leaf."""
     on_leaf = adapted.leaf_assignment()
-
-    def vanishes(rows, columns):
-        for row in rows:
-            for c in columns:
-                try:
-                    if not row[c].set_vars(on_leaf).is_zero():
-                        return False
-                except ZeroDivisionError:
-                    return False
-        return True
-
-    middle, transverse = adapted.middle, adapted.transverse
-    return (
-        vanishes(x_rows, middle)
-        and vanishes(x_rows, transverse)
-        and vanishes(xi_rows, middle)
-        and vanishes(xi_rows, transverse)
-        and vanishes(y_rows, transverse)
-        and vanishes(theta_rows, transverse)
-    )
+    off_leaf, transverse = adapted.middle + adapted.transverse, adapted.transverse
+    blocks = ((x_rows, off_leaf), (xi_rows, off_leaf), (y_rows, transverse), (theta_rows, transverse))
+    try:
+        return all(row[c].set_vars(on_leaf).is_zero() for rows, columns in blocks for row in rows for c in columns)
+    except ZeroDivisionError:
+        return False
 
 
 def check_orthogonality_relations(cf: CanonicalFrame) -> Verdict:
@@ -331,58 +339,28 @@ def is_locally_decomposable(cf: CanonicalFrame) -> bool:
     return all(entry.is_zero() for row in cf.alpha_prime for entry in row)
 
 
-@dataclass(frozen=True)
-class SubbundleField:
-    """A field of subspaces described by generators with rational-function
-    coefficients (and optional linear constraints on the combinations)."""
-
-    ambient_dim: int
-    generators: tuple  # rows of RationalFunction, length ambient_dim
-    constraints: tuple = ()  # rows over the generator index
-
-    def at(self, point) -> Subspace:
-        gen_vals = [tuple(entry.eval(point) for entry in row) for row in self.generators]
-        if not self.constraints:
-            return Subspace(self.ambient_dim, gen_vals)
-        cons = Matrix([[entry.eval(point) for entry in row] for row in self.constraints])
-        rows = [combine(combo, gen_vals, self.ambient_dim) for combo in cons.kernel_rows()]
-        return Subspace(self.ambient_dim, rows)
-
-
-def pseudo_normal(cf: CanonicalFrame) -> SubbundleField:
+def pseudo_normal(v: FrameValues) -> Subspace:
     """Tangent vectors reachable inside E over leaf-conormal covectors:
     combinations of the leaf sections' tangent parts whose alpha' pairing
     vanishes."""
-    m = cf.adapted.chart.dim
-    gens = tuple(tuple(row[:m]) for row in cf.x_rows)
-    constraints = tuple(
-        tuple(cf.alpha_prime[a][h] for a in range(cf.r)) for h in range(cf.mk)
-    )
-    return SubbundleField(m, gens, constraints)
+    tangents = [x[: v.m] for x in v.x]
+    combos = Matrix(v.alpha_prime, len(v.theta)).transpose().kernel_rows()
+    return Subspace(v.m, [combine(c, tangents, v.m) for c in combos])
 
 
-def pseudo_normal_prime(cf: CanonicalFrame) -> SubbundleField:
-    """Same construction inside E' (no constraints; bigger family)."""
-    m = cf.adapted.chart.dim
-    gens = []
-    for a in range(cf.r):
-        row = list(cf.x_rows[a][:m])
-        for q in range(cf.mk):
-            for entry_idx in range(m):
-                row[entry_idx] = row[entry_idx] - cf.alpha_prime[a][q] * cf.theta_rows[q][entry_idx]
-        gens.append(tuple(row))
-    gens += [tuple(row[:m]) for row in cf.y_rows]
-    return SubbundleField(m, tuple(gens))
+def pseudo_normal_prime(v: FrameValues) -> Subspace:
+    """Same construction inside E' (no constraints; bigger family): the leaf
+    sections' tangent parts less alpha' times the Theta tangent parts, and
+    the Y tangent parts."""
+    m = v.m
+    rows = [tuple(map(sub, x, combine(a, v.theta, m))) for x, a in zip(v.x, v.alpha_prime)]
+    return Subspace(m, rows + [y[:m] for y in v.y])
 
 
-def pseudo_conormal(cf: CanonicalFrame) -> SubbundleField:
+def pseudo_conormal(v: FrameValues) -> Subspace:
     """Covectors carried by leaf-tangent vectors inside E': spanned by the
     covector parts of the Xi, Y and Theta sections."""
-    m = cf.adapted.chart.dim
-    gens = [tuple(row[m:]) for row in cf.xi_rows]
-    gens += [tuple(row[m:]) for row in cf.y_rows]
-    gens += [tuple(row[m:]) for row in cf.theta_rows]
-    return SubbundleField(m, tuple(gens))
+    return Subspace(v.m, [row[v.m :] for row in v.xi + v.y + v.theta])
 
 
 def coupling_equivalences(cf: CanonicalFrame, grid=None) -> Verdict:
@@ -390,6 +368,9 @@ def coupling_equivalences(cf: CanonicalFrame, grid=None) -> Verdict:
     agree everywhere on the sampled validity locus; on decomposable frames
     the two-piece splitting of E is verified as well.
 
+    Everything is read from one evaluation of the canonical frame per point:
+    on the validity locus the X and Xi rows span E, and with the Y and Theta
+    rows, independent of them by the identity blocks, they span E'.
     By dim(A n B) = dim A + dim B - dim(A + B), H (+) TF = TM iff dim H = r
     and dim(H + TF) = m, and C (+) ann TF = T*M iff dim C + r = m and
     dim(C + ann TF) = m.  For Y in H' n TF (tangent parts of E' sections, so
@@ -401,9 +382,6 @@ def coupling_equivalences(cf: CanonicalFrame, grid=None) -> Verdict:
     decomposable = is_locally_decomposable(cf)
     failures = []
     grid = grid if grid is not None else default_grid(m)
-    h_field = pseudo_normal(cf)
-    h_prime_field = pseudo_normal_prime(cf)
-    conormal = pseudo_conormal(cf)
 
     t_fol = Subspace(m, [[1 if j == i else 0 for j in range(m)] for i in adapted.middle + adapted.transverse])
     ann_fol = Subspace(m, [[1 if j == i else 0 for j in range(m)] for i in adapted.leaf])
@@ -413,51 +391,40 @@ def coupling_equivalences(cf: CanonicalFrame, grid=None) -> Verdict:
         if not cf.denominators_nonzero_at(pt):
             continue
         used += 1
-        alpha_prime_zero = all(
-            entry.eval(pt) == 0 for row in cf.alpha_prime for entry in row
-        )
-        h_pt = h_field.at(pt)
+        v = cf.at(pt)
+        alpha_prime_zero = all(entry == 0 for row in v.alpha_prime for entry in row)
+        h_pt = pseudo_normal(v)
         # dim H = r is implied: H has r generators and dim TF = m - r
         cond_normal = h_pt.sum(t_fol).dim == m
-        con_pt = conormal.at(pt)
+        con_pt = pseudo_conormal(v)
         cond_conormal = con_pt.dim + cf.r == m and con_pt.sum(ann_fol).dim == m
         # middle tangents must pair trivially under the induced form
-        data = cf.structure.evaluate_at(pt)
-        hp_cap_t = h_prime_field.at(pt).intersect(t_fol)
-        cond_flat = data.E_prime.contains_subspace(window(m, hp_cap_t.basis, ()))
-        agree = cond_normal == cond_conormal == cond_flat == alpha_prime_zero
-        if not agree:
-            failures.append(
-                (
-                    f"equivalences diverge at {pt}",
-                    (cond_normal, cond_conormal, cond_flat, alpha_prime_zero),
-                )
-            )
-        if decomposable and not _splitting_holds(cf, pt, data, h_pt, t_fol, ann_fol):
-            failures.append((f"decomposition of E fails at {pt}", None))
+        e_prime = Subspace(2 * m, v.x + v.xi + v.y + v.theta)
+        hp_cap_t = pseudo_normal_prime(v).intersect(t_fol)
+        cond_flat = e_prime.contains_subspace(window(m, hp_cap_t.basis, ()))
+        if not cond_normal == cond_conormal == cond_flat == alpha_prime_zero:
+            conditions = (cond_normal, cond_conormal, cond_flat, alpha_prime_zero)
+            failures.append((f"equivalences diverge at {format_point(pt)}", conditions))
+        if decomposable and not _splitting_holds(v, h_pt, t_fol, ann_fol):
+            failures.append((f"decomposition of E fails at {format_point(pt)}", None))
     if not used:
         failures.append((_empty_sample(cf, len(grid)), None))
-    return Verdict(
-        "coupling equivalences",
-        not failures,
-        tuple(failures),
-        note="decomposable" if decomposable else "not decomposable",
-    )
+    note = "decomposable" if decomposable else "not decomposable"
+    return Verdict("coupling equivalences", not failures, tuple(failures), note=note)
 
 
-def _splitting_holds(cf, pt, data, h_pt, t_fol, ann_fol) -> bool:
-    """E = [E n (TF (+) ann H)] (+) [E n (H (+) ann TF)] at the point, where
-    data is the structure there, with the two pieces spanned by the Xi and X
-    sections respectively.  Nothing else needs checking: det_e is nonzero on
-    the validity locus, so the r X and p Xi rows (adj(F_J) F over det_e) span
-    E, of dimension r + p; pieces equal to their spans sum to E, directly
-    (Grassmann), and a test of that sum is a conjunct no input can falsify."""
-    m = cf.adapted.chart.dim
-    x_vals = SubbundleField(2 * m, cf.x_rows).at(pt)
-    xi_vals = SubbundleField(2 * m, cf.xi_rows).at(pt)
-    piece_fol = data.E.intersect(window(m, t_fol.basis, h_pt.annihilator().basis))
-    piece_h = data.E.intersect(window(m, h_pt.basis, ann_fol.basis))
-    return piece_fol == xi_vals and piece_h == x_vals
+def _splitting_holds(v: FrameValues, h_pt, t_fol, ann_fol) -> bool:
+    """E = [E n (TF (+) ann H)] (+) [E n (H (+) ann TF)] at the point, with
+    the two pieces spanned by the Xi and X sections respectively.  Nothing
+    else needs checking: det_e is nonzero on the validity locus, so the r X
+    and p Xi rows (adj(F_J) F over det_e) span E, of dimension r + p; pieces
+    equal to their spans sum to E, directly (Grassmann), and a test of that
+    sum is a conjunct no input can falsify."""
+    m = v.m
+    e = Subspace(2 * m, v.x + v.xi)
+    piece_fol = e.intersect(window(m, t_fol.basis, h_pt.annihilator().basis))
+    piece_h = e.intersect(window(m, h_pt.basis, ann_fol.basis))
+    return piece_fol == Subspace(2 * m, v.xi) and piece_h == Subspace(2 * m, v.x)
 
 
 def leaf_pullback(cf: CanonicalFrame) -> Matrix:
@@ -562,9 +529,9 @@ def transversal_structure(
         used += 1
         got = structure.evaluate_at(pt)
         if expected != got.E:
-            raise NormalizationError(f"transversal frame disagrees with the pullback at {pt}")
+            raise NormalizationError(f"transversal frame disagrees with the pullback at {format_point(pt)}")
         if not is_graph_type(got):
-            raise NormalizationError(f"transversal structure is not of graph type at {pt}")
+            raise NormalizationError(f"transversal structure is not of graph type at {format_point(pt)}")
     if not used:
         raise NormalizationError(_empty_sample(cf, len(sub_grid)))
     return structure

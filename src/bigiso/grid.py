@@ -59,3 +59,8 @@ def default_grid(m: int, cap: int = 24, values=GRID_VALUES) -> tuple:
     """The first cap points of grid_walk(m, values); a cap past sys.maxsize,
     more points than any walk yields, means every point."""
     return tuple(islice(grid_walk(m, values), min(cap, sys.maxsize)))
+
+
+def format_point(point) -> str:
+    """A point as failure messages print it, e.g. (0, 1/2)."""
+    return "(" + ", ".join(str(Fraction(c)) for c in point) + ")"

@@ -196,12 +196,11 @@ class StructureDocument:
         return [_parse_section(chart, text, ln) for text, ln in lines]
 
 
-def _split_top_level(text: str, line_no: int, col_offset: int, separators=(",", "|")):
+def _split_top_level(text: str, line_no: int, col_offset: int, separators):
     parts = []
     depth = 0
     current = []
     start_col = col_offset
-    found = []
     for i, ch in enumerate(text):
         if ch == "(":
             depth += 1
@@ -211,7 +210,6 @@ def _split_top_level(text: str, line_no: int, col_offset: int, separators=(",", 
                 raise ParseError("unbalanced ')'", line_no, col_offset + i + 1)
         if depth == 0 and ch in separators:
             parts.append(("".join(current), start_col))
-            found.append(ch)
             current = []
             start_col = col_offset + i + 1
             continue
@@ -219,7 +217,7 @@ def _split_top_level(text: str, line_no: int, col_offset: int, separators=(",", 
     if depth != 0:
         raise ParseError("unbalanced '('", line_no, col_offset + len(text))
     parts.append(("".join(current), start_col))
-    return parts, found
+    return parts
 
 
 def _parse_section(chart: Chart, text: str, line_no: int) -> BigSection:
@@ -228,12 +226,12 @@ def _parse_section(chart: Chart, text: str, line_no: int) -> BigSection:
         raise ParseError("section must be parenthesized: (vf comps | form comps)", line_no, 1)
     inner = stripped[1:-1]
     offset = text.index("(") + 1
-    halves, seps = _split_top_level(inner, line_no, offset, separators=("|",))
+    halves = _split_top_level(inner, line_no, offset, separators=("|",))
     if len(halves) != 2:
         raise ParseError("section needs exactly one '|' separating vf and form parts", line_no, offset)
     comps = []
     for half_text, half_col in halves:
-        items, _ = _split_top_level(half_text, line_no, half_col, separators=(",",))
+        items = _split_top_level(half_text, line_no, half_col, separators=(",",))
         exprs = [parse_expression(chart, item, line_no, col) for item, col in items]
         if len(exprs) != chart.dim:
             raise ParseError(
@@ -295,7 +293,7 @@ def parse_document(text: str) -> StructureDocument:
             if adapted is not None:
                 raise ParseError("duplicate adapted line", ln, 1)
             body = stripped[len("adapted:") :]
-            parts, _ = _split_top_level(body, ln, len("adapted:") + 1, separators=("|",))
+            parts = _split_top_level(body, ln, len("adapted:") + 1, separators=("|",))
             if len(parts) != 3:
                 raise ParseError("adapted needs leaf | middle | transverse name groups", ln, 1)
             adapted = tuple(tuple(p.split()) for p, _ in parts)
@@ -336,7 +334,7 @@ def parse_document(text: str) -> StructureDocument:
     if submanifold_lines:
         eqs = []
         for body, ln in submanifold_lines:
-            for piece, col in _split_top_level(body, ln, 1, separators=(";",))[0]:
+            for piece, col in _split_top_level(body, ln, 1, separators=(";",)):
                 if not piece.strip():
                     continue
                 eqs.append(_parse_equation(chart, piece, ln, col))
@@ -394,7 +392,7 @@ def _parse_hamiltonian(chart: Chart, text: str, line_no: int) -> HamiltonianPair
     if ":" not in body:
         raise ParseError("hamiltonian needs 'hamiltonian NAME: f = ... ; Xf = (...)'", line_no, 1)
     name, rest = body.split(":", 1)
-    pieces, _ = _split_top_level(rest, line_no, 1, separators=(";",))
+    pieces = _split_top_level(rest, line_no, 1, separators=(";",))
     f_poly = None
     comps = None
     for piece, col in pieces:
@@ -409,7 +407,7 @@ def _parse_hamiltonian(chart: Chart, text: str, line_no: int) -> HamiltonianPair
             expr = expr.strip()
             if not (expr.startswith("(") and expr.endswith(")")):
                 raise ParseError("Xf must be a parenthesized component list", line_no, col)
-            items, _ = _split_top_level(expr[1:-1], line_no, col, separators=(",",))
+            items = _split_top_level(expr[1:-1], line_no, col, separators=(",",))
             comps = tuple(parse_expression(chart, item, line_no, c) for item, c in items)
             if len(comps) != chart.dim:
                 raise ParseError(f"Xf needs {chart.dim} components", line_no, col)

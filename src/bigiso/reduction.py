@@ -30,6 +30,7 @@ from .calculus import (
     lie_derivative_oneform,
     sharp,
 )
+from .grid import format_point
 from .linalg import Matrix, Subspace
 from .pointwise import is_graph_type, swap_halves, tangent_projection, window
 from .scalars import Polynomial, as_fraction, eval_rows
@@ -189,7 +190,8 @@ def restrict(s: BigIsotropicStructure, N: SubmanifoldData, grid=None) -> Restric
         if len(dims) > 1:
             (d1, u1), (d2, u2) = list(dims.items())[:2]
             raise ReductionError(
-                f"properness fails for {label}: window dimension {d1} at {u1} but {d2} at {u2}"
+                f"properness fails for {label}: "
+                f"window dimension {d1} at {format_point(u1)} but {d2} at {format_point(u2)}"
             )
     ranks = {sp.dim for sp in pulled[0]}
     if len(ranks) > 1:
@@ -206,7 +208,7 @@ def _span_mismatches(points, frame: Sequence[BigSection], expected) -> list:
 def verify_restricted_frame(restricted: RestrictedData, frame: Sequence[BigSection]) -> Verdict:
     """A caller-supplied polynomial frame matches the pointwise pullbacks."""
     failures = tuple(
-        (f"restricted frame span differs at {u}", None)
+        (f"restricted frame span differs at {format_point(u)}", None)
         for u in _span_mismatches(restricted.points, frame, restricted.pulled_E)
     )
     return Verdict("restricted frame verification", not failures, failures)
@@ -237,13 +239,13 @@ def check_reducibility(
             vec = [Fraction(0)] * (2 * n)
             vec[i] = Fraction(1)
             if not pulled.contains(vec):
-                failures.append((f"fibre direction {N.sub.names[i]} not in the pullback at {u}", None))
+                failures.append((f"fibre direction {N.sub.names[i]} not in the pullback at {format_point(u)}", None))
         # ambient-side formulation
         inter = data.E.intersect(window(m, fibre_amb, ann_tn.entries))
         projected = tangent_projection(inter)
         target = Subspace(m, fibre_amb)
         if not projected.contains_subspace(target):
-            failures.append((f"ambient lift of the fibre tangents fails at {u}", None))
+            failures.append((f"ambient lift of the fibre tangents fails at {format_point(u)}", None))
     return Verdict("reducibility condition", not failures, tuple(failures))
 
 
@@ -374,9 +376,9 @@ def reduce_structure(
     for u, pulled in zip(restricted.points, restricted.pulled_E):
         delta = quotient_at[tuple(u[i] for i in F.base)].E
         if pullback_subspace(proj, delta) != pulled:
-            raise ReductionError(f"quotient does not pull back to the restriction at {u}")
+            raise ReductionError(f"quotient does not pull back to the restriction at {format_point(u)}")
         if pushforward_subspace(proj, pulled) != delta:
-            raise ReductionError(f"restriction does not push forward to the quotient at {u}")
+            raise ReductionError(f"restriction does not push forward to the quotient at {format_point(u)}")
 
     poisson = all(is_graph_type(data) for data in quotient_at.values())
     return ReductionResult(quotient, restricted, red_verdict, proj_verdict, poisson)

@@ -100,11 +100,8 @@ def verdict_certificate(verdict) -> dict | None:
     """Flatten a structures.Verdict into JSON-safe certificate data."""
     if verdict.ok:
         return {"note": verdict.note} if verdict.note else None
-    failures = []
-    for item in verdict.failures:
-        if isinstance(item, tuple) and len(item) == 2:
-            message, payload = item
-            failures.append({"message": str(message), "detail": None if payload is None else str(payload)})
-        else:
-            failures.append({"message": str(item), "detail": None})
+    failures = [
+        {"message": str(message), "detail": None if detail is None else str(detail)}
+        for message, detail in verdict.failures
+    ]
     return {"failures": failures, "note": verdict.note or None}

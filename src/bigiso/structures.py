@@ -45,7 +45,7 @@ from .calculus import (
     sharp,
     trivector_contract_two,
 )
-from .grid import default_grid
+from .grid import default_grid, format_point
 from .linalg import Matrix, Subspace
 from .membership import in_span, span_test  # noqa: F401  (bench/tracing.py wraps in_span here)
 from .pointwise import IsotropicData, _pairing_row
@@ -167,9 +167,8 @@ class BigIsotropicStructure:
         for point, e_rows, ep_rows in zip(points, e_at, ep_at):
             e_rank, ep_rank = Matrix(e_rows).rank(), Matrix(ep_rows).rank()
             if e_rank != k or ep_rank != 2 * m - k:
-                point = tuple(as_fraction(c) for c in point)
                 raise StructureError(
-                    f"degenerate point {point}: frame ranks {e_rank}/{ep_rank}, expected {k}/{2 * m - k}"
+                    f"degenerate point {format_point(point)}: frame ranks {e_rank}/{ep_rank}, expected {k}/{2 * m - k}"
                 )
             yield e_rows, ep_rows
 
@@ -182,7 +181,7 @@ class BigIsotropicStructure:
         point = tuple(as_fraction(c) for c in point)
         ((e_rows, ep_rows),) = self._rows_at([point])
         if any(_pairing_row(e, ep) for e in e_rows for ep in ep_rows):
-            raise StructureError(f"E' frame does not span the g-orthogonal of E at {point}")
+            raise StructureError(f"E' frame does not span the g-orthogonal of E at {format_point(point)}")
         return IsotropicData(self.m, Subspace(2 * self.m, e_rows), Subspace(2 * self.m, ep_rows))
 
     def frame_rows(self) -> list:

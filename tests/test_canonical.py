@@ -23,8 +23,8 @@ from bigiso.canonical import (
     transversal_structure,
 )
 from bigiso.fixtures import fixture_text
-from bigiso.grid import default_grid
-from bigiso.linalg import Matrix, Subspace
+from bigiso.grid import default_grid, format_point
+from bigiso.linalg import Matrix, Subspace, combine
 from bigiso.parser import parse_document
 from bigiso.pointwise import characteristic_triple, dirac_extension, window
 from bigiso.scalars import Polynomial, RationalFunction
@@ -213,7 +213,8 @@ class TestTransversalSlice:
         evaluation_counts.clear()
         verdict = coupling_equivalences(cf)
         assert verdict.ok and verdict.note == "decomposable"
-        assert len(evaluation_counts) == 24 and set(evaluation_counts.values()) == {1}
+        # E and E' are read off the canonical rows, so the structure is evaluated nowhere
+        assert not evaluation_counts
 
 
 class TestDenominators:
@@ -376,10 +377,10 @@ class TestNormalizeR5:
     def test_pseudo_bundles(self, r5_structure, r5_adapted):
         cf = normalize_frame(r5_structure, r5_adapted)
         origin = (0, 0, 0, 0, 0)
-        h = pseudo_normal(cf).at(origin)
+        h = pseudo_normal(cf.at(origin))
         # alpha' has full rank 2, so no combination survives
         assert h.dim == 0
-        con = pseudo_conormal(cf).at(origin)
+        con = pseudo_conormal(cf.at(origin))
         # covector parts of Xi, Y, Theta: dz, -dx1, -dx2, dy1, dy2
         assert con.dim == 5
 
@@ -430,9 +431,54 @@ class TestDiracSpecialization:
 
 
 # ---------------------------------------------------------------------------
-# reference oracle: the coupling conditions through the characteristic triple
-# and subspace intersections
+# reference oracle: the pseudo bundles as symbolic generators and constraints,
+# evaluated at a point; the coupling conditions through the characteristic
+# triple and subspace intersections
 # ---------------------------------------------------------------------------
+
+
+@dataclasses.dataclass(frozen=True)
+class SubbundleField:
+    """A field of subspaces described by generators with rational-function
+    coefficients (and optional linear constraints on the combinations)."""
+
+    ambient_dim: int
+    generators: tuple  # rows of RationalFunction, length ambient_dim
+    constraints: tuple = ()  # rows over the generator index
+
+    def at(self, point) -> Subspace:
+        gen_vals = [tuple(entry.eval(point) for entry in row) for row in self.generators]
+        if not self.constraints:
+            return Subspace(self.ambient_dim, gen_vals)
+        cons = Matrix([[entry.eval(point) for entry in row] for row in self.constraints])
+        rows = [combine(combo, gen_vals, self.ambient_dim) for combo in cons.kernel_rows()]
+        return Subspace(self.ambient_dim, rows)
+
+
+def pseudo_normal_field(cf):
+    m = cf.adapted.chart.dim
+    gens = tuple(tuple(row[:m]) for row in cf.x_rows)
+    constraints = tuple(tuple(cf.alpha_prime[a][h] for a in range(cf.r)) for h in range(cf.mk))
+    return SubbundleField(m, gens, constraints)
+
+
+def pseudo_normal_prime_field(cf):
+    m = cf.adapted.chart.dim
+    gens = []
+    for a in range(cf.r):
+        row = list(cf.x_rows[a][:m])
+        for q in range(cf.mk):
+            for entry_idx in range(m):
+                row[entry_idx] = row[entry_idx] - cf.alpha_prime[a][q] * cf.theta_rows[q][entry_idx]
+        gens.append(tuple(row))
+    gens += [tuple(row[:m]) for row in cf.y_rows]
+    return SubbundleField(m, tuple(gens))
+
+
+def pseudo_conormal_field(cf):
+    m = cf.adapted.chart.dim
+    rows = cf.xi_rows + cf.y_rows + cf.theta_rows
+    return SubbundleField(m, tuple(tuple(row[m:]) for row in rows))
 
 
 def _coordinate_span(m, indices):
@@ -447,12 +493,12 @@ def coupling_conditions_reference(cf, pt):
     t_fol = _coordinate_span(m, adapted.middle + adapted.transverse)
     ann_fol = _coordinate_span(m, adapted.leaf)
     alpha_prime_zero = all(entry.eval(pt) == 0 for row in cf.alpha_prime for entry in row)
-    h_pt = pseudo_normal(cf).at(pt)
+    h_pt = pseudo_normal_field(cf).at(pt)
     cond_normal = h_pt.dim == cf.r and h_pt.intersect(t_fol).dim == 0 and h_pt.sum(t_fol).dim == m
-    con_pt = pseudo_conormal(cf).at(pt)
+    con_pt = pseudo_conormal_field(cf).at(pt)
     cond_conormal = con_pt.intersect(ann_fol).dim == 0 and con_pt.sum(ann_fol).dim == m
     triple = characteristic_triple(cf.structure.evaluate_at(pt))
-    hp_cap_t = pseudo_normal_prime(cf).at(pt).intersect(t_fol)
+    hp_cap_t = pseudo_normal_prime_field(cf).at(pt).intersect(t_fol)
     cond_flat = all(triple.varpi_on(x, y) == 0 for y in hp_cap_t.basis for x in triple.cal_E.basis)
     return cond_normal, cond_conormal, cond_flat, alpha_prime_zero
 
@@ -463,7 +509,7 @@ def splitting_reference(cf, pt):
     adapted, m = cf.adapted, cf.adapted.chart.dim
     t_fol = _coordinate_span(m, adapted.middle + adapted.transverse)
     ann_fol = _coordinate_span(m, adapted.leaf)
-    data, h_pt = cf.structure.evaluate_at(pt), pseudo_normal(cf).at(pt)
+    data, h_pt = cf.structure.evaluate_at(pt), pseudo_normal_field(cf).at(pt)
     x_vals = Subspace(2 * m, [[e.eval(pt) for e in row] for row in cf.x_rows])
     xi_vals = Subspace(2 * m, [[e.eval(pt) for e in row] for row in cf.xi_rows])
     piece_fol = data.E.intersect(window(m, t_fol.basis, h_pt.annihilator().basis))
@@ -486,9 +532,9 @@ def coupling_reference(cf, grid):
         used += 1
         conditions = coupling_conditions_reference(cf, pt)
         if len(set(conditions)) > 1:
-            failures.append((f"equivalences diverge at {pt}", conditions))
+            failures.append((f"equivalences diverge at {format_point(pt)}", conditions))
         if decomposable and not splitting_reference(cf, pt):
-            failures.append((f"decomposition of E fails at {pt}", None))
+            failures.append((f"decomposition of E fails at {format_point(pt)}", None))
     if not used:
         failures.append((_empty_sample(cf, len(grid)), None))
     note = "decomposable" if decomposable else "not decomposable"
@@ -558,6 +604,17 @@ def _tilde_frame(r5_structure):
     return normalize_frame(tilde, AdaptedChart(tilde.chart, leaf=(0, 1), middle=(2, 3), transverse=(4,)))
 
 
+def _frames_under_other_splits(cf):
+    """cf under every split of its chart into parts of the same sizes with
+    the leaf and middle indices in order: the rows stay, only the split
+    moves."""
+    a, m = cf.adapted, cf.adapted.chart.dim
+    for perm in itertools.permutations(range(m)):
+        leaf, middle, transverse = perm[: a.r], perm[a.r : a.r + a.mk], perm[a.r + a.mk :]
+        if list(leaf) == sorted(leaf) and list(middle) == sorted(middle):
+            yield dataclasses.replace(cf, adapted=AdaptedChart(a.chart, leaf, middle, transverse))
+
+
 def assert_coupling_matches_reference(cf, grid):
     """coupling_equivalences on each one-point grid against the reference.
 
@@ -618,11 +675,50 @@ class TestCouplingAgainstReference:
         # the rows still lie in E and E', so both sides decide, but the
         # conditions no longer agree by the shape of the canonical frame
         cf = _document_frame(text)[1]
-        a, m = cf.adapted, cf.adapted.chart.dim
         outcomes = set()
-        for perm in itertools.permutations(range(m)):
-            leaf, middle, transverse = perm[: a.r], perm[a.r : a.r + a.mk], perm[a.r + a.mk :]
-            if list(leaf) == sorted(leaf) and list(middle) == sorted(middle):
-                moved = dataclasses.replace(cf, adapted=AdaptedChart(a.chart, leaf, middle, transverse))
-                outcomes |= set(assert_coupling_matches_reference(moved, default_grid(m, cap=4)))
+        for moved in _frames_under_other_splits(cf):
+            outcomes |= set(assert_coupling_matches_reference(moved, default_grid(moved.adapted.chart.dim, cap=4)))
         assert (True,) * 4 in outcomes and any(len(set(c)) > 1 for c in outcomes)
+
+
+def assert_pointwise_matches_symbolic(cf, grid):
+    """At each grid point on the validity locus, the pseudo bundles read from
+    cf.at equal the symbolic oracle's evaluated there, and the canonical rows
+    span the structure's own E and E'.  Returns the number of such points."""
+    m, used = cf.adapted.chart.dim, 0
+    for pt in grid:
+        if not cf.denominators_nonzero_at(pt):
+            continue
+        used += 1
+        v = cf.at(pt)
+        assert pseudo_normal(v) == pseudo_normal_field(cf).at(pt), pt
+        assert pseudo_normal_prime(v) == pseudo_normal_prime_field(cf).at(pt), pt
+        assert pseudo_conormal(v) == pseudo_conormal_field(cf).at(pt), pt
+        data = cf.structure.evaluate_at(pt)
+        assert Subspace(2 * m, v.x + v.xi) == data.E, pt
+        assert Subspace(2 * m, v.x + v.xi + v.y + v.theta) == data.E_prime, pt
+    return used
+
+
+class TestPseudoBundlesAgainstReference:
+    @pytest.mark.parametrize("name", ["example_r3", "example_r5", "example_r5_tilde"])
+    def test_fixtures(self, name):
+        cf = _fixture_frame(name)
+        assert assert_pointwise_matches_symbolic(cf, default_grid(cf.adapted.chart.dim))
+
+    @pytest.mark.parametrize("text", [fixture_text("example_r5"), _R5_SCALED], ids=["r5", "r5_scaled"])
+    def test_seeded_chart_changes(self, text):
+        s = _document_frame(text)[0]
+        used = [assert_pointwise_matches_symbolic(cf, default_grid(5, cap=12)) for cf in _seeded_chart_changes(s, range(16))]
+        assert len(used) >= 4 and all(used)
+
+    @pytest.mark.parametrize(
+        "text",
+        [fixture_text("example_r3"), fixture_text("example_r5_tilde"), _R5_SCALED],
+        ids=["r3", "r5_tilde", "r5_scaled"],
+    )
+    def test_frames_read_under_another_split(self, text):
+        moved = list(_frames_under_other_splits(_document_frame(text)[1]))
+        assert len(moved) > 1
+        for cf in moved:
+            assert assert_pointwise_matches_symbolic(cf, default_grid(cf.adapted.chart.dim, cap=4))

@@ -15,7 +15,7 @@ from bigiso.calculus import (
     lift_section,
 )
 from bigiso.fixtures import fixture_text
-from bigiso.grid import default_grid
+from bigiso.grid import default_grid, format_point
 from bigiso.linalg import Subspace
 from bigiso.parser import parse_document
 from bigiso.pointwise import orthogonal_g, random_isotropic
@@ -155,7 +155,7 @@ class TestRestrict:
         # the sign flip on the last section does not change the span
         assert verify_restricted_frame(restricted, flipped).ok
         short = verify_restricted_frame(restricted, frame[:2])
-        expected = tuple((f"restricted frame span differs at {u}", None) for u in restricted.points)
+        expected = tuple((f"restricted frame span differs at {format_point(u)}", None) for u in restricted.points)
         assert short.failures == expected
 
     @pytest.mark.parametrize(
@@ -222,7 +222,8 @@ def restrict_reference(s, N, grid=None):
         if len(dims) > 1:
             (d1, u1), (d2, u2) = list(dims.items())[:2]
             raise ReductionError(
-                f"properness fails for {label}: window dimension {d1} at {u1} but {d2} at {u2}"
+                f"properness fails for {label}: "
+                f"window dimension {d1} at {format_point(u1)} but {d2} at {format_point(u2)}"
             )
     ranks = {sp.dim for sp in pulled}
     if len(ranks) > 1:
