@@ -28,6 +28,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import islice
 from operator import sub
 
 from .calculus import BigSection, Chart, PolyOneForm, PolyVectorField
@@ -35,7 +36,7 @@ from .grid import format_point
 from .linalg import Matrix, Subspace, combine, complement_in, fraction_free
 from .pointwise import IsotropicData, characteristic_triple, covector_lift, is_graph_type, window
 from .reduction import SubmanifoldData, restrict
-from .scalars import Polynomial, RationalFunction
+from .scalars import Polynomial, RationalFunction, eval_rows
 from .structures import BigIsotropicStructure, Verdict, default_grid
 from .transport import LinearMap
 
@@ -186,9 +187,20 @@ class CanonicalFrame:
 
     def at(self, point) -> FrameValues:
         """The X, Xi, Y and Theta rows and the alpha' grid at a point of the
-        validity locus, each entry evaluated once."""
+        validity locus, each entry evaluated once.  One eval_rows table holds
+        every row of the five grids as (num_0, den_0, num_1, den_1, ...); a
+        row's positive scale cancels in each quotient, so every value is the
+        entry's own eval, and a vanishing denominator raises as eval does."""
         grids = (self.x_rows, self.xi_rows, self.y_rows, self.theta_rows, self.alpha_prime)
-        values = (tuple(tuple(entry.eval(point) for entry in row) for row in rows) for rows in grids)
+        table = [[p for e in row for p in (e.num, e.den)] for rows in grids for row in rows]
+        (scaled,) = eval_rows(table, (point,))
+        if not all(all(ints[1::2]) for ints in scaled):
+            raise ZeroDivisionError(f"denominator vanishes at {format_point(point)}")
+        rows_at = iter(scaled)
+        values = [
+            tuple(tuple(map(Fraction, ints[::2], ints[1::2])) for ints in islice(rows_at, len(rows)))
+            for rows in grids
+        ]
         return FrameValues(self.adapted.chart.dim, *values)
 
 

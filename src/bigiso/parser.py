@@ -2,7 +2,9 @@
 
 Expressions are parsed by recursive descent over +, -, *, / (constant
 divisors only), ^ with nonnegative integer exponents, parentheses, rational
-literals and declared coordinate names.  Errors carry line and column.
+literals and declared coordinate names.  Errors carry line and column; an
+exponent, or a power or product of total degree, past ``scalars.MAX_DEGREE``
+is one.
 
 A structure document declares a chart, the two frame blocks, and optional
 blocks for the adapted split, a foliation, an affine submanifold, a sample
@@ -31,7 +33,7 @@ from fractions import Fraction
 from typing import Sequence
 
 from .calculus import BigSection, Chart, ChartError, PolyOneForm, PolyVectorField
-from .scalars import Polynomial
+from .scalars import MAX_DEGREE, Polynomial
 
 
 class ParseError(ValueError):
@@ -60,9 +62,9 @@ def _tokenize(text: str, line_no: int, col_offset: int = 0):
             tokens.append((ch, ch, line_no, col))
             i += 1
             continue
-        if ch.isdigit():
+        if ch.isdecimal():  # the digits int() reads; isdigit() also takes superscripts
             j = i
-            while j < len(text) and text[j].isdigit():
+            while j < len(text) and text[j].isdecimal():
                 j += 1
             tokens.append(("number", text[i:j], line_no, col))
             i = j
@@ -120,7 +122,10 @@ class ExpressionParser:
             op, _, line, col = self.advance()
             rhs = self.factor()
             if op == "*":
-                value = value * rhs
+                try:
+                    value = value * rhs
+                except OverflowError as exc:  # a degree past the representable limit
+                    raise ParseError(str(exc), line, col)
             else:
                 if not rhs.is_constant():
                     raise ParseError(f"non-constant divisor: {rhs}", line, col)
@@ -145,7 +150,13 @@ class ExpressionParser:
             tok = self.advance()
             if tok[0] != "number":
                 raise ParseError("exponent must be a nonnegative integer", tok[2], tok[3])
-            return base ** int(tok[1])
+            # the length test first: int() refuses strings of thousands of digits
+            if len(tok[1].lstrip("0")) > len(str(MAX_DEGREE)) or int(tok[1]) > MAX_DEGREE:
+                raise ParseError(f"exponent exceeds the limit {MAX_DEGREE}", tok[2], tok[3])
+            try:
+                return base ** int(tok[1])
+            except OverflowError as exc:
+                raise ParseError(str(exc), tok[2], tok[3])
         return base
 
     def atom(self) -> Polynomial:

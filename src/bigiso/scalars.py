@@ -3,24 +3,36 @@
 Rationals are plain ``fractions.Fraction`` (already reduced, positive
 denominator).  A polynomial is stored as content times primitive part: one
 positive integer denominator ``den`` over a sparse dictionary ``nums`` from
-exponent tuples to nonzero integer numerators, with ``den`` and the
+packed monomial keys to nonzero integer numerators, with ``den`` and the
 numerators coprime (the zero polynomial has den 1).  That form is unique, so
 equality and hashing compare it directly, and the ring operations,
-evaluation and exact division all run on Python integers; ``terms`` is a
-Fraction view built on demand.  ``eval_rows`` is the one evaluation kernel:
-it gives a frame's rows at each of many points as integers, each row a
-positive multiple of its values, and ``Polynomial.eval`` is the Fraction of
-the single row (p,).  ``substitute`` is the one composition, and
-``set_vars`` substitutes constants for the frozen variables.
-``Polynomial.dot`` is the one kernel for sums of products: it brings every
-product of a sum to one common denominator, accumulates them all into one
-numerator table and normalises once; the product operator and every
-accumulation in the calculus and membership layers go through it.
-A fixed graded-lexicographic term order gives the printed order and the
-leading term.  Rational functions are stored as numerator/denominator
-pairs; equality is decided by cross-multiplication, so no multivariate gcd
-machinery is needed (only cheap cancellations are performed to keep
-expressions small).
+evaluation and exact division all run on Python integers.
+
+A monomial x^e over n variables is packed into one int of n + 1 fields of
+``_WIDTH`` bits (Monagan and Pearce, CASC 2007): the total degree in the top
+field, then e_0, e_1, ..., e_(n-1) down to the lowest.  Integer order on the
+keys is graded-lexicographic order, a product of monomials is the sum of
+their keys, and the variable set alone gives the layout.  The width rule:
+every total degree stays at most ``MAX_DEGREE``, so the top bit of each
+field (its guard bit) is clear, adding two keys never carries one field into
+the next, and divisibility is a borrow into a guard bit on subtraction.  An
+operation whose result would pass the limit raises OverflowError instead.
+``terms`` is the view with exponent tuples and Fraction coefficients, built
+on demand, and the constructor takes that same form.
+
+``eval_rows`` is the one evaluation kernel: it gives a frame's rows at each
+of many points as integers, each row a positive multiple of its values, and
+``Polynomial.eval`` is the Fraction of the single row (p,).  ``substitute``
+is the one composition, and ``set_vars`` substitutes constants for the
+frozen variables.  ``Polynomial.dot`` is the one kernel for sums of
+products: it brings every product of a sum to one common denominator,
+accumulates them all into one numerator table and normalises once; the
+product operator and every accumulation in the calculus and membership
+layers go through it.  The keys' graded-lexicographic order gives the
+printed order and the leading term.  Rational functions are stored as
+numerator/denominator pairs; equality is decided by cross-multiplication,
+so no multivariate gcd machinery is needed (only cheap cancellations are
+performed to keep expressions small).
 """
 
 from __future__ import annotations
@@ -29,10 +41,33 @@ from fractions import Fraction
 from heapq import heapify, heappop, heappush
 from itertools import accumulate
 from math import gcd, lcm
-from operator import add, mul, neg, sub
+from operator import mul
 from typing import Mapping, Sequence
 
+from .grid import format_point
+
 Exponents = tuple
+
+_WIDTH = 16  # bits per field of a packed monomial key
+MAX_DEGREE = (1 << _WIDTH - 1) - 1  # the largest total degree; keeps every guard bit clear
+_FIELD = (1 << _WIDTH) - 1
+
+
+def _pack(exps) -> int:
+    """The key of an exponent tuple whose total degree is at most MAX_DEGREE."""
+    key = sum(exps)
+    for e in exps:
+        key = key << _WIDTH | e
+    return key
+
+
+def _unpack(key: int, n: int) -> tuple:
+    """The exponent tuple of a key over n variables."""
+    return tuple(key >> shift & _FIELD for shift in range(_WIDTH * (n - 1), -1, -_WIDTH))
+
+
+def _degree_overflow(degree: int) -> OverflowError:
+    return OverflowError(f"total degree {degree} exceeds the limit {MAX_DEGREE}")
 
 
 def as_fraction(value) -> Fraction:
@@ -76,23 +111,25 @@ def eval_rows(rows: Sequence[Sequence], points):
     converted once; an inexact coordinate raises TypeError and a wrong
     length ValueError.
     """
-    table, widths = [], set()
+    table, fields = [], {}  # fields[n]: (var, shift) of each exponent field over n variables
     for row in rows:
         den = lcm(*(p.den for p in row))
         terms = []
         for column, p in enumerate(row):
-            widths.add(len(p.vars))
-            f = den // p.den
-            for exps, c in p.nums.items():
-                support = tuple((v, e) for v, e in enumerate(exps) if e)
-                terms.append((column, c * f, sum(exps), support))
+            n = len(p.vars)
+            if n not in fields:
+                fields[n] = tuple(enumerate(range(_WIDTH * (n - 1), -1, -_WIDTH)))
+            f, layout, top_shift = den // p.den, fields[n], _WIDTH * n
+            for key, c in p.nums.items():
+                support = tuple((v, e) for v, shift in layout if (e := key >> shift & _FIELD)) if key else ()
+                terms.append((column, c * f, key >> top_shift, support))
         table.append((len(row), max((deg for _, _, deg, _ in terms), default=0), terms))
     top = max((t for _, t, _ in table), default=0)
     for point in points:
         if not isinstance(point, ScaledPoint):
             point = ScaledPoint(point)
         coords, d = point.nums, point.den
-        if widths and widths != {len(coords)}:
+        if fields and fields.keys() != {len(coords)}:
             raise ValueError("point length does not match variables")
         powers = [d**k for k in range(top + 1)]
         out = []
@@ -114,20 +151,18 @@ _ZERO = Fraction(0)
 _set = object.__setattr__
 
 
-def _grlex_key(exps):
-    # graded lexicographic: compare total degree first, then the tuple
-    return (sum(exps), exps)
-
-
 class Polynomial:
     """Sparse multivariate polynomial over Q, as integer numerators over one
     denominator.
 
-    ``vars`` is the ordered tuple of coordinate names; ``nums`` maps
-    exponent tuples (one entry per variable) to nonzero integers and ``den``
-    is a positive integer coprime to all of them, so the coefficient of
-    x^e is nums[e] / den.  Instances are immutable; all operations return
-    new polynomials.
+    ``vars`` is the ordered tuple of coordinate names; ``nums`` maps packed
+    monomial keys (total degree, then one field per variable, as in the
+    module docstring) to nonzero integers and ``den`` is a positive integer
+    coprime to all of them, so the coefficient of x^e is
+    nums[_pack(e)] / den.  The constructor takes {exponent tuple:
+    coefficient} and ``terms`` gives that form back; the keys stay inside
+    this module.  A total degree past MAX_DEGREE raises OverflowError.
+    Instances are immutable; all operations return new polynomials.
     """
 
     __slots__ = ("vars", "nums", "den", "_hash")
@@ -146,7 +181,9 @@ class Polynomial:
                 raise ValueError("exponent tuple length does not match variables")
             if any(e < 0 for e in exps):
                 raise ValueError("negative exponent")
-            clean[exps] = coeff
+            if sum(exps) > MAX_DEGREE:
+                raise _degree_overflow(sum(exps))
+            clean[_pack(exps)] = coeff
         # over the lcm of reduced denominators the numerators are coprime to it
         den = lcm(*(c.denominator for c in clean.values()))
         _set(self, "vars", vars)
@@ -155,7 +192,7 @@ class Polynomial:
 
     @classmethod
     def _canonical(cls, vars: tuple, nums: dict, den: int = 1) -> "Polynomial":
-        """A polynomial on int exponent tuples of length len(vars) and nonzero
+        """A polynomial on packed keys over len(vars) variables and nonzero
         int numerators over den > 0, without __init__'s checks (the ring
         operations build only such forms); the common factor of den and the
         numerators is divided out."""
@@ -175,9 +212,9 @@ class Polynomial:
 
     @property
     def terms(self) -> dict:
-        """The coefficients as a fresh {exponents: Fraction} dictionary."""
-        den = self.den
-        return {e: Fraction(c, den) for e, c in self.nums.items()}
+        """The coefficients as a fresh {exponent tuple: Fraction} dictionary."""
+        den, n = self.den, len(self.vars)
+        return {_unpack(key, n): Fraction(c, den) for key, c in self.nums.items()}
 
     # ---- constructors -------------------------------------------------
     @classmethod
@@ -190,7 +227,7 @@ class Polynomial:
         value = as_fraction(value)
         if not value:
             return cls._canonical(vars, {})
-        return cls._canonical(vars, {(0,) * len(vars): value.numerator}, value.denominator)
+        return cls._canonical(vars, {0: value.numerator}, value.denominator)
 
     @classmethod
     def one(cls, vars) -> "Polynomial":
@@ -204,14 +241,14 @@ class Polynomial:
             raise ValueError(f"no variable {which!r} in {vars}")
         exps = [0] * len(vars)
         exps[idx] = 1
-        return cls._canonical(vars, {tuple(exps): 1})
+        return cls._canonical(vars, {_pack(exps): 1})
 
     # ---- predicates ----------------------------------------------------
     def is_zero(self) -> bool:
         return not self.nums
 
     def is_constant(self) -> bool:
-        return all(sum(e) == 0 for e in self.nums)
+        return not any(self.nums)  # the key 0, of degree 0, is the only constant monomial
 
     def constant_value(self) -> Fraction:
         if not self.nums:
@@ -223,7 +260,7 @@ class Polynomial:
     def total_degree(self) -> int:
         if not self.nums:
             return -1
-        return max(sum(e) for e in self.nums)
+        return max(self.nums) >> _WIDTH * len(self.vars)
 
     # ---- ring operations -------------------------------------------------
     def _coerce(self, other) -> "Polynomial":
@@ -292,15 +329,20 @@ class Polynomial:
         brought to the lcm of the product denominators and accumulated into
         one numerator table, which is normalised once, so no intermediate
         product or partial sum is built (Monagan and Pearce, JSC 46, 2011).
+        A product of monomials is one addition of packed keys; a result of
+        total degree past MAX_DEGREE raises OverflowError (the operands are
+        within it, so no addition has carried).
         """
         vars = tuple(vars)
-        live = []
+        live, den = [], 1
         for a, b, sign in terms:
             if a.vars != vars or b.vars != vars:
                 raise ValueError(f"variable mismatch: {vars} vs {a.vars if a.vars != vars else b.vars}")
             if sign and a.nums and b.nums:
                 live.append((a, b, sign))
-        den = lcm(*(a.den * b.den for a, b, _ in live))
+                den = lcm(den, a.den * b.den)
+        if not live:
+            return cls._canonical(vars, {})
         nums: dict = {}
         get = nums.get
         for a, b, sign in live:
@@ -309,20 +351,26 @@ class Polynomial:
             for e1, c1 in a.nums.items():
                 c1 *= f
                 for e2, c2 in b_items:
-                    exps = tuple(map(add, e1, e2))
-                    nums[exps] = get(exps, 0) + c1 * c2
-        return cls._canonical(vars, {e: c for e, c in nums.items() if c}, den)
+                    e = e1 + e2
+                    nums[e] = get(e, 0) + c1 * c2
+        nums = {e: c for e, c in nums.items() if c}
+        if nums and max(nums) >> _WIDTH * len(vars) > MAX_DEGREE:
+            raise _degree_overflow(max(nums) >> _WIDTH * len(vars))
+        return cls._canonical(vars, nums, den)
 
     def __pow__(self, n: int):
         if not isinstance(n, int) or n < 0:
             raise ValueError("exponent must be a nonnegative integer")
+        if n and self.total_degree() * n > MAX_DEGREE:  # before any squaring
+            raise _degree_overflow(self.total_degree() * n)
         result = Polynomial.one(self.vars)
         base = self
         while n:
             if n & 1:
                 result = result * base
-            base = base * base
             n >>= 1
+            if n:  # a square past the last bit is never used
+                base = base * base
         return result
 
     def __truediv__(self, other):
@@ -337,15 +385,19 @@ class Polynomial:
 
     # ---- calculus ------------------------------------------------------
     def derivative(self, which) -> "Polynomial":
+        """d/dx_which, for a variable name or index: each term reads the
+        field of x_which and drops one unit of it and of the degree."""
         idx = which if isinstance(which, int) else self.vars.index(which)
+        if not self.nums:
+            return self
+        n = len(self.vars)
+        shift = _WIDTH * (n - 1 - range(n)[idx])
+        unit = 1 << _WIDTH * n | 1 << shift
         nums = {}
-        for exps, c in self.nums.items():
-            k = exps[idx]
-            if k == 0:
-                continue
-            new = list(exps)
-            new[idx] = k - 1
-            nums[tuple(new)] = c * k
+        for key, c in self.nums.items():
+            k = key >> shift & _FIELD
+            if k:
+                nums[key - unit] = c * k
         return Polynomial._canonical(self.vars, nums, self.den)
 
     # ---- evaluation / substitution --------------------------------------
@@ -356,7 +408,7 @@ class Polynomial:
         read off directly but still rejects an inexact or wrong-length point."""
         if not isinstance(point, ScaledPoint):
             nums = self.nums
-            if not nums or (len(nums) == 1 and not any(next(iter(nums)))):
+            if not any(nums):  # zero or constant
                 if len(point) != len(self.vars):
                     raise ValueError("point length does not match variables")
                 for c in point:
@@ -374,10 +426,12 @@ class Polynomial:
         new_vars = images[0].vars if images else self.vars
         if self.total_degree() <= 0:  # zero or constant: no image is read
             return Polynomial.constant(new_vars, self.constant_value())
-        one, terms = Polynomial.one(new_vars), []
+        one, terms, n = Polynomial.one(new_vars), [], len(self.vars)
+        table = [(_unpack(key, n), c) for key, c in self.nums.items()]
         # powers[i][e - 1] = images[i] ** e, up to the largest exponent of x_i
-        powers = [list(accumulate([img] * max(col), mul)) for img, col in zip(images, zip(*self.nums))]
-        for exps, c in self.nums.items():
+        columns = zip(*(exps for exps, _ in table))
+        powers = [list(accumulate([img] * max(col), mul)) for img, col in zip(images, columns)]
+        for exps, c in table:
             a, b, *rest = [row[e - 1] for row, e in zip(powers, exps) if e] + [one, one]
             for f in rest[:-2]:  # powers beyond the first two, not the padding
                 a = a * f
@@ -400,26 +454,26 @@ class Polynomial:
         """The same polynomial over another variable tuple, matching
         variables by name; raises ValueError if a variable that occurs is
         missing from ``vars``, so no two terms can land on one monomial."""
-        vars = tuple(vars)
+        vars, n = tuple(vars), len(self.vars)
         nums = {}
-        for exps, c in self.nums.items():
+        for key, c in self.nums.items():
             new = [0] * len(vars)
-            for name, e in zip(self.vars, exps):
+            for name, e in zip(self.vars, _unpack(key, n)):
                 if e:
                     if name not in vars:
                         raise ValueError(f"variable {name} of {self} is not among {vars}")
                     new[vars.index(name)] = e
-            nums[tuple(new)] = c
+            nums[_pack(new)] = c
         return Polynomial._canonical(vars, nums, self.den)
 
     # ---- division ---------------------------------------------------------
     def leading(self):
-        """Leading (exponents, numerator) in graded-lex order; the leading
-        coefficient is numerator / den."""
+        """Leading (packed key, numerator) in graded-lex order, which is the
+        keys' integer order; the leading coefficient is numerator / den."""
         if not self.nums:
             raise ValueError("zero polynomial has no leading term")
-        exps = max(self.nums, key=_grlex_key)
-        return exps, self.nums[exps]
+        key = max(self.nums)
+        return key, self.nums[key]
 
     def exact_div(self, divisor: "Polynomial"):
         """Exact quotient self/divisor, or None if it does not divide.
@@ -428,28 +482,32 @@ class Polynomial:
         (A / a) / (B / b) = (A / B) * b / a.  The remainder is one integer
         table R standing for R / scale, scaled up only when the divisor's
         leading numerator does not divide the leading term, and its terms
-        are taken in descending graded-lexicographic order from a heap
-        (Monagan and Pearce, JSC 46, 2011), so no intermediate polynomial or
-        Fraction is built.
+        are taken in descending graded-lexicographic order from a heap of
+        negated keys (Monagan and Pearce, JSC 46, 2011), so no intermediate
+        polynomial or Fraction is built.  The divisor's leading monomial
+        divides a term iff subtracting its key borrows into no guard bit.
         """
         divisor = self._coerce(divisor)
         if divisor.is_zero():
             raise ZeroDivisionError("division by the zero polynomial")
-        d_exps, lead = divisor.leading()
-        if not any(d_exps):  # a constant divides everything
+        d_key, lead = divisor.leading()
+        if not d_key:  # a constant divides everything
             return self._scale(divisor.den, lead)
-        rest = [(e, c) for e, c in divisor.nums.items() if e != d_exps]
+        # the top bit of each exponent field; a borrow out of the degree field
+        # needs one out of an exponent field first
+        guards = (1 << _WIDTH - 1) * ((1 << _WIDTH * len(self.vars)) - 1) // _FIELD
+        rest = [(e, c) for e, c in divisor.nums.items() if e != d_key]
         rem = dict(self.nums)
-        heap = [(-sum(e), tuple(map(neg, e)), e) for e in rem]
+        heap = [-e for e in rem]
         heapify(heap)
         quotient, scale = [], 1
         while heap:
-            exps = heappop(heap)[2]
-            c = rem.pop(exps)
+            key = -heappop(heap)
+            c = rem.pop(key)
             if not c:
                 continue
-            diff = tuple(map(sub, exps, d_exps))
-            if min(diff) < 0:
+            diff = key - d_key
+            if diff & guards:
                 return None
             k = abs(lead) // gcd(c, lead)
             if k != 1:
@@ -459,12 +517,12 @@ class Polynomial:
             q = c // lead
             quotient.append((diff, q, scale))
             for e, c2 in rest:
-                e = tuple(map(add, diff, e))
+                e += diff
                 if e in rem:
                     rem[e] -= q * c2
                 else:
                     rem[e] = -q * c2
-                    heappush(heap, (-sum(e), tuple(map(neg, e)), e))
+                    heappush(heap, -e)
         nums = {e: q * (scale // s) * divisor.den for e, q, s in quotient}
         return Polynomial._canonical(self.vars, nums, scale * self.den)
 
@@ -487,11 +545,11 @@ class Polynomial:
     def __str__(self):
         if not self.nums:
             return "0"
-        den = self.den
+        den, n = self.den, len(self.vars)
         parts = []
-        for exps, c in sorted(self.nums.items(), key=lambda kv: _grlex_key(kv[0]), reverse=True):
+        for key, c in sorted(self.nums.items(), reverse=True):  # graded-lex, highest first
             factors = []
-            for name, e in zip(self.vars, exps):
+            for name, e in zip(self.vars, _unpack(key, n)):
                 if e == 1:
                     factors.append(name)
                 elif e > 1:
@@ -517,20 +575,23 @@ class Polynomial:
         return f"Polynomial({self})"
 
 
-def _monomial_content(*polys: Polynomial):
-    """Componentwise-min exponent vector over all terms of all polynomials."""
+def _monomial_content(*polys: Polynomial) -> int:
+    """The key of the componentwise-min exponent vector over all terms of
+    all polynomials (0, the constant monomial, when there are none)."""
+    if any(0 in p.nums for p in polys):  # a constant term leaves no common factor
+        return 0
     mins = None
     for p in polys:
-        for exps in p.nums:
-            if mins is None:
-                mins = list(exps)
-            else:
-                mins = [min(a, b) for a, b in zip(mins, exps)]
-    return tuple(mins) if mins else None
+        n = len(p.vars)
+        for key in p.nums:
+            exps = _unpack(key, n)
+            mins = exps if mins is None else tuple(map(min, mins, exps))
+    return _pack(mins) if mins else 0
 
 
-def _divide_monomial(p: Polynomial, mono: Exponents) -> Polynomial:
-    nums = {tuple(a - b for a, b in zip(e, mono)): c for e, c in p.nums.items()}
+def _divide_monomial(p: Polynomial, mono: int) -> Polynomial:
+    """p over a monomial that divides every term: one key subtraction each."""
+    nums = {e - mono: c for e, c in p.nums.items()}
     return Polynomial._canonical(p.vars, nums, p.den)
 
 
@@ -556,7 +617,7 @@ class RationalFunction:
             den = Polynomial.one(num.vars)
         else:
             mono = _monomial_content(num, den)
-            if mono and any(mono):
+            if mono:
                 num = _divide_monomial(num, mono)
                 den = _divide_monomial(den, mono)
             quotient = num.exact_div(den)
@@ -655,7 +716,7 @@ class RationalFunction:
     def eval(self, point) -> Fraction:
         d = self.den.eval(point)
         if d == 0:
-            raise ZeroDivisionError(f"denominator vanishes at {tuple(point)}")
+            raise ZeroDivisionError(f"denominator vanishes at {format_point(point)}")
         return self.num.eval(point) / d
 
     def set_vars(self, assignment) -> "RationalFunction":

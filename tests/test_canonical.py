@@ -1,6 +1,7 @@
 import dataclasses
 import itertools
 import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -237,6 +238,79 @@ class TestDenominators:
         for det_e, det_ep, point, expected in cases:
             moved = dataclasses.replace(cf, det_e=det_e, det_eprime=det_ep)
             assert moved.denominators_nonzero_at(point) is expected
+
+
+# (FrameValues field, CanonicalFrame grid) for each grid that at() evaluates
+FRAME_GRIDS = (
+    ("x", "x_rows"), ("xi", "xi_rows"), ("y", "y_rows"), ("theta", "theta_rows"), ("alpha_prime", "alpha_prime")
+)
+
+
+def entries_evaluated_one_by_one(cf, pt):
+    return {field: tuple(tuple(e.eval(pt) for e in row) for row in getattr(cf, grid)) for field, grid in FRAME_GRIDS}
+
+
+def random_rational_grid(rng, names, rows):
+    """Rational functions in the shape of rows: numerators of degree <= 2
+    with small coefficients over one shared denominator, which vanishes at
+    some points, as a canonical frame's entries share their pivot; each
+    entry's denominator is that one times 1 + v^2 for a random variable v
+    or not, so the entries of one row differ in denominator."""
+    def poly():
+        terms = {}
+        for _ in range(rng.randint(1, 3)):
+            exps = [0] * len(names)
+            for _ in range(rng.randint(0, 2)):
+                exps[rng.randrange(len(names))] += 1
+            terms[tuple(exps)] = Fraction(rng.randint(-3, 3), rng.randint(1, 2))
+        return Polynomial(names, terms)
+
+    den = poly()
+    if den.is_zero():
+        den = den + 1
+
+    def entry_den():
+        v = Polynomial.variable(names, rng.randrange(len(names)))
+        return den * (v * v + 1) if rng.random() < 0.5 else den
+
+    return tuple(tuple(RationalFunction(poly(), entry_den()) for _ in row) for row in rows)
+
+
+class TestFrameValues:
+    @pytest.mark.parametrize("name", ["example_r3", "example_r5", "example_r5_tilde"])
+    def test_fixtures_equal_each_entry_evaluated_on_its_own(self, name):
+        cf = _fixture_frame(name)
+        used = 0
+        for pt in default_grid(cf.adapted.chart.dim):
+            if cf.denominators_nonzero_at(pt):
+                used += 1
+                v = cf.at(pt)
+                for field, expected in entries_evaluated_one_by_one(cf, pt).items():
+                    assert getattr(v, field) == expected, (pt, field)
+                    assert all(type(value) is Fraction for row in getattr(v, field) for value in row)
+        assert used
+
+    def test_polynomial_denominators(self, r5_structure, r5_adapted):
+        # the fixtures' canonical entries have constant denominators; these
+        # grids have the fixture's shapes and vanishing denominators
+        cf = normalize_frame(r5_structure, r5_adapted)
+        names, rng = r5_structure.chart.names, random.Random(5)
+        raised = 0
+        for _ in range(6):
+            moved = dataclasses.replace(
+                cf, **{grid: random_rational_grid(rng, names, getattr(cf, grid)) for _, grid in FRAME_GRIDS}
+            )
+            for pt in default_grid(5, cap=40):
+                try:
+                    expected = entries_evaluated_one_by_one(moved, pt)
+                except ZeroDivisionError:
+                    with pytest.raises(ZeroDivisionError, match=re.escape(f"denominator vanishes at {format_point(pt)}")):
+                        moved.at(pt)
+                    raised += 1
+                    continue
+                v = moved.at(pt)
+                assert {field: getattr(v, field) for field, _ in FRAME_GRIDS} == expected, pt
+        assert 20 < raised < 6 * 40 - 20
 
 
 class TestNormalizeR5:

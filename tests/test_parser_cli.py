@@ -9,7 +9,7 @@ from bigiso import fixtures
 from bigiso.calculus import Chart
 from bigiso.cli import main
 from bigiso.parser import ParseError, parse_document, parse_expression
-from bigiso.scalars import Polynomial
+from bigiso.scalars import MAX_DEGREE, Polynomial
 
 
 class TestExpressionParser:
@@ -51,6 +51,32 @@ class TestExpressionParser:
         with pytest.raises(ParseError) as err:
             parse_expression(self.chart, "x1 + @")
         assert err.value.col == 6
+
+    def test_numbers_are_decimal_digits(self):
+        # str.isdigit() accepts superscripts, which int() refuses
+        for text, col in (("x1^\u00b2", 4), ("\u00b2", 1), ("x1 + \u00b3", 6)):
+            with pytest.raises(ParseError, match="unexpected character") as err:
+                parse_expression(self.chart, text)
+            assert err.value.col == col
+        assert parse_expression(self.chart, "x1^\u0663") == parse_expression(self.chart, "x1^3")  # Arabic-Indic 3
+
+    def test_degree_limit(self):
+        x1 = Polynomial.variable(("x1", "x2"), "x1")
+        assert parse_expression(self.chart, f"x1^{MAX_DEGREE}") == x1**MAX_DEGREE
+        assert parse_expression(self.chart, f"x1^{MAX_DEGREE - 2} * x1^2").total_degree() == MAX_DEGREE
+        assert parse_expression(self.chart, "x1^000000000002") == x1 * x1
+        past = (
+            (f"x1^{MAX_DEGREE + 1}", 4),  # at the exponent
+            (f"x1^{MAX_DEGREE - 1} * x2^2", 10),  # at the product's '*'
+            (f"(x1*x2)^{MAX_DEGREE // 2 + 1}", 9),  # an allowed exponent, a degree past the limit
+            (f"(x1 + x2)^{2**40}", 11),
+            (f"2^{MAX_DEGREE + 1}", 3),  # every exponent, on a constant too
+            ("x1^" + "9" * 5000, 4),  # past the digits int() converts
+        )
+        for text, col in past:
+            with pytest.raises(ParseError, match=f"exceeds the limit {MAX_DEGREE}") as err:
+                parse_expression(self.chart, text)
+            assert (err.value.line, err.value.col) == (1, col)
 
     def test_print_parse_round_trip(self):
         import random
@@ -372,6 +398,17 @@ class TestCli:
         assert code == 2
         [error] = json.loads(out)["errors"]
         assert "unrecognized line" in error
+
+    @pytest.mark.parametrize(
+        "component", [f"x^{MAX_DEGREE + 1}", f"x^{MAX_DEGREE} * y", f"(x + y)^{2**40}", "x^" + "1" * 5000]
+    )
+    def test_degree_past_the_limit_is_an_input_error(self, tmp_path, component):
+        bad = tmp_path / "degree.bis"
+        bad.write_text(f"chart x y\nE:\n  (1, 0 | 0, {component})\n" + PLANE_BLOCKS.split("\n", 2)[2])
+        code, out = self.run("validate", str(bad))
+        assert code == 2
+        [error] = json.loads(out)["errors"]
+        assert error.startswith("line 3, column ") and error.endswith(f"exceeds the limit {MAX_DEGREE}")
 
     def test_missing_file(self):
         code, out = self.run("validate", "/nonexistent/path.bis")

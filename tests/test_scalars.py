@@ -1,11 +1,13 @@
 import random
 from fractions import Fraction
-from math import gcd
+from heapq import heapify, heappop, heappush
+from math import gcd, lcm
+from operator import add, neg, sub
 
 import pytest
 
 from bigiso.linalg import Matrix, Subspace
-from bigiso.scalars import Polynomial, RationalFunction, ScaledPoint, eval_rows
+from bigiso.scalars import MAX_DEGREE, Polynomial, RationalFunction, ScaledPoint, eval_rows
 
 V = ("x", "y")
 
@@ -439,8 +441,8 @@ class TestRationalFunction:
     def test_eval(self):
         f = RationalFunction(x() + 1, y())
         assert f.eval([Fraction(1), Fraction(2)]) == 1
-        with pytest.raises(ZeroDivisionError):
-            f.eval([Fraction(0), Fraction(0)])
+        with pytest.raises(ZeroDivisionError, match=r"^denominator vanishes at \(-1/2, 0\)$"):
+            f.eval([Fraction(-1, 2), Fraction(0)])
 
     def test_polynomial_detection(self):
         f = RationalFunction(x() ** 2 * y(), x())
@@ -450,14 +452,23 @@ class TestRationalFunction:
 
 # ---- the stored form: integer numerators over one denominator ------------
 
+def numerators(p):
+    """p's integer numerators over p.den, keyed by exponent tuples."""
+    return {e: (c * p.den).numerator for e, c in p.terms.items()}
+
+
 def assert_stored_form(p):
-    """den > 0, coprime to the numerators, no zero numerator, den 1 for 0."""
+    """den > 0, coprime to the numerators, no zero numerator, den 1 for 0,
+    read through the tuple view: every coefficient times den is an integer."""
+    terms = p.terms
     assert type(p.den) is int and p.den > 0
-    assert all(type(c) is int and c != 0 for c in p.nums.values())
-    assert gcd(p.den, *p.nums.values()) == 1
-    if not p.nums:
+    assert all((c * p.den).denominator == 1 and c != 0 for c in terms.values())
+    assert gcd(p.den, *numerators(p).values()) == 1
+    if not terms:
         assert p.den == 1
-    assert p.terms == {e: Fraction(c, p.den) for e, c in p.nums.items()}
+    for exps in terms:
+        assert type(exps) is tuple and len(exps) == len(p.vars)
+        assert all(type(e) is int and e >= 0 for e in exps)
 
 
 def test_stored_form_is_canonical_after_every_operation():
@@ -479,12 +490,13 @@ def test_stored_form_is_canonical_after_every_operation():
 
 def test_cancelling_denominators_reduce_to_integers():
     half = Polynomial(V, {(1, 0): Fraction(1, 2), (0, 1): Fraction(-3, 2)})
-    assert (half.nums, half.den) == ({(1, 0): 1, (0, 1): -3}, 2)
+    assert (numerators(half), half.den) == ({(1, 0): 1, (0, 1): -3}, 2)
     whole = half * 2
-    assert (whole.nums, whole.den) == ({(1, 0): 1, (0, 1): -3}, 1)
-    assert ((half + half).nums, (half + half).den) == (whole.nums, 1)
-    assert ((half - half).nums, (half - half).den) == ({}, 1)
-    assert (Polynomial(V, {(1, 0): Fraction(2, 4)}).nums, Polynomial(V, {(1, 0): Fraction(2, 4)}).den) == ({(1, 0): 1}, 2)
+    assert (numerators(whole), whole.den) == ({(1, 0): 1, (0, 1): -3}, 1)
+    assert (numerators(half + half), (half + half).den) == (numerators(whole), 1)
+    assert ((half - half).terms, (half - half).den) == ({}, 1)
+    quarter = Polynomial(V, {(1, 0): Fraction(2, 4)})
+    assert (numerators(quarter), quarter.den) == ({(1, 0): 1}, 2)
 
 
 def test_init_and_ring_operations_agree_on_equality_and_hash():
@@ -614,7 +626,7 @@ def test_dot_edge_cases():
     cancel = Polynomial.dot(W, [(half_x, third_y, 1), (third_y, half_x, -1)])
     assert cancel.is_zero() and cancel.den == 1
     whole = Polynomial.dot(W, [(half_x, half_x, 2), (half_x, half_x, 2)])
-    assert (whole.nums, whole.den) == ({(2, 0, 0): 1}, 1)
+    assert (numerators(whole), whole.den) == ({(2, 0, 0): 1}, 1)
     assert Polynomial.dot(W, ((half_x, half_x, s) for s in (1, -1))) == zero  # any iterable
     other = Polynomial.variable(("a", "b", "c"), "a")
     for terms in ([(half_x, other, 1)], [(other, half_x, 1)], [(other, other, 1)]):
@@ -632,12 +644,12 @@ def eval_scaled_reference(p, point):
     sum_e c_e a^e d^(top - |e|) / (den d^top), top being the total degree."""
     if len(point.nums) != len(p.vars):
         raise ValueError("point length does not match variables")
-    if not p.nums:
+    if p.is_zero():
         return 0, 1
     coords, d = point.nums, point.den
     top = p.total_degree()
     total = 0
-    for exps, value in p.nums.items():
+    for exps, value in numerators(p).items():
         deg = 0
         for a, e in zip(coords, exps):
             if e:
@@ -654,9 +666,9 @@ def set_vars_reference(p, assignment):
     frozen = list(assignment)
     point = ScaledPoint([assignment[i] for i in frozen])
     d = point.den
-    top = max((sum(exps[i] for i in frozen) for exps in p.nums), default=0)
+    top = max((sum(exps[i] for i in frozen) for exps in p.terms), default=0)
     nums = {}
-    for exps, value in p.nums.items():
+    for exps, value in numerators(p).items():
         new, deg = list(exps), 0
         for idx, a in zip(frozen, point.nums):
             e = exps[idx]
@@ -749,7 +761,7 @@ def substitute_reference(p, images):
     term."""
     new_vars = images[0].vars if images else p.vars
     result = Polynomial.zero(new_vars)
-    for exps, c in p.nums.items():
+    for exps, c in numerators(p).items():
         term = Polynomial.constant(new_vars, c)
         for img, e in zip(images, exps):
             for _ in range(e):
@@ -788,3 +800,309 @@ def test_substitute_matches_the_term_by_term_reference():
     assert kinds == {"zero", "constant", "general"}
     with pytest.raises(ValueError, match="one image per variable"):
         x().substitute([x()])
+
+
+# ---- oracle: the tuple-keyed kernels -----------------------------------------
+# Polynomial keys each monomial by one packed int.  TupleReference keeps the
+# kernels that ran when monomials were exponent tuples (numerators keyed by
+# tuples over one denominator), and the packed ones must agree with it term
+# for term, denominator, text, equality and hash.
+
+
+class TupleReference:
+    """Integer numerators keyed by exponent tuples over a positive den,
+    coprime to them; the state Polynomial held before keys were packed."""
+
+    def __init__(self, vars, nums, den=1):
+        nums = {e: c for e, c in nums.items() if c}
+        if den < 0:
+            nums, den = {e: -c for e, c in nums.items()}, -den
+        g = gcd(den, *nums.values())
+        self.vars, self.nums, self.den = tuple(vars), {e: c // g for e, c in nums.items()}, den // g
+
+    @classmethod
+    def of(cls, p):
+        return cls(p.vars, numerators(p), p.den)
+
+    def polynomial(self):
+        return Polynomial(self.vars, {e: Fraction(c, self.den) for e, c in self.nums.items()})
+
+    @classmethod
+    def dot(cls, vars, terms):
+        live = [(a, b, sign) for a, b, sign in terms if sign and a.nums and b.nums]
+        den = lcm(*(a.den * b.den for a, b, _ in live))
+        nums = {}
+        for a, b, sign in live:
+            f = sign * (den // (a.den * b.den))
+            for e1, c1 in a.nums.items():
+                for e2, c2 in b.nums.items():
+                    e = tuple(map(add, e1, e2))
+                    nums[e] = nums.get(e, 0) + c1 * f * c2
+        return cls(vars, nums, den)
+
+    def derivative(self, idx):
+        nums = {}
+        for exps, c in self.nums.items():
+            if exps[idx]:
+                new = list(exps)
+                new[idx] -= 1
+                nums[tuple(new)] = c * exps[idx]
+        return TupleReference(self.vars, nums, self.den)
+
+    def leading(self):
+        exps = max(self.nums, key=lambda e: (sum(e), e))
+        return exps, self.nums[exps]
+
+    def exact_div(self, divisor):
+        d_exps, lead = divisor.leading()
+        if not any(d_exps):
+            return TupleReference(self.vars, {e: c * divisor.den for e, c in self.nums.items()}, self.den * lead)
+        rest = [(e, c) for e, c in divisor.nums.items() if e != d_exps]
+        rem = dict(self.nums)
+        heap = [(-sum(e), tuple(map(neg, e)), e) for e in rem]
+        heapify(heap)
+        quotient, scale = [], 1
+        while heap:
+            exps = heappop(heap)[2]
+            c = rem.pop(exps)
+            if not c:
+                continue
+            diff = tuple(map(sub, exps, d_exps))
+            if min(diff) < 0:
+                return None
+            k = abs(lead) // gcd(c, lead)
+            if k != 1:
+                rem = {e: v * k for e, v in rem.items()}
+                scale *= k
+                c *= k
+            q = c // lead
+            quotient.append((diff, q, scale))
+            for e, c2 in rest:
+                e = tuple(map(add, diff, e))
+                if e in rem:
+                    rem[e] -= q * c2
+                else:
+                    rem[e] = -q * c2
+                    heappush(heap, (-sum(e), tuple(map(neg, e)), e))
+        nums = {e: q * (scale // s) * divisor.den for e, q, s in quotient}
+        return TupleReference(self.vars, nums, scale * self.den)
+
+    def substitute(self, images):
+        new_vars = images[0].vars if images else self.vars
+        one = TupleReference(new_vars, {(0,) * len(new_vars): 1})
+        terms = []
+        for exps, c in self.nums.items():
+            term = one
+            for img, e in zip(images, exps):
+                for _ in range(e):
+                    term = TupleReference.dot(new_vars, [(term, img, 1)])
+            terms.append((term, one, c))
+        total = TupleReference.dot(new_vars, terms)
+        return TupleReference(new_vars, total.nums, total.den * self.den)
+
+    def recast(self, vars):
+        nums = {}
+        for exps, c in self.nums.items():
+            new = [0] * len(vars)
+            for name, e in zip(self.vars, exps):
+                if e:
+                    if name not in vars:
+                        raise ValueError(f"variable {name} is not among {vars}")
+                    new[vars.index(name)] = e
+            nums[tuple(new)] = c
+        return TupleReference(vars, nums, self.den)
+
+    def __str__(self):
+        if not self.nums:
+            return "0"
+        parts = []
+        for exps, c in sorted(self.nums.items(), key=lambda kv: (sum(kv[0]), kv[0]), reverse=True):
+            mono = "*".join(name if e == 1 else f"{name}^{e}" for name, e in zip(self.vars, exps) if e)
+            g = gcd(c, self.den)
+            coeff = str(c // g) if g == self.den else f"{c // g}/{self.den // g}"
+            if not mono:
+                text = coeff
+            elif c == self.den:
+                text = mono
+            elif c == -self.den:
+                text = f"-{mono}"
+            else:
+                text = f"{coeff}*{mono}"
+            parts.append(text)
+        out = parts[0]
+        for part in parts[1:]:
+            out += f" - {part[1:]}" if part.startswith("-") else f" + {part}"
+        return out
+
+
+def assert_matches_reference(got, ref):
+    assert got.vars == ref.vars
+    assert (got.terms, got.den) == ({e: Fraction(c, ref.den) for e, c in ref.nums.items()}, ref.den)
+    assert str(got) == str(ref)
+    rebuilt = ref.polynomial()
+    assert rebuilt == got and hash(rebuilt) == hash(got)
+    assert_stored_form(got)
+
+
+def random_exponents(rng, n, degree):
+    """n >= 1 nonnegative exponents summing to degree."""
+    cuts = sorted(rng.randint(0, degree) for _ in range(n - 1))
+    return tuple(b - a for a, b in zip([0, *cuts], [*cuts, degree]))
+
+
+def random_keyed_polynomial(rng, names, top):
+    """The zero polynomial, a constant, or up to four terms of total degree
+    at most top, about a third of them on degree top exactly."""
+    kind = rng.randrange(6)
+    if kind == 0:
+        return Polynomial.zero(names)
+    if kind == 1 or not names:
+        return Polynomial.constant(names, Fraction(rng.randint(-5, 5), rng.randint(1, 4)))
+    terms = {}
+    for _ in range(rng.randint(1, 4)):
+        degree = top if rng.random() < 0.35 else rng.randint(0, min(top, 3))
+        terms[random_exponents(rng, len(names), degree)] = Fraction(rng.randint(-5, 5), rng.randint(1, 4))
+    return Polynomial(names, terms)
+
+
+# names with 0, 1 and 3 variables; (top of a, top of b), where the second
+# pair meets the degree limit exactly in a product
+ORACLE_NAMES = ((), ("x",), ("x", "y", "z"))
+ORACLE_TOPS = ((3, 2), (MAX_DEGREE - 2, 2))
+
+
+def oracle_cases(seed):
+    rng = random.Random(seed)
+    names = ORACLE_NAMES[seed % 3]
+    top_a, top_b = ORACLE_TOPS[seed // 3 % 2]
+    return rng, names, top_a, top_b
+
+
+def test_dot_matches_the_tuple_reference():
+    for seed in range(300):
+        rng, names, top_a, top_b = oracle_cases(seed)
+        terms = []
+        for _ in range(rng.randint(0, 3)):
+            a, b = random_keyed_polynomial(rng, names, top_a), random_keyed_polynomial(rng, names, top_b)
+            terms.append((a, b, rng.choice([1, -1, 3, 0])))
+            if rng.random() < 0.2:
+                terms.append((b, a, -terms[-1][2]))  # cancels the triple before
+        ref = TupleReference.dot(names, [(TupleReference.of(a), TupleReference.of(b), s) for a, b, s in terms])
+        assert_matches_reference(Polynomial.dot(names, terms), ref)
+
+
+def test_derivative_matches_the_tuple_reference():
+    for seed in range(300):
+        rng, names, top_a, _ = oracle_cases(seed)
+        p = random_keyed_polynomial(rng, names, top_a)
+        for idx, name in enumerate(names):
+            expected = TupleReference.of(p).derivative(idx)
+            assert_matches_reference(p.derivative(idx), expected)
+            assert_matches_reference(p.derivative(name), expected)
+
+
+def test_exact_div_matches_the_tuple_reference():
+    divided = 0
+    for seed in range(300):
+        rng, names, top_a, top_b = oracle_cases(seed)
+        q = random_keyed_polynomial(rng, names, top_b)
+        if q.is_zero():
+            continue
+        p = random_keyed_polynomial(rng, names, top_a) * q
+        if rng.random() < 0.3:
+            p = p + random_keyed_polynomial(rng, names, top_b)  # low degree: a long division would crawl
+        expected = TupleReference.of(p).exact_div(TupleReference.of(q))
+        got = p.exact_div(q)
+        assert (got is None) == (expected is None), (p, q)
+        if got is not None:
+            assert_matches_reference(got, expected)
+            divided += 1
+    assert 100 < divided < 300
+
+
+def test_substitute_and_recast_match_the_tuple_reference():
+    for seed in range(300):
+        rng, names, top_a, _ = oracle_cases(seed)
+        p = random_keyed_polynomial(rng, names, min(top_a, 40))  # the reference multiplies per unit
+        targets = NAMES[: rng.randint(1, 3)]
+        images = [random_image(rng, targets) for _ in names]
+        if names:
+            assert_matches_reference(p.substitute(images), TupleReference.of(p).substitute(
+                [TupleReference.of(img) for img in images]))
+        wider = tuple(reversed(names)) + ("w",)
+        assert_matches_reference(p.recast(wider), TupleReference.of(p).recast(wider))
+
+
+def test_packed_kernels_at_the_degree_limit():
+    xyz = ("x", "y", "z")
+    top = Polynomial(xyz, {(MAX_DEGREE, 0, 0): 1, (0, 2, MAX_DEGREE - 2): Fraction(-3, 4), (1, 1, 0): 2})
+    assert_matches_reference(top, TupleReference.of(top))
+    assert top.total_degree() == MAX_DEGREE and top.leading()[1] == 4
+    assert str(top) == f"x^{MAX_DEGREE} - 3/4*y^2*z^{MAX_DEGREE - 2} + 2*x*y"
+    assert_matches_reference(top.derivative("x"), TupleReference.of(top).derivative(0))
+    assert_matches_reference(top.derivative("z"), TupleReference.of(top).derivative(2))
+    assert top.exact_div(Polynomial.variable(xyz, "z") + 1) is None and top.exact_div(top) == 1
+    x_top = Polynomial(xyz, {(MAX_DEGREE, 0, 0): 1})
+    assert x_top.exact_div(Polynomial(xyz, {(MAX_DEGREE - 1, 0, 0): 1})) == Polynomial.variable(xyz, "x")
+    assert x_top.exact_div(Polynomial.variable(xyz, "z")) is None  # the z field borrows
+    low = Polynomial(xyz, {(1, 0, 0): 1, (0, 0, 1): -1})
+    high = Polynomial(xyz, {(MAX_DEGREE - 1, 0, 0): 1, (0, 0, MAX_DEGREE - 1): 1})
+    assert_matches_reference((low * high).exact_div(low), TupleReference.of(high))
+    swapped = top.substitute([Polynomial.variable(xyz, v) for v in "zyx"])
+    assert swapped.terms == {(0, 0, MAX_DEGREE): 1, (MAX_DEGREE - 2, 2, 0): Fraction(-3, 4), (0, 1, 1): 2}
+    # every field at its largest value, one variable at a time
+    for i in range(3):
+        exps = tuple(MAX_DEGREE if j == i else 0 for j in range(3))
+        one_term = Polynomial(xyz, {exps: 1})
+        assert one_term.terms == {exps: 1} and one_term.recast(("z", "x", "y", "w")).total_degree() == MAX_DEGREE
+
+
+def test_zero_variables_and_constants():
+    for names in ((), ("x",)):
+        zero, c = Polynomial.zero(names), Polynomial.constant(names, Fraction(-3, 4))
+        for p in (zero, c, Polynomial.one(names)):
+            assert_matches_reference(p, TupleReference.of(p))
+            assert p.is_constant() and p.total_degree() == (-1 if p.is_zero() else 0)
+            assert_matches_reference(p * c, TupleReference.dot(names, [(TupleReference.of(p), TupleReference.of(c), 1)]))
+        assert c.terms == {(0,) * len(names): Fraction(-3, 4)} and str(c) == "-3/4" and str(zero) == "0"
+        assert c.exact_div(c) == 1 and zero.exact_div(c) == 0
+
+
+# ---- the degree limit: every operation that could pass it raises -------------
+
+def test_constructor_takes_the_largest_degree_and_rejects_the_next():
+    assert MAX_DEGREE == 2**15 - 1  # 16-bit fields, each guard bit clear
+    assert Polynomial(V, {(MAX_DEGREE, 0): 1}).total_degree() == MAX_DEGREE
+    assert Polynomial(V, {(1, MAX_DEGREE - 1): 1}).total_degree() == MAX_DEGREE
+    for exps in ((MAX_DEGREE + 1, 0), (MAX_DEGREE, 1), (2**40, 0), (MAX_DEGREE // 2 + 1, MAX_DEGREE // 2 + 1)):
+        with pytest.raises(OverflowError, match=f"exceeds the limit {MAX_DEGREE}"):
+            P({exps: 1})
+
+
+def test_power_takes_the_largest_degree_and_rejects_the_next(monkeypatch):
+    assert (x() ** MAX_DEGREE).terms == {(MAX_DEGREE, 0): 1}
+    assert ((x() * y()) ** (MAX_DEGREE // 2)).terms == {(MAX_DEGREE // 2, MAX_DEGREE // 2): 1}
+    assert (x() + 1) ** 0 == 1 and Polynomial.zero(V) ** (2**40) == 0
+    assert Polynomial.constant(V, -1) ** (2**40 + 1) == -1
+    # the degree is checked before any product: squaring x + y + 1 up to the
+    # limit would build polynomials of millions of terms
+    cases = ((x(), MAX_DEGREE + 1), (x() * y(), MAX_DEGREE // 2 + 1), (x() + y() + 1, 2**40))
+    monkeypatch.setattr(Polynomial, "dot", classmethod(lambda *_: pytest.fail("multiplied before the check")))
+    for base, n in cases:
+        with pytest.raises(OverflowError, match=f"exceeds the limit {MAX_DEGREE}"):
+            base**n
+
+
+def test_products_take_the_largest_degree_and_reject_the_next():
+    near = Polynomial(W, {(MAX_DEGREE - 1, 0, 0): 1, (0, 0, 1): Fraction(1, 2)})
+    xw, yw = Polynomial.variable(W, "x"), Polynomial.variable(W, "y")
+    assert (near * xw).total_degree() == MAX_DEGREE
+    assert Polynomial.dot(W, [(near, yw, 1), (near, xw, -1)]).terms == {
+        (MAX_DEGREE - 1, 1, 0): 1, (MAX_DEGREE, 0, 0): -1, (0, 1, 1): Fraction(1, 2), (1, 0, 1): Fraction(-1, 2)}
+    for terms in ([(near, xw * xw, 1)], [(near, xw, 1), (near * xw, yw, 1)], [(xw, near * yw, 1)]):
+        with pytest.raises(OverflowError, match=f"exceeds the limit {MAX_DEGREE}"):
+            Polynomial.dot(W, terms)
+    with pytest.raises(OverflowError):
+        near * xw * yw
+    # terms past the limit that cancel leave an exact result
+    assert Polynomial.dot(W, [(near, xw * yw, 1), (near, xw * yw, -1)]).is_zero()
