@@ -39,14 +39,15 @@ s = structure_from_components(
 adapted = AdaptedChart(chart, leaf=(0, 1), middle=(2, 3), transverse=(4,))
 cf = normalize_frame(s, adapted)
 print("orthogonality relations:", check_orthogonality_relations(cf).ok)
-print("mixed coefficients alpha' =", [[str(e) for e in row] for row in cf.alpha_prime])
+print("mixed coefficients alpha' =", cf.quotient_strings("alpha_prime"))
 print("locally decomposable here?", is_locally_decomposable(cf))
 
-# The leaf through the origin carries the symplectic form read off alpha.
+# The leaf through the origin carries the symplectic form read off alpha;
+# leaf_pullback checks that it is skew there.
 print("\nleaf 2-form matrix:")
-mat = leaf_pullback(cf)
-for i in range(mat.rows):
-    print("  ", [str(mat[i, j]) for j in range(mat.cols)])
+leaf_pullback(cf)
+for row in cf.quotient_strings("alpha", adapted.leaf_assignment()):
+    print("  ", row)
 
 # The same structure in sheared coordinates becomes decomposable.
 T = Matrix(
@@ -64,8 +65,8 @@ cf_tilde = normalize_frame(
 )
 print("\nafter the shear, decomposable?", is_locally_decomposable(cf_tilde))
 print("canonical X rows in the new chart:")
-for row in cf_tilde.x_rows:
-    print("  ", [str(e) for e in row])
+for row in cf_tilde.quotient_strings("x_rows"):
+    print("  ", row)
 
 # The transversal slice {x = 0} inherits a structure framed by the Xi rows.
 tr = transversal_structure(s, cf)

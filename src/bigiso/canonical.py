@@ -16,9 +16,12 @@ the chart is fixed, it can be computed in one step per bundle: solve for the
 frame whose designated block of coordinate columns is the identity.  Each
 solve is one fraction-free elimination of the structure's own polynomial
 rows on those columns, taken in the split's order
-(``linalg.fraction_free``); its rows over its pivot are the canonical rows.
-The two block determinants delimit the validity locus, which is recorded on
-the result.
+(``linalg.fraction_free``): its rows over its pivot are the canonical rows,
+so the frame is kept as polynomial numerators over one block determinant
+per bundle, ``det_e`` for the X and Xi rows and ``det_eprime`` for the Y,
+Theta and E'-only rows.  Every check runs on the numerators, and a quotient
+is formed only to print an entry.  The two determinants delimit the
+validity locus, which is recorded on the result.
 
 The transversal structure lives on the slice {x = 0}, which
 ``reduction.restrict`` pulls the structure back to like any submanifold.
@@ -28,7 +31,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import islice
+from itertools import islice, repeat
 from operator import sub
 
 from .calculus import BigSection, Chart, PolyOneForm, PolyVectorField
@@ -36,7 +39,7 @@ from .grid import format_point
 from .linalg import Matrix, Subspace, combine, complement_in, fraction_free
 from .pointwise import IsotropicData, characteristic_triple, covector_lift, is_graph_type, window
 from .reduction import SubmanifoldData, restrict
-from .scalars import Polynomial, RationalFunction, eval_rows
+from .scalars import Polynomial, eval_rows
 from .structures import BigIsotropicStructure, Verdict, default_grid
 from .transport import LinearMap
 
@@ -134,14 +137,22 @@ class FrameValues:
     alpha_prime: tuple
 
 
+# the grids whose numerators are over det_e; every other grid is over det_eprime
+_OVER_DET_E = frozenset(
+    ("A_prime", "A_dprime", "alpha", "alpha_prime", "B_prime", "B_dprime", "beta", "beta_prime", "x_rows", "xi_rows")
+)
+
+
 @dataclass(frozen=True, eq=False)
 class CanonicalFrame:
     """The coefficient record of a canonical local frame.
 
-    Coefficient grids are lists of rational-function rows; the first index is
-    the section, the second the frame direction (A_prime[a][h] multiplies the
-    h-th middle field inside the a-th leaf section, and so on).  The
-    denominators inverted during normalization delimit the validity locus.
+    Every grid holds polynomial numerators: entry [i][j] over the grid's
+    determinant (``det_of``) is the coefficient, the first index being the
+    section and the second the frame direction (A_prime[a][h] multiplies the
+    h-th middle field inside the a-th leaf section, and so on).  The X and
+    Xi rows and the grids read from them are over det_e, the others over
+    det_eprime; the two determinants delimit the validity locus.
     """
 
     structure: BigIsotropicStructure
@@ -179,6 +190,20 @@ class CanonicalFrame:
     def p(self):
         return self.adapted.p
 
+    def det_of(self, grid: str) -> Polynomial:
+        """The determinant that the numerators of the named grid are over."""
+        return self.det_e if grid in _OVER_DET_E else self.det_eprime
+
+    def quotient_strings(self, grid: str, assignment=None) -> list:
+        """The entries of the named grid as text, each printed as num / det
+        in RationalFunction's normal form; an assignment of constants to
+        variables (the leaf's, say) restricts both first."""
+        det, rows = self.det_of(grid), getattr(self, grid)
+        if assignment is not None:
+            det = det.set_vars(assignment)
+            rows = [[e.set_vars(assignment) for e in row] for row in rows]
+        return [[str(e / det) for e in row] for row in rows]
+
     def denominators_nonzero_at(self, point) -> bool:
         try:
             return self.det_e.eval(point) != 0 and self.det_eprime.eval(point) != 0
@@ -188,35 +213,31 @@ class CanonicalFrame:
     def at(self, point) -> FrameValues:
         """The X, Xi, Y and Theta rows and the alpha' grid at a point of the
         validity locus, each entry evaluated once.  One eval_rows table holds
-        every row of the five grids as (num_0, den_0, num_1, den_1, ...); a
-        row's positive scale cancels in each quotient, so every value is the
-        entry's own eval, and a vanishing denominator raises as eval does."""
-        grids = (self.x_rows, self.xi_rows, self.y_rows, self.theta_rows, self.alpha_prime)
-        table = [[p for e in row for p in (e.num, e.den)] for rows in grids for row in rows]
+        every numerator row of the five grids with its determinant appended
+        as the last column; a row's positive scale cancels in each quotient,
+        and a vanishing determinant raises ZeroDivisionError."""
+        grids = ("x_rows", "xi_rows", "y_rows", "theta_rows", "alpha_prime")
+        table = [row + (self.det_of(grid),) for grid in grids for row in getattr(self, grid)]
         (scaled,) = eval_rows(table, (point,))
-        if not all(all(ints[1::2]) for ints in scaled):
+        if not all(ints[-1] for ints in scaled):
             raise ZeroDivisionError(f"denominator vanishes at {format_point(point)}")
-        rows_at = iter(scaled)
-        values = [
-            tuple(tuple(map(Fraction, ints[::2], ints[1::2])) for ints in islice(rows_at, len(rows)))
-            for rows in grids
-        ]
+        quotients = iter([tuple(Fraction(n, ints[-1]) for n in ints[:-1]) for ints in scaled])
+        values = [tuple(islice(quotients, len(getattr(self, grid)))) for grid in grids]
         return FrameValues(self.adapted.chart.dim, *values)
 
 
 def _identity_on(rows, columns, names, singular: str):
-    """(det, combination): the determinant of the square block of the
-    polynomial rows on the given columns, and the combination of the rows
-    that is the identity on that block, in rational functions.  One
+    """(det, numerators): the determinant of the square block of the
+    polynomial rows on the given columns, and the numerators over it of the
+    combination of the rows that is the identity on that block.  One
     fraction-free elimination gives both: its rows over its pivot, which is
-    sign * det."""
+    sign * det, so the numerators are its rows times sign."""
     reduced, pivots, sign = fraction_free(rows, columns)
     if len(pivots) < len(rows):
         raise NormalizationError(singular)
     if not rows:
         return Polynomial.one(names), ()
-    pivot = reduced[0][pivots[0]]
-    return sign * pivot, tuple(tuple(RationalFunction(e, pivot) for e in row) for row in reduced)
+    return sign * reduced[0][pivots[0]], tuple(tuple(sign * e for e in row) for row in reduced)
 
 
 def _grab(rows, columns):
@@ -280,69 +301,52 @@ def normalize_frame(s: BigIsotropicStructure, adapted: AdaptedChart) -> Canonica
         eprime_only_rows=new_ep[: r + p],
         det_e=det_e,
         det_eprime=det_ep,
-        leaf_conditions_ok=_leaf_conditions_hold(adapted, x_rows, xi_rows, y_rows, theta_rows),
+        leaf_conditions_ok=_leaf_conditions_hold(adapted, (det_e, det_ep), x_rows, xi_rows, y_rows, theta_rows),
     )
 
 
-def _leaf_conditions_hold(adapted, x_rows, xi_rows, y_rows, theta_rows) -> bool:
+def _leaf_conditions_hold(adapted, dets, x_rows, xi_rows, y_rows, theta_rows) -> bool:
     """Along the leaf the canonical tangent coefficients must collapse to the
     seed values (identity/zero pattern); fails when the chart split does not
-    actually match the structure's characteristic distributions on the leaf."""
+    actually match the structure's characteristic distributions on the leaf.
+    A quotient vanishes on the leaf iff its numerator does, unless its
+    determinant vanishes identically there, and then the conditions fail."""
     on_leaf = adapted.leaf_assignment()
+    if any(det.set_vars(on_leaf).is_zero() for det in dets):
+        return False
     off_leaf, transverse = adapted.middle + adapted.transverse, adapted.transverse
     blocks = ((x_rows, off_leaf), (xi_rows, off_leaf), (y_rows, transverse), (theta_rows, transverse))
-    try:
-        return all(row[c].set_vars(on_leaf).is_zero() for rows, columns in blocks for row in rows for c in columns)
-    except ZeroDivisionError:
-        return False
+    return all(row[c].set_vars(on_leaf).is_zero() for rows, columns in blocks for row in rows for c in columns)
+
+
+# The seven relation families as (label, outer rows, inner rows): relation
+# (i, j) of a family is 2g of the i-th outer and the j-th inner canonical row,
+# read through the identity and zero blocks of the canonical shape.
+_RELATIONS = (
+    ("alpha'[{0}][{1}] + gamma[{1}][{0}]", "x_rows", "y_rows"),
+    ("lambda[{0}][{1}] + A'[{1}][{0}]", "theta_rows", "x_rows"),
+    ("beta'[{0}][{1}] + C''[{1}][{0}]", "xi_rows", "y_rows"),
+    ("L''[{0}][{1}] + B'[{1}][{0}]", "theta_rows", "xi_rows"),
+    ("mixed covector relation (u={0}, a={1})", "xi_rows", "x_rows"),
+    ("transverse symmetry relation (u={0}, v={1})", "xi_rows", "xi_rows"),
+    ("leaf symmetry relation (a={0}, b={1})", "x_rows", "x_rows"),
+)
 
 
 def check_orthogonality_relations(cf: CanonicalFrame) -> Verdict:
     """The seven relation families equivalent to g-orthogonality of the
     canonical frame; in the maximal (Dirac) case only the three families
-    without middle indices survive."""
+    without middle indices survive.  A relation is 2g of two rows, so it
+    holds iff the pairing of their numerators, one dot, is zero; a failure
+    carries the relation's value, that pairing over both determinants."""
     failures = []
-    r, mk, p = cf.r, cf.mk, cf.p
-
-    def expect_zero(tag, value):
-        if not value.is_zero():
-            failures.append((tag, value))
-
-    for a in range(r):
-        for h in range(mk):
-            expect_zero(f"alpha'[{a}][{h}] + gamma[{h}][{a}]", cf.alpha_prime[a][h] + cf.gamma[h][a])
-    for q in range(mk):
-        for a in range(r):
-            expect_zero(f"lambda[{q}][{a}] + A'[{a}][{q}]", cf.lam[q][a] + cf.A_prime[a][q])
-    for u in range(p):
-        for h in range(mk):
-            expect_zero(
-                f"beta'[{u}][{h}] + C''[{h}][{u}]", cf.beta_prime[u][h] + cf.C_dprime[h][u]
-            )
-    for q in range(mk):
-        for u in range(p):
-            expect_zero(f"L''[{q}][{u}] + B'[{u}][{q}]", cf.L_dprime[q][u] + cf.B_prime[u][q])
-    for u in range(p):
-        for a in range(r):
-            acc = cf.beta[u][a] + cf.A_dprime[a][u]
-            for h in range(mk):
-                acc = acc + cf.alpha_prime[a][h] * cf.B_prime[u][h]
-                acc = acc + cf.beta_prime[u][h] * cf.A_prime[a][h]
-            expect_zero(f"mixed covector relation (u={u}, a={a})", acc)
-    for u in range(p):
-        for v in range(p):
-            acc = cf.B_dprime[v][u] + cf.B_dprime[u][v]
-            for h in range(mk):
-                acc = acc + cf.beta_prime[u][h] * cf.B_prime[v][h]
-                acc = acc + cf.beta_prime[v][h] * cf.B_prime[u][h]
-            expect_zero(f"transverse symmetry relation (u={u}, v={v})", acc)
-    for a in range(r):
-        for b in range(r):
-            acc = cf.alpha[a][b] + cf.alpha[b][a]
-            for h in range(mk):
-                acc = acc + cf.alpha_prime[a][h] * cf.A_prime[b][h]
-                acc = acc + cf.alpha_prime[b][h] * cf.A_prime[a][h]
-            expect_zero(f"leaf symmetry relation (a={a}, b={b})", acc)
+    m, names = cf.adapted.chart.dim, cf.adapted.chart.names
+    for label, outer, inner in _RELATIONS:
+        for i, a in enumerate(getattr(cf, outer)):
+            for j, b in enumerate(getattr(cf, inner)):
+                value = Polynomial.dot(names, zip(a, b[m:] + b[:m], repeat(1)))
+                if not value.is_zero():
+                    failures.append((label.format(i, j), value / (cf.det_of(outer) * cf.det_of(inner))))
     return Verdict("canonical orthogonality relations", not failures, tuple(failures))
 
 
@@ -440,15 +444,13 @@ def _splitting_holds(v: FrameValues, h_pt, t_fol, ann_fol) -> bool:
 
 
 def leaf_pullback(cf: CanonicalFrame) -> Matrix:
-    """The induced presymplectic matrix alpha^a_b restricted to the leaf."""
+    """The induced presymplectic matrix alpha^a_b restricted to the leaf, as
+    its numerators there over det_e there; raises when det_e vanishes
+    identically on the leaf or the restriction is not skew."""
     on_leaf = cf.adapted.leaf_assignment()
-    try:
-        entries = [
-            [cf.alpha[a][b].set_vars(on_leaf) for b in range(cf.r)] for a in range(cf.r)
-        ]
-    except ZeroDivisionError as exc:
-        raise NormalizationError(f"canonical coefficients blow up on the leaf: {exc}")
-    mat = Matrix(entries)
+    if cf.det_e.set_vars(on_leaf).is_zero():
+        raise NormalizationError("canonical coefficients blow up on the leaf: det_e vanishes there")
+    mat = Matrix([[e.set_vars(on_leaf) for e in row] for row in cf.alpha])
     for a in range(cf.r):
         for b in range(cf.r):
             if not (mat[a, b] + mat[b, a]).is_zero():
@@ -458,43 +460,37 @@ def leaf_pullback(cf: CanonicalFrame) -> Matrix:
 
 def dirac_extension_frame(cf: CanonicalFrame):
     """Generators of the almost-Dirac extension over the chart: the E frame
-    plus the pure-covector annihilators of the characteristic distribution.
+    plus the pure-covector annihilators of the characteristic distribution,
+    all as polynomial rows (the X and Xi numerators scale their quotients by
+    det_e, which is nonzero on the validity locus).
 
     The covector generators are kernel combinations of (phi, psi) against the
     Xi tangent coefficients; on regular structures the kernel is everything.
     """
     adapted = cf.adapted
-    m = adapted.chart.dim
+    m, names = adapted.chart.dim, adapted.chart.names
     mk, p = cf.mk, cf.p
-    names = adapted.chart.names
-    # B' and B'' have the denominator det_e, so their numerators have their kernel
-    rows = [
-        [(e * cf.det_e).as_polynomial() for e in cf.B_prime[u] + cf.B_dprime[u]] for u in range(p)
-    ]
+    # B' and B'' share det_e, so their numerators have their kernel
+    rows = [cf.B_prime[u] + cf.B_dprime[u] for u in range(p)]
     reduced, pivots, _ = fraction_free(rows, range(mk + p))
-    zero, one = RationalFunction.zero(names), RationalFunction.one(names)
+    # every pivot row holds the same last pivot in its pivot column
+    pivot = reduced[0][pivots[0]] if pivots else Polynomial.one(names)
+    zero = Polynomial.zero(names)
     gens = list(cf.x_rows) + list(cf.xi_rows)
-    # one kernel combination per free column, as in the RREF
+    # one kernel combination (phi, psi) per free column, as in the RREF times the pivot
     for f in (c for c in range(mk + p) if c not in pivots):
         combo = [zero] * (mk + p)
-        combo[f] = one
+        combo[f] = pivot
         for row, c in zip(reduced, pivots):
-            combo[c] = RationalFunction(-row[f], row[c])
-        phi, psi = combo[:mk], combo[mk:]
+            combo[c] = -row[f]
         # a pure covector: phi on the middle and psi on the transverse
-        # coordinates, with its leaf part chosen to annihilate the X rows
+        # coordinates, with its leaf part chosen to annihilate the X rows,
+        # all over det_e as the A' and A'' numerators are
         row = [zero] * (2 * m)
-        for hi, i in enumerate(adapted.middle):
-            row[m + i] = phi[hi]
-        for si, i in enumerate(adapted.transverse):
-            row[m + i] = psi[si]
-        for ai, i in enumerate(adapted.leaf):
-            acc = zero
-            for hi in range(mk):
-                acc = acc + phi[hi] * cf.A_prime[ai][hi]
-            for si in range(p):
-                acc = acc + psi[si] * cf.A_dprime[ai][si]
-            row[m + i] = -acc
+        for i, c in zip(adapted.middle + adapted.transverse, combo):
+            row[m + i] = c * cf.det_e
+        for a, i in enumerate(adapted.leaf):
+            row[m + i] = -Polynomial.dot(names, zip(combo, cf.A_prime[a] + cf.A_dprime[a], repeat(1)))
         gens.append(tuple(row))
     return tuple(gens)
 
@@ -504,36 +500,37 @@ def transversal_structure(
 ) -> BigIsotropicStructure:
     """The induced structure on the slice {x = 0}, framed by the restricted
     Xi sections (and Y/Theta for the orthogonal bundle) and checked against
-    the pullbacks along the coordinate inclusion of the slice."""
+    the pullbacks along the coordinate inclusion of the slice.
+
+    Each numerator row is restricted to the slice and divided by its
+    determinant's restriction where that division is exact, as it always is
+    for a constant determinant; otherwise the numerators frame the same
+    span off the locus.  A determinant that vanishes on the whole slice
+    leaves no point to check on, which fails as an empty sample."""
     adapted = cf.adapted
     m = adapted.chart.dim
     sub = adapted.sub_chart()
     sub_idx = adapted.middle + adapted.transverse
     freeze = {i: Fraction(0) for i in adapted.leaf}
-
-    def restrict_row(row):
-        comps = []
-        for i in sub_idx:
-            comps.append(row[i].set_vars(freeze))
-        for i in sub_idx:
-            comps.append(row[m + i].set_vars(freeze))
-        return _clear_denominators(comps)
-
-    e_frame = [restrict_row(row) for row in cf.xi_rows]
-    ep_frame = e_frame + [restrict_row(row) for row in cf.y_rows]
-    ep_frame += [restrict_row(row) for row in cf.theta_rows]
-
     sub_grid = grid if grid is not None else default_grid(sub.dim, cap=12)
+    det_e, det_ep = (det.set_vars(freeze) for det in (cf.det_e, cf.det_eprime))
+    if det_e.is_zero() or det_ep.is_zero():
+        raise NormalizationError(_empty_sample(cf, len(sub_grid)))
+
+    def section(row, det) -> BigSection:
+        comps = [row[i].set_vars(freeze) for i in sub_idx] + [row[m + i].set_vars(freeze) for i in sub_idx]
+        quotients = [c.exact_div(det) for c in comps]
+        comps = [c.recast(sub.names) for c in (comps if None in quotients else quotients)]
+        return BigSection(PolyVectorField(sub, comps[: sub.dim]), PolyOneForm(sub, comps[sub.dim :]))
+
+    e_frame = [section(row, det_e) for row in cf.xi_rows]
+    ep_frame = e_frame + [section(row, det_ep) for row in cf.y_rows + cf.theta_rows]
+
     inclusion = LinearMap.from_rows([[int(i == j) for j in sub_idx] for i in range(m)])
     N = SubmanifoldData(adapted.chart, sub, (0,) * m, inclusion)
     restricted = restrict(s, N, grid=sub_grid)
 
-    structure = BigIsotropicStructure.build(
-        sub,
-        [_row_to_section(sub, row) for row in e_frame],
-        [_row_to_section(sub, row) for row in ep_frame],
-        grid=sub_grid,
-    )
+    structure = BigIsotropicStructure.build(sub, e_frame, ep_frame, grid=sub_grid)
     used = 0
     for pt, expected in zip(restricted.points, restricted.pulled_E):
         if not cf.denominators_nonzero_at(N.embed_point(pt)):
@@ -555,30 +552,4 @@ def _empty_sample(cf: CanonicalFrame, points: int) -> str:
     return (
         f"empty sample: no point of the {points}-point grid lies on the validity locus "
         f"({cf.det_e}) * ({cf.det_eprime}) != 0"
-    )
-
-
-def _clear_denominators(comps):
-    scale, seen = RationalFunction.one(comps[0].vars), []
-    for d in (c.den for c in comps if not c.is_polynomial()):
-        if d not in seen:
-            seen.append(d)
-            scale = scale * RationalFunction.from_poly(d)
-    return [c * scale for c in comps]
-
-
-def _row_to_section(sub_chart: Chart, row) -> BigSection:
-    n = sub_chart.dim
-    # rows arrive as rational functions over the FULL chart but only using
-    # slice coordinates; project them onto the slice polynomial ring
-    polys = []
-    for entry in row:
-        if not entry.is_polynomial():
-            raise NormalizationError("transversal components must be polynomial after clearing denominators")
-        try:
-            polys.append(entry.as_polynomial().recast(sub_chart.names))
-        except ValueError:
-            raise NormalizationError("restricted component still uses a leaf coordinate") from None
-    return BigSection(
-        PolyVectorField(sub_chart, polys[:n]), PolyOneForm(sub_chart, polys[n:])
     )

@@ -103,10 +103,6 @@ def _failure(exc: Exception) -> dict:
     return {"failures": [{"message": str(exc), "detail": None}]}
 
 
-def _row_strings(row):
-    return [str(entry) for entry in row]
-
-
 def _section_strings(sec: BigSection):
     return [str(c) for c in sec.as_poly_row()]
 
@@ -189,12 +185,8 @@ def _normalize(run: _Run, frame_in_certificate: bool = False):
             "leaf_conditions": cf.leaf_conditions_ok,
         }
         if frame_in_certificate:
-            cert["frame"] = {
-                "X": [_row_strings(row) for row in cf.x_rows],
-                "Xi": [_row_strings(row) for row in cf.xi_rows],
-                "Y": [_row_strings(row) for row in cf.y_rows],
-                "Theta": [_row_strings(row) for row in cf.theta_rows],
-            }
+            grids = (("X", "x_rows"), ("Xi", "xi_rows"), ("Y", "y_rows"), ("Theta", "theta_rows"))
+            cert["frame"] = {name: cf.quotient_strings(grid) for name, grid in grids}
         timer.done(cf.leaf_conditions_ok, cert)
     run.check("canonical orthogonality relations", check_orthogonality_relations, cf)
     run.frame = cf
@@ -208,7 +200,7 @@ def _decomposable(run: _Run):
     cf = run.frame
     if cf is None:
         return
-    alpha_cert = {"alpha_prime": [_row_strings(row) for row in cf.alpha_prime]}
+    alpha_cert = {"alpha_prime": cf.quotient_strings("alpha_prime")}
     run.report.add("local decomposability", is_locally_decomposable(cf), alpha_cert)
     run.check("coupling equivalences", coupling_equivalences, cf, grid=run.grid)
 
@@ -231,12 +223,11 @@ def _transversal(run: _Run):
     run.check("transversal integrability", check_integrability, tr)
     with report.start("leaf presymplectic form") as timer:
         try:
-            mat = leaf_pullback(cf)
+            leaf_pullback(cf)
         except NormalizationError as exc:
             timer.done(False, _failure(exc))
             return
-        cert = {"matrix": [[str(mat[i, j]) for j in range(mat.cols)] for i in range(mat.rows)]}
-        timer.done(True, cert)
+        timer.done(True, {"matrix": cf.quotient_strings("alpha", cf.adapted.leaf_assignment())})
 
 
 def _reduce(run: _Run):

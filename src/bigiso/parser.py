@@ -4,7 +4,9 @@ Expressions are parsed by recursive descent over +, -, *, / (constant
 divisors only), ^ with nonnegative integer exponents, parentheses, rational
 literals and declared coordinate names.  Errors carry line and column; an
 exponent, or a power or product of total degree, past ``scalars.MAX_DEGREE``
-is one.
+is one, and so are a literal of more than ``MAX_DIGITS`` digits and
+parentheses nested deeper than ``MAX_NESTING``.  A run of unary signs is
+folded in a loop, so no input nests the descent deeper than that bound.
 
 A structure document declares a chart, the two frame blocks, and optional
 blocks for the adapted split, a foliation, an affine submanifold, a sample
@@ -47,6 +49,10 @@ class ParseError(ValueError):
 
 
 _TOKEN_CHARS = {"+", "-", "*", "/", "^", "(", ")"}
+# below 640, the least limit int() can be set to take from a string, so no
+# interpreter setting refuses a literal the parser accepts
+MAX_DIGITS = 600
+MAX_NESTING = 100  # parenthesis levels; each takes five frames of the descent
 
 
 def _tokenize(text: str, line_no: int, col_offset: int = 0):
@@ -86,6 +92,7 @@ class ExpressionParser:
         self.chart = chart
         self.tokens = _tokenize(text, line_no, col_offset)
         self.pos = 0
+        self.depth = 0  # parentheses open around the current position
 
     def peek(self):
         return self.tokens[self.pos]
@@ -136,12 +143,11 @@ class ExpressionParser:
         return value
 
     def factor(self) -> Polynomial:
-        tok = self.peek()
-        if tok[0] in ("+", "-"):
-            self.advance()
-            value = self.factor()
-            return value if tok[0] == "+" else -value
-        return self.power()
+        negate = False
+        while self.peek()[0] in ("+", "-"):
+            negate ^= self.advance()[0] == "-"
+        value = self.power()
+        return -value if negate else value
 
     def power(self) -> Polynomial:
         base = self.atom()
@@ -151,10 +157,11 @@ class ExpressionParser:
             if tok[0] != "number":
                 raise ParseError("exponent must be a nonnegative integer", tok[2], tok[3])
             # the length test first: int() refuses strings of thousands of digits
-            if len(tok[1].lstrip("0")) > len(str(MAX_DEGREE)) or int(tok[1]) > MAX_DEGREE:
+            digits = tok[1].lstrip("0") or "0"
+            if len(digits) > len(str(MAX_DEGREE)) or int(digits) > MAX_DEGREE:
                 raise ParseError(f"exponent exceeds the limit {MAX_DEGREE}", tok[2], tok[3])
             try:
-                return base ** int(tok[1])
+                return base ** int(digits)
             except OverflowError as exc:
                 raise ParseError(str(exc), tok[2], tok[3])
         return base
@@ -163,14 +170,21 @@ class ExpressionParser:
         tok = self.advance()
         kind, text, line, col = tok
         if kind == "number":
-            return self.chart.constant(Fraction(int(text)))
+            digits = text.lstrip("0") or "0"
+            if len(digits) > MAX_DIGITS:
+                raise ParseError(f"number literal has more than {MAX_DIGITS} digits", line, col)
+            return self.chart.constant(Fraction(int(digits)))
         if kind == "name":
             if text not in self.chart.names:
                 raise ParseError(f"unknown coordinate {text!r}", line, col)
             return self.chart.coordinate(text)
         if kind == "(":
+            if self.depth == MAX_NESTING:
+                raise ParseError(f"parentheses nested deeper than {MAX_NESTING} levels", line, col)
+            self.depth += 1
             value = self.expr()
             self.expect(")")
+            self.depth -= 1
             return value
         raise ParseError(f"unexpected token {text!r}", line, col)
 
@@ -391,7 +405,10 @@ def _parse_grid_spec(text: str, line_no: int):
     if len(parts) >= 2:
         if parts[1] != "cap" or len(parts) != 3:
             raise ParseError("grid cap must be written as 'cap N'", line_no, 1)
-        cap = int(parts[2]) if parts[2].isdecimal() else 0
+        cap_text = (parts[2].lstrip("0") or "0") if parts[2].isdecimal() else "0"
+        if len(cap_text) > MAX_DIGITS:
+            raise ParseError(f"grid cap has more than {MAX_DIGITS} digits", line_no, 1)
+        cap = int(cap_text)
     if cap < 1:
         raise ParseError("grid cap must be a positive integer", line_no, 1)
     return (lo, hi, cap)

@@ -3,6 +3,7 @@ import itertools
 import random
 import re
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -25,7 +26,7 @@ from bigiso.canonical import (
 )
 from bigiso.fixtures import fixture_text
 from bigiso.grid import default_grid, format_point
-from bigiso.linalg import Matrix, Subspace, combine
+from bigiso.linalg import Matrix, Subspace, combine, fraction_free
 from bigiso.parser import parse_document
 from bigiso.pointwise import characteristic_triple, dirac_extension, window
 from bigiso.scalars import Polynomial, RationalFunction
@@ -149,6 +150,10 @@ def _document_frame(text):
     return s, normalize_frame(s, AdaptedChart(doc.chart, leaf, middle, transverse))
 
 
+# example_r5 twisted so that both block determinants are non-constant
+RATIONAL_DOC = (Path(__file__).parent / "data" / "canonical_rational.bis").read_text(encoding="utf-8")
+
+
 class TestDiracExtensionFrame:
     """The generators of dirac_extension_frame span the pointwise almost-Dirac
     extension at every grid point on the validity locus."""
@@ -162,8 +167,10 @@ class TestDiracExtensionFrame:
             (NO_TRANSVERSE, 0),
             # symplectic: every direction is a leaf direction, mk + p = 0
             (fixture_text("example_symplectic") + "adapted: x1 x2 x3 x4 | |\n", 0),
+            # det_e = (1 + x1^2)(1 + y1^2): the covector rows scale with it
+            (RATIONAL_DOC, 1),
         ],
-        ids=["r3", "r5", "r5_tilde", "no_transverse", "symplectic"],
+        ids=["r3", "r5", "r5_tilde", "no_transverse", "symplectic", "rational"],
     )
     def test_matches_the_pointwise_extension(self, text, p):
         s, cf = _document_frame(text)
@@ -217,6 +224,88 @@ class TestTransversalSlice:
         # E and E' are read off the canonical rows, so the structure is evaluated nowhere
         assert not evaluation_counts
 
+    def test_rows_whose_quotients_are_not_polynomial_on_the_slice(self):
+        # det_e = y^3 + y; the Xi quotients 1/(y^2 + 1) and -y/(y^2 + 1) are
+        # not polynomial on the slice, so the slice row is the numerator row,
+        # which spans the same line wherever y != 0
+        doc = parse_document(XI_RATIONAL_DOC)
+        off_y_zero = [(x, y, z) for x in (1, 2) for y in (1, -1, 2) for z in (1, 3)]
+        s = BigIsotropicStructure.build(doc.chart, doc.e_sections, doc.e_prime_sections, grid=off_y_zero)
+        cf = normalize_frame(s, AdaptedChart(doc.chart, (0,), (1,), (2,)))
+        assert str(cf.det_e) == "y^3 + y"
+        assert cf.quotient_strings("xi_rows") == [["0", "(1)/(y^2 + 1)", "(-y)/(y^2 + 1)", "0", "y", "1"]]
+        tr = transversal_structure(s, cf, grid=[pt[1:] for pt in off_y_zero[:6]])
+        assert [[str(c) for c in sec.as_poly_row()] for sec in tr.e_frame] == [["y", "-y^2", "y^4 + y^2", "y^3 + y"]]
+        # the Y and Theta rows are over det_e' = -y^2 - 1, which divides them
+        assert [[str(c) for c in sec.as_poly_row()] for sec in tr.e_prime_frame[1:]] == [
+            ["1", "-y", "0", "0"], ["0", "1", "-y^2 - 1", "0"]
+        ]
+
+
+# the Xi row of the canonical frame is rational, and det_e = y^3 + y
+XI_RATIONAL_DOC = """chart x y z
+E:
+  (y, 0, 0 | 0, 0, 0)
+  (0, 1, -y | 0, y*(1 + y^2), 1 + y^2)
+E_prime:
+  (1, 0, 0 | 0, 0, 0)
+  (0, 1, 0 | 0, -y*(1 + y^2), 0)
+  (0, 0, 1 | 0, -(1 + y^2), 0)
+  (0, 0, 0 | 0, y, 1)
+adapted: x | y | z
+"""
+
+
+# det_e = y vanishes on the whole leaf {y = z = 0} but not on the slice {x = 0}
+LEAF_POLE_DOC = """chart x y z
+E:
+  (y, 1, 0 | 0, 0, 0)
+  (0, 0, 0 | 0, 0, 1)
+E_prime:
+  (1, 0, 0 | 0, 0, 0)
+  (0, 1, 0 | 0, 0, 0)
+  (0, 0, 0 | 0, 0, 1)
+  (0, 0, 0 | 1, -y, 0)
+adapted: x | y | z
+"""
+
+# det_e = det_e' = x vanish on the whole slice {x = 0}
+SLICE_POLE_DOC = LEAF_POLE_DOC.replace("(y, 1, 0", "(x, 1, 0").replace("1, -y, 0)", "1, -x, 0)")
+
+
+class TestDeterminantsVanishingIdentically:
+    def test_on_the_leaf(self):
+        _, cf = _document_frame(LEAF_POLE_DOC)
+        assert cf.det_e.set_vars(cf.adapted.leaf_assignment()).is_zero()
+        assert not cf.leaf_conditions_ok
+        with pytest.raises(NormalizationError, match="blow up on the leaf: det_e vanishes there"):
+            leaf_pullback(cf)
+
+    def test_on_the_leaf_with_every_numerator_vanishing_there(self, r5_structure, r5_adapted):
+        # the first E row times the middle coordinate y1: the canonical
+        # quotients are unchanged, but det_e and every X and Xi numerator gain
+        # the factor y1, so the numerators vanish on the leaf with det_e
+        chart, y1 = r5_structure.chart, r5_structure.chart.coordinate("y1")
+        rows = [list(row) for row in r5_structure.frame_rows()]
+        rows[0] = [y1 * e for e in rows[0]]
+        sections = [BigSection(PolyVectorField(chart, row[:5]), PolyOneForm(chart, row[5:])) for row in rows]
+        s = BigIsotropicStructure.build(chart, sections, r5_structure.e_prime_frame, validate=False)
+        cf = normalize_frame(s, r5_adapted)
+        on_leaf = r5_adapted.leaf_assignment()
+        assert cf.det_e.set_vars(on_leaf).is_zero()
+        assert all(e.set_vars(on_leaf).is_zero() for row in cf.x_rows + cf.xi_rows for e in row)
+        assert not cf.leaf_conditions_ok
+        with pytest.raises(NormalizationError, match="blow up on the leaf: det_e vanishes there"):
+            leaf_pullback(cf)
+
+    def test_on_the_slice(self):
+        s, cf = _document_frame(SLICE_POLE_DOC)
+        assert str(cf.det_e) == str(cf.det_eprime) == "x"
+        # the empty sample of the slice grid, before any division by zero
+        message = "empty sample: no point of the 12-point grid lies on the validity locus (x) * (x) != 0"
+        with pytest.raises(NormalizationError, match=re.escape(message)):
+            transversal_structure(s, cf)
+
 
 class TestDenominators:
     def test_zero_or_pole_of_either_determinant_is_off_the_locus(self, r3_structure, r3_adapted):
@@ -240,6 +329,12 @@ class TestDenominators:
             assert moved.denominators_nonzero_at(point) is expected
 
 
+def quotients(cf, grid):
+    """The entries of a grid as rational functions, numerator over determinant."""
+    det = cf.det_of(grid)
+    return tuple(tuple(e / det for e in row) for row in getattr(cf, grid))
+
+
 # (FrameValues field, CanonicalFrame grid) for each grid that at() evaluates
 FRAME_GRIDS = (
     ("x", "x_rows"), ("xi", "xi_rows"), ("y", "y_rows"), ("theta", "theta_rows"), ("alpha_prime", "alpha_prime")
@@ -247,33 +342,33 @@ FRAME_GRIDS = (
 
 
 def entries_evaluated_one_by_one(cf, pt):
-    return {field: tuple(tuple(e.eval(pt) for e in row) for row in getattr(cf, grid)) for field, grid in FRAME_GRIDS}
+    """Each entry of the five grids at pt as its numerator's value over its
+    determinant's, one entry at a time."""
+    return {
+        field: tuple(tuple(e.eval(pt) / cf.det_of(grid).eval(pt) for e in row) for row in getattr(cf, grid))
+        for field, grid in FRAME_GRIDS
+    }
 
 
-def random_rational_grid(rng, names, rows):
-    """Rational functions in the shape of rows: numerators of degree <= 2
-    with small coefficients over one shared denominator, which vanishes at
-    some points, as a canonical frame's entries share their pivot; each
-    entry's denominator is that one times 1 + v^2 for a random variable v
-    or not, so the entries of one row differ in denominator."""
-    def poly():
-        terms = {}
-        for _ in range(rng.randint(1, 3)):
-            exps = [0] * len(names)
-            for _ in range(rng.randint(0, 2)):
-                exps[rng.randrange(len(names))] += 1
-            terms[tuple(exps)] = Fraction(rng.randint(-3, 3), rng.randint(1, 2))
-        return Polynomial(names, terms)
+def random_polynomial(rng, names):
+    """Up to three terms of degree <= 2 with small rational coefficients."""
+    terms = {}
+    for _ in range(rng.randint(1, 3)):
+        exps = [0] * len(names)
+        for _ in range(rng.randint(0, 2)):
+            exps[rng.randrange(len(names))] += 1
+        terms[tuple(exps)] = Fraction(rng.randint(-3, 3), rng.randint(1, 2))
+    return Polynomial(names, terms)
 
-    den = poly()
-    if den.is_zero():
-        den = den + 1
 
-    def entry_den():
+def random_numerator_grid(rng, names, rows):
+    """Polynomial numerators in the shape of rows, times 1 + v^2 for a random
+    variable v or not, so that the entries of a row differ in their factors."""
+    def entry():
         v = Polynomial.variable(names, rng.randrange(len(names)))
-        return den * (v * v + 1) if rng.random() < 0.5 else den
+        return random_polynomial(rng, names) * (v * v + 1 if rng.random() < 0.5 else 1)
 
-    return tuple(tuple(RationalFunction(poly(), entry_den()) for _ in row) for row in rows)
+    return tuple(tuple(entry() for _ in row) for row in rows)
 
 
 class TestFrameValues:
@@ -291,14 +386,19 @@ class TestFrameValues:
         assert used
 
     def test_polynomial_denominators(self, r5_structure, r5_adapted):
-        # the fixtures' canonical entries have constant denominators; these
-        # grids have the fixture's shapes and vanishing denominators
+        # the fixtures' determinants are constant; these numerator grids have
+        # the fixture's shapes, over determinants that vanish at some points
         cf = normalize_frame(r5_structure, r5_adapted)
         names, rng = r5_structure.chart.names, random.Random(5)
         raised = 0
         for _ in range(6):
+            dets = [random_polynomial(rng, names) for _ in range(2)]
+            dets = [det if det.total_degree() > 0 else det + Polynomial.variable(names, 0) for det in dets]
             moved = dataclasses.replace(
-                cf, **{grid: random_rational_grid(rng, names, getattr(cf, grid)) for _, grid in FRAME_GRIDS}
+                cf,
+                det_e=dets[0],
+                det_eprime=dets[1],
+                **{grid: random_numerator_grid(rng, names, getattr(cf, grid)) for _, grid in FRAME_GRIDS},
             )
             for pt in default_grid(5, cap=40):
                 try:
@@ -337,12 +437,14 @@ class TestNormalizeR5:
         text = fixture_text("example_r5")
         _, cf = _document_frame(text)
         _, swapped = _document_frame(text.replace("adapted: x1 x2 | y1 y2 | z", "adapted: x2 x1 | y2 y1 | z"))
-        for rows in ("x_rows", "y_rows", "theta_rows"):
-            given, reversed_ = getattr(cf, rows), getattr(swapped, rows)
-            assert len(given) == 2
-            assert all(a == b for a, b in zip(given[0] + given[1], reversed_[1] + reversed_[0])), rows
-        assert all(a == b for a, b in zip(cf.xi_rows[0], swapped.xi_rows[0]))
+        # the reversal is an odd permutation of each block, so the
+        # determinants change sign and the numerators with them
         assert swapped.det_e == -cf.det_e and swapped.det_eprime == -cf.det_eprime
+        for rows in ("x_rows", "y_rows", "theta_rows"):
+            given, reversed_ = quotients(cf, rows), quotients(swapped, rows)
+            assert len(given) == 2
+            assert given[0] + given[1] == reversed_[1] + reversed_[0], rows
+        assert quotients(cf, "xi_rows") == quotients(swapped, "xi_rows")
 
     def test_not_decomposable_in_original_chart(self, r5_structure, r5_adapted):
         cf = normalize_frame(r5_structure, r5_adapted)
@@ -796,3 +898,262 @@ class TestPseudoBundlesAgainstReference:
         assert len(moved) > 1
         for cf in moved:
             assert assert_pointwise_matches_symbolic(cf, default_grid(cf.adapted.chart.dim, cap=4))
+
+
+# ---------------------------------------------------------------------------
+# reference oracle: the canonical stage in rational functions, each entry a
+# RationalFunction of its own, the seven relation families written out and
+# the leaf read by restricting those rational functions
+# ---------------------------------------------------------------------------
+
+GRID_COLUMNS = {  # grid -> (rows, column block) in the split's index families
+    "A_prime": ("x", "middle"), "A_dprime": ("x", "transverse"), "alpha": ("x", "leaf*"), "alpha_prime": ("x", "middle*"),
+    "B_prime": ("xi", "middle"), "B_dprime": ("xi", "transverse"), "beta": ("xi", "leaf*"), "beta_prime": ("xi", "middle*"),
+    "C_dprime": ("y", "transverse"), "gamma": ("y", "leaf*"), "L_dprime": ("theta", "transverse"), "lam": ("theta", "leaf*"),
+}
+
+
+def rational_reference(s, adapted):
+    """Every grid of the canonical frame as rational functions: the rows of
+    one fraction-free elimination per bundle, each entry over its pivot."""
+    m, r, mk, p = s.m, adapted.r, adapted.mk, adapted.p
+    cols_e = list(adapted.leaf) + [m + i for i in adapted.transverse]
+    cols_ep = cols_e + list(adapted.middle) + [m + i for i in adapted.middle]
+
+    def identity_on(rows, columns):
+        reduced, pivots, _ = fraction_free(rows, columns)
+        assert len(pivots) == len(rows)
+        return [tuple(RationalFunction(e, reduced[0][pivots[0]]) for e in row) for row in reduced]
+
+    new_e, new_ep = identity_on(s.frame_rows(), cols_e), identity_on(s.prime_frame_rows(), cols_ep)
+    rows = {"x": new_e[:r], "xi": new_e[r:], "y": new_ep[r + p : r + p + mk], "theta": new_ep[r + p + mk :]}
+    ref = {f"{name}_rows": tuple(block) for name, block in rows.items()}
+    ref["eprime_only_rows"] = tuple(new_ep[: r + p])
+    for grid, (family, block) in GRID_COLUMNS.items():
+        columns = [m * block.endswith("*") + i for i in getattr(adapted, block.rstrip("*"))]
+        ref[grid] = tuple(tuple(row[c] for c in columns) for row in rows[family])
+    return ref
+
+
+def reference_leaf_conditions(adapted, ref):
+    on_leaf = adapted.leaf_assignment()
+    off_leaf, transverse = adapted.middle + adapted.transverse, adapted.transverse
+    blocks = (("x_rows", off_leaf), ("xi_rows", off_leaf), ("y_rows", transverse), ("theta_rows", transverse))
+    try:
+        return all(row[c].set_vars(on_leaf).is_zero() for grid, columns in blocks for row in ref[grid] for c in columns)
+    except ZeroDivisionError:
+        return False
+
+
+def reference_relations(adapted, ref):
+    """(label, value) of each failing relation, in the families' order."""
+    failures = []
+    r, mk, p = adapted.r, adapted.mk, adapted.p
+    A1, A2, al, al1 = ref["A_prime"], ref["A_dprime"], ref["alpha"], ref["alpha_prime"]
+    B1, B2, be, be1 = ref["B_prime"], ref["B_dprime"], ref["beta"], ref["beta_prime"]
+    C2, ga, L2, lam = ref["C_dprime"], ref["gamma"], ref["L_dprime"], ref["lam"]
+
+    def expect_zero(tag, value):
+        if not value.is_zero():
+            failures.append((tag, value))
+
+    for a, h in itertools.product(range(r), range(mk)):
+        expect_zero(f"alpha'[{a}][{h}] + gamma[{h}][{a}]", al1[a][h] + ga[h][a])
+    for q, a in itertools.product(range(mk), range(r)):
+        expect_zero(f"lambda[{q}][{a}] + A'[{a}][{q}]", lam[q][a] + A1[a][q])
+    for u, h in itertools.product(range(p), range(mk)):
+        expect_zero(f"beta'[{u}][{h}] + C''[{h}][{u}]", be1[u][h] + C2[h][u])
+    for q, u in itertools.product(range(mk), range(p)):
+        expect_zero(f"L''[{q}][{u}] + B'[{u}][{q}]", L2[q][u] + B1[u][q])
+    for u, a in itertools.product(range(p), range(r)):
+        acc = be[u][a] + A2[a][u]
+        for h in range(mk):
+            acc = acc + al1[a][h] * B1[u][h] + be1[u][h] * A1[a][h]
+        expect_zero(f"mixed covector relation (u={u}, a={a})", acc)
+    for u, v in itertools.product(range(p), range(p)):
+        acc = B2[v][u] + B2[u][v]
+        for h in range(mk):
+            acc = acc + be1[u][h] * B1[v][h] + be1[v][h] * B1[u][h]
+        expect_zero(f"transverse symmetry relation (u={u}, v={v})", acc)
+    for a, b in itertools.product(range(r), range(r)):
+        acc = al[a][b] + al[b][a]
+        for h in range(mk):
+            acc = acc + al1[a][h] * A1[b][h] + al1[b][h] * A1[a][h]
+        expect_zero(f"leaf symmetry relation (a={a}, b={b})", acc)
+    return failures
+
+
+def assert_matches_rational_reference(cf, grid):
+    """Quotients, their text, at(), the leaf conditions, the leaf matrix and
+    the failing relations of cf against the rational reference.  Returns the
+    labels of the failing relations."""
+    adapted = cf.adapted
+    ref = rational_reference(cf.structure, adapted)
+    for name, expected in ref.items():
+        assert quotients(cf, name) == expected, name
+        assert cf.quotient_strings(name) == [[str(e) for e in row] for row in expected], name
+    assert cf.leaf_conditions_ok == reference_leaf_conditions(adapted, ref)
+    on_leaf = adapted.leaf_assignment()
+    try:
+        ref_leaf = [[e.set_vars(on_leaf) for e in row] for row in ref["alpha"]]
+    except ZeroDivisionError:
+        ref_leaf = None
+    skew = ref_leaf is not None and all(
+        (ref_leaf[a][b] + ref_leaf[b][a]).is_zero() for a in range(cf.r) for b in range(cf.r)
+    )
+    if not skew:
+        with pytest.raises(NormalizationError):
+            leaf_pullback(cf)
+    else:
+        mat, det = leaf_pullback(cf), cf.det_e.set_vars(on_leaf)
+        assert [[mat[a, b] / det for b in range(cf.r)] for a in range(cf.r)] == ref_leaf
+        assert cf.quotient_strings("alpha", on_leaf) == [[str(e) for e in row] for row in ref_leaf]
+    expected = reference_relations(adapted, ref)
+    got = check_orthogonality_relations(cf)
+    assert [label for label, _ in got.failures] == [label for label, _ in expected]
+    assert all(value == ref_value for (_, value), (_, ref_value) in zip(got.failures, expected))
+    assert got.ok == (not expected)
+    used = 0
+    for pt in grid:
+        if cf.denominators_nonzero_at(pt):
+            used += 1
+            v = cf.at(pt)
+            for field, name in FRAME_GRIDS:
+                assert getattr(v, field) == tuple(tuple(e.eval(pt) for e in row) for row in ref[name]), (pt, field)
+    assert used
+    return [label for label, _ in got.failures]
+
+
+def _scaled_frames(text, seeds):
+    """The structure of a document under seeded frames of the same bundles:
+    each row scaled by 1, 2, 1 + x_i^2 or 2 + x_i^2 (never zero at a rational
+    point) and mixed with another by c * x_v, so that the fraction-free rows
+    and the determinants are no longer constant."""
+    doc = parse_document(text)
+    chart = doc.chart
+    idx = {name: i for i, name in enumerate(chart.names)}
+    adapted = AdaptedChart(chart, *(tuple(idx[n] for n in part) for part in doc.adapted_split))
+    for seed in seeds:
+        rng = random.Random(seed)
+
+        def moved(sections):
+            rows = [list(sec.as_poly_row()) for sec in sections]
+            for row in rows:
+                v = chart.coordinate(chart.names[rng.randrange(chart.dim)])
+                factor = rng.choice((chart.one(), 2 * chart.one(), v * v + 1, v * v + 2))
+                row[:] = [e * factor for e in row]
+            i, j = rng.sample(range(len(rows)), 2)
+            c = rng.choice((-2, -1, 1, 2)) * chart.coordinate(chart.names[rng.randrange(chart.dim)])
+            rows[i] = [a + c * b for a, b in zip(rows[i], rows[j])]
+            m = chart.dim
+            return [BigSection(PolyVectorField(chart, row[:m]), PolyOneForm(chart, row[m:])) for row in rows]
+
+        s = BigIsotropicStructure.build(
+            chart, moved(doc.e_sections), moved(doc.e_prime_sections), grid=default_grid(chart.dim, cap=12)
+        )
+        yield normalize_frame(s, adapted)
+
+
+def _broken_frames(structure, adapted, seeds):
+    """Canonical frames of validate=False perturbations of a structure: each
+    entry of each row gains, with probability 1/6, a small constant or a
+    multiple of a coordinate, so that E' is no longer the g-orthogonal of E
+    and some of the relations fail."""
+    chart, m = structure.chart, structure.m
+    for seed in seeds:
+        rng = random.Random(seed)
+
+        def perturbed(rows):
+            out = []
+            for row in rows:
+                out.append([
+                    e + rng.choice((1, -1, 2)) * rng.choice([chart.one()] + [chart.coordinate(n) for n in chart.names])
+                    if rng.random() < 1 / 6 else e
+                    for e in row
+                ])
+            return [BigSection(PolyVectorField(chart, row[:m]), PolyOneForm(chart, row[m:])) for row in out]
+
+        s = BigIsotropicStructure.build(
+            chart, perturbed(structure.frame_rows()), perturbed(structure.prime_frame_rows()), validate=False
+        )
+        try:
+            yield normalize_frame(s, adapted)
+        except NormalizationError:
+            continue
+
+
+class TestAgainstRationalReference:
+    @pytest.mark.parametrize("name", ["example_r3", "example_r5", "example_r5_tilde"])
+    def test_fixtures(self, name):
+        cf = _fixture_frame(name)
+        assert not assert_matches_rational_reference(cf, default_grid(cf.adapted.chart.dim))
+
+    def test_tilde_chart_and_dirac_case(self, r5_structure, symplectic_structure):
+        assert not assert_matches_rational_reference(_tilde_frame(r5_structure), default_grid(5))
+        adapted = AdaptedChart(symplectic_structure.chart, leaf=(0, 1, 2, 3), middle=(), transverse=())
+        assert not assert_matches_rational_reference(normalize_frame(symplectic_structure, adapted), default_grid(4))
+
+    def test_permuted_split(self):
+        # reversing the leaf and the middle directions makes both determinants -1
+        text = fixture_text("example_r5").replace("adapted: x1 x2 | y1 y2 | z", "adapted: x2 x1 | y2 y1 | z")
+        cf = _document_frame(text)[1]
+        assert cf.det_e == cf.det_eprime == -cf.adapted.chart.one()
+        assert not assert_matches_rational_reference(cf, default_grid(5))
+
+    def test_rational_document(self):
+        # a canonical frame with non-polynomial entries over non-constant determinants
+        cf = _document_frame(RATIONAL_DOC)[1]
+        assert cf.det_e.total_degree() == 4 and cf.det_eprime.total_degree() == 8
+        assert any(not e.is_polynomial() for row in quotients(cf, "x_rows") for e in row)
+        assert not assert_matches_rational_reference(cf, default_grid(5, cap=12))
+
+    @pytest.mark.parametrize(
+        "text", [fixture_text("example_r5"), _R5_SCALED, RATIONAL_DOC], ids=["r5", "r5_scaled", "rational"]
+    )
+    def test_scaled_frames(self, text):
+        degrees = set()
+        for cf in _scaled_frames(text, range(6)):
+            degrees |= {cf.det_e.total_degree(), cf.det_eprime.total_degree()}
+            assert not assert_matches_rational_reference(cf, default_grid(5, cap=12))
+        assert max(degrees) >= 2
+
+    def test_frames_that_break_each_family(self, r5_structure, r5_adapted):
+        families = set()
+        frames = 0
+        for cf in _broken_frames(r5_structure, r5_adapted, range(24)):
+            frames += 1
+            labels = assert_matches_rational_reference(cf, default_grid(5, cap=6))
+            families |= {label.split("(")[0].split("[")[0] for label in labels}
+        assert frames >= 12
+        assert families == {
+            "alpha'", "lambda", "beta'", "L''", "mixed covector relation ", "transverse symmetry relation ", "leaf symmetry relation "
+        }
+
+    def test_failure_order_with_two_leaf_and_two_transverse_rows(self):
+        # r = p = 2, so the order of the (u, a) and (u, v) pairs shows
+        s, _ = _document_frame(TWO_BY_TWO_DOC)
+        adapted = AdaptedChart(s.chart, leaf=(0, 1), middle=(2,), transverse=(3, 4))
+        mixed = []
+        for cf in _broken_frames(s, adapted, range(12)):
+            labels = assert_matches_rational_reference(cf, default_grid(5, cap=6))
+            mixed.append([label for label in labels if label.startswith("mixed")])
+        assert any(len(labels) >= 3 for labels in mixed)
+
+
+# the leaves x1, x2 with the conormal of z1, z2 in E, and the middle
+# direction y with its covector in E'
+TWO_BY_TWO_DOC = """chart x1 x2 y z1 z2
+E:
+  (1, 0, 0, 0, 0 | 0, 0, 0, 0, 0)
+  (0, 1, 0, 0, 0 | 0, 0, 0, 0, 0)
+  (0, 0, 0, 0, 0 | 0, 0, 0, 1, 0)
+  (0, 0, 0, 0, 0 | 0, 0, 0, 0, 1)
+E_prime:
+  (1, 0, 0, 0, 0 | 0, 0, 0, 0, 0)
+  (0, 1, 0, 0, 0 | 0, 0, 0, 0, 0)
+  (0, 0, 0, 0, 0 | 0, 0, 0, 1, 0)
+  (0, 0, 0, 0, 0 | 0, 0, 0, 0, 1)
+  (0, 0, 1, 0, 0 | 0, 0, 0, 0, 0)
+  (0, 0, 0, 0, 0 | 0, 0, 1, 0, 0)
+adapted: x1 x2 | y | z1 z2
+"""

@@ -8,7 +8,7 @@ import pytest
 from bigiso import fixtures
 from bigiso.calculus import Chart
 from bigiso.cli import main
-from bigiso.parser import ParseError, parse_document, parse_expression
+from bigiso.parser import MAX_DIGITS, MAX_NESTING, ParseError, parse_document, parse_expression
 from bigiso.scalars import MAX_DEGREE, Polynomial
 
 
@@ -77,6 +77,33 @@ class TestExpressionParser:
             with pytest.raises(ParseError, match=f"exceeds the limit {MAX_DEGREE}") as err:
                 parse_expression(self.chart, text)
             assert (err.value.line, err.value.col) == (1, col)
+
+    def test_literal_digit_limit(self):
+        # the bound is the parser's own, below any limit int() can be set to
+        assert MAX_DIGITS < 640
+        assert parse_expression(self.chart, "9" * MAX_DIGITS).constant_value() == 10**MAX_DIGITS - 1
+        assert parse_expression(self.chart, "0" * 5000 + "7 * x1") == 7 * Polynomial.variable(("x1", "x2"), "x1")
+        assert parse_expression(self.chart, "x1^" + "0" * 5000 + "2") == parse_expression(self.chart, "x1^2")
+        for text, col in (("1" * (MAX_DIGITS + 1), 1), ("x1 + 2*" + "5" * 5000, 8)):
+            with pytest.raises(ParseError, match=f"number literal has more than {MAX_DIGITS} digits") as err:
+                parse_expression(self.chart, text)
+            assert (err.value.line, err.value.col) == (1, col)
+
+    def test_nesting_limit(self):
+        assert MAX_NESTING >= 100
+        deepest = "(" * MAX_NESTING + "x1" + ")" * MAX_NESTING
+        assert parse_expression(self.chart, f"{deepest} + {deepest}") == 2 * Polynomial.variable(("x1", "x2"), "x1")
+        for levels in (MAX_NESTING + 1, 200, 5000):
+            with pytest.raises(ParseError, match=f"nested deeper than {MAX_NESTING} levels") as err:
+                parse_expression(self.chart, "(" * levels + "x1" + ")" * levels)
+            assert (err.value.line, err.value.col) == (1, MAX_NESTING + 1)
+
+    def test_unary_sign_runs(self):
+        x1 = Polynomial.variable(("x1", "x2"), "x1")
+        for count in (1, 2, 999, 1000, 20000):
+            assert parse_expression(self.chart, "-" * count + "x1") == (-1) ** count * x1
+        assert parse_expression(self.chart, "+-" * 700 + "x1^2") == x1**2
+        assert parse_expression(self.chart, "x2 - -+-x1") == Polynomial.variable(("x1", "x2"), "x2") - x1
 
     def test_print_parse_round_trip(self):
         import random
@@ -409,6 +436,51 @@ class TestCli:
         assert code == 2
         [error] = json.loads(out)["errors"]
         assert error.startswith("line 3, column ") and error.endswith(f"exceeds the limit {MAX_DEGREE}")
+
+    # documents past the parser's bounds, which would otherwise stop with
+    # RecursionError or int()'s digit limit
+    DEEP_DOCUMENTS = {
+        "literal": ("5" * 5000, 14, f"number literal has more than {MAX_DIGITS} digits"),
+        "parentheses": ("(" * 200 + "x" + ")" * 200, 14 + MAX_NESTING, f"parentheses nested deeper than {MAX_NESTING} levels"),
+        "unary": ("-" * 1000 + "x", None, None),
+        "grid cap": ("0", 1, f"grid cap has more than {MAX_DIGITS} digits"),
+    }
+
+    @staticmethod
+    def deep_document(tmp_path, name):
+        component = TestCli.DEEP_DOCUMENTS[name][0]
+        text = f"chart x y\nE:\n  (1, 0 | 0, {component})\n" + PLANE_BLOCKS.split("\n", 2)[2]
+        if name == "grid cap":
+            text += "grid: -1..1 cap " + "9" * 5000 + "\n"
+        doc = tmp_path / "deep.bis"
+        doc.write_text(text)
+        return doc
+
+    @pytest.mark.parametrize("name", sorted(DEEP_DOCUMENTS))
+    def test_deep_or_long_input_is_an_input_error(self, tmp_path, name):
+        _, col, message = self.DEEP_DOCUMENTS[name]
+        code, out = self.run("validate", str(self.deep_document(tmp_path, name)))
+        payload = json.loads(out)
+        if message is None:  # a run of unary signs folds, so the document is read
+            assert code == 1 and payload["errors"] == []
+            return
+        assert code == 2
+        line = 8 if name == "grid cap" else 3
+        assert payload["errors"] == [f"line {line}, column {col}: {message}"]
+
+    def test_deep_input_in_a_fresh_process(self, tmp_path):
+        import subprocess
+        import sys
+        from pathlib import Path
+
+        env = {"PYTHONPATH": str(Path(__file__).resolve().parents[1] / "src"), "PATH": ""}
+        doc = self.deep_document(tmp_path, "parentheses")
+        done = subprocess.run(
+            [sys.executable, "-m", "bigiso.cli", "validate", str(doc)], env=env, capture_output=True, text=True
+        )
+        assert done.returncode == 2 and done.stderr == ""
+        [error] = json.loads(done.stdout)["errors"]
+        assert error == f"line 3, column {14 + MAX_NESTING}: parentheses nested deeper than {MAX_NESTING} levels"
 
     def test_missing_file(self):
         code, out = self.run("validate", "/nonexistent/path.bis")
