@@ -43,11 +43,11 @@ print("mixed coefficients alpha' =", cf.quotient_strings("alpha_prime"))
 print("locally decomposable here?", is_locally_decomposable(cf))
 
 # The leaf through the origin carries the symplectic form read off alpha;
-# leaf_pullback checks that it is skew there.
+# leaf_pullback restricts it there and checks that it is skew.
 print("\nleaf 2-form matrix:")
-leaf_pullback(cf)
-for row in cf.quotient_strings("alpha", adapted.leaf_assignment()):
-    print("  ", row)
+det, alpha = leaf_pullback(cf)
+for row in alpha.entries:
+    print("  ", [str(e / det) for e in row])
 
 # The same structure in sheared coordinates becomes decomposable.
 T = Matrix(

@@ -37,8 +37,8 @@ from operator import sub
 from .calculus import BigSection, Chart, PolyOneForm, PolyVectorField
 from .grid import format_point
 from .linalg import Matrix, Subspace, combine, complement_in, fraction_free
-from .pointwise import IsotropicData, characteristic_triple, covector_lift, is_graph_type, window
-from .reduction import SubmanifoldData, restrict
+from .pointwise import IsotropicData, characteristic_triple, covector_lift, window
+from .reduction import SubmanifoldData, restrict, span_mismatches
 from .scalars import Polynomial, eval_rows
 from .structures import BigIsotropicStructure, Verdict, default_grid
 from .transport import LinearMap
@@ -100,7 +100,11 @@ class SeedBasis:
 
 
 def seed_basis(data: IsotropicData) -> SeedBasis:
-    """Deterministic pointwise seeds (ties broken by RREF pivot order)."""
+    """Deterministic pointwise seeds (ties broken by RREF pivot order).
+
+    The rows (X0, xi0) and (0, kappa0) lie in E and span it, and with
+    (Y0, eta0) and (0, nu0) they span E': as E' = orth E, E meets 0 (+) T*M
+    in 0 (+) ann cal_E' and E' meets it in 0 (+) ann cal_E."""
     m = data.m
     triple = characteristic_triple(data)
     cal_E, cal_Ep = triple.cal_E, triple.cal_E_prime
@@ -111,16 +115,6 @@ def seed_basis(data: IsotropicData) -> SeedBasis:
     kappa0 = cal_Ep.annihilator().basis
     nu0 = complement_in(Subspace(m, kappa0), cal_E.annihilator()).basis
     Z0 = complement_in(cal_Ep, Subspace.full(m)).basis
-
-    zeros = tuple(Fraction(0) for _ in range(m))
-    e_rows = [tuple(x) + tuple(xi) for x, xi in zip(X0, xi0)]
-    e_rows += [zeros + tuple(kp) for kp in kappa0]
-    if Subspace(2 * m, e_rows) != data.E:
-        raise NormalizationError("seed rows do not span E")
-    ep_rows = e_rows + [tuple(y) + tuple(eta) for y, eta in zip(Y0, eta0)]
-    ep_rows += [zeros + tuple(nv) for nv in nu0]
-    if Subspace(2 * m, ep_rows) != data.E_prime:
-        raise NormalizationError("seed rows do not span E'")
     return SeedBasis(X0, xi0, Y0, eta0, kappa0, nu0, Z0)
 
 
@@ -194,21 +188,14 @@ class CanonicalFrame:
         """The determinant that the numerators of the named grid are over."""
         return self.det_e if grid in _OVER_DET_E else self.det_eprime
 
-    def quotient_strings(self, grid: str, assignment=None) -> list:
+    def quotient_strings(self, grid: str) -> list:
         """The entries of the named grid as text, each printed as num / det
-        in RationalFunction's normal form; an assignment of constants to
-        variables (the leaf's, say) restricts both first."""
-        det, rows = self.det_of(grid), getattr(self, grid)
-        if assignment is not None:
-            det = det.set_vars(assignment)
-            rows = [[e.set_vars(assignment) for e in row] for row in rows]
-        return [[str(e / det) for e in row] for row in rows]
+        in RationalFunction's normal form."""
+        det = self.det_of(grid)
+        return [[str(e / det) for e in row] for row in getattr(self, grid)]
 
     def denominators_nonzero_at(self, point) -> bool:
-        try:
-            return self.det_e.eval(point) != 0 and self.det_eprime.eval(point) != 0
-        except ZeroDivisionError:
-            return False
+        return self.det_e.eval(point) != 0 and self.det_eprime.eval(point) != 0
 
     def at(self, point) -> FrameValues:
         """The X, Xi, Y and Theta rows and the alpha' grid at a point of the
@@ -443,19 +430,20 @@ def _splitting_holds(v: FrameValues, h_pt, t_fol, ann_fol) -> bool:
     return piece_fol == Subspace(2 * m, v.xi) and piece_h == Subspace(2 * m, v.x)
 
 
-def leaf_pullback(cf: CanonicalFrame) -> Matrix:
-    """The induced presymplectic matrix alpha^a_b restricted to the leaf, as
-    its numerators there over det_e there; raises when det_e vanishes
-    identically on the leaf or the restriction is not skew."""
+def leaf_pullback(cf: CanonicalFrame) -> tuple:
+    """(det, mat): the induced presymplectic matrix alpha^a_b restricted to
+    the leaf, as numerators mat over det = det_e there; raises when det_e
+    vanishes identically on the leaf or the restriction is not skew."""
     on_leaf = cf.adapted.leaf_assignment()
-    if cf.det_e.set_vars(on_leaf).is_zero():
+    det = cf.det_e.set_vars(on_leaf)
+    if det.is_zero():
         raise NormalizationError("canonical coefficients blow up on the leaf: det_e vanishes there")
     mat = Matrix([[e.set_vars(on_leaf) for e in row] for row in cf.alpha])
     for a in range(cf.r):
         for b in range(cf.r):
             if not (mat[a, b] + mat[b, a]).is_zero():
                 raise NormalizationError("leaf restriction of alpha is not skew")
-    return mat
+    return det, mat
 
 
 def dirac_extension_frame(cf: CanonicalFrame):
@@ -498,9 +486,13 @@ def dirac_extension_frame(cf: CanonicalFrame):
 def transversal_structure(
     s: BigIsotropicStructure, cf: CanonicalFrame, grid=None
 ) -> BigIsotropicStructure:
-    """The induced structure on the slice {x = 0}, framed by the restricted
-    Xi sections (and Y/Theta for the orthogonal bundle) and checked against
-    the pullbacks along the coordinate inclusion of the slice.
+    """The induced structure on the slice {x = 0}: E framed by the restricted
+    Xi rows, E' by the restricted Xi, Y and Theta rows, each checked against
+    its pullback from ``reduction.restrict`` on the validity locus before
+    the structure is built, which is evaluated at no point.  There X, Xi
+    span E and X, Xi, Y, Theta span E', and only X has leaf-tangent entries,
+    so the pullbacks are spanned by those restrictions; E is of graph type,
+    as the Xi rows carry det_e I on the transverse-covector columns.
 
     Each numerator row is restricted to the slice and divided by its
     determinant's restriction where that division is exact, as it always is
@@ -529,21 +521,15 @@ def transversal_structure(
     inclusion = LinearMap.from_rows([[int(i == j) for j in sub_idx] for i in range(m)])
     N = SubmanifoldData(adapted.chart, sub, (0,) * m, inclusion)
     restricted = restrict(s, N, grid=sub_grid)
-
-    structure = BigIsotropicStructure.build(sub, e_frame, ep_frame, grid=sub_grid)
-    used = 0
-    for pt, expected in zip(restricted.points, restricted.pulled_E):
-        if not cf.denominators_nonzero_at(N.embed_point(pt)):
-            continue
-        used += 1
-        got = structure.evaluate_at(pt)
-        if expected != got.E:
-            raise NormalizationError(f"transversal frame disagrees with the pullback at {format_point(pt)}")
-        if not is_graph_type(got):
-            raise NormalizationError(f"transversal structure is not of graph type at {format_point(pt)}")
-    if not used:
+    sampled = zip(restricted.points, restricted.pulled_E, restricted.pulled_E_prime)
+    on_locus = [(u, e, ep) for u, e, ep in sampled if cf.denominators_nonzero_at(N.embed_point(u))]
+    if not on_locus:
         raise NormalizationError(_empty_sample(cf, len(sub_grid)))
-    return structure
+    points, pulled_e, pulled_ep = zip(*on_locus)
+    bad = span_mismatches(points, e_frame, pulled_e) or span_mismatches(points, ep_frame, pulled_ep)
+    if bad:
+        raise NormalizationError(f"transversal frame disagrees with the pullback at {format_point(bad[0])}")
+    return BigIsotropicStructure.build(sub, e_frame, ep_frame, grid=sub_grid)
 
 
 def _empty_sample(cf: CanonicalFrame, points: int) -> str:

@@ -223,11 +223,11 @@ def _transversal(run: _Run):
     run.check("transversal integrability", check_integrability, tr)
     with report.start("leaf presymplectic form") as timer:
         try:
-            leaf_pullback(cf)
+            det, alpha = leaf_pullback(cf)
         except NormalizationError as exc:
             timer.done(False, _failure(exc))
             return
-        timer.done(True, {"matrix": cf.quotient_strings("alpha", cf.adapted.leaf_assignment())})
+        timer.done(True, {"matrix": [[str(e / det) for e in row] for row in alpha.entries]})
 
 
 def _reduce(run: _Run):

@@ -4,9 +4,11 @@ Expressions are parsed by recursive descent over +, -, *, / (constant
 divisors only), ^ with nonnegative integer exponents, parentheses, rational
 literals and declared coordinate names.  Errors carry line and column; an
 exponent, or a power or product of total degree, past ``scalars.MAX_DEGREE``
-is one, and so are a literal of more than ``MAX_DIGITS`` digits and
-parentheses nested deeper than ``MAX_NESTING``.  A run of unary signs is
-folded in a loop, so no input nests the descent deeper than that bound.
+is one, and so are a literal of more than ``MAX_DIGITS`` digits,
+parentheses nested deeper than ``MAX_NESTING``, and expansions of more than
+``MAX_TERM_PRODUCTS`` term products, counted before they run.  A run of
+unary signs is folded in a loop, so no input nests the descent deeper than
+that bound.
 
 A structure document declares a chart, the two frame blocks, and optional
 blocks for the adapted split, a foliation, an affine submanifold, a sample
@@ -32,6 +34,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import comb
 from typing import Sequence
 
 from .calculus import BigSection, Chart, ChartError, PolyOneForm, PolyVectorField
@@ -53,6 +56,21 @@ _TOKEN_CHARS = {"+", "-", "*", "/", "^", "(", ")"}
 # interpreter setting refuses a literal the parser accepts
 MAX_DIGITS = 600
 MAX_NESTING = 100  # parenthesis levels; each takes five frames of the descent
+MAX_TERM_PRODUCTS = 10**6  # per expression, about a second; no bundled document nears it
+
+
+def _power_products(t: int, n: int) -> int:
+    """The term products ``Polynomial.__pow__`` forms squaring up a t-term
+    base to the n-th power: its k-th power has at most C(t + k - 1, k)
+    terms, one per multiset of k base terms.  Stops once past the limit."""
+    total, result, base = 0, 0, 1  # the exponents of the running result and square
+    while t and n and total <= MAX_TERM_PRODUCTS:
+        if n & 1:
+            total, result = total + comb(t + result - 1, result) * comb(t + base - 1, base), result + base
+        n >>= 1
+        if n:
+            total, base = total + comb(t + base - 1, base) ** 2, 2 * base
+    return total
 
 
 def _tokenize(text: str, line_no: int, col_offset: int = 0):
@@ -93,6 +111,13 @@ class ExpressionParser:
         self.tokens = _tokenize(text, line_no, col_offset)
         self.pos = 0
         self.depth = 0  # parentheses open around the current position
+        self.products = 0  # term products of the expansions so far, at most
+
+    def spend(self, products: int, line: int, col: int):
+        """Refuse, at its operator, an expansion past the expression's limit."""
+        self.products += products
+        if self.products > MAX_TERM_PRODUCTS:
+            raise ParseError(f"expanding the expression needs more than {MAX_TERM_PRODUCTS} term products", line, col)
 
     def peek(self):
         return self.tokens[self.pos]
@@ -129,6 +154,7 @@ class ExpressionParser:
             op, _, line, col = self.advance()
             rhs = self.factor()
             if op == "*":
+                self.spend(len(value.nums) * len(rhs.nums), line, col)
                 try:
                     value = value * rhs
                 except OverflowError as exc:  # a degree past the representable limit
@@ -152,7 +178,7 @@ class ExpressionParser:
     def power(self) -> Polynomial:
         base = self.atom()
         if self.peek()[0] == "^":
-            self.advance()
+            _, _, line, col = self.advance()
             tok = self.advance()
             if tok[0] != "number":
                 raise ParseError("exponent must be a nonnegative integer", tok[2], tok[3])
@@ -160,6 +186,7 @@ class ExpressionParser:
             digits = tok[1].lstrip("0") or "0"
             if len(digits) > len(str(MAX_DEGREE)) or int(digits) > MAX_DEGREE:
                 raise ParseError(f"exponent exceeds the limit {MAX_DEGREE}", tok[2], tok[3])
+            self.spend(_power_products(len(base.nums), int(digits)), line, col)
             try:
                 return base ** int(digits)
             except OverflowError as exc:

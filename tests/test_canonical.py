@@ -28,7 +28,7 @@ from bigiso.fixtures import fixture_text
 from bigiso.grid import default_grid, format_point
 from bigiso.linalg import Matrix, Subspace, combine, fraction_free
 from bigiso.parser import parse_document
-from bigiso.pointwise import characteristic_triple, dirac_extension, window
+from bigiso.pointwise import characteristic_triple, dirac_extension, is_graph_type, random_isotropic, window
 from bigiso.scalars import Polynomial, RationalFunction
 from bigiso.structures import (
     BigIsotropicStructure,
@@ -75,6 +75,17 @@ class TestSeedBasis:
         assert len(seed.Y0) == 0 and len(seed.nu0) == 0
         assert len(seed.X0) == 4 and len(seed.kappa0) == 0
 
+    def test_seed_rows_span_e_and_e_prime(self):
+        rng = random.Random(11)
+        for _ in range(60):
+            data = random_isotropic(rng, rng.randint(1, 5))
+            seed, m = seed_basis(data), data.m
+            zeros = (0,) * m
+            e_rows = [tuple(x) + tuple(xi) for x, xi in zip(seed.X0, seed.xi0)] + [zeros + tuple(k) for k in seed.kappa0]
+            ep_rows = [tuple(y) + tuple(eta) for y, eta in zip(seed.Y0, seed.eta0)] + [zeros + tuple(n) for n in seed.nu0]
+            assert Subspace(2 * m, e_rows) == data.E
+            assert Subspace(2 * m, e_rows + ep_rows) == data.E_prime
+
     def test_pure_cotangent(self):
         chart = Chart(("x", "y"))
         s = structure_from_components(
@@ -105,7 +116,7 @@ class TestNormalizeR3:
 
     def test_leaf_pullback_is_zero_form(self, r3_structure, r3_adapted):
         cf = normalize_frame(r3_structure, r3_adapted)
-        mat = leaf_pullback(cf)
+        _, mat = leaf_pullback(cf)
         assert mat.rows == 1 and mat[0, 0].is_zero()
 
     def test_dirac_extension_frame(self, r3_structure, r3_adapted):
@@ -215,14 +226,36 @@ class TestTransversalSlice:
         s, cf = _document_frame(fixture_text("example_r3"))
         evaluation_counts.clear()
         tr = transversal_structure(s, cf)
-        # the ambient structure at the 12 embedded slice points, the slice at the same 12
-        assert len(evaluation_counts) == 24 and set(evaluation_counts.values()) == {1}
+        # the ambient structure at the 12 embedded slice points; the slice
+        # structure is checked on the pullbacks and evaluated nowhere
+        assert len(evaluation_counts) == 12 and set(evaluation_counts.values()) == {1}
+        assert {structure for structure, _ in evaluation_counts} == {id(s)}
         assert tr.chart.names == ("y", "z")
         evaluation_counts.clear()
         verdict = coupling_equivalences(cf)
         assert verdict.ok and verdict.note == "decomposable"
         # E and E' are read off the canonical rows, so the structure is evaluated nowhere
         assert not evaluation_counts
+
+    @pytest.mark.parametrize("grid", ["xi_rows", "y_rows", "theta_rows"])
+    def test_tampered_row_disagrees_with_its_pullback(self, r5_structure, r5_adapted, grid):
+        # d_z added to the first row of a grid: on the slice it leaves i*E
+        # (Xi) or i*E' (Y, Theta), and the pullback check names the point
+        # before the slice structure is built
+        cf = normalize_frame(r5_structure, r5_adapted)
+        rows = [list(row) for row in getattr(cf, grid)]
+        rows[0][4] = rows[0][4] + cf.det_of(grid)
+        tampered = dataclasses.replace(cf, **{grid: tuple(map(tuple, rows))})
+        with pytest.raises(NormalizationError, match=re.escape("transversal frame disagrees with the pullback at (0, 0, 0)")):
+            transversal_structure(r5_structure, tampered)
+
+    @pytest.mark.parametrize("name", ["example_r3", "example_r5", "example_r5_tilde"])
+    def test_graph_type_on_the_locus_of_the_fixtures(self, name):
+        assert assert_slice_is_of_graph_type(_fixture_frame(name))
+
+    def test_graph_type_on_the_locus_under_seeded_chart_changes(self, r5_structure):
+        used = [assert_slice_is_of_graph_type(cf) for cf in _seeded_chart_changes(r5_structure, range(16))]
+        assert len(used) >= 4 and all(used)
 
     def test_rows_whose_quotients_are_not_polynomial_on_the_slice(self):
         # det_e = y^3 + y; the Xi quotients 1/(y^2 + 1) and -y/(y^2 + 1) are
@@ -240,6 +273,22 @@ class TestTransversalSlice:
         assert [[str(c) for c in sec.as_poly_row()] for sec in tr.e_prime_frame[1:]] == [
             ["1", "-y", "0", "0"], ["0", "1", "-y^2 - 1", "0"]
         ]
+
+
+def assert_slice_is_of_graph_type(cf) -> int:
+    """The transversal structure's E meets the slice tangents only in 0 at
+    every slice grid point on the validity locus; returns the number of
+    such points."""
+    tr = transversal_structure(cf.structure, cf)
+    a, used = cf.adapted, 0
+    for pt in default_grid(tr.m, cap=12):
+        ambient = [0] * a.chart.dim
+        for i, c in zip(a.middle + a.transverse, pt):
+            ambient[i] = c
+        if cf.denominators_nonzero_at(ambient):
+            used += 1
+            assert is_graph_type(tr.evaluate_at(pt)), pt
+    return used
 
 
 # the Xi row of the canonical frame is rational, and det_e = y^3 + y
@@ -308,21 +357,21 @@ class TestDeterminantsVanishingIdentically:
 
 
 class TestDenominators:
-    def test_zero_or_pole_of_either_determinant_is_off_the_locus(self, r3_structure, r3_adapted):
+    def test_zero_of_either_determinant_is_off_the_locus(self, r3_structure, r3_adapted):
+        # the determinants are polynomials, so a zero is the only way off the locus
         cf = normalize_frame(r3_structure, r3_adapted)
         names = r3_structure.chart.names
-        one = RationalFunction.one(names)
-        x = RationalFunction.from_poly(Polynomial.variable(names, 0))
-        y = RationalFunction.from_poly(Polynomial.variable(names, 1))
+        one = Polynomial.one(names)
+        x, y = Polynomial.variable(names, 0), Polynomial.variable(names, 1)
         cases = [
             (one, one, (0, 0, 0), True),
             (x, one, (1, 0, 0), True),
             (x, one, (0, 1, 0), False),  # det_e vanishes
             (one, x, (0, 1, 0), False),  # det_e' vanishes
-            (one / x, one, (0, 1, 0), False),  # det_e has a pole
-            (one, one / y, (1, 0, 0), False),  # det_e' has a pole
-            (x, one / x, (0, 1, 0), False),  # both at once
-            (y / x, x / y, (1, 1, 0), True),
+            (x * y, one, (1, 0, 0), False),  # one factor of det_e vanishes
+            (one, x * x + y * y, (0, 0, 1), False),  # det_e' vanishes at its only real zero
+            (x, x, (0, 1, 0), False),  # both at once
+            (y - x, x * y + 1, (1, 2, 0), True),
         ]
         for det_e, det_ep, point, expected in cases:
             moved = dataclasses.replace(cf, det_e=det_e, det_eprime=det_ep)
@@ -505,7 +554,7 @@ class TestNormalizeR5:
 
     def test_leaf_pullback_symplectic(self, r5_structure, r5_adapted):
         cf = normalize_frame(r5_structure, r5_adapted)
-        mat = leaf_pullback(cf)
+        _, mat = leaf_pullback(cf)
         assert mat[0, 1] == RationalFunction.one(r5_structure.chart.names)
         assert mat[1, 0] == -RationalFunction.one(r5_structure.chart.names)
         # matches the characteristic form on the leaf and the pullback of the
@@ -601,7 +650,7 @@ class TestDiracSpecialization:
         for a in range(4):
             for b in range(4):
                 assert (cf.alpha[a][b] + cf.alpha[b][a]).is_zero()
-        mat = leaf_pullback(cf)
+        _, mat = leaf_pullback(cf)
         # inverse of the bivector block structure: alpha = the flat of the leaf form
         assert mat[0, 1] != 0 and (mat[0, 1] + mat[1, 0]).is_zero()
 
@@ -1005,9 +1054,10 @@ def assert_matches_rational_reference(cf, grid):
         with pytest.raises(NormalizationError):
             leaf_pullback(cf)
     else:
-        mat, det = leaf_pullback(cf), cf.det_e.set_vars(on_leaf)
+        det, mat = leaf_pullback(cf)
+        assert det == cf.det_e.set_vars(on_leaf)
         assert [[mat[a, b] / det for b in range(cf.r)] for a in range(cf.r)] == ref_leaf
-        assert cf.quotient_strings("alpha", on_leaf) == [[str(e) for e in row] for row in ref_leaf]
+        assert [[str(e / det) for e in row] for row in mat.entries] == [[str(e) for e in row] for row in ref_leaf]
     expected = reference_relations(adapted, ref)
     got = check_orthogonality_relations(cf)
     assert [label for label, _ in got.failures] == [label for label, _ in expected]

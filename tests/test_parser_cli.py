@@ -8,7 +8,7 @@ import pytest
 from bigiso import fixtures
 from bigiso.calculus import Chart
 from bigiso.cli import main
-from bigiso.parser import MAX_DIGITS, MAX_NESTING, ParseError, parse_document, parse_expression
+from bigiso.parser import MAX_DIGITS, MAX_NESTING, MAX_TERM_PRODUCTS, ParseError, parse_document, parse_expression
 from bigiso.scalars import MAX_DEGREE, Polynomial
 
 
@@ -97,6 +97,30 @@ class TestExpressionParser:
             with pytest.raises(ParseError, match=f"nested deeper than {MAX_NESTING} levels") as err:
                 parse_expression(self.chart, "(" * levels + "x1" + ")" * levels)
             assert (err.value.line, err.value.col) == (1, MAX_NESTING + 1)
+
+    def test_term_product_limit(self):
+        # counted on term counts before any expansion: a product of t_a and
+        # t_b terms forms t_a * t_b term products, and a k-th power of a
+        # t-term base has at most C(t + k - 1, k) terms to multiply
+        x1, x2 = (Polynomial.variable(("x1", "x2"), name) for name in ("x1", "x2"))
+        trinomial = "(x1 + x2 + 1)"
+        expected = Polynomial.one(("x1", "x2"))
+        for _ in range(40):
+            expected = expected * (x1 + x2 + 1)
+        assert parse_expression(self.chart, f"{trinomial}^40") == expected
+        # 861 * 861 products and both powers: within the limit
+        assert parse_expression(self.chart, f"{trinomial}^40 * {trinomial}^40") == expected * expected
+        past = (
+            (f"{trinomial}^100", 14),  # at the '^': C(38, 36) * C(66, 64) products in its last step alone
+            (f"{trinomial}^{MAX_DEGREE}", 14),
+            (f"{trinomial}^50 * {trinomial}^50", 18),  # at the '*': 1326 * 1326 products
+            # each product alone is within the limit, the expression is not
+            (f"{trinomial}^40 * {trinomial}^40 + {trinomial}^40 * {trinomial}^40", 56),
+        )
+        for text, col in past:
+            with pytest.raises(ParseError, match=f"needs more than {MAX_TERM_PRODUCTS} term products") as err:
+                parse_expression(self.chart, text)
+            assert (err.value.line, err.value.col) == (1, col)
 
     def test_unary_sign_runs(self):
         x1 = Polynomial.variable(("x1", "x2"), "x1")
@@ -444,6 +468,11 @@ class TestCli:
         "parentheses": ("(" * 200 + "x" + ")" * 200, 14 + MAX_NESTING, f"parentheses nested deeper than {MAX_NESTING} levels"),
         "unary": ("-" * 1000 + "x", None, None),
         "grid cap": ("0", 1, f"grid cap has more than {MAX_DIGITS} digits"),
+        # would expand for minutes; refused from the term counts at the operator
+        "power": ("(x + y + 1)^100", 25, f"expanding the expression needs more than {MAX_TERM_PRODUCTS} term products"),
+        "product": (
+            "(x + y + 1)^50 * (x + y + 1)^50", 29, f"expanding the expression needs more than {MAX_TERM_PRODUCTS} term products"
+        ),
     }
 
     @staticmethod
@@ -468,19 +497,29 @@ class TestCli:
         line = 8 if name == "grid cap" else 3
         assert payload["errors"] == [f"line {line}, column {col}: {message}"]
 
-    def test_deep_input_in_a_fresh_process(self, tmp_path):
+    def validate_in_a_fresh_process(self, tmp_path, name):
+        """The one error of validating a deep document in its own process."""
         import subprocess
         import sys
         from pathlib import Path
 
         env = {"PYTHONPATH": str(Path(__file__).resolve().parents[1] / "src"), "PATH": ""}
-        doc = self.deep_document(tmp_path, "parentheses")
+        doc = self.deep_document(tmp_path, name)
         done = subprocess.run(
             [sys.executable, "-m", "bigiso.cli", "validate", str(doc)], env=env, capture_output=True, text=True
         )
         assert done.returncode == 2 and done.stderr == ""
         [error] = json.loads(done.stdout)["errors"]
+        return error
+
+    def test_deep_input_in_a_fresh_process(self, tmp_path):
+        error = self.validate_in_a_fresh_process(tmp_path, "parentheses")
         assert error == f"line 3, column {14 + MAX_NESTING}: parentheses nested deeper than {MAX_NESTING} levels"
+
+    def test_large_power_in_a_fresh_process(self, tmp_path):
+        # refused from the term counts at once, where expanding took minutes
+        error = self.validate_in_a_fresh_process(tmp_path, "power")
+        assert error == f"line 3, column 25: expanding the expression needs more than {MAX_TERM_PRODUCTS} term products"
 
     def test_missing_file(self):
         code, out = self.run("validate", "/nonexistent/path.bis")

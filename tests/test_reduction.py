@@ -1,3 +1,4 @@
+import itertools
 import random
 from dataclasses import fields
 from fractions import Fraction
@@ -16,9 +17,9 @@ from bigiso.calculus import (
 )
 from bigiso.fixtures import fixture_text
 from bigiso.grid import default_grid, format_point
-from bigiso.linalg import Subspace
+from bigiso.linalg import Matrix, Subspace
 from bigiso.parser import parse_document
-from bigiso.pointwise import orthogonal_g, random_isotropic
+from bigiso.pointwise import orthogonal_g, random_isotropic, tangent_projection, window
 from bigiso.reduction import (
     FoliationData,
     ReductionError,
@@ -46,6 +47,11 @@ from bigiso.structures import (
 from bigiso.transport import LinearMap, pullback_subspace, pushforward_subspace, space_S
 
 
+def normal_equations(N):
+    """Rows annihilating the image of the differential (ann TN)."""
+    return Matrix(N.differential.matrix.transpose().kernel_rows(), N.ambient.dim)
+
+
 def restriction_reference(frame, N):
     """The ambient sections whose tangents stay inside TN, restricted to N,
     written out: coefficients composed with the embedding, a section kept
@@ -59,7 +65,7 @@ def restriction_reference(frame, N):
         for j in range(n):
             p = p + N.sub.coordinate(j) * N.differential.matrix[i, j]
         images.append(p)
-    ann = N.normal_equations()
+    ann = normal_equations(N)
     jt = N.differential.matrix.transpose()
     gram_inv = (jt * N.differential.matrix).inverse()
     sections = []
@@ -209,11 +215,10 @@ def restrict_reference(s, N, grid=None):
     if not pts:
         raise ReductionError("empty grid: no point of the submanifold to restrict at")
     incl = N.differential
-    ambient_data, pulled, pulled_prime = [], [], []
+    pulled, pulled_prime = [], []
     window_dims, window_prime_dims = {}, {}
     for u in pts:
         data = s.evaluate_at(N.embed_point(u))
-        ambient_data.append(data)
         pulled.append(pullback_subspace(incl, data.E))
         pulled_prime.append(pullback_subspace(incl, data.E_prime))
         window_dims.setdefault(space_S(incl, data.E).dim, u)
@@ -228,7 +233,7 @@ def restrict_reference(s, N, grid=None):
     ranks = {sp.dim for sp in pulled}
     if len(ranks) > 1:
         raise ReductionError(f"pullback dimension jumps across the grid: {sorted(ranks)}")
-    return RestrictedData(N, pts, tuple(ambient_data), tuple(pulled), tuple(pulled_prime))
+    return RestrictedData(N, pts, tuple(pulled), tuple(pulled_prime))
 
 
 def same_restriction(s, N, grid=None) -> str:
@@ -352,7 +357,70 @@ class TestRestrictAgainstReference:
         assert outcomes == {"restricted", "properness fails for E", "properness fails for E'"}
 
 
+def reducibility_reference(s, N, F, u) -> bool:
+    """The ambient-window formulation at one point of N: E's pairs over
+    (fibre tangents) (+) ann TN project onto the fibre tangents, so each
+    fibre direction lifts into E with a conormal covector."""
+    n, m = N.sub.dim, N.ambient.dim
+    fibre_amb = [N.differential.push([int(j == i) for j in range(n)]) for i in F.fibre]
+    inter = s.evaluate_at(N.embed_point(u)).E.intersect(window(m, fibre_amb, normal_equations(N).entries))
+    return tangent_projection(inter).contains_subspace(Subspace(m, fibre_amb))
+
+
+def assert_reducibility_matches_reference(s, N, F, grid=None) -> set:
+    """check_reducibility on each one-point restriction against the ambient
+    window; returns the verdicts seen."""
+    seen = set()
+    for u in grid if grid is not None else default_grid(N.sub.dim, cap=16):
+        verdict = check_reducibility(s, N, F, restrict(s, N, grid=(u,))).ok
+        assert verdict == reducibility_reference(s, N, F, u), u
+        seen.add(verdict)
+    return seen
+
+
+class TestPullbackRank:
+    def test_rank_follows_from_the_window_dimensions(self):
+        # dim i*E = w - (k - n - m + w') at every point, so restrict needs no
+        # rank check of its own once both windows are constant
+        rng = random.Random(53)
+        for _ in range(40):
+            s = beta_twisted(rng, rng.randint(2, 4))
+            N = random_affine_submanifold(rng, s.chart)
+            n, m, k = N.sub.dim, s.m, s.k
+            for u in default_grid(n, cap=6):
+                data = s.evaluate_at(N.embed_point(u))
+                w, w_prime = space_S(N.differential, data.E).dim, space_S(N.differential, data.E_prime).dim
+                assert pullback_subspace(N.differential, data.E).dim == w - (k - n - m + w_prime), u
+
+
 class TestReducibility:
+    @pytest.mark.parametrize(
+        "name", ["example_reduction", "example_foliated_hamiltonian", "example_foliated_presymplectic"]
+    )
+    def test_fixtures_against_the_ambient_window(self, name):
+        doc = parse_document(fixture_text(name))
+        s = BigIsotropicStructure.build(doc.chart, doc.e_sections, doc.e_prime_sections)
+        N = SubmanifoldData.from_equations(doc.chart, list(doc.submanifold_equations))
+        F = FoliationData(N.sub, tuple(N.sub.index(name) for name in doc.foliation_names))
+        assert assert_reducibility_matches_reference(s, N, F) == {True}
+
+    def test_each_fibre_choice_against_the_ambient_window(self, poisson_4d, hyperplane):
+        seen = set()
+        for size in range(4):
+            for fibre in itertools.combinations(range(3), size):
+                seen |= assert_reducibility_matches_reference(poisson_4d, hyperplane, FoliationData(hyperplane.sub, fibre))
+        assert seen == {True, False}
+
+    def test_seeded_submanifolds_against_the_ambient_window(self):
+        rng = random.Random(47)
+        seen = set()
+        for _ in range(30):
+            s = beta_twisted(rng, rng.randint(2, 4))
+            N = random_affine_submanifold(rng, s.chart)
+            fibre = tuple(i for i in range(N.sub.dim) if rng.random() < 0.5)
+            seen |= assert_reducibility_matches_reference(s, N, FoliationData(N.sub, fibre), default_grid(N.sub.dim, cap=6))
+        assert seen == {True, False}
+
     def test_poisson_example_true(self, poisson_4d, hyperplane):
         F = FoliationData(hyperplane.sub, fibre=(2,))
         assert check_reducibility(poisson_4d, hyperplane, F).ok
@@ -500,7 +568,6 @@ class TestReduce:
         # the ambient structure at each sample point, the quotient at each base point
         assert len(evaluation_counts) == len(result.restricted.points) + len(base_points) == 16 + 8
         assert set(evaluation_counts.values()) == {1}
-        assert len(result.restricted.ambient_data) == 16
 
     def test_reducibility_failure_raises(self, poisson_4d, hyperplane):
         F = FoliationData(hyperplane.sub, fibre=(0,))
