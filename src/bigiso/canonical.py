@@ -24,7 +24,9 @@ is formed only to print an entry.  The two determinants delimit the
 validity locus, which is recorded on the result.
 
 The transversal structure lives on the slice {x = 0}, which
-``reduction.restrict`` pulls the structure back to like any submanifold.
+``reduction.restrict`` pulls the structure back to like any submanifold;
+its E frame is checked against that pullback, and its E' frame follows
+from the check and the slice structure's validation.
 """
 
 from __future__ import annotations
@@ -36,8 +38,8 @@ from operator import sub
 
 from .calculus import BigSection, Chart, PolyOneForm, PolyVectorField
 from .grid import format_point
-from .linalg import Matrix, Subspace, combine, complement_in, fraction_free
-from .pointwise import IsotropicData, characteristic_triple, covector_lift, window
+from .linalg import Matrix, Subspace, combine, fraction_free
+from .pointwise import window
 from .reduction import SubmanifoldData, restrict, span_mismatches
 from .scalars import Polynomial, eval_rows
 from .structures import BigIsotropicStructure, Verdict, default_grid
@@ -84,38 +86,6 @@ class AdaptedChart:
 
     def leaf_assignment(self) -> dict:
         return {i: Fraction(0) for i in self.middle + self.transverse}
-
-
-@dataclass(frozen=True)
-class SeedBasis:
-    """Pointwise frame seeds at a base point, split by the index families."""
-
-    X0: tuple  # basis of cal_E
-    xi0: tuple  # covector partners with (X0, xi0) in E
-    Y0: tuple  # complement of cal_E in cal_E'
-    eta0: tuple  # covector partners with (Y0, eta0) in E'
-    kappa0: tuple  # basis of ann cal_E'
-    nu0: tuple  # completion to a basis of ann cal_E
-    Z0: tuple  # complement of cal_E' in the tangent space
-
-
-def seed_basis(data: IsotropicData) -> SeedBasis:
-    """Deterministic pointwise seeds (ties broken by RREF pivot order).
-
-    The rows (X0, xi0) and (0, kappa0) lie in E and span it, and with
-    (Y0, eta0) and (0, nu0) they span E': as E' = orth E, E meets 0 (+) T*M
-    in 0 (+) ann cal_E' and E' meets it in 0 (+) ann cal_E."""
-    m = data.m
-    triple = characteristic_triple(data)
-    cal_E, cal_Ep = triple.cal_E, triple.cal_E_prime
-    X0 = cal_E.basis
-    xi0 = tuple(covector_lift(data.E, x) for x in X0)
-    Y0 = complement_in(cal_E, cal_Ep).basis
-    eta0 = tuple(covector_lift(data.E_prime, y) for y in Y0)
-    kappa0 = cal_Ep.annihilator().basis
-    nu0 = complement_in(Subspace(m, kappa0), cal_E.annihilator()).basis
-    Z0 = complement_in(cal_Ep, Subspace.full(m)).basis
-    return SeedBasis(X0, xi0, Y0, eta0, kappa0, nu0, Z0)
 
 
 @dataclass(frozen=True)
@@ -487,12 +457,16 @@ def transversal_structure(
     s: BigIsotropicStructure, cf: CanonicalFrame, grid=None
 ) -> BigIsotropicStructure:
     """The induced structure on the slice {x = 0}: E framed by the restricted
-    Xi rows, E' by the restricted Xi, Y and Theta rows, each checked against
-    its pullback from ``reduction.restrict`` on the validity locus before
-    the structure is built, which is evaluated at no point.  There X, Xi
-    span E and X, Xi, Y, Theta span E', and only X has leaf-tangent entries,
-    so the pullbacks are spanned by those restrictions; E is of graph type,
-    as the Xi rows carry det_e I on the transverse-covector columns.
+    Xi rows, E' by the restricted Xi, Y and Theta rows.  The E frame is
+    checked against its pullback from ``reduction.restrict`` on the validity
+    locus before the structure is built, which is evaluated at no point.
+    There X, Xi span E and only X has leaf-tangent entries, so the pullback
+    is spanned by the Xi restrictions; E is of graph type, as the Xi rows
+    carry det_e I on the transverse-covector columns.  The E' frame needs no
+    check of its own: ``build`` proves g(E frame, E' frame) = 0 identically
+    and rank 2n - k at every point, so the E' frame spans the g-orthogonal of
+    the E frame, which is (i*E)^g = i*E' (pullback commutes with the
+    g-orthogonal).
 
     Each numerator row is restricted to the slice and divided by its
     determinant's restriction where that division is exact, as it always is
@@ -521,12 +495,12 @@ def transversal_structure(
     inclusion = LinearMap.from_rows([[int(i == j) for j in sub_idx] for i in range(m)])
     N = SubmanifoldData(adapted.chart, sub, (0,) * m, inclusion)
     restricted = restrict(s, N, grid=sub_grid)
-    sampled = zip(restricted.points, restricted.pulled_E, restricted.pulled_E_prime)
-    on_locus = [(u, e, ep) for u, e, ep in sampled if cf.denominators_nonzero_at(N.embed_point(u))]
+    sampled = zip(restricted.points, restricted.pulled_E)
+    on_locus = [(u, e) for u, e in sampled if cf.denominators_nonzero_at(N.embed_point(u))]
     if not on_locus:
         raise NormalizationError(_empty_sample(cf, len(sub_grid)))
-    points, pulled_e, pulled_ep = zip(*on_locus)
-    bad = span_mismatches(points, e_frame, pulled_e) or span_mismatches(points, ep_frame, pulled_ep)
+    points, pulled_e = zip(*on_locus)
+    bad = span_mismatches(points, e_frame, pulled_e)
     if bad:
         raise NormalizationError(f"transversal frame disagrees with the pullback at {format_point(bad[0])}")
     return BigIsotropicStructure.build(sub, e_frame, ep_frame, grid=sub_grid)

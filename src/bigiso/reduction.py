@@ -8,8 +8,10 @@ sections tangent to the submanifold, pulled back along its affine embedding
 by ``structures.pull_back_sections`` (of which a chart change is the
 invertible case).  The reduced structure is certified, not merely
 constructed: the pointwise pullbacks that ``restrict`` takes over a sample
-grid are the one certificate, and every symbolic frame is compared against
-them; each fact they decide is decided once.
+grid, in one walk of the structure's integer rows, are the one certificate.
+The restricted E frame is compared against them, and what that comparison
+and the validation of the built frames imply is not checked again; each
+fact is decided once.
 """
 
 from __future__ import annotations
@@ -33,10 +35,10 @@ from .calculus import (
 )
 from .grid import format_point
 from .linalg import Matrix, Subspace
-from .pointwise import is_graph_type, swap_halves
+from .pointwise import swap_halves
 from .scalars import Polynomial, as_fraction, eval_rows
 from .structures import BigIsotropicStructure, Verdict, default_grid, pull_back_sections
-from .transport import LinearMap, pull_rows, pullback_subspace
+from .transport import LinearMap, pull_rows
 
 
 class ReductionError(ValueError):
@@ -162,24 +164,30 @@ def restrict(s: BigIsotropicStructure, N: SubmanifoldData, grid=None) -> Restric
 
     The window dimensions (E against TN (+) ambient covectors, and the same
     for E') must stay constant across the grid: that is the properness
-    certificate, and a jump reports the two offending points.  One pull_rows
-    kernel per bundle and point gives its pullback and, by its row count, its
-    window dimension; each bundle's equations are its partner's basis rows
-    with their halves swapped (g(v, w) = swap(w) . v / 2; E' = orth E).
+    certificate, and a jump reports the two offending points.  The
+    structure's integer rows are walked once over the embedded points
+    (``rows_at``, which refuses a rank drop), and one pull_rows kernel per
+    bundle and point gives its pullback and, by its row count, its window
+    dimension; each bundle's equations are its partner's rows with their
+    halves swapped (g(v, w) = swap(w) . v / 2).  The structure must be
+    validated: then g(E, E') = 0 identically, so where the ranks are k and
+    2m - k, E' = orth E and no pointwise pairing is left to check.
     Constant windows w, w' keep the pullback's rank w - (k - n - m + w')
     constant: the kernel E n (0 (+) ann TN) is (E' + TN (+) T*M)^g.
     """
     if N.ambient != s.chart:
         raise ReductionError("submanifold lives in a different chart")
+    if not s.validated:
+        raise ReductionError("restriction needs a validated structure")
     pts = tuple(grid) if grid is not None else default_grid(N.sub.dim, cap=16)
     if not pts:
         raise ReductionError("empty grid: no point of the submanifold to restrict at")
     Mt, width = N.differential.matrix.transpose(), 2 * N.sub.dim
     pulled, windows = ([], []), ({}, {})  # E, then E'
-    for u in pts:
-        data = s.evaluate_at(N.embed_point(u))
-        for out, dims, partner in zip(pulled, windows, (data.E_prime, data.E)):
-            rows = pull_rows(Mt, swap_halves(partner.basis))
+    embedded = [N.embed_point(u) for u in pts]
+    for u, (e_rows, ep_rows) in zip(pts, s.rows_at(embedded)):
+        for out, dims, partner in zip(pulled, windows, (ep_rows, e_rows)):
+            rows = pull_rows(Mt, swap_halves(partner))
             out.append(Subspace(width, rows))
             dims.setdefault(len(rows), u)
     for dims, label in zip(windows, ("E", "E'")):
@@ -318,9 +326,23 @@ def reduce_structure(
     """Full pipeline: restrict, check reducibility/projectability, quotient.
 
     The restricted frames are taken from the caller when given, otherwise
-    pulled back from the ambient frame sections tangent to N; either way
-    they are verified against the pointwise pullbacks before any quotient
-    is built.
+    pulled back from the ambient frame sections tangent to N.  The E frame
+    is checked against the pullbacks of ``restrict``; everything else the
+    reduction asserts follows from that check and the validations ``build``
+    runs on the same points:
+
+    - E' frame.  ``build`` proves g(frame, prime) = 0 identically and rank
+      2n - k at every point, so prime(u) = frame(u)^g = (i*E)^g = i*E'
+      (pullback commutes with the g-orthogonal); only its section count is
+      checked, for the message.
+    - Quotient.  pi*E_q(u) = span(survivors(u)) + (ker pi (+) 0), as the
+      survivors of ``_projectable_form`` have no fibre covector components
+      and base-only coefficients; that is span(frame(u)) by projectability
+      (a), and that is i*E(u) by the E check.  It pushes forward from the
+      restriction too, as pi is onto: pi_* pi^* D = D for every D.
+    - Poisson flag.  The quotient's E meets TQ only in 0 where the covector
+      halves of its frame have rank k_q, read from one eval_rows table over
+      the base grid that the quotient is validated on.
     """
     restricted = restrict(s, N, grid=grid)
     red_verdict = check_reducibility(s, N, F, restricted)
@@ -338,9 +360,7 @@ def reduce_structure(
             f"({len(frame)} candidate sections for rank {restricted.rank})"
         )
     prime = list(restricted_prime_frame) if restricted_prime_frame else pull_back(s.e_prime_frame)
-    if len(prime) != 2 * N.sub.dim - restricted.rank or span_mismatches(
-        restricted.points, prime, restricted.pulled_E_prime
-    ):
+    if len(prime) != 2 * N.sub.dim - restricted.rank:
         raise ReductionError("no verified frame for the restricted orthogonal bundle; supply one")
 
     on_n = BigIsotropicStructure.build(N.sub, frame, prime, grid=restricted.points)
@@ -353,17 +373,8 @@ def reduce_structure(
     quotient_chart = F.quotient_chart()
     base_grid = sorted({tuple(u[i] for i in F.base) for u in restricted.points})
     quotient = BigIsotropicStructure.build(quotient_chart, reduced_frame, reduced_prime, grid=base_grid)
-    quotient_at = {pt: quotient.evaluate_at(pt) for pt in base_grid}
-
-    # the quotient pulls back to the restriction at every grid point; it then
-    # pushes forward from it too, as the projection pi is onto: pi_* pi^* D = D
-    # for every D (lift each (w, a) in D along pi; pi^T is injective)
-    proj = F.projection()
-    for u, pulled in zip(restricted.points, restricted.pulled_E):
-        if pullback_subspace(proj, quotient_at[tuple(u[i] for i in F.base)].E) != pulled:
-            raise ReductionError(f"quotient does not pull back to the restriction at {format_point(u)}")
-
-    poisson = all(is_graph_type(data) for data in quotient_at.values())
+    covectors = eval_rows([sec.of.comps for sec in reduced_frame], base_grid)
+    poisson = all(Matrix(rows, quotient.m).rank() == quotient.k for rows in covectors)
     return ReductionResult(quotient, restricted, red_verdict, proj_verdict, poisson)
 
 

@@ -6,6 +6,9 @@ E-frame under Courant brackets), the module property of E', the specialized
 integrability criteria of the graph constructors, the partial Hamiltonian
 formalism, and the enlargement/co-anchor axioms are all decided by zero or
 constancy tests of polynomials, with certificates built only for failures.
+Pointwise, a structure is read through one walk of its frames' integer rows
+over a list of points, ``rows_at``, which validation, ``evaluate_at`` and
+the restriction to a submanifold share.
 Integrability, the module property and enlargement axiom 3 read one table
 per structure, ``frame_brackets``: each frame bracket with its verdict in E.
 
@@ -151,11 +154,11 @@ class BigIsotropicStructure:
         points = tuple(grid) if grid is not None else default_grid(m)
         if not points:
             raise StructureError("empty grid: no point certifies the frame ranks")
-        for _ in self._rows_at(points):
+        for _ in self.rows_at(points):
             pass
         object.__setattr__(self, "validated", True)
 
-    def _rows_at(self, points):
+    def rows_at(self, points):
         """(E rows, E' rows) at each chart point, lazily; errors on rank drops.
 
         Each frame is evaluated over all the points by one eval_rows table,
@@ -179,7 +182,7 @@ class BigIsotropicStructure:
         of E(x) (g is nondegenerate), so it is that orthogonal exactly when
         every E row pairs to zero with every E' row."""
         point = tuple(as_fraction(c) for c in point)
-        ((e_rows, ep_rows),) = self._rows_at([point])
+        ((e_rows, ep_rows),) = self.rows_at([point])
         if any(_pairing_row(e, ep) for e in e_rows for ep in ep_rows):
             raise StructureError(f"E' frame does not span the g-orthogonal of E at {format_point(point)}")
         return IsotropicData(self.m, Subspace(2 * self.m, e_rows), Subspace(2 * self.m, ep_rows))

@@ -84,19 +84,23 @@ def nonintegrable_theta_structure():
 
 @pytest.fixture
 def evaluation_counts(monkeypatch):
-    """Calls of BigIsotropicStructure.evaluate_at per (structure, point)."""
+    """Points walked by BigIsotropicStructure.rows_at per (structure, point),
+    each counted as its rows are read."""
     from collections import Counter
-    from fractions import Fraction
+
+    from bigiso.scalars import as_fraction
 
     counts, alive = Counter(), []  # alive keeps each id() unique
-    original = BigIsotropicStructure.evaluate_at
+    original = BigIsotropicStructure.rows_at
 
-    def counted(self, point):
+    def counted(self, points):
         alive.append(self)
-        counts[(id(self), tuple(Fraction(c) for c in point))] += 1
-        return original(self, point)
+        points = list(points)
+        for point, rows in zip(points, original(self, points)):
+            counts[(id(self), tuple(as_fraction(c) for c in point))] += 1
+            yield rows
 
-    monkeypatch.setattr(BigIsotropicStructure, "evaluate_at", counted)
+    monkeypatch.setattr(BigIsotropicStructure, "rows_at", counted)
     return counts
 
 

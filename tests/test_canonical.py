@@ -21,17 +21,17 @@ from bigiso.canonical import (
     pseudo_conormal,
     pseudo_normal,
     pseudo_normal_prime,
-    seed_basis,
     transversal_structure,
 )
 from bigiso.fixtures import fixture_text
 from bigiso.grid import default_grid, format_point
 from bigiso.linalg import Matrix, Subspace, combine, fraction_free
 from bigiso.parser import parse_document
-from bigiso.pointwise import characteristic_triple, dirac_extension, is_graph_type, random_isotropic, window
+from bigiso.pointwise import characteristic_triple, dirac_extension, is_graph_type, window
 from bigiso.scalars import Polynomial, RationalFunction
 from bigiso.structures import (
     BigIsotropicStructure,
+    StructureError,
     Verdict,
     check_integrability,
     structure_from_components,
@@ -48,54 +48,6 @@ def r3_adapted(r3_structure):
 @pytest.fixture(scope="module")
 def r5_adapted(r5_structure):
     return AdaptedChart(r5_structure.chart, leaf=(0, 1), middle=(2, 3), transverse=(4,))
-
-
-class TestSeedBasis:
-    def test_r3_seed(self, r3_structure):
-        data = r3_structure.evaluate_at((0, 0, 0))
-        seed = seed_basis(data)
-        assert seed.X0 == ((1, 0, 0),)
-        assert seed.xi0 == ((0, 0, 0),)
-        assert seed.Y0 == ((0, 1, 0),)
-        assert seed.eta0 == ((0, 0, 0),)
-        assert seed.kappa0 == ((0, 0, 1),)
-        assert seed.nu0 == ((0, 1, 0),)
-        assert seed.Z0 == ((0, 0, 1),)
-
-    def test_index_ranges(self, r5_structure):
-        data = r5_structure.evaluate_at((0, 0, 0, 0, 0))
-        seed = seed_basis(data)
-        m, k = 5, 3
-        assert len(seed.Y0) == len(seed.nu0) == m - k
-        assert len(seed.kappa0) == len(seed.Z0)
-
-    def test_dirac_case_has_no_middle(self, symplectic_structure):
-        data = symplectic_structure.evaluate_at((0, 0, 0, 0))
-        seed = seed_basis(data)
-        assert len(seed.Y0) == 0 and len(seed.nu0) == 0
-        assert len(seed.X0) == 4 and len(seed.kappa0) == 0
-
-    def test_seed_rows_span_e_and_e_prime(self):
-        rng = random.Random(11)
-        for _ in range(60):
-            data = random_isotropic(rng, rng.randint(1, 5))
-            seed, m = seed_basis(data), data.m
-            zeros = (0,) * m
-            e_rows = [tuple(x) + tuple(xi) for x, xi in zip(seed.X0, seed.xi0)] + [zeros + tuple(k) for k in seed.kappa0]
-            ep_rows = [tuple(y) + tuple(eta) for y, eta in zip(seed.Y0, seed.eta0)] + [zeros + tuple(n) for n in seed.nu0]
-            assert Subspace(2 * m, e_rows) == data.E
-            assert Subspace(2 * m, e_rows + ep_rows) == data.E_prime
-
-    def test_pure_cotangent(self):
-        chart = Chart(("x", "y"))
-        s = structure_from_components(
-            chart,
-            [(0, 0, 1, 0), (0, 0, 0, 1)],
-            [(0, 0, 1, 0), (0, 0, 0, 1)],
-        )
-        seed = seed_basis(s.evaluate_at((0, 0)))
-        assert len(seed.X0) == 0
-        assert Subspace(2, seed.kappa0) == Subspace.full(2)
 
 
 class TestNormalizeR3:
@@ -226,10 +178,11 @@ class TestTransversalSlice:
         s, cf = _document_frame(fixture_text("example_r3"))
         evaluation_counts.clear()
         tr = transversal_structure(s, cf)
-        # the ambient structure at the 12 embedded slice points; the slice
-        # structure is checked on the pullbacks and evaluated nowhere
-        assert len(evaluation_counts) == 12 and set(evaluation_counts.values()) == {1}
-        assert {structure for structure, _ in evaluation_counts} == {id(s)}
+        # the ambient structure once at each of the 12 embedded slice points;
+        # the slice structure only by its own validation on the slice grid
+        walked = {structure: {pt for sid, pt in evaluation_counts if sid == structure} for structure, _ in evaluation_counts}
+        assert walked.keys() == {id(s), id(tr)} and set(evaluation_counts.values()) == {1}
+        assert walked[id(s)] == {(0, y, z) for y, z in walked[id(tr)]} and len(walked[id(tr)]) == 12
         assert tr.chart.names == ("y", "z")
         evaluation_counts.clear()
         verdict = coupling_equivalences(cf)
@@ -240,13 +193,19 @@ class TestTransversalSlice:
     @pytest.mark.parametrize("grid", ["xi_rows", "y_rows", "theta_rows"])
     def test_tampered_row_disagrees_with_its_pullback(self, r5_structure, r5_adapted, grid):
         # d_z added to the first row of a grid: on the slice it leaves i*E
-        # (Xi) or i*E' (Y, Theta), and the pullback check names the point
-        # before the slice structure is built
+        # (Xi), and the pullback check names the point before the slice
+        # structure is built; or it leaves i*E' (Y, Theta), and as i*E' is
+        # the g-orthogonal of i*E, the validation of the slice structure
+        # finds the E' row pairing with an E row
         cf = normalize_frame(r5_structure, r5_adapted)
         rows = [list(row) for row in getattr(cf, grid)]
         rows[0][4] = rows[0][4] + cf.det_of(grid)
         tampered = dataclasses.replace(cf, **{grid: tuple(map(tuple, rows))})
-        with pytest.raises(NormalizationError, match=re.escape("transversal frame disagrees with the pullback at (0, 0, 0)")):
+        if grid == "xi_rows":
+            error, message = NormalizationError, "transversal frame disagrees with the pullback at (0, 0, 0)"
+        else:
+            error, message = StructureError, "E frame not orthogonal to E' frame: g = 1/2"
+        with pytest.raises(error, match=re.escape(message)):
             transversal_structure(r5_structure, tampered)
 
     @pytest.mark.parametrize("name", ["example_r3", "example_r5", "example_r5_tilde"])

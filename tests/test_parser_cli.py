@@ -391,6 +391,16 @@ class TestCli:
             "no verified projectable frame for the restriction; supply one (2 candidate sections for rank 3)"
         ]
 
+    def test_wrong_span_of_the_restricted_orthogonal_frame_fails_the_reduction(self, tmp_path):
+        # three sections as 2n - k asks, but d x3 in place of -d_x3, which
+        # pairs with the E section (0, 0, -1 | 0, 0, 0): validation refuses it
+        prime_rows = self.RESTRICTED_ROWS[:2] + ("(0, 0, 0 | 0, 0, 1)",)
+        code, out = self.run("reduce", self.restricted_document(tmp_path, prime_rows=prime_rows))
+        assert code == 1
+        red = [c for c in json.loads(out)["checks"] if c["name"] == "reduction pipeline"][0]
+        assert red["verdict"] == "fail"
+        assert [f["message"] for f in red["certificate"]["failures"]] == ["E frame not orthogonal to E' frame: g = -1/2"]
+
     def test_failed_reduction_lists_plain_messages(self, tmp_path):
         # the slanted hyperplane x4 = x3 with fibres along u1: reducibility fails
         text = fixtures.fixture_text("example_reduction").replace("submanifold: x4 = 0", "submanifold: x4 = x3")

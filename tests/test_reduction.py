@@ -1,5 +1,7 @@
 import itertools
 import random
+import re
+from collections import Counter
 from dataclasses import fields
 from fractions import Fraction
 
@@ -19,7 +21,7 @@ from bigiso.fixtures import fixture_text
 from bigiso.grid import default_grid, format_point
 from bigiso.linalg import Matrix, Subspace
 from bigiso.parser import parse_document
-from bigiso.pointwise import orthogonal_g, random_isotropic, tangent_projection, window
+from bigiso.pointwise import is_graph_type, orthogonal_g, random_isotropic, tangent_projection, window
 from bigiso.reduction import (
     FoliationData,
     ReductionError,
@@ -32,12 +34,14 @@ from bigiso.reduction import (
     dirac_along_foliation_omega,
     reduce_structure,
     restrict,
+    span_mismatches,
     twoform_is_foliated,
     verify_restricted_frame,
 )
 from bigiso.scalars import Polynomial
 from bigiso.structures import (
     BigIsotropicStructure,
+    StructureError,
     check_integrability,
     foliation_pair,
     graph_P,
@@ -147,6 +151,11 @@ class TestRestrict:
         restricted = restrict(poisson_4d, N)
         for u, pulled in zip(restricted.points, restricted.pulled_E):
             assert pulled == poisson_4d.evaluate_at(u).E
+
+    def test_unvalidated_structure_is_refused(self, poisson_4d, hyperplane):
+        raw = BigIsotropicStructure.build(poisson_4d.chart, poisson_4d.e_frame, poisson_4d.e_prime_frame, validate=False)
+        with pytest.raises(ReductionError, match="restriction needs a validated structure"):
+            restrict(raw, hyperplane)
 
     def test_frame_verification(self, poisson_4d, hyperplane):
         restricted = restrict(poisson_4d, hyperplane)
@@ -564,10 +573,30 @@ class TestReduce:
         F = FoliationData(N.sub, tuple(N.sub.index(name) for name in doc.foliation_names))
         evaluation_counts.clear()
         result = reduce_structure(s, N, F)
-        base_points = {tuple(u[i] for i in F.base) for u in result.restricted.points}
-        # the ambient structure at each sample point, the quotient at each base point
-        assert len(evaluation_counts) == len(result.restricted.points) + len(base_points) == 16 + 8
-        assert set(evaluation_counts.values()) == {1}
+        walked = Counter(structure for structure, _ in evaluation_counts)
+        # the ambient structure once at each embedded sample point; the
+        # restricted structure and the quotient only by their own validation,
+        # at the sample points and at the 8 base points
+        embedded = {N.embed_point(u) for u in result.restricted.points}
+        assert {pt for structure, pt in evaluation_counts if structure == id(s)} == embedded
+        assert len(embedded) == 16 and walked[id(result.quotient)] == 8
+        assert sorted(walked.values()) == [8, 16, 16] and set(evaluation_counts.values()) == {1}
+
+    def test_wrong_span_of_the_restricted_orthogonal_frame_is_refused(self, poisson_4d, hyperplane):
+        # three sections as 2n - k asks, but (0, d x3) does not lie in i*E';
+        # it pairs with the E section (-d_x3, 0), so validation refuses it
+        sub = hyperplane.sub
+        frame = [
+            BigSection(PolyVectorField.coordinate(sub, 1), PolyOneForm.coordinate(sub, 0)),
+            BigSection(-PolyVectorField.coordinate(sub, 0), PolyOneForm.coordinate(sub, 1)),
+            BigSection(-PolyVectorField.coordinate(sub, 2), PolyOneForm.zero(sub)),
+        ]
+        wrong = frame[:2] + [BigSection(PolyVectorField.zero(sub), PolyOneForm.coordinate(sub, 2))]
+        restricted = restrict(poisson_4d, hyperplane)
+        assert span_mismatches(restricted.points, wrong, restricted.pulled_E_prime) == list(restricted.points)
+        F = FoliationData(sub, fibre=(2,))
+        with pytest.raises(StructureError, match=re.escape("E frame not orthogonal to E' frame: g = -1/2")):
+            reduce_structure(poisson_4d, hyperplane, F, frame, restricted_prime_frame=wrong)
 
     def test_reducibility_failure_raises(self, poisson_4d, hyperplane):
         F = FoliationData(hyperplane.sub, fibre=(0,))
@@ -583,6 +612,62 @@ class TestReduce:
             delta = result.quotient.evaluate_at(base_pt)
             assert pushforward_subspace(proj, pulled_prime) == delta.E_prime
             assert orthogonal_g(delta.E) == delta.E_prime
+
+
+def retired_checks_hold(s, N, F):
+    """reduce_structure with its default frames against the checks it no
+    longer runs: the pulled-back E' frame spans i*E' at every sample point,
+    the quotient pulls back to i*E there, and the Poisson flag is the graph
+    type of the quotient at every base point.  Returns the Poisson flag, or
+    None when the reduction is refused."""
+    try:
+        result = reduce_structure(s, N, F)
+    except (ReductionError, StructureError):
+        return None
+    restricted, q = result.restricted, result.quotient
+    assert not span_mismatches(restricted.points, pulled_to(N, s.e_prime_frame), restricted.pulled_E_prime)
+    proj = F.projection()
+    base_points = [tuple(u[i] for i in F.base) for u in restricted.points]
+    for base_pt, pulled in zip(base_points, restricted.pulled_E):
+        assert pullback_subspace(proj, q.evaluate_at(base_pt).E) == pulled, base_pt
+    assert result.poisson_condition == all(is_graph_type(q.evaluate_at(pt)) for pt in set(base_points))
+    return result.poisson_condition
+
+
+class TestRetiredChecks:
+    """What the reduction no longer checks, because the E check and the
+    validation of the built frames imply it, checked here by the oracles."""
+
+    @pytest.mark.parametrize(
+        "name", ["example_reduction", "example_foliated_hamiltonian", "example_foliated_presymplectic"]
+    )
+    def test_reduction_fixtures(self, name):
+        doc = parse_document(fixture_text(name))
+        s = BigIsotropicStructure.build(doc.chart, doc.e_sections, doc.e_prime_sections)
+        N = SubmanifoldData.from_equations(doc.chart, list(doc.submanifold_equations))
+        F = FoliationData(N.sub, tuple(N.sub.index(name) for name in doc.foliation_names))
+        assert retired_checks_hold(s, N, F) is True
+
+    def test_each_fibre_choice(self, poisson_4d, hyperplane):
+        seen = [
+            retired_checks_hold(poisson_4d, hyperplane, FoliationData(hyperplane.sub, fibre))
+            for size in range(4)
+            for fibre in itertools.combinations(range(3), size)
+        ]
+        # fibres () and (2,) reduce, to a non-Poisson and a Poisson quotient
+        assert seen == [False, None, None, True, None, None, None, None]
+
+    def test_seeded_submanifolds(self):
+        rng = random.Random(47)
+        seen = []
+        for _ in range(30):
+            s = beta_twisted(rng, rng.randint(2, 4))
+            N = random_affine_submanifold(rng, s.chart)
+            fibre = tuple(i for i in range(N.sub.dim) if rng.random() < 0.5)
+            seen.append(retired_checks_hold(s, N, FoliationData(N.sub, fibre)))
+        # most draws are refused (reducibility, properness or the frame
+        # count); the one that reduces has a quotient that is not Poisson
+        assert seen.count(False) == 1 and seen.count(None) == 29
 
 
 class TestBracketTransport:
