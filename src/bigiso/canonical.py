@@ -22,11 +22,6 @@ per bundle, ``det_e`` for the X and Xi rows and ``det_eprime`` for the Y,
 Theta and E'-only rows.  Every check runs on the numerators, and a quotient
 is formed only to print an entry.  The two determinants delimit the
 validity locus, which is recorded on the result.
-
-The transversal structure lives on the slice {x = 0}, which
-``reduction.restrict`` pulls the structure back to like any submanifold;
-its E frame is checked against that pullback, and its E' frame follows
-from the check and the slice structure's validation.
 """
 
 from __future__ import annotations
@@ -38,8 +33,7 @@ from operator import sub
 
 from .calculus import BigSection, Chart, PolyOneForm, PolyVectorField
 from .grid import format_point
-from .linalg import Matrix, Subspace, combine, fraction_free
-from .pointwise import window
+from .linalg import Matrix, combine, fraction_free
 from .reduction import SubmanifoldData, restrict, span_mismatches
 from .scalars import Polynomial, eval_rows
 from .structures import BigIsotropicStructure, Verdict, default_grid
@@ -60,9 +54,8 @@ class AdaptedChart:
     transverse: tuple
 
     def __post_init__(self):
-        object.__setattr__(self, "leaf", tuple(self.leaf))
-        object.__setattr__(self, "middle", tuple(self.middle))
-        object.__setattr__(self, "transverse", tuple(self.transverse))
+        for name in ("leaf", "middle", "transverse"):
+            object.__setattr__(self, name, tuple(getattr(self, name)))
         idx = self.leaf + self.middle + self.transverse
         if sorted(idx) != list(range(self.chart.dim)):
             raise NormalizationError("leaf/middle/transverse must partition the chart")
@@ -81,8 +74,7 @@ class AdaptedChart:
 
     def sub_chart(self) -> Chart:
         """Chart of the transversal slice {x = 0}."""
-        names = [self.chart.names[i] for i in self.middle + self.transverse]
-        return Chart(tuple(names))
+        return Chart(tuple(self.chart.names[i] for i in self.middle + self.transverse))
 
     def leaf_assignment(self) -> dict:
         return {i: Fraction(0) for i in self.middle + self.transverse}
@@ -312,28 +304,28 @@ def is_locally_decomposable(cf: CanonicalFrame) -> bool:
     return all(entry.is_zero() for row in cf.alpha_prime for entry in row)
 
 
-def pseudo_normal(v: FrameValues) -> Subspace:
-    """Tangent vectors reachable inside E over leaf-conormal covectors:
-    combinations of the leaf sections' tangent parts whose alpha' pairing
-    vanishes."""
+def pseudo_normal(v: FrameValues) -> list:
+    """Rows spanning the tangent vectors reachable inside E over
+    leaf-conormal covectors: combinations of the leaf sections' tangent parts
+    whose alpha' pairing vanishes."""
     tangents = [x[: v.m] for x in v.x]
     combos = Matrix(v.alpha_prime, len(v.theta)).transpose().kernel_rows()
-    return Subspace(v.m, [combine(c, tangents, v.m) for c in combos])
+    return [combine(c, tangents, v.m) for c in combos]
 
 
-def pseudo_normal_prime(v: FrameValues) -> Subspace:
-    """Same construction inside E' (no constraints; bigger family): the leaf
-    sections' tangent parts less alpha' times the Theta tangent parts, and
-    the Y tangent parts."""
+def pseudo_normal_prime(v: FrameValues) -> list:
+    """Rows spanning the same construction inside E' (no constraints; bigger
+    family): the leaf sections' tangent parts less alpha' times the Theta
+    tangent parts, and the Y tangent parts."""
     m = v.m
     rows = [tuple(map(sub, x, combine(a, v.theta, m))) for x, a in zip(v.x, v.alpha_prime)]
-    return Subspace(m, rows + [y[:m] for y in v.y])
+    return rows + [y[:m] for y in v.y]
 
 
-def pseudo_conormal(v: FrameValues) -> Subspace:
-    """Covectors carried by leaf-tangent vectors inside E': spanned by the
-    covector parts of the Xi, Y and Theta sections."""
-    return Subspace(v.m, [row[v.m :] for row in v.xi + v.y + v.theta])
+def pseudo_conormal(v: FrameValues) -> list:
+    """Rows spanning the covectors carried by leaf-tangent vectors inside
+    E': the covector parts of the Xi, Y and Theta sections."""
+    return [row[v.m :] for row in v.xi + v.y + v.theta]
 
 
 def coupling_equivalences(cf: CanonicalFrame, grid=None) -> Verdict:
@@ -343,22 +335,18 @@ def coupling_equivalences(cf: CanonicalFrame, grid=None) -> Verdict:
 
     Everything is read from one evaluation of the canonical frame per point:
     on the validity locus the X and Xi rows span E, and with the Y and Theta
-    rows, independent of them by the identity blocks, they span E'.
-    By dim(A n B) = dim A + dim B - dim(A + B), H (+) TF = TM iff dim H = r
-    and dim(H + TF) = m, and C (+) ann TF = T*M iff dim C + r = m and
-    dim(C + ann TF) = m.  For Y in H' n TF (tangent parts of E' sections, so
-    Y is in cal_E'), varpi(cal_E, Y) = 0 iff (Y, 0) is in E', the
-    g-orthogonal of E: varpi(X, Y) = alpha(Y) = 2 g((X, alpha), (Y, 0)).
+    rows, independent of them by the identity blocks, they span E'.  Every
+    span fact is a rank of stacked rows.  By dim(A n B) = dim A + dim B -
+    dim(A + B), H (+) TF = TM iff dim H = r and rank [H; TF] = m, and
+    C (+) ann TF = T*M iff rank C + r = m and rank [C; ann TF] = m.
     """
-    adapted = cf.adapted
-    m = adapted.chart.dim
+    adapted, m = cf.adapted, cf.adapted.chart.dim
     decomposable = is_locally_decomposable(cf)
     failures = []
     grid = grid if grid is not None else default_grid(m)
 
-    t_fol = Subspace(m, [[1 if j == i else 0 for j in range(m)] for i in adapted.middle + adapted.transverse])
-    ann_fol = Subspace(m, [[1 if j == i else 0 for j in range(m)] for i in adapted.leaf])
-
+    unit = [tuple(int(j == i) for j in range(m)) for i in range(m)]
+    t_fol, ann_fol = [unit[i] for i in adapted.middle + adapted.transverse], [unit[i] for i in adapted.leaf]
     used = 0
     for pt in grid:
         if not cf.denominators_nonzero_at(pt):
@@ -368,13 +356,10 @@ def coupling_equivalences(cf: CanonicalFrame, grid=None) -> Verdict:
         alpha_prime_zero = all(entry == 0 for row in v.alpha_prime for entry in row)
         h_pt = pseudo_normal(v)
         # dim H = r is implied: H has r generators and dim TF = m - r
-        cond_normal = h_pt.sum(t_fol).dim == m
+        cond_normal = Matrix(h_pt + t_fol).rank() == m
         con_pt = pseudo_conormal(v)
-        cond_conormal = con_pt.dim + cf.r == m and con_pt.sum(ann_fol).dim == m
-        # middle tangents must pair trivially under the induced form
-        e_prime = Subspace(2 * m, v.x + v.xi + v.y + v.theta)
-        hp_cap_t = pseudo_normal_prime(v).intersect(t_fol)
-        cond_flat = e_prime.contains_subspace(window(m, hp_cap_t.basis, ()))
+        cond_conormal = Matrix(con_pt).rank() + cf.r == m and Matrix(con_pt + ann_fol).rank() == m
+        cond_flat = _flat_holds(v, adapted.leaf)
         if not cond_normal == cond_conormal == cond_flat == alpha_prime_zero:
             conditions = (cond_normal, cond_conormal, cond_flat, alpha_prime_zero)
             failures.append((f"equivalences diverge at {format_point(pt)}", conditions))
@@ -386,18 +371,37 @@ def coupling_equivalences(cf: CanonicalFrame, grid=None) -> Verdict:
     return Verdict("coupling equivalences", not failures, tuple(failures), note=note)
 
 
+def _flat_holds(v: FrameValues, leaf) -> bool:
+    """rank [E'; (H' n TF) (+) 0] = rank E': for Y in H' n TF (so Y is in
+    cal_E'), varpi(cal_E, Y) = 0 iff (Y, 0) is in E' = E^g, as varpi(X, Y) =
+    alpha(Y) = 2 g((X, alpha), (Y, 0)).  H' n TF is spanned by the H' row
+    combinations in the kernel of their leaf columns; rank E' is the count of
+    its rows, independent on the validity locus."""
+    m, hp = v.m, pseudo_normal_prime(v)
+    combos = Matrix([[h[i] for h in hp] for i in leaf], len(hp)).kernel_rows()
+    e_prime = [*v.x, *v.xi, *v.y, *v.theta]
+    flat = [combine(c, hp, m) + (0,) * m for c in combos]
+    return Matrix(e_prime + flat).rank() == len(e_prime)
+
+
 def _splitting_holds(v: FrameValues, h_pt, t_fol, ann_fol) -> bool:
-    """E = [E n (TF (+) ann H)] (+) [E n (H (+) ann TF)] at the point, with
-    the two pieces spanned by the Xi and X sections respectively.  Nothing
-    else needs checking: det_e is nonzero on the validity locus, so the r X
-    and p Xi rows (adj(F_J) F over det_e) span E, of dimension r + p; pieces
-    equal to their spans sum to E, directly (Grassmann), and a test of that
-    sum is a conjunct no input can falsify."""
-    m = v.m
-    e = Subspace(2 * m, v.x + v.xi)
-    piece_fol = e.intersect(window(m, t_fol.basis, h_pt.annihilator().basis))
-    piece_h = e.intersect(window(m, h_pt.basis, ann_fol.basis))
-    return piece_fol == Subspace(2 * m, v.xi) and piece_h == Subspace(2 * m, v.x)
+    """E = [E n (TF (+) ann H)] (+) [E n (H (+) ann TF)] at the point, the
+    pieces spanned by the Xi and X rows: for each (W, rows), rank [W; rows] =
+    dim W puts the rows in W, and dim E + dim W - rank [E; W] = len(rows)
+    makes them span E n W.  det_e is nonzero on the validity locus, so the
+    X and Xi rows (adj(F_J) F over det_e) are independent and span E; pieces
+    equal to their spans sum to E, directly, and a test of that sum is a
+    conjunct no input can falsify."""
+    m, zeros = v.m, (0,) * v.m
+    e, ann_h = [*v.x, *v.xi], Matrix(h_pt, m).kernel_rows()
+    for w, rows in (
+        ([t + zeros for t in t_fol] + [zeros + a for a in ann_h], v.xi),
+        ([h + zeros for h in h_pt] + [zeros + a for a in ann_fol], v.x),
+    ):
+        dim_w = Matrix(w, 2 * m).rank()
+        if Matrix([*w, *rows]).rank() != dim_w or len(e) + dim_w - Matrix(e + w).rank() != len(rows):
+            return False
+    return True
 
 
 def leaf_pullback(cf: CanonicalFrame) -> tuple:
@@ -409,10 +413,8 @@ def leaf_pullback(cf: CanonicalFrame) -> tuple:
     if det.is_zero():
         raise NormalizationError("canonical coefficients blow up on the leaf: det_e vanishes there")
     mat = Matrix([[e.set_vars(on_leaf) for e in row] for row in cf.alpha])
-    for a in range(cf.r):
-        for b in range(cf.r):
-            if not (mat[a, b] + mat[b, a]).is_zero():
-                raise NormalizationError("leaf restriction of alpha is not skew")
+    if any(not (mat[a, b] + mat[b, a]).is_zero() for a in range(cf.r) for b in range(cf.r)):
+        raise NormalizationError("leaf restriction of alpha is not skew")
     return det, mat
 
 
@@ -463,18 +465,14 @@ def transversal_structure(
     There X, Xi span E and only X has leaf-tangent entries, so the pullback
     is spanned by the Xi restrictions; E is of graph type, as the Xi rows
     carry det_e I on the transverse-covector columns.  The E' frame needs no
-    check of its own: ``build`` proves g(E frame, E' frame) = 0 identically
-    and rank 2n - k at every point, so the E' frame spans the g-orthogonal of
-    the E frame, which is (i*E)^g = i*E' (pullback commutes with the
-    g-orthogonal).
+    check of its own, as in ``reduction.reduce_structure``.
 
     Each numerator row is restricted to the slice and divided by its
     determinant's restriction where that division is exact, as it always is
     for a constant determinant; otherwise the numerators frame the same
     span off the locus.  A determinant that vanishes on the whole slice
     leaves no point to check on, which fails as an empty sample."""
-    adapted = cf.adapted
-    m = adapted.chart.dim
+    adapted, m = cf.adapted, cf.adapted.chart.dim
     sub = adapted.sub_chart()
     sub_idx = adapted.middle + adapted.transverse
     freeze = {i: Fraction(0) for i in adapted.leaf}

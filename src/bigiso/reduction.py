@@ -7,11 +7,8 @@ of the canonical-frame machinery.  The restricted frames are the ambient
 sections tangent to the submanifold, pulled back along its affine embedding
 by ``structures.pull_back_sections`` (of which a chart change is the
 invertible case).  The reduced structure is certified, not merely
-constructed: the pointwise pullbacks that ``restrict`` takes over a sample
-grid, in one walk of the structure's integer rows, are the one certificate.
-The restricted E frame is compared against them, and what that comparison
-and the validation of the built frames imply is not checked again; each
-fact is decided once.
+constructed: the pointwise pullbacks of E that ``restrict`` takes over a
+sample grid are the one certificate, and each fact is decided once.
 """
 
 from __future__ import annotations
@@ -34,7 +31,7 @@ from .calculus import (
     sharp,
 )
 from .grid import format_point
-from .linalg import Matrix, Subspace
+from .linalg import Matrix
 from .pointwise import swap_halves
 from .scalars import Polynomial, as_fraction, eval_rows
 from .structures import BigIsotropicStructure, Verdict, default_grid, pull_back_sections
@@ -77,8 +74,7 @@ class SubmanifoldData:
         for p in equations:
             if p.total_degree() > 1:
                 raise ReductionError(f"equation is not affine: {p}")
-            row = [Fraction(0)] * m
-            const = Fraction(0)
+            row, const = [Fraction(0)] * m, Fraction(0)
             for exps, coeff in p.terms.items():
                 if sum(exps) == 0:
                     const = coeff
@@ -147,33 +143,35 @@ class FoliationData:
 
 @dataclass(frozen=True)
 class RestrictedData:
-    """Pointwise pullbacks of (E, E') over a sample grid of the submanifold."""
+    """Pointwise pullbacks of E over a sample grid of the submanifold: at
+    each point, the integer rows of ``pull_rows`` that span i*E."""
 
     submanifold: SubmanifoldData
     points: tuple
     pulled_E: tuple
-    pulled_E_prime: tuple
 
     @property
     def rank(self) -> int:
-        return self.pulled_E[0].dim if self.pulled_E else 0
+        """The rank of the pulled rows, the same at every point (see
+        ``restrict``).  It is not their count: where E meets 0 (+) ann TN
+        the rows are dependent, and their count is the window dimension."""
+        return Matrix(self.pulled_E[0], 2 * self.submanifold.sub.dim).rank() if self.pulled_E else 0
 
 
 def restrict(s: BigIsotropicStructure, N: SubmanifoldData, grid=None) -> RestrictedData:
-    """Pull the structure back to the submanifold at every grid point.
+    """Pull E back to the submanifold at every grid point.
 
     The window dimensions (E against TN (+) ambient covectors, and the same
     for E') must stay constant across the grid: that is the properness
     certificate, and a jump reports the two offending points.  The
-    structure's integer rows are walked once over the embedded points
-    (``rows_at``, which refuses a rank drop), and one pull_rows kernel per
-    bundle and point gives its pullback and, by its row count, its window
-    dimension; each bundle's equations are its partner's rows with their
-    halves swapped (g(v, w) = swap(w) . v / 2).  The structure must be
-    validated: then g(E, E') = 0 identically, so where the ranks are k and
-    2m - k, E' = orth E and no pointwise pairing is left to check.
-    Constant windows w, w' keep the pullback's rank w - (k - n - m + w')
-    constant: the kernel E n (0 (+) ann TN) is (E' + TN (+) T*M)^g.
+    structure's integer rows are walked once (``rows_at``, which refuses a
+    rank drop); one pull_rows kernel per bundle and point, on its partner's
+    rows with their halves swapped (g(v, w) = swap(w) . v / 2), gives the
+    window dimension by its row count, and for E the pulled rows.  The
+    structure must be validated: then g(E, E') = 0 identically, so where the
+    ranks are k and 2m - k, E' = orth E.  Constant windows w, w' keep the
+    rank w - (k - n - m + w') constant: E n (0 (+) ann TN) is
+    (E' + TN (+) T*M)^g.
     """
     if N.ambient != s.chart:
         raise ReductionError("submanifold lives in a different chart")
@@ -182,14 +180,12 @@ def restrict(s: BigIsotropicStructure, N: SubmanifoldData, grid=None) -> Restric
     pts = tuple(grid) if grid is not None else default_grid(N.sub.dim, cap=16)
     if not pts:
         raise ReductionError("empty grid: no point of the submanifold to restrict at")
-    Mt, width = N.differential.matrix.transpose(), 2 * N.sub.dim
-    pulled, windows = ([], []), ({}, {})  # E, then E'
-    embedded = [N.embed_point(u) for u in pts]
-    for u, (e_rows, ep_rows) in zip(pts, s.rows_at(embedded)):
-        for out, dims, partner in zip(pulled, windows, (ep_rows, e_rows)):
-            rows = pull_rows(Mt, swap_halves(partner))
-            out.append(Subspace(width, rows))
-            dims.setdefault(len(rows), u)
+    Mt = N.differential.matrix.transpose()
+    pulled, windows = [], ({}, {})  # windows of E, then E'
+    for u, (e_rows, ep_rows) in zip(pts, s.rows_at([N.embed_point(u) for u in pts])):
+        pulled.append(tuple(pull_rows(Mt, swap_halves(ep_rows))))
+        windows[0].setdefault(len(pulled[-1]), u)
+        windows[1].setdefault(len(pull_rows(Mt, swap_halves(e_rows))), u)
     for dims, label in zip(windows, ("E", "E'")):
         if len(dims) > 1:
             (d1, u1), (d2, u2) = list(dims.items())[:2]
@@ -197,15 +193,18 @@ def restrict(s: BigIsotropicStructure, N: SubmanifoldData, grid=None) -> Restric
                 f"properness fails for {label}: "
                 f"window dimension {d1} at {format_point(u1)} but {d2} at {format_point(u2)}"
             )
-    return RestrictedData(N, pts, tuple(pulled[0]), tuple(pulled[1]))
+    return RestrictedData(N, pts, tuple(pulled))
 
 
 def span_mismatches(points, frame: Sequence[BigSection], expected) -> list:
-    """The points at which the frame spans another subspace than expected:
-    the check of a symbolic frame against pointwise pullbacks, on one
-    eval_rows table of the frame over the points."""
+    """The points at which the frame spans another subspace than the
+    expected rows there: the check of a symbolic frame against pointwise
+    pullbacks, on one eval_rows table of the frame over the points.  Row
+    sets F and P span one subspace iff rank F = rank P = rank [F; P], as
+    dim(F + P) = dim F + dim P - dim(F n P)."""
     rows_at = eval_rows([sec.as_poly_row() for sec in frame], points)
-    return [u for u, e, rows in zip(points, expected, rows_at) if Subspace(e.ambient_dim, rows) != e]
+    same = (Matrix(f).rank() == Matrix(p).rank() == Matrix([*f, *p]).rank() for p, f in zip(expected, rows_at))
+    return [u for u, ok in zip(points, same) if not ok]
 
 
 def verify_restricted_frame(restricted: RestrictedData, frame: Sequence[BigSection]) -> Verdict:
@@ -228,16 +227,18 @@ def check_reducibility(
 
     The pullback at each grid point decides it alone: i*E = {(v, i^T a) :
     (i v, a) in E} and i^T a = 0 exactly when a annihilates TN, so the lift
-    exists iff (v, 0) lies in i*E.
+    exists iff (v, 0) lies in i*E: rank [P; (v, 0)] = rank P for the pulled
+    rows P, whose rank is the restriction's at every point.
     """
     if F.chart != N.sub:
         raise ReductionError("foliation must live on the submanifold chart")
     restricted = restricted if restricted is not None else restrict(s, N)
+    rank = restricted.rank
     failures = [
         (f"fibre direction {N.sub.names[i]} not in the pullback at {format_point(u)}", None)
-        for u, pulled in zip(restricted.points, restricted.pulled_E)
+        for u, rows in zip(restricted.points, restricted.pulled_E)
         for i in F.fibre
-        if not pulled.contains([int(j == i) for j in range(2 * N.sub.dim)])
+        if Matrix([*rows, [int(j == i) for j in range(2 * N.sub.dim)]]).rank() != rank
     ]
     return Verdict("reducibility condition", not failures, tuple(failures))
 
@@ -274,28 +275,20 @@ def _projectable_form(frame: Sequence[BigSection], F: FoliationData):
     base-coordinate coefficients, otherwise there is no verified projectable
     frame and the caller must supply one.
     """
-    chart = F.chart
-    survivors = []
-    for sec in frame:
-        v = list(sec.vf.comps)
-        for i in F.fibre:
-            v[i] = chart.zero()
-        trimmed = BigSection(PolyVectorField(chart, v), sec.of)
-        if trimmed.is_zero():
-            continue
-        survivors.append(trimmed)
+    chart, zero = F.chart, F.chart.zero()
+    trimmed = (
+        BigSection(PolyVectorField(chart, [zero if i in F.fibre else c for i, c in enumerate(sec.vf.comps)]), sec.of)
+        for sec in frame
+    )
+    survivors = [sec for sec in trimmed if not sec.is_zero()]
     base_only = {i: Fraction(0) for i in F.fibre}
     for sec in survivors:
         for comp in sec.vf.comps + sec.of.comps:
             if comp != comp.set_vars(base_only):
-                raise ReductionError(
-                    "no verified projectable frame: a coefficient depends on a fibre coordinate"
-                )
+                raise ReductionError("no verified projectable frame: a coefficient depends on a fibre coordinate")
         for i in F.fibre:
             if not sec.of.comps[i].is_zero():
-                raise ReductionError(
-                    "no verified projectable frame: a covector keeps a fibre component"
-                )
+                raise ReductionError("no verified projectable frame: a covector keeps a fibre component")
     return survivors
 
 
@@ -354,13 +347,14 @@ def reduce_structure(
 
     frame = list(restricted_frame) if restricted_frame else pull_back(s.e_frame)
     frame_verdict = verify_restricted_frame(restricted, frame)
-    if not frame_verdict.ok or len(frame) != restricted.rank:
+    rank = restricted.rank
+    if not frame_verdict.ok or len(frame) != rank:
         raise ReductionError(
             "no verified projectable frame for the restriction; supply one "
-            f"({len(frame)} candidate sections for rank {restricted.rank})"
+            f"({len(frame)} candidate sections for rank {rank})"
         )
     prime = list(restricted_prime_frame) if restricted_prime_frame else pull_back(s.e_prime_frame)
-    if len(prime) != 2 * N.sub.dim - restricted.rank:
+    if len(prime) != 2 * N.sub.dim - rank:
         raise ReductionError("no verified frame for the restricted orthogonal bundle; supply one")
 
     on_n = BigIsotropicStructure.build(N.sub, frame, prime, grid=restricted.points)

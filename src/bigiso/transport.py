@@ -13,6 +13,7 @@ the counting identities independently of the solved subspaces.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import lcm
 from typing import Sequence
 
 from .linalg import Matrix, Subspace, kernel
@@ -48,10 +49,6 @@ class LinearMap:
     def pull(self, covector) -> tuple:
         return self.matrix.transpose().apply(covector)
 
-    def ker_push(self) -> Subspace:
-        """ker L in the source tangent space."""
-        return kernel(self.matrix)
-
     def ker_pull(self) -> Subspace:
         """ker L^T in the target cotangent space."""
         return kernel(self.matrix.transpose())
@@ -72,11 +69,22 @@ def pull_rows(Mt: Matrix, eq_rows) -> list:
     """Rows spanning {(X, Mt a) : (M X, a) is annihilated by eq_rows}, where
     Mt is the n x m transpose of M: Q^n -> Q^m and eq_rows have length 2m.
     One row per kernel vector (X, a), so the row count is the solution
-    dimension: dim space_S(M, E) for E cut out by eq_rows and M injective."""
+    dimension: dim space_S(M, E) for E cut out by eq_rows and M injective.
+    With Mt = Mi / d, Mi integer, the unknowns solve the rows (Mi e_tan,
+    d e_cot), and each solution (X, a), scaled to integers, gives (d X, Mi a)."""
     n, m = Mt.rows, Mt.cols
-    # unknowns (X, a) in Q^{n+m}: e . (M X, a) = (Mt e_tan) . X + e_cot . a
-    rows = [Mt.apply(e[:m]) + tuple(e[m:]) for e in eq_rows]
-    return [tuple(sol[:n]) + Mt.apply(sol[n:]) for sol in Matrix(rows, n + m).kernel_rows()]
+    d = lcm(*(e.denominator for row in Mt.entries for e in row))
+    Mi = [[e.numerator * (d // e.denominator) for e in row] for row in Mt.entries]
+
+    def apply(vector) -> tuple:
+        return tuple(sum(c * x for c, x in zip(row, vector) if c) for row in Mi)
+
+    out = []
+    for sol in Matrix([apply(e[:m]) + tuple(d * c for c in e[m:]) for e in eq_rows], n + m).kernel_rows():
+        q = lcm(*(x.denominator for x in sol))
+        v = [x.numerator * (q // x.denominator) for x in sol]
+        out.append(tuple(d * x for x in v[:n]) + apply(v[n:]))
+    return out
 
 
 def pullback_subspace(L: LinearMap, E: Subspace) -> Subspace:
@@ -102,7 +110,7 @@ def e_cap_ker_pull(L: LinearMap, E: Subspace) -> Subspace:
 def e_cap_ker_push(L: LinearMap, E: Subspace) -> Subspace:
     """E n (ker L (+) 0) inside Q^{2n}."""
     _check_ambient(E, L.n, "e_cap_ker_push")
-    return E.intersect(window(L.n, L.ker_push().basis, ()))
+    return E.intersect(window(L.n, kernel(L.matrix).basis, ()))
 
 
 def space_S(L: LinearMap, E: Subspace) -> Subspace:
@@ -120,8 +128,7 @@ def space_sigma(L: LinearMap, E: Subspace) -> Subspace:
 def _predict_dim(what: str, cap, L: LinearMap, E, E_prime, source: int, target: int) -> int:
     """source - target + k corrected by the kernel overlaps cap(L, E') and cap(L, E)."""
     _check_ambient(E, target, what)
-    if E_prime is None:
-        E_prime = orthogonal_g(E)
+    E_prime = orthogonal_g(E) if E_prime is None else E_prime
     return source - target + E.dim + cap(L, E_prime).dim - cap(L, E).dim
 
 

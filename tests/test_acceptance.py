@@ -399,7 +399,7 @@ def test_criterion_10_reduction_pipeline(symplectic_structure):
     # pipeline; spot check one point against the transport operators
     proj = F.projection()
     u = result.restricted.points[0]
-    pulled = result.restricted.pulled_E[0]
+    pulled = Subspace(6, result.restricted.pulled_E[0])
     assert pullback_subspace(proj, q.evaluate_at(tuple(u[i] for i in F.base)).E) == pulled
     report(10, "reduction pipeline", "quotient graph structure with Poisson condition")
 

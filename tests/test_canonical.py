@@ -11,6 +11,8 @@ from bigiso.calculus import BigSection, Chart, PolyOneForm, PolyVectorField
 from bigiso.canonical import (
     AdaptedChart,
     NormalizationError,
+    _flat_holds,
+    _splitting_holds,
     check_orthogonality_relations,
     _empty_sample,
     coupling_equivalences,
@@ -561,10 +563,10 @@ class TestNormalizeR5:
     def test_pseudo_bundles(self, r5_structure, r5_adapted):
         cf = normalize_frame(r5_structure, r5_adapted)
         origin = (0, 0, 0, 0, 0)
-        h = pseudo_normal(cf.at(origin))
+        h = Subspace(5, pseudo_normal(cf.at(origin)))
         # alpha' has full rank 2, so no combination survives
         assert h.dim == 0
-        con = pseudo_conormal(cf.at(origin))
+        con = Subspace(5, pseudo_conormal(cf.at(origin)))
         # covector parts of Xi, Y, Theta: dz, -dx1, -dx2, dy1, dy2
         assert con.dim == 5
 
@@ -875,13 +877,52 @@ def assert_pointwise_matches_symbolic(cf, grid):
             continue
         used += 1
         v = cf.at(pt)
-        assert pseudo_normal(v) == pseudo_normal_field(cf).at(pt), pt
-        assert pseudo_normal_prime(v) == pseudo_normal_prime_field(cf).at(pt), pt
-        assert pseudo_conormal(v) == pseudo_conormal_field(cf).at(pt), pt
+        assert Subspace(m, pseudo_normal(v)) == pseudo_normal_field(cf).at(pt), pt
+        assert Subspace(m, pseudo_normal_prime(v)) == pseudo_normal_prime_field(cf).at(pt), pt
+        assert Subspace(m, pseudo_conormal(v)) == pseudo_conormal_field(cf).at(pt), pt
         data = cf.structure.evaluate_at(pt)
         assert Subspace(2 * m, v.x + v.xi) == data.E, pt
         assert Subspace(2 * m, v.x + v.xi + v.y + v.theta) == data.E_prime, pt
     return used
+
+
+class TestRankCouplingIsNotVacuous:
+    """Tampered frame values must fail the rank tests that hold on the true
+    ones.  Moving a leaf section into the Xi rows (a swap, or an X row added
+    to an Xi row) keeps the span of E but puts a leaf tangent into the
+    TF (+) ann H piece.  A swap keeps cond_flat: with alpha' = 0 an Xi
+    covector annihilates every tangent of E, so the swapped Xi tangent lifts
+    into E' with covector 0.  A leaf covector added to a Y row leaves E alone
+    and lets its tangent lift only with that covector, so cond_flat fails."""
+
+    @staticmethod
+    def tampered(v, leaf):
+        added = tuple(a + b for a, b in zip(v.xi[0], v.x[0]))
+        leaf_covector = tuple(int(j == v.m + leaf) for j in range(2 * v.m))
+        yield "swap", dataclasses.replace(v, x=(v.xi[0],) + v.x[1:], xi=(v.x[0],) + v.xi[1:])
+        yield "add", dataclasses.replace(v, xi=(added,) + v.xi[1:])
+        yield "covector", dataclasses.replace(v, y=(tuple(map(sum, zip(v.y[0], leaf_covector))),) + v.y[1:])
+
+    @pytest.mark.parametrize("name", ["example_r3", "example_r5_tilde"])
+    def test_tampered_frame_values(self, name):
+        cf = _fixture_frame(name)
+        adapted, m = cf.adapted, cf.adapted.chart.dim
+        assert is_locally_decomposable(cf)
+        unit = [tuple(int(j == i) for j in range(m)) for i in range(m)]
+        t_fol, ann_fol = [unit[i] for i in adapted.middle + adapted.transverse], [unit[i] for i in adapted.leaf]
+        points = [pt for pt in default_grid(m, cap=8) if cf.denominators_nonzero_at(pt)]
+        assert points
+        for pt in points:
+            v = cf.at(pt)
+            assert _splitting_holds(v, pseudo_normal(v), t_fol, ann_fol) and _flat_holds(v, adapted.leaf), pt
+            for kind, bad in self.tampered(v, adapted.leaf[0]):
+                assert Subspace(2 * m, bad.x + bad.xi + bad.y + bad.theta).dim == 2 * m - cf.structure.k
+                splits = _splitting_holds(bad, pseudo_normal(bad), t_fol, ann_fol)
+                assert (splits, _flat_holds(bad, adapted.leaf)) == {
+                    "swap": (False, True),
+                    "add": (False, True),
+                    "covector": (True, False),
+                }[kind], (kind, pt)
 
 
 class TestPseudoBundlesAgainstReference:

@@ -2,7 +2,6 @@ import itertools
 import random
 import re
 from collections import Counter
-from dataclasses import fields
 from fractions import Fraction
 
 import pytest
@@ -19,7 +18,7 @@ from bigiso.calculus import (
 )
 from bigiso.fixtures import fixture_text
 from bigiso.grid import default_grid, format_point
-from bigiso.linalg import Matrix, Subspace
+from bigiso.linalg import Matrix, Subspace, combine
 from bigiso.parser import parse_document
 from bigiso.pointwise import is_graph_type, orthogonal_g, random_isotropic, tangent_projection, window
 from bigiso.reduction import (
@@ -90,6 +89,18 @@ def pulled_to(N, frame):
     return pull_back_sections(frame, N.sub, N.offset, N.differential.matrix)
 
 
+def pulled_spaces(restricted):
+    """The pulled rows of E at each sample point as RREF subspaces."""
+    width = 2 * restricted.submanifold.sub.dim
+    return [Subspace(width, rows) for rows in restricted.pulled_E]
+
+
+def pulled_prime_spaces(s, N, points):
+    """i*E' at each sample point, rebuilt by pullback_subspace from the
+    structure's own E' there."""
+    return [pullback_subspace(N.differential, s.evaluate_at(N.embed_point(u)).E_prime) for u in points]
+
+
 @pytest.fixture(scope="module")
 def poisson_4d():
     chart = Chart(("x1", "x2", "x3", "x4"))
@@ -131,7 +142,7 @@ class TestRestrict:
     def test_poisson_example_rank(self, poisson_4d, hyperplane):
         restricted = restrict(poisson_4d, hyperplane)
         assert restricted.rank == 3
-        for u, pulled in zip(restricted.points, restricted.pulled_E):
+        for pulled in pulled_spaces(restricted):
             assert pulled == Subspace(
                 6,
                 [
@@ -149,7 +160,7 @@ class TestRestrict:
     def test_identity_restriction(self, poisson_4d):
         N = SubmanifoldData.identity(poisson_4d.chart)
         restricted = restrict(poisson_4d, N)
-        for u, pulled in zip(restricted.points, restricted.pulled_E):
+        for u, pulled in zip(restricted.points, pulled_spaces(restricted)):
             assert pulled == poisson_4d.evaluate_at(u).E
 
     def test_unvalidated_structure_is_refused(self, poisson_4d, hyperplane):
@@ -181,10 +192,11 @@ class TestRestrict:
         s = BigIsotropicStructure.build(doc.chart, doc.e_sections, doc.e_prime_sections)
         N = SubmanifoldData.from_equations(doc.chart, list(doc.submanifold_equations))
         restricted = restrict(s, N)
-        for frame, expected in ((s.e_frame, restricted.pulled_E), (s.e_prime_frame, restricted.pulled_E_prime)):
+        (prime,) = pulled_prime_spaces(s, N, restricted.points[:1])
+        for frame, dim in ((s.e_frame, restricted.rank), (s.e_prime_frame, prime.dim)):
             pulled = pulled_to(N, frame)
             assert pulled == restriction_reference(frame, N)
-            assert len(pulled) == expected[0].dim
+            assert len(pulled) == dim
         assert verify_restricted_frame(restricted, pulled_to(N, s.e_frame)).ok
 
     def test_pullback_to_a_slanted_plane_drops_the_transverse_section(self):
@@ -217,20 +229,21 @@ class TestRestrict:
 def restrict_reference(s, N, grid=None):
     """restrict through the transport constructions at every point: each
     pullback by pullback_subspace (from the bundle's own equations) and each
-    window dimension from a space_S intersection."""
+    window dimension from a space_S intersection.  Returns the points, the
+    pullbacks of E and the window dimensions of E at them."""
     if N.ambient != s.chart:
         raise ReductionError("submanifold lives in a different chart")
     pts = tuple(grid) if grid is not None else default_grid(N.sub.dim, cap=16)
     if not pts:
         raise ReductionError("empty grid: no point of the submanifold to restrict at")
     incl = N.differential
-    pulled, pulled_prime = [], []
+    pulled, windows = [], []
     window_dims, window_prime_dims = {}, {}
     for u in pts:
         data = s.evaluate_at(N.embed_point(u))
         pulled.append(pullback_subspace(incl, data.E))
-        pulled_prime.append(pullback_subspace(incl, data.E_prime))
-        window_dims.setdefault(space_S(incl, data.E).dim, u)
+        windows.append(space_S(incl, data.E).dim)
+        window_dims.setdefault(windows[-1], u)
         window_prime_dims.setdefault(space_S(incl, data.E_prime).dim, u)
     for dims, label in ((window_dims, "E"), (window_prime_dims, "E'")):
         if len(dims) > 1:
@@ -242,12 +255,14 @@ def restrict_reference(s, N, grid=None):
     ranks = {sp.dim for sp in pulled}
     if len(ranks) > 1:
         raise ReductionError(f"pullback dimension jumps across the grid: {sorted(ranks)}")
-    return RestrictedData(N, pts, tuple(pulled), tuple(pulled_prime))
+    return pts, pulled, windows
 
 
 def same_restriction(s, N, grid=None) -> str:
     """Run restrict and restrict_reference; both must raise the same message
-    or agree on every RestrictedData field.  Returns the outcome."""
+    or agree on the points, the span of the pulled rows at each point, their
+    rank and their count, which is the window dimension.  Returns the
+    outcome."""
     outcomes = []
     for run in (restrict, restrict_reference):
         try:
@@ -258,8 +273,10 @@ def same_restriction(s, N, grid=None) -> str:
     if isinstance(expected, str):
         assert got == expected
         return expected.split(":")[0]
-    for f in fields(RestrictedData):
-        assert getattr(got, f.name) == getattr(expected, f.name), f.name
+    points, pulled, windows = expected
+    assert got.submanifold == N and got.points == points
+    assert pulled_spaces(got) == pulled and got.rank == pulled[0].dim
+    assert [len(rows) for rows in got.pulled_E] == windows
     return "restricted"
 
 
@@ -400,6 +417,112 @@ class TestPullbackRank:
                 data = s.evaluate_at(N.embed_point(u))
                 w, w_prime = space_S(N.differential, data.E).dim, space_S(N.differential, data.E_prime).dim
                 assert pullback_subspace(N.differential, data.E).dim == w - (k - n - m + w_prime), u
+
+
+def conormal_meeting(rng, m):
+    """A constant structure whose E holds a pure covector (0, nu), drawn by
+    random_isotropic, and a seeded affine submanifold with nu among its
+    conormals: E meets 0 (+) ann TN there, so the pulled rows are dependent."""
+    chart = Chart(tuple(f"x{i + 1}" for i in range(m)))
+    while True:
+        data = random_isotropic(rng, m)
+        pure = data.E.intersect(window(m, (), Matrix.identity(m).entries))
+        if not pure.dim:
+            continue
+        nu = pure.basis[rng.randrange(pure.dim)][m:]
+        eqs = [sum((chart.coordinate(i) * c for i, c in enumerate(nu)), chart.constant(rng.randint(-2, 2)))]
+        if m > 2 and rng.random() < 0.5:
+            eqs.append(sum((chart.coordinate(i) * rng.randint(-2, 2) for i in range(m)), chart.constant(1)))
+        try:
+            N = SubmanifoldData.from_equations(chart, eqs)
+        except ReductionError:
+            continue
+        return structure_from_components(chart, data.E.basis, data.E_prime.basis), N
+
+
+class TestRankIsNotTheRowCount:
+    """Where E meets 0 (+) ann TN, pull_rows gives one row per window
+    dimension and the rows are dependent: the restriction's rank is the rank
+    of its rows, not their count."""
+
+    def assert_rank_and_count(self, s, N, grid) -> tuple:
+        restricted = restrict(s, N, grid=grid)
+        for u, rows in zip(restricted.points, restricted.pulled_E):
+            data = s.evaluate_at(N.embed_point(u))
+            assert restricted.rank == pullback_subspace(N.differential, data.E).dim, u
+            assert len(rows) == space_S(N.differential, data.E).dim, u
+        return restricted.rank, len(restricted.pulled_E[0])
+
+    def test_rank_zero_pullback_of_a_conormal_line(self):
+        # E = span(dy) is i*E = 0 on {y = 0}, though its window holds (0, dy)
+        chart = Chart(("x", "y"))
+        s = structure_from_components(chart, [(0, 0, 0, 1)], [(1, 0, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1)])
+        N = SubmanifoldData.from_equations(chart, [chart.coordinate("y")])
+        assert self.assert_rank_and_count(s, N, default_grid(1, cap=6)) == (0, 1)
+
+    def test_seeded_affine_submanifolds_meeting_the_conormals(self):
+        rng = random.Random(59)
+        seen = []
+        for _ in range(24):
+            s, N = conormal_meeting(rng, rng.randint(2, 4))
+            rank, count = self.assert_rank_and_count(s, N, default_grid(N.sub.dim, cap=4))
+            assert count > rank
+            seen.append(rank)
+        assert 0 in seen and max(seen) > 0
+
+
+def random_int_rows(rng, count, width):
+    return [tuple(rng.randint(-2, 2) for _ in range(width)) for _ in range(count)]
+
+
+class TestRankFactsAgainstSubspaces:
+    """The rank-based span and fibre tests agree with RREF Subspace equality
+    and containment on seeded integer row sets, empty ones included."""
+
+    def test_span_mismatches_is_subspace_inequality(self):
+        rng = random.Random(61)
+        outcomes = set()
+        for _ in range(300):
+            n = rng.randint(1, 4)
+            chart = Chart(tuple(f"x{i + 1}" for i in range(n)))
+            expected = random_int_rows(rng, rng.randint(0, 2 * n), 2 * n)
+            if expected and rng.random() < 0.5:  # another spanning set of the same span
+                frame_rows = [combine([rng.randint(-2, 2) for _ in expected], expected, 2 * n) for _ in range(rng.randint(0, 2 * n))]
+                frame_rows += random_int_rows(rng, rng.randint(0, 1), 2 * n)
+            else:
+                frame_rows = random_int_rows(rng, rng.randint(0, 2 * n), 2 * n)
+            frame = [
+                BigSection(
+                    PolyVectorField(chart, [chart.constant(c) for c in row[:n]]),
+                    PolyOneForm(chart, [chart.constant(c) for c in row[n:]]),
+                )
+                for row in frame_rows
+            ]
+            point = (0,) * n
+            differ = Subspace(2 * n, frame_rows) != Subspace(2 * n, expected)
+            assert span_mismatches([point], frame, [expected]) == ([point] if differ else [])
+            outcomes.add((differ, not frame_rows, not expected))
+        assert {(True, False, False), (False, False, False), (False, True, True)} <= outcomes
+        assert {(True, True, False), (True, False, True)} <= outcomes
+
+    def test_fibre_test_is_subspace_containment(self):
+        rng = random.Random(67)
+        outcomes = set()
+        for _ in range(300):
+            n = rng.randint(1, 4)
+            chart = Chart(tuple(f"x{i + 1}" for i in range(n)))
+            N = SubmanifoldData.identity(chart)
+            rows = random_int_rows(rng, rng.randint(0, 2 * n), 2 * n)
+            if rows and rng.random() < 0.5:  # put a fibre direction in the span
+                rows.append(tuple(int(j == rng.randrange(n)) for j in range(2 * n)))
+            restricted = RestrictedData(N, ((0,) * n,), (tuple(rows),))
+            space = Subspace(2 * n, rows)
+            assert restricted.rank == space.dim
+            for i in range(n):
+                contained = space.contains([int(j == i) for j in range(2 * n)])
+                assert check_reducibility(None, N, FoliationData(chart, (i,)), restricted).ok == contained
+                outcomes.add((contained, not rows))
+        assert outcomes == {(True, False), (False, False), (False, True)}
 
 
 class TestReducibility:
@@ -593,7 +716,8 @@ class TestReduce:
         ]
         wrong = frame[:2] + [BigSection(PolyVectorField.zero(sub), PolyOneForm.coordinate(sub, 2))]
         restricted = restrict(poisson_4d, hyperplane)
-        assert span_mismatches(restricted.points, wrong, restricted.pulled_E_prime) == list(restricted.points)
+        primes = [sp.basis for sp in pulled_prime_spaces(poisson_4d, hyperplane, restricted.points)]
+        assert span_mismatches(restricted.points, wrong, primes) == list(restricted.points)
         F = FoliationData(sub, fibre=(2,))
         with pytest.raises(StructureError, match=re.escape("E frame not orthogonal to E' frame: g = -1/2")):
             reduce_structure(poisson_4d, hyperplane, F, frame, restricted_prime_frame=wrong)
@@ -607,7 +731,8 @@ class TestReduce:
         F = FoliationData(hyperplane.sub, fibre=(2,))
         result = reduce_structure(poisson_4d, hyperplane, F)
         proj = F.projection()
-        for u, pulled_prime in zip(result.restricted.points, result.restricted.pulled_E_prime):
+        points = result.restricted.points
+        for u, pulled_prime in zip(points, pulled_prime_spaces(poisson_4d, hyperplane, points)):
             base_pt = tuple(u[i] for i in F.base)
             delta = result.quotient.evaluate_at(base_pt)
             assert pushforward_subspace(proj, pulled_prime) == delta.E_prime
@@ -625,10 +750,11 @@ def retired_checks_hold(s, N, F):
     except (ReductionError, StructureError):
         return None
     restricted, q = result.restricted, result.quotient
-    assert not span_mismatches(restricted.points, pulled_to(N, s.e_prime_frame), restricted.pulled_E_prime)
+    primes = [sp.basis for sp in pulled_prime_spaces(s, N, restricted.points)]
+    assert not span_mismatches(restricted.points, pulled_to(N, s.e_prime_frame), primes)
     proj = F.projection()
     base_points = [tuple(u[i] for i in F.base) for u in restricted.points]
-    for base_pt, pulled in zip(base_points, restricted.pulled_E):
+    for base_pt, pulled in zip(base_points, pulled_spaces(restricted)):
         assert pullback_subspace(proj, q.evaluate_at(base_pt).E) == pulled, base_pt
     assert result.poisson_condition == all(is_graph_type(q.evaluate_at(pt)) for pt in set(base_points))
     return result.poisson_condition
