@@ -15,11 +15,11 @@ is 1.  All other signs follow from the bracket identities asserted in tests.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections.abc import Mapping
 from fractions import Fraction
 from itertools import combinations
-from typing import Mapping
 
+from .record import Record
 from .scalars import Polynomial, as_fraction
 
 
@@ -27,8 +27,7 @@ class ChartError(ValueError):
     pass
 
 
-@dataclass(frozen=True)
-class Chart:
+class Chart(Record):
     names: tuple
 
     def __post_init__(self):
@@ -70,8 +69,7 @@ def _check_chart(a, b):
         raise ChartError(f"chart mismatch: {a.chart.names} vs {b.chart.names}")
 
 
-@dataclass(frozen=True)
-class _Components:
+class _Components(Record):
     """A section of TM or T*M: one polynomial per chart coordinate.
 
     Subclasses differ only in their own operation and their ``symbol``;
@@ -285,8 +283,7 @@ class PolyTrivector(_SkewTable):
     symbol = "^"
 
 
-@dataclass(frozen=True)
-class BigSection:
+class BigSection(Record):
     """A (vector field, 1-form) pair over a shared chart."""
 
     vf: PolyVectorField

@@ -26,7 +26,6 @@ validity locus, which is recorded on the result.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import islice, repeat
 from operator import sub
@@ -34,6 +33,7 @@ from operator import sub
 from .calculus import BigSection, Chart, PolyOneForm, PolyVectorField
 from .grid import format_point
 from .linalg import Matrix, combine, fraction_free
+from .record import Record
 from .reduction import SubmanifoldData, restrict, span_mismatches
 from .scalars import Polynomial, eval_rows
 from .structures import BigIsotropicStructure, Verdict, default_grid
@@ -44,8 +44,7 @@ class NormalizationError(ValueError):
     pass
 
 
-@dataclass(frozen=True)
-class AdaptedChart:
+class AdaptedChart(Record):
     """A chart split into leaf / middle / transverse coordinate indices."""
 
     chart: Chart
@@ -80,8 +79,7 @@ class AdaptedChart:
         return {i: Fraction(0) for i in self.middle + self.transverse}
 
 
-@dataclass(frozen=True)
-class FrameValues:
+class FrameValues(Record):
     """A canonical frame at one point: rows of Fractions of length 2m, and
     alpha' as read from the frame's stored grid."""
 
@@ -99,8 +97,7 @@ _OVER_DET_E = frozenset(
 )
 
 
-@dataclass(frozen=True, eq=False)
-class CanonicalFrame:
+class CanonicalFrame(Record, eq=False):
     """The coefficient record of a canonical local frame.
 
     Every grid holds polynomial numerators: entry [i][j] over the grid's

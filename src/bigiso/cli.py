@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import argparse
 import sys
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
 
@@ -32,6 +31,7 @@ from .canonical import (
     transversal_structure,
 )
 from .parser import ParseError, StructureDocument, parse_document
+from .record import Record
 from .reduction import (
     FoliationData,
     ReductionError,
@@ -107,8 +107,7 @@ def _section_strings(sec: BigSection):
     return [str(c) for c in sec.as_poly_row()]
 
 
-@dataclass
-class _Run:
+class _Run(Record, frozen=False):
     """What the stages of one document share; each is computed once."""
 
     doc: StructureDocument

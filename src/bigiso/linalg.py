@@ -13,10 +13,10 @@ reduced frame.
 
 from __future__ import annotations
 
+from collections.abc import Iterable, Sequence
 from fractions import Fraction
 from math import gcd, lcm
 from operator import mul
-from typing import Iterable, Sequence
 
 from .scalars import Polynomial, as_fraction
 

@@ -20,12 +20,12 @@ a time, so the walk stops at the first full-rank point.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections.abc import Callable, Sequence
 from itertools import islice
-from typing import Callable, Sequence
 
 from .grid import grid_walk
 from .linalg import Matrix, fraction_free
+from .record import Record
 from .scalars import Polynomial, eval_rows
 
 PROBE_POINTS = 16
@@ -45,8 +45,7 @@ def poly_det(rows: Sequence[Sequence[Polynomial]]) -> Polynomial:
     return reduced[0][0] if sign > 0 else -reduced[0][0]
 
 
-@dataclass(frozen=True)
-class SpanWitness:
+class SpanWitness(Record):
     """Certificate for a failed membership test: a nonzero minor."""
 
     minor: Polynomial

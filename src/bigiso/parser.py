@@ -32,12 +32,12 @@ submanifold and hamiltonian lines may repeat.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections.abc import Sequence
 from fractions import Fraction
 from math import comb
-from typing import Sequence
 
 from .calculus import BigSection, Chart, ChartError, PolyOneForm, PolyVectorField
+from .record import Record
 from .scalars import MAX_DEGREE, Polynomial
 
 
@@ -224,15 +224,13 @@ def parse_expression(chart: Chart, text: str, line_no: int = 1, col_offset: int 
 # structure documents
 # --------------------------------------------------------------------------
 
-@dataclass
-class HamiltonianPair:
+class HamiltonianPair(Record, frozen=False):
     name: str
     f: Polynomial
     field_comps: tuple
 
 
-@dataclass
-class StructureDocument:
+class StructureDocument(Record, frozen=False):
     chart: Chart
     e_sections: tuple
     e_prime_sections: tuple

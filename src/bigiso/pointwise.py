@@ -9,11 +9,11 @@ reconstruction, and the canonical almost-Dirac extension all live here.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections.abc import Sequence
 from fractions import Fraction
-from typing import Sequence
 
 from .linalg import Matrix, Subspace, combine, complement_in, kernel
+from .record import Record
 from .scalars import as_fraction
 
 
@@ -21,8 +21,7 @@ class GeometryError(ValueError):
     pass
 
 
-@dataclass(frozen=True)
-class BigVector:
+class BigVector(Record):
     """A tangent/cotangent pair at a point."""
 
     m: int
@@ -95,8 +94,7 @@ def window(m: int, tangent_rows, cotangent_rows) -> Subspace:
     return Subspace(2 * m, rows)
 
 
-@dataclass(frozen=True)
-class IsotropicData:
+class IsotropicData(Record):
     """An isotropic subspace E together with its g-orthogonal E'."""
 
     m: int
@@ -126,8 +124,7 @@ class IsotropicData:
         return self.E.dim
 
 
-@dataclass(frozen=True)
-class CharacteristicTriple:
+class CharacteristicTriple(Record):
     """Tangent projections of (E, E') plus the induced bilinear map.
 
     ``varpi`` holds the values on the RREF bases of cal_E x cal_E_prime, so

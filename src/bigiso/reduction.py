@@ -14,9 +14,8 @@ sample grid are the one certificate, and each fact is decided once.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from collections.abc import Sequence
 from fractions import Fraction
-from typing import Sequence
 
 from .calculus import (
     BigSection,
@@ -33,17 +32,17 @@ from .calculus import (
 from .grid import format_point
 from .linalg import Matrix
 from .pointwise import swap_halves
+from .record import Record
 from .scalars import Polynomial, as_fraction, eval_rows
 from .structures import BigIsotropicStructure, Verdict, default_grid, pull_back_sections
-from .transport import LinearMap, pull_rows
+from .transport import LinearMap, pull_equations, pull_rows
 
 
 class ReductionError(ValueError):
     pass
 
 
-@dataclass(frozen=True)
-class SubmanifoldData:
+class SubmanifoldData(Record):
     """An affine-linear embedded submanifold of the ambient chart."""
 
     ambient: Chart
@@ -113,8 +112,7 @@ def _aligned_names(ambient: Chart, basis) -> tuple | None:
     return tuple(names)
 
 
-@dataclass(frozen=True)
-class FoliationData:
+class FoliationData(Record):
     """A foliation of a chart by fibres of a coordinate projection."""
 
     chart: Chart
@@ -141,8 +139,7 @@ class FoliationData:
         return [PolyVectorField.coordinate(self.chart, i) for i in self.fibre]
 
 
-@dataclass(frozen=True)
-class RestrictedData:
+class RestrictedData(Record):
     """Pointwise pullbacks of E over a sample grid of the submanifold: at
     each point, the integer rows of ``pull_rows`` that span i*E."""
 
@@ -165,9 +162,10 @@ def restrict(s: BigIsotropicStructure, N: SubmanifoldData, grid=None) -> Restric
     for E') must stay constant across the grid: that is the properness
     certificate, and a jump reports the two offending points.  The
     structure's integer rows are walked once (``rows_at``, which refuses a
-    rank drop); one pull_rows kernel per bundle and point, on its partner's
-    rows with their halves swapped (g(v, w) = swap(w) . v / 2), gives the
-    window dimension by its row count, and for E the pulled rows.  The
+    rank drop).  At each point the equations of ``pull_equations`` on a
+    bundle's partner rows with their halves swapped (g(v, w) = swap(w) . v / 2)
+    give its window dimension, n + m minus their rank; for E one pull_rows
+    kernel of them gives the pulled rows, whose count is that dimension.  The
     structure must be validated: then g(E, E') = 0 identically, so where the
     ranks are k and 2m - k, E' = orth E.  Constant windows w, w' keep the
     rank w - (k - n - m + w') constant: E n (0 (+) ann TN) is
@@ -185,7 +183,7 @@ def restrict(s: BigIsotropicStructure, N: SubmanifoldData, grid=None) -> Restric
     for u, (e_rows, ep_rows) in zip(pts, s.rows_at([N.embed_point(u) for u in pts])):
         pulled.append(tuple(pull_rows(Mt, swap_halves(ep_rows))))
         windows[0].setdefault(len(pulled[-1]), u)
-        windows[1].setdefault(len(pull_rows(Mt, swap_halves(e_rows))), u)
+        windows[1].setdefault(Mt.rows + Mt.cols - pull_equations(Mt, swap_halves(e_rows))[0].rank(), u)
     for dims, label in zip(windows, ("E", "E'")):
         if len(dims) > 1:
             (d1, u1), (d2, u2) = list(dims.items())[:2]
@@ -299,8 +297,7 @@ def _push_section(sec: BigSection, F: FoliationData) -> BigSection:
     return BigSection(PolyVectorField(quotient, v), PolyOneForm(quotient, w))
 
 
-@dataclass(frozen=True)
-class ReductionResult:
+class ReductionResult(Record):
     quotient: BigIsotropicStructure
     restricted: RestrictedData
     reducibility: Verdict

@@ -9,11 +9,11 @@ from __future__ import annotations
 
 import json
 import time
-from dataclasses import dataclass, field
+
+from .record import Record
 
 
-@dataclass
-class CheckRecord:
+class CheckRecord(Record, frozen=False):
     name: str
     verdict: str  # "pass" | "fail" | "error"
     certificate: dict | None = None
@@ -26,14 +26,16 @@ class CheckRecord:
         return out
 
 
-@dataclass
-class Report:
+class Report(Record, frozen=False):
     command: str
     document: str
     seed: int
-    checks: list = field(default_factory=list)
-    errors: list = field(default_factory=list)
+    checks: list = ()
+    errors: list = ()
     with_timings: bool = False
+
+    def __post_init__(self):
+        self.checks, self.errors = list(self.checks), list(self.errors)  # one list per report
 
     def start(self, name: str):
         return _Timer(self, name)

@@ -37,12 +37,12 @@ performed to keep expressions small).
 
 from __future__ import annotations
 
+from collections.abc import Mapping, Sequence
 from fractions import Fraction
 from heapq import heapify, heappop, heappush
 from itertools import accumulate
 from math import gcd, lcm
 from operator import mul
-from typing import Mapping, Sequence
 
 from .grid import format_point
 

@@ -21,10 +21,9 @@ is its invertible case.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from collections.abc import Sequence
 from fractions import Fraction
 from functools import cached_property
-from typing import Sequence
 
 from .calculus import (
     BigSection,
@@ -52,6 +51,7 @@ from .grid import default_grid, format_point
 from .linalg import Matrix, Subspace
 from .membership import in_span, span_test  # noqa: F401  (bench/tracing.py wraps in_span here)
 from .pointwise import IsotropicData, _pairing_row
+from .record import Record
 from .scalars import Polynomial, as_fraction, eval_rows
 
 
@@ -59,8 +59,7 @@ class StructureError(ValueError):
     pass
 
 
-@dataclass(frozen=True)
-class Verdict:
+class Verdict(Record):
     """Outcome of an exact check; each failure is a (message, detail) pair."""
 
     name: str
@@ -79,8 +78,7 @@ class Verdict:
         return "\n".join(lines)
 
 
-@dataclass(frozen=True)
-class TruncatedFormValue:
+class TruncatedFormValue(Record):
     """Value of a truncated form evaluated on named section arguments."""
 
     arguments: tuple
@@ -90,12 +88,11 @@ class TruncatedFormValue:
         return self.value.is_zero()
 
 
-@dataclass(frozen=True)
-class BigIsotropicStructure:
+class BigIsotropicStructure(Record):
     chart: Chart
     e_frame: tuple
     e_prime_frame: tuple
-    validated: bool = field(default=False, init=False, compare=False)
+    validated = False  # not a field: validate() sets it on the instance
 
     @property
     def m(self) -> int:

@@ -12,17 +12,16 @@ the counting identities independently of the solved subspaces.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections.abc import Sequence
 from math import lcm
-from typing import Sequence
 
 from .linalg import Matrix, Subspace, kernel
 from .pointwise import GeometryError, orthogonal_g, swap_halves, window
+from .record import Record
 from .scalars import as_fraction
 
 
-@dataclass(frozen=True)
-class LinearMap:
+class LinearMap(Record):
     """An m x n rational matrix acting on tangent vectors; its transpose
     moves covectors the other way."""
 
@@ -65,25 +64,32 @@ def _check_ambient(space: Subspace, dim: int, what: str):
         raise GeometryError(f"{what}: expected ambient dimension {2 * dim}, got {space.ambient_dim}")
 
 
+def pull_equations(Mt: Matrix, eq_rows) -> tuple:
+    """(A, Mi, d): with Mt = Mi / d, Mi integer, the unknowns (X, a) of
+    ``pull_rows`` solve the rows A = (Mi e_tan, d e_cot) of the equation rows
+    e, so its row count, the solution dimension, is n + m - rank A."""
+    n, m = Mt.rows, Mt.cols
+    d = lcm(*(e.denominator for row in Mt.entries for e in row))
+    Mi = [[e.numerator * (d // e.denominator) for e in row] for row in Mt.entries]
+    return Matrix([_apply(Mi, e[:m]) + tuple(d * c for c in e[m:]) for e in eq_rows], n + m), Mi, d
+
+
+def _apply(Mi, vector) -> tuple:
+    return tuple(sum(c * x for c, x in zip(row, vector) if c) for row in Mi)
+
+
 def pull_rows(Mt: Matrix, eq_rows) -> list:
     """Rows spanning {(X, Mt a) : (M X, a) is annihilated by eq_rows}, where
     Mt is the n x m transpose of M: Q^n -> Q^m and eq_rows have length 2m.
     One row per kernel vector (X, a), so the row count is the solution
     dimension: dim space_S(M, E) for E cut out by eq_rows and M injective.
-    With Mt = Mi / d, Mi integer, the unknowns solve the rows (Mi e_tan,
-    d e_cot), and each solution (X, a), scaled to integers, gives (d X, Mi a)."""
-    n, m = Mt.rows, Mt.cols
-    d = lcm(*(e.denominator for row in Mt.entries for e in row))
-    Mi = [[e.numerator * (d // e.denominator) for e in row] for row in Mt.entries]
-
-    def apply(vector) -> tuple:
-        return tuple(sum(c * x for c, x in zip(row, vector) if c) for row in Mi)
-
-    out = []
-    for sol in Matrix([apply(e[:m]) + tuple(d * c for c in e[m:]) for e in eq_rows], n + m).kernel_rows():
+    Each solution of ``pull_equations``, scaled to integers, gives (d X, Mi a)."""
+    A, Mi, d = pull_equations(Mt, eq_rows)
+    n, out = Mt.rows, []
+    for sol in A.kernel_rows():
         q = lcm(*(x.denominator for x in sol))
         v = [x.numerator * (q // x.denominator) for x in sol]
-        out.append(tuple(d * x for x in v[:n]) + apply(v[n:]))
+        out.append(tuple(d * x for x in v[:n]) + _apply(Mi, v[n:]))
     return out
 
 

@@ -42,6 +42,11 @@ from bigiso.structures import (
 from bigiso.transport import LinearMap, pullback_subspace
 
 
+def replaced(record, **changes):
+    """A copy of the record with some fields changed, built by its constructor."""
+    return type(record)(**{name: changes.get(name, getattr(record, name)) for name in record._fields})
+
+
 @pytest.fixture(scope="module")
 def r3_adapted(r3_structure):
     return AdaptedChart(r3_structure.chart, leaf=(0,), middle=(1,), transverse=(2,))
@@ -202,7 +207,7 @@ class TestTransversalSlice:
         cf = normalize_frame(r5_structure, r5_adapted)
         rows = [list(row) for row in getattr(cf, grid)]
         rows[0][4] = rows[0][4] + cf.det_of(grid)
-        tampered = dataclasses.replace(cf, **{grid: tuple(map(tuple, rows))})
+        tampered = replaced(cf, **{grid: tuple(map(tuple, rows))})
         if grid == "xi_rows":
             error, message = NormalizationError, "transversal frame disagrees with the pullback at (0, 0, 0)"
         else:
@@ -335,7 +340,7 @@ class TestDenominators:
             (y - x, x * y + 1, (1, 2, 0), True),
         ]
         for det_e, det_ep, point, expected in cases:
-            moved = dataclasses.replace(cf, det_e=det_e, det_eprime=det_ep)
+            moved = replaced(cf, det_e=det_e, det_eprime=det_ep)
             assert moved.denominators_nonzero_at(point) is expected
 
 
@@ -404,7 +409,7 @@ class TestFrameValues:
         for _ in range(6):
             dets = [random_polynomial(rng, names) for _ in range(2)]
             dets = [det if det.total_degree() > 0 else det + Polynomial.variable(names, 0) for det in dets]
-            moved = dataclasses.replace(
+            moved = replaced(
                 cf,
                 det_e=dets[0],
                 det_eprime=dets[1],
@@ -798,7 +803,7 @@ def _frames_under_other_splits(cf):
     for perm in itertools.permutations(range(m)):
         leaf, middle, transverse = perm[: a.r], perm[a.r : a.r + a.mk], perm[a.r + a.mk :]
         if list(leaf) == sorted(leaf) and list(middle) == sorted(middle):
-            yield dataclasses.replace(cf, adapted=AdaptedChart(a.chart, leaf, middle, transverse))
+            yield replaced(cf, adapted=AdaptedChart(a.chart, leaf, middle, transverse))
 
 
 def assert_coupling_matches_reference(cf, grid):
@@ -899,9 +904,9 @@ class TestRankCouplingIsNotVacuous:
     def tampered(v, leaf):
         added = tuple(a + b for a, b in zip(v.xi[0], v.x[0]))
         leaf_covector = tuple(int(j == v.m + leaf) for j in range(2 * v.m))
-        yield "swap", dataclasses.replace(v, x=(v.xi[0],) + v.x[1:], xi=(v.x[0],) + v.xi[1:])
-        yield "add", dataclasses.replace(v, xi=(added,) + v.xi[1:])
-        yield "covector", dataclasses.replace(v, y=(tuple(map(sum, zip(v.y[0], leaf_covector))),) + v.y[1:])
+        yield "swap", replaced(v, x=(v.xi[0],) + v.x[1:], xi=(v.x[0],) + v.xi[1:])
+        yield "add", replaced(v, xi=(added,) + v.xi[1:])
+        yield "covector", replaced(v, y=(tuple(map(sum, zip(v.y[0], leaf_covector))),) + v.y[1:])
 
     @pytest.mark.parametrize("name", ["example_r3", "example_r5_tilde"])
     def test_tampered_frame_values(self, name):

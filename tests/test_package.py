@@ -1,5 +1,6 @@
 """The lazy package namespace: what each entry point loads, and what it binds."""
 
+import ast
 import importlib
 import os
 import subprocess
@@ -48,13 +49,35 @@ PUBLIC = [
 ]
 
 
-def loaded_by(statement):
-    """The bigiso modules a fresh interpreter holds after running statement."""
-    probe = f"import sys\n{statement}\nprint(' '.join(m for m in sys.modules if m.split('.')[0] == 'bigiso'))"
+def imported_by(statement):
+    """The modules a fresh interpreter adds to what it holds bare by running statement."""
+    probe = f"import sys\nbare = set(sys.modules)\n{statement}\nprint(' '.join(set(sys.modules) - bare))"
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
     out = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True).stdout
     return set(out.split())
+
+
+def loaded_by(statement):
+    """The bigiso modules a fresh interpreter holds after running statement."""
+    return {m for m in imported_by(statement) if m.split(".")[0] == "bigiso"}
+
+
+def test_cli_import_generates_no_dataclass_code():
+    # records share the methods of bigiso.record, so no stdlib code generator is loaded
+    assert not {"dataclasses", "inspect"} & imported_by("import bigiso.cli")
+
+
+def test_no_module_imports_typing_or_dataclasses():
+    for path in sorted((SRC / "bigiso").rglob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.Import):
+                roots = {alias.name.split(".")[0] for alias in node.names}
+            elif isinstance(node, ast.ImportFrom) and not node.level:
+                roots = {node.module.split(".")[0]}
+            else:
+                continue
+            assert not roots & {"typing", "dataclasses"}, f"{path.name}:{node.lineno}"
 
 
 def test_import_loads_no_submodule():
@@ -62,7 +85,8 @@ def test_import_loads_no_submodule():
 
 
 def test_submodule_import_loads_only_its_own_imports():
-    expected = {"bigiso", "bigiso.calculus", "bigiso.scalars", "bigiso.grid"}  # scalars prints points via grid
+    # scalars prints points via grid; calculus declares its records on bigiso.record
+    expected = {"bigiso", "bigiso.calculus", "bigiso.scalars", "bigiso.grid", "bigiso.record"}
     assert loaded_by("from bigiso.calculus import Chart") == expected
 
 

@@ -509,11 +509,14 @@ class TestCli:
 
     def validate_in_a_fresh_process(self, tmp_path, name):
         """The one error of validating a deep document in its own process."""
+        import os
         import subprocess
         import sys
         from pathlib import Path
 
         env = {"PYTHONPATH": str(Path(__file__).resolve().parents[1] / "src"), "PATH": ""}
+        if "PYTHONDONTWRITEBYTECODE" in os.environ:  # a run that writes no bytecode cache keeps it so
+            env["PYTHONDONTWRITEBYTECODE"] = os.environ["PYTHONDONTWRITEBYTECODE"]
         doc = self.deep_document(tmp_path, name)
         done = subprocess.run(
             [sys.executable, "-m", "bigiso.cli", "validate", str(doc)], env=env, capture_output=True, text=True

@@ -11,6 +11,8 @@ from bigiso.transport import (
     e_cap_ker_push,
     predict_pullback_dim,
     predict_pushforward_dim,
+    pull_equations,
+    pull_rows,
     pullback_subspace,
     pullpush,
     pushforward_subspace,
@@ -347,6 +349,13 @@ class TestAgainstReference:
             ):
                 E_prime = orthogonal_g(E)
                 assert predict(L, E) == predict(L, E, E_prime) == ref(L, E, E_prime)
+
+    def test_pull_row_count_is_read_from_the_rank_of_its_equations(self):
+        # reduction.restrict counts the E' window this way, solving no kernel
+        for i, (L, E_target, _) in enumerate(transport_cases(26, 240)):
+            Mt = L.matrix.transpose().scale(Fraction(1, 1 + i % 3))  # d = 1, 2, 3
+            rows = E_target.equations().entries
+            assert L.n + L.m - pull_equations(Mt, rows)[0].rank() == len(pull_rows(Mt, rows))
 
     def test_fixed_maps_cover_every_subspace_kind(self):
         rng = random.Random(23)
