@@ -4,7 +4,8 @@ Q[x].
 Everything is deterministic: reduced row echelon form gives each subspace a
 unique representative, so subspace equality is plain tuple equality.  Matrix
 entries are Fractions and ints; one fraction-free elimination over the
-integers gives the RREF, and its forward pass alone the rank and pivot columns.
+integers gives the RREF, and its forward pass alone, ``echelon``, the rank and
+pivot columns; callers that hold integer rows call ``echelon`` directly.
 ``fraction_free`` is a Gauss-Jordan elimination on polynomial rows,
 dividing exactly by the previous pivot; it gives every determinant (a
 rational one in ``Matrix.det``, on constant polynomials), adjugate and
@@ -87,36 +88,8 @@ class Matrix:
         return Matrix([[self.entries[i][j] for j in col_idx] for i in row_idx], len(col_idx))
 
     def _integer_echelon(self):
-        """Forward pass of the fraction-free elimination over the integers.
-
-        Each row is scaled to integers by the lcm of its denominators, which
-        changes neither the row space nor the pivot columns.  The pivot of
-        column c is its first nonzero entry at or below the current row, and
-        _clear_column clears the rows below it.  Returns (rows, pivots): an
-        integer row echelon form with the pivot columns of the RREF.
-        """
-        rows = []
-        for row in self.entries:
-            dens = [e.denominator for e in row]
-            d = lcm(*dens)
-            if d == 1:
-                rows.append([e.numerator for e in row])
-            else:
-                rows.append([e.numerator * (d // q) for e, q in zip(row, dens)])
-        n_rows, pivots = self.rows, []
-        for c in range(self.cols):
-            r = len(pivots)
-            if r == n_rows:
-                break
-            for i in range(r, n_rows):
-                if rows[i][c]:
-                    break
-            else:  # no pivot in column c
-                continue
-            rows[r], rows[i] = rows[i], rows[r]
-            _clear_column(rows, r, c, range(r + 1, n_rows))
-            pivots.append(c)
-        return rows, tuple(pivots)
+        """``echelon`` of the rows scaled to integers (``integer_rows``)."""
+        return echelon(integer_rows(self.entries))
 
     def rref(self):
         """Reduced row echelon form.
@@ -191,6 +164,41 @@ class Matrix:
 
     def __str__(self):
         return "\n".join("[" + ", ".join(str(e) for e in row) + "]" for row in self.entries)
+
+
+def integer_rows(rows: Iterable[Sequence]) -> list:
+    """Each rational row scaled to integers by the lcm of its denominators,
+    which changes neither its span nor the pivot columns."""
+    out = []
+    for row in rows:
+        dens = [e.denominator for e in row]
+        d = lcm(*dens)
+        out.append([e.numerator * (d // q) for e, q in zip(row, dens)] if d > 1 else [e.numerator for e in row])
+    return out
+
+
+def echelon(rows: Sequence[Sequence[int]]):
+    """Forward pass of the fraction-free elimination of integer rows.
+
+    The pivot of column c is its first nonzero entry at or below the current
+    row, and _clear_column clears the rows below it.  Returns (rows, pivots):
+    an integer row echelon form with the pivot columns of the RREF, whose
+    count is the rank.  The given rows are not changed.
+    """
+    rows, pivots, n_rows = list(rows), [], len(rows)
+    for c in range(len(rows[0]) if rows else 0):
+        r = len(pivots)
+        if r == n_rows:
+            break
+        for i in range(r, n_rows):
+            if rows[i][c]:
+                break
+        else:  # no pivot in column c
+            continue
+        rows[r], rows[i] = rows[i], rows[r]
+        _clear_column(rows, r, c, range(r + 1, n_rows))
+        pivots.append(c)
+    return rows, tuple(pivots)
 
 
 def _clear_column(rows: list, r: int, c: int, targets) -> None:

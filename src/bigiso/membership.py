@@ -24,7 +24,7 @@ from collections.abc import Callable, Sequence
 from itertools import islice
 
 from .grid import grid_walk
-from .linalg import Matrix, fraction_free
+from .linalg import echelon, fraction_free
 from .record import Record
 from .scalars import Polynomial, eval_rows
 
@@ -59,7 +59,7 @@ def _pivot_columns(frame: list):
     k = len(frame)
     probes = islice(grid_walk(len(frame[0][0].vars)), PROBE_POINTS)
     for rows in eval_rows(frame, probes):
-        pivots = Matrix(rows).pivot_columns()
+        pivots = echelon(rows)[1]
         if len(pivots) == k:
             return pivots
     pivots = fraction_free(frame, range(len(frame[0])))[1]

@@ -30,7 +30,7 @@ from .calculus import (
     sharp,
 )
 from .grid import format_point
-from .linalg import Matrix
+from .linalg import Matrix, echelon, integer_rows
 from .pointwise import swap_halves
 from .record import Record
 from .scalars import Polynomial, as_fraction, eval_rows
@@ -152,7 +152,7 @@ class RestrictedData(Record):
         """The rank of the pulled rows, the same at every point (see
         ``restrict``).  It is not their count: where E meets 0 (+) ann TN
         the rows are dependent, and their count is the window dimension."""
-        return Matrix(self.pulled_E[0], 2 * self.submanifold.sub.dim).rank() if self.pulled_E else 0
+        return len(echelon(self.pulled_E[0])[1]) if self.pulled_E else 0
 
 
 def restrict(s: BigIsotropicStructure, N: SubmanifoldData, grid=None) -> RestrictedData:
@@ -183,7 +183,8 @@ def restrict(s: BigIsotropicStructure, N: SubmanifoldData, grid=None) -> Restric
     for u, (e_rows, ep_rows) in zip(pts, s.rows_at([N.embed_point(u) for u in pts])):
         pulled.append(tuple(pull_rows(Mt, swap_halves(ep_rows))))
         windows[0].setdefault(len(pulled[-1]), u)
-        windows[1].setdefault(Mt.rows + Mt.cols - pull_equations(Mt, swap_halves(e_rows))[0].rank(), u)
+        A = pull_equations(Mt, swap_halves(e_rows))[0]
+        windows[1].setdefault(A.cols - len(echelon(A.entries)[1]), u)
     for dims, label in zip(windows, ("E", "E'")):
         if len(dims) > 1:
             (d1, u1), (d2, u2) = list(dims.items())[:2]
@@ -199,10 +200,12 @@ def span_mismatches(points, frame: Sequence[BigSection], expected) -> list:
     expected rows there: the check of a symbolic frame against pointwise
     pullbacks, on one eval_rows table of the frame over the points.  Row
     sets F and P span one subspace iff rank F = rank P = rank [F; P], as
-    dim(F + P) = dim F + dim P - dim(F n P)."""
+    dim(F + P) = dim F + dim P - dim(F n P); rational expected rows are
+    scaled to integers first."""
     rows_at = eval_rows([sec.as_poly_row() for sec in frame], points)
-    same = (Matrix(f).rank() == Matrix(p).rank() == Matrix([*f, *p]).rank() for p, f in zip(expected, rows_at))
-    return [u for u, ok in zip(points, same) if not ok]
+    pairs = zip(map(integer_rows, expected), rows_at)
+    ranks = ([len(echelon(rows)[1]) for rows in (f, p, [*f, *p])] for p, f in pairs)
+    return [u for u, (a, b, c) in zip(points, ranks) if not a == b == c]
 
 
 def verify_restricted_frame(restricted: RestrictedData, frame: Sequence[BigSection]) -> Verdict:
@@ -236,7 +239,7 @@ def check_reducibility(
         (f"fibre direction {N.sub.names[i]} not in the pullback at {format_point(u)}", None)
         for u, rows in zip(restricted.points, restricted.pulled_E)
         for i in F.fibre
-        if Matrix([*rows, [int(j == i) for j in range(2 * N.sub.dim)]]).rank() != rank
+        if len(echelon([*rows, [int(j == i) for j in range(2 * N.sub.dim)]])[1]) != rank
     ]
     return Verdict("reducibility condition", not failures, tuple(failures))
 
@@ -365,7 +368,7 @@ def reduce_structure(
     base_grid = sorted({tuple(u[i] for i in F.base) for u in restricted.points})
     quotient = BigIsotropicStructure.build(quotient_chart, reduced_frame, reduced_prime, grid=base_grid)
     covectors = eval_rows([sec.of.comps for sec in reduced_frame], base_grid)
-    poisson = all(Matrix(rows, quotient.m).rank() == quotient.k for rows in covectors)
+    poisson = all(len(echelon(rows)[1]) == quotient.k for rows in covectors)
     return ReductionResult(quotient, restricted, red_verdict, proj_verdict, poisson)
 
 

@@ -48,7 +48,7 @@ from .calculus import (
     trivector_contract_two,
 )
 from .grid import default_grid, format_point
-from .linalg import Matrix, Subspace
+from .linalg import Matrix, Subspace, echelon
 from .membership import in_span, span_test  # noqa: F401  (bench/tracing.py wraps in_span here)
 from .pointwise import IsotropicData, _pairing_row
 from .record import Record
@@ -158,14 +158,14 @@ class BigIsotropicStructure(Record):
     def rows_at(self, points):
         """(E rows, E' rows) at each chart point, lazily; errors on rank drops.
 
-        Each frame is evaluated over all the points by one eval_rows table,
-        and each row is the section's value times a positive integer, so
-        the rows are integers with the ranks and spans of the values."""
+        Both frames are evaluated over all the points by one eval_rows
+        table, E's k rows first, and each row is the section's value times a
+        positive integer, so the rows are integers with the ranks and spans
+        of the values; ``echelon`` ranks them as they are."""
         m, k = self.m, self.k
-        e_at = eval_rows(self.frame_rows(), points)
-        ep_at = eval_rows(self.prime_frame_rows(), points)
-        for point, e_rows, ep_rows in zip(points, e_at, ep_at):
-            e_rank, ep_rank = Matrix(e_rows).rank(), Matrix(ep_rows).rank()
+        for point, rows in zip(points, eval_rows(self.frame_rows() + self.prime_frame_rows(), points)):
+            e_rows, ep_rows = rows[:k], rows[k:]
+            e_rank, ep_rank = len(echelon(e_rows)[1]), len(echelon(ep_rows)[1])
             if e_rank != k or ep_rank != 2 * m - k:
                 raise StructureError(
                     f"degenerate point {format_point(point)}: frame ranks {e_rank}/{ep_rank}, expected {k}/{2 * m - k}"

@@ -15,7 +15,7 @@ from __future__ import annotations
 from collections.abc import Sequence
 from math import lcm
 
-from .linalg import Matrix, Subspace, kernel
+from .linalg import Matrix, Subspace, integer_rows, kernel
 from .pointwise import GeometryError, orthogonal_g, swap_halves, window
 from .record import Record
 from .scalars import as_fraction
@@ -85,12 +85,8 @@ def pull_rows(Mt: Matrix, eq_rows) -> list:
     dimension: dim space_S(M, E) for E cut out by eq_rows and M injective.
     Each solution of ``pull_equations``, scaled to integers, gives (d X, Mi a)."""
     A, Mi, d = pull_equations(Mt, eq_rows)
-    n, out = Mt.rows, []
-    for sol in A.kernel_rows():
-        q = lcm(*(x.denominator for x in sol))
-        v = [x.numerator * (q // x.denominator) for x in sol]
-        out.append(tuple(d * x for x in v[:n]) + _apply(Mi, v[n:]))
-    return out
+    n = Mt.rows
+    return [tuple(d * x for x in v[:n]) + _apply(Mi, v[n:]) for v in integer_rows(A.kernel_rows())]
 
 
 def pullback_subspace(L: LinearMap, E: Subspace) -> Subspace:

@@ -5,7 +5,7 @@ from math import gcd, lcm
 
 import pytest
 
-from bigiso.linalg import Matrix, Subspace, combine, complement_in, kernel
+from bigiso.linalg import Matrix, Subspace, combine, complement_in, echelon, integer_rows, kernel
 from bigiso.pointwise import random_subspace
 
 
@@ -475,6 +475,95 @@ class TestForwardAndBackPasses:
         m = Matrix([[0, 1, 1], [1, 1, 0], [0, 0, 0]])
         assert (m.pivot_columns(), m.rank()) == ((0, 1), 2) == rref_reference(m)[1:]
         assert m.rref() == rref_reference(m)
+
+
+def gauss_rank_pivots(rows, cols):
+    """Oracle: plain Gaussian elimination over Fractions (the row of the
+    first nonzero entry in each column is the pivot row, entries below it
+    are cleared by subtracting multiples of it).  Returns (rank, pivots)."""
+    a = [[Fraction(e) for e in row] for row in rows]
+    pivots = []
+    for c in range(cols):
+        r = len(pivots)
+        i = next((i for i in range(r, len(a)) if a[i][c] != 0), None)
+        if i is None:
+            continue
+        a[r], a[i] = a[i], a[r]
+        for i2 in range(r + 1, len(a)):
+            f = a[i2][c] / a[r][c]
+            a[i2] = [x - f * y for x, y in zip(a[i2], a[r])]
+        pivots.append(c)
+    return len(pivots), tuple(pivots)
+
+
+def random_integer_rows(rng):
+    """0-6 integer rows of 0-7 columns: random (small, negative or of 30
+    digits), zero, repeated, or integer combinations of earlier rows."""
+    n_rows, cols = rng.randint(0, 6), rng.randint(0, 7)
+    big = rng.random() < 0.3
+    rows = []
+    for _ in range(n_rows):
+        kind = rng.choice(("random", "random", "zero", "repeat", "combination"))
+        if kind == "zero" or (kind != "random" and not rows):
+            row = (0,) * cols
+        elif kind == "repeat":
+            row = rng.choice(rows)
+        elif kind == "combination":
+            a, b = rng.choice(rows), rng.choice(rows)
+            s, t = rng.randint(-3, 3), rng.randint(-3, 3)
+            row = tuple(s * x + t * y for x, y in zip(a, b))
+        else:
+            bound = 10**30 if big else 3
+            row = tuple(rng.randint(-bound, bound) if rng.random() < 0.7 else 0 for _ in range(cols))
+        rows.append(row)
+    return rows, cols
+
+
+class TestEchelon:
+    """The one forward pass over integer rows: its pivots are those of
+    Matrix over the same rows as Fractions and of plain Gaussian elimination,
+    and it leaves its input alone."""
+
+    def test_matches_matrix_and_gaussian_elimination(self):
+        rng = random.Random(71)
+        seen = set()
+        for _ in range(600):
+            rows, cols = random_integer_rows(rng)
+            before = [tuple(r) for r in rows]
+            reduced, pivots = echelon(rows)
+            rank, expected = gauss_rank_pivots(rows, cols)
+            assert pivots == expected
+            assert Matrix([[Fraction(e) for e in r] for r in rows], cols).pivot_columns() == pivots
+            assert Matrix(rows, cols).rank() == rank == len(pivots)
+            assert rows == before
+            # an echelon form of the same span: pivot rows lead at their
+            # pivots, every later row is zero
+            for r, row in enumerate(reduced):
+                lead = next((c for c, e in enumerate(row) if e), None)
+                assert lead == (pivots[r] if r < rank else None)
+                assert all(type(e) is int for e in row)
+            assert Subspace(cols, reduced) == Subspace(cols, rows)
+            seen.add((len(rows), cols, rank < min(len(rows), cols), max((abs(e) for r in rows for e in r), default=0) > 10**20))
+        assert {(r, c) for r, c, _, _ in seen} == {(r, c) for r in range(7) for c in range(8)}
+        assert any(deficient for r, c, deficient, _ in seen if r and c)
+        assert any(big for *_, big in seen)
+
+    def test_degenerate_shapes(self):
+        assert echelon([]) == ([], ())
+        assert echelon([(), ()]) == ([(), ()], ())
+        assert echelon([(0, 0, 0), (0, 0, 0)])[1] == ()
+        assert echelon([(0, 2, 4), (0, 1, 2), (0, -3, -6)])[1] == (1,)
+        assert echelon([(10**30, 1), (10**30, 1), (-(10**30), 2)])[1] == (0, 1)
+
+    def test_matrix_scales_its_rows_then_runs_the_kernel(self):
+        rng = random.Random(73)
+        for _ in range(200):
+            m = random_elimination_matrix(rng)
+            rows = integer_rows(m.entries)
+            assert m._integer_echelon() == echelon(rows)
+            for row, scaled in zip(m.entries, rows):
+                assert all(type(e) is int for e in scaled)
+                assert Subspace(m.cols, [row]) == Subspace(m.cols, [scaled])
 
 
 # ---------------------------------------------------------------------------

@@ -1,7 +1,9 @@
+import importlib.util
 import random
 import sys
 from fractions import Fraction
 from itertools import combinations, islice, product
+from pathlib import Path
 
 import pytest
 
@@ -21,12 +23,12 @@ from bigiso.calculus import (
 )
 from bigiso import fixtures
 from bigiso import grid as grid_module
-from bigiso.grid import GRID_VALUES, default_grid, grid_walk
+from bigiso.grid import GRID_VALUES, default_grid, format_point, grid_walk
 from bigiso.linalg import Subspace
 from bigiso.membership import in_span, span_test
 from bigiso.parser import parse_document
-from bigiso.pointwise import GeometryError, IsotropicData
-from bigiso.scalars import Polynomial
+from bigiso.pointwise import GeometryError, IsotropicData, random_isotropic
+from bigiso.scalars import Polynomial, eval_rows
 from bigiso.structures import (
     BigIsotropicStructure,
     _axiom_test_functions,
@@ -401,6 +403,99 @@ class TestValidateRanks:
         assert outcomes == {True, False}
 
 
+def two_table_rows_at(s, points):
+    """Oracle: rows_at as it was, one eval_rows table per frame and Matrix
+    ranks.  The (E rows, E' rows) at each point, then the error text of the
+    first degenerate point, if any."""
+    m, k = s.m, s.k
+    out = []
+    e_at, ep_at = eval_rows(s.frame_rows(), points), eval_rows(s.prime_frame_rows(), points)
+    for point, e_rows, ep_rows in zip(points, e_at, ep_at):
+        e_rank, ep_rank = Matrix(e_rows).rank(), Matrix(ep_rows).rank()
+        if e_rank != k or ep_rank != 2 * m - k:
+            expected = f"{k}/{2 * m - k}"
+            out.append(f"degenerate point {format_point(point)}: frame ranks {e_rank}/{ep_rank}, expected {expected}")
+            break
+        out.append((e_rows, ep_rows))
+    return out
+
+
+def one_table_rows_at(s, points):
+    out = []
+    try:
+        for rows in s.rows_at(points):
+            out.append(rows)
+    except StructureError as exc:
+        out.append(str(exc))
+    return out
+
+
+def load_bench_dense():
+    """bench/dense.py, whose seeded instances are the dense workloads."""
+    path = Path(__file__).resolve().parents[1] / "bench" / "dense.py"
+    spec = importlib.util.spec_from_file_location("bench_dense_instances", path)
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module  # dataclass resolves its module by name
+    spec.loader.exec_module(module)
+    return module
+
+
+class TestRowsAtOneTable:
+    """rows_at evaluates E and E' through one table and ranks the rows with
+    the integer kernel; it yields what two tables and Matrix ranks gave."""
+
+    @staticmethod
+    def grids(rng, m):
+        values = [Fraction(rng.randint(-3, 3), rng.randint(1, 3)) for _ in range(rng.randint(1, 4))]
+        scattered = tuple(tuple(Fraction(rng.randint(-9, 9), rng.randint(1, 5)) for _ in range(m)) for _ in range(5))
+        return [default_grid(m), default_grid(m, rng.randint(1, 30), values), scattered]
+
+    def assert_same(self, s, rng) -> list:
+        """Compares on a default, a custom and a scattered grid; whether
+        each walk stopped at a degenerate point."""
+        stopped = []
+        for points in self.grids(rng, s.m):
+            got = one_table_rows_at(s, points)
+            assert got == two_table_rows_at(s, points)
+            pairs = [pair for pair in got if not isinstance(pair, str)]
+            assert all(type(e) is int for pair in pairs for part in pair for row in part for e in row)
+            stopped.append(isinstance(got[-1], str))
+        return stopped
+
+    def test_fixtures(self):
+        rng = random.Random(79)
+        for name in fixtures.list_fixtures():
+            doc = parse_document(fixtures.fixture_text(name))
+            s = BigIsotropicStructure.build(doc.chart, doc.e_sections, doc.e_prime_sections, validate=False)
+            assert not any(self.assert_same(s, rng)), name
+
+    def test_seeded_pointwise_and_rank_dropping_structures(self):
+        rng = random.Random(83)
+        outcomes = set()
+        for _ in range(40):
+            m = rng.randint(1, 4)
+            d = random_isotropic(rng, m)
+            chart = Chart(tuple(f"x{i}" for i in range(m)))
+            s = structure_from_components(chart, d.E.basis, d.E_prime.basis, validate=False)
+            outcomes |= set(self.assert_same(s, rng))
+        chart = Chart(("x", "y"))
+        x, y = chart.coordinate("x"), chart.coordinate("y")
+        for _ in range(20):
+            p, q = (rng.randint(-2, 2) * x + rng.randint(-1, 1) * y + rng.randint(-1, 1) for _ in "ab")
+            outcomes |= set(self.assert_same(rank_drop_structure(chart, p, q, validate=False), rng))
+        assert outcomes == {True, False}
+
+    def test_dense_instances(self):
+        dense = load_bench_dense()
+        rng = random.Random(89)
+        for workload in ("dense-pass", "dense-fail"):
+            for seed in (1, 2):
+                for inst in dense.make_instances(workload, seed):
+                    chart, e, ep = dense.to_library(inst)
+                    s = BigIsotropicStructure.build(chart, e, ep, validate=False)
+                    assert not any(self.assert_same(s, rng)), (workload, seed, inst.m)
+
+
 def sorted_grid(m, values):
     """Reference oracle: every point of values^m, sorted by the grid key."""
     return sorted(
@@ -482,6 +577,26 @@ class TestDefaultGrid:
         wide = default_grid(3, cap=25, values=range(-3000, 3001))
         assert wide == default_grid(3, cap=25, values=range(-2, 3))
         assert max(sum(abs(c) for c in p) for p in wide) == 2
+
+    def test_a_range_of_200001_values_costs_only_the_points_it_yields(self):
+        # contiguous magnitudes reach every norm with no shifted masks, and a
+        # shell stops at the first magnitude past its norm
+        wide = default_grid(3, values=range(-100000, 100001))
+        assert wide == default_grid(3, values=range(-3, 4)) == tuple(sorted_grid(3, range(-3, 4))[:24])
+        assert all(type(c) is int for p in wide for c in p)
+        shifted = default_grid(2, 7, values=range(5, 100001))
+        assert shifted == tuple(sorted_grid(2, range(5, 9))[:7])
+
+    @pytest.mark.parametrize("low", [10**6, 10**599])
+    def test_a_range_far_from_zero_walks_no_norm_below_it(self, low):
+        # norms are walked less m times the least magnitude, so the masks
+        # are as wide as the range, not as its distance from zero; the first
+        # 24 points of Z^3 need coordinates up to 4 above the least
+        near = range(low, low + 5)
+        assert default_grid(3, 24, range(low, low + 100001)) == default_grid(3, 24, near)
+        assert default_grid(3, 24, near) == tuple(sorted_grid(3, near)[:24])
+        mirrored = range(-low - 4, -low + 1)
+        assert default_grid(3, 24, mirrored) == tuple(sorted_grid(3, mirrored)[:24])
 
 
 class TestIntegrability:
